@@ -66,6 +66,15 @@ def _parse_list(text: str, name: str) -> list:
     return [_parse_extended(part, name) for part in text.split(",")]
 
 
+def _parse_dimensions(text: str) -> list:
+    out = []
+    for value in _parse_list(text, "n"):
+        if not value.is_integer():
+            raise ParameterError(f"n: must be an integer, got {_fmt(value)}")
+        out.append(int(value))
+    return out
+
+
 def _build_query(s, p, q, r, n, family, setting) -> SzaszQuery:
     space = SpaceParams(s=s, r=r, q=q, family=family, setting=setting)
     return SzaszQuery(space=space, p=p, n=n)
@@ -121,6 +130,12 @@ def _cmd_experiment(args) -> int:
             raise ParameterError(f"unknown kind {args.kind!r}; known: {WITNESS_KINDS}")
         if args.grid is not None and args.grid not in GRID_PRESETS:
             raise ParameterError(f"unknown grid preset {args.grid!r}; known: {sorted(GRID_PRESETS)}")
+        error = None
+        try:
+            records = divergence_experiment(args.kind, query, sizes, grid=args.grid, seed=args.seed)
+        except ExperimentAbort as exc:
+            records = exc.records
+            error = exc.reason
     except ParameterError as exc:
         print(f"szaszlab experiment: {exc}", file=sys.stderr)
         return _USAGE_EXIT
@@ -128,12 +143,6 @@ def _cmd_experiment(args) -> int:
     header = ("size", "space_norm", "lhs", "ratio")
     handle, close = _open_out(args.out)
     try:
-        error = None
-        try:
-            records = divergence_experiment(args.kind, query, sizes, grid=args.grid, seed=args.seed)
-        except ExperimentAbort as exc:
-            records = exc.records
-            error = exc.reason
         if args.format == "json":
             for rec in records:
                 handle.write(json.dumps({
@@ -165,7 +174,7 @@ def _cmd_sweep(args) -> int:
             "q": _parse_list(args.q, "q"),
             "r": _parse_list(args.r, "r"),
         }
-        n_list = [int(v) for v in _parse_list(args.n, "n")]
+        n_list = _parse_dimensions(args.n)
         family_list = [f.strip() for f in args.family.split(",") if f.strip()] if args.family.strip() else []
         for fam in family_list:
             if fam not in ("B", "F"):

@@ -189,12 +189,22 @@ def classify(query: SzaszQuery) -> ClassificationResult:
     )
 
 
+def _require_grid_dimension(query: SzaszQuery, grid) -> None:
+    """Reject a query whose dimension n (and so its theta) is not the grid's."""
+    if query.n != grid.n:
+        raise ParameterError(
+            f"invalid params: query has n={query.n} but the grid is {grid.n}-dimensional"
+        )
+
+
 def szasz_ratio(f: Field, query: SzaszQuery) -> float:
     """Empirical constant: weighted_lhs(F(f)) / space_norm(f) for one field.
 
     Raises:
+        ParameterError: when ``query.n`` is not the field's dimension.
         ZeroDivisionError: "zero denominator" when the space norm underflows.
     """
+    _require_grid_dimension(query, f.grid)
     mode = query.space.setting
     denom = space_norm(f, query.space)
     if denom <= 0.0 or not np.isfinite(denom):

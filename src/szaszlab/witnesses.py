@@ -40,20 +40,40 @@ hi-band resolves the modulation annuli C_k up to k = 16 while keeping at
 least 9 bins across the low-pass ball |xi| <= 1/2; lo-band resolves the
 dilation annuli C_(-k) down to k = 11; mid-band is a fast preset for demos
 and cheap positive-case sampling.
+
+On hi-band and mid-band every modulated record raises the norms' boundary
+``ModelFidelityWarning``, and rightly so: phi itself is 0.127 of its peak in
+the boundary shell of both presets.  phi's spectrum has its transition on
+1/3 <= |xi| <= 1/2, and a band-limited bump with so narrow a transition
+decays slowly compared with the box half-width 8 pi, so the samples are not
+a faithful picture of a function on R^n.  The modulated norms are still
+exact for the periodic function the grid holds.  Its spectrum is set bin by
+bin, the Littlewood-Paley pieces and the weighted functional read exactly
+those coefficients, and at r = 2 each level's norm is their Parseval sum,
+so periodization does not enter.  They match the closed-form series to
+1.4e-4 at K = 16; that gap comes from the low terms, whose bumps reach into
+the transition of level k + 1 (4.7e-3 at K = 2), not from the box.
+
+Experiment records are spectrum-native: ``divergence_experiment`` hands the
+witness's exact spectrum to the space norm and to ``weighted_lhs``, so a
+record costs one inverse transform (the norm's boundary check), levels the
+witness does not reach are skipped as exactly empty, and at r = 2 no level
+is synthesized at all.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from math import isinf
 
 import numpy as np
 
 from .errors import BandError, ExperimentAbort, ParameterError
-from .grid import Field, GridSpec, Spectrum, forward_ft, inverse_ft, radial_xi
+from .grid import Field, GridSpec, Spectrum, inverse_ft, radial_xi
 from .littlewood_paley import KAPPA, SAFETY, _mollifier_step, feasible_band, lowpass_profile
 from .spaces import lr_quasinorm, space_norm
-from .szasz import SzaszQuery, weighted_lhs
+from .szasz import SzaszQuery, _require_grid_dimension, weighted_lhs
 
 __all__ = [
     "GRID_PRESETS",
@@ -134,10 +154,6 @@ class ExperimentRecord:
         return (self.size, self.space_norm, self.lhs, self.ratio)
 
 
-def _count_bins_within(grid: GridSpec, radius: float) -> int:
-    return int(np.count_nonzero(radial_xi(grid) <= radius))
-
-
 def _unit_l2_spectrum(grid: GridSpec, prof: np.ndarray) -> np.ndarray:
     """Scale a spectral profile so the field has unit L2 norm (Parseval)."""
     mass = np.sum(np.abs(prof) ** 2) * grid.dxi**grid.n / (2.0 * np.pi) ** grid.n
@@ -146,14 +162,22 @@ def _unit_l2_spectrum(grid: GridSpec, prof: np.ndarray) -> np.ndarray:
     return prof / np.sqrt(mass)
 
 
-def _phi_hat(grid: GridSpec) -> np.ndarray:
-    """Smooth radial bump supported in |xi| <= 1/2, unit spatial L2 norm."""
-    if _count_bins_within(grid, 0.5) < 8:
-        raise BandError(
-            f"grid too coarse: only {_count_bins_within(grid, 0.5)} bins resolve |xi| <= 1/2"
-        )
-    prof = lowpass_profile(3.0 * radial_xi(grid)).astype(np.complex128)
-    return _unit_l2_spectrum(grid, prof)
+def _phi_hat_window(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Smooth radial bump supported in |xi| <= 1/2, unit spatial L2 norm.
+
+    Returns (axis, values): ``axis`` holds the array indices, along every
+    axis, of the box around the center that contains the ball |xi| <= 1/2,
+    and ``values`` the bump on that box.  The bump vanishes off the box.
+    """
+    m = math.ceil(0.5 / grid.dxi)
+    axis = np.arange(max(0, grid.center - m), min(grid.N, grid.center + m + 1))
+    xi = (axis - grid.center) * grid.dxi
+    r = np.abs(xi) if grid.n == 1 else np.sqrt(xi[:, None] ** 2 + xi[None, :] ** 2)
+    inside = int(np.count_nonzero(r <= 0.5))
+    if inside < 8:
+        raise BandError(f"grid too coarse: only {inside} bins resolve |xi| <= 1/2")
+    prof = lowpass_profile(3.0 * r).astype(np.complex128)
+    return axis, _unit_l2_spectrum(grid, prof)
 
 
 def _psi_hat_profile(t: np.ndarray) -> np.ndarray:
@@ -179,7 +203,10 @@ def _psi_hat(grid: GridSpec) -> np.ndarray:
 
 def bump_lowpass_phi(grid: GridSpec) -> Field:
     """Real field whose spectrum is a smooth bump in the ball |xi| <= 1/2."""
-    f = inverse_ft(Spectrum(grid, _phi_hat(grid)))
+    axis, phi = _phi_hat_window(grid)
+    coeffs = np.zeros(grid.shape, dtype=np.complex128)
+    coeffs[np.ix_(*(axis,) * grid.n)] = phi
+    f = inverse_ft(Spectrum(grid, coeffs))
     return Field(grid, f.values.real.astype(np.complex128))
 
 
@@ -211,6 +238,16 @@ def modulated_witness(grid, spec: WitnessSpec, weights: str = "linear") -> Field
     Raises:
         BandError: "K exceeds band" when C_K would cross the Nyquist margin.
     """
+    return inverse_ft(_modulated_spectrum(grid, spec, weights))
+
+
+def _modulated_spectrum(grid, spec: WitnessSpec, weights: str) -> Spectrum:
+    """Exact spectrum of :func:`modulated_witness`.
+
+    Term k adds a_k times phi's few nonzero bins, moved up by nu_k along the
+    first axis; the placement wraps like ``np.roll`` and never overlaps
+    another term.
+    """
     grid = resolve_grid(grid)
     K = spec.K
     if K > 0 and 1.25 * 2.0**K > SAFETY * grid.xi_max:
@@ -219,13 +256,13 @@ def modulated_witness(grid, spec: WitnessSpec, weights: str = "linear") -> Field
         )
     out = np.zeros(grid.shape, dtype=np.complex128)
     if K == 0:
-        return Field(grid, out)
-    phi_hat = _phi_hat(grid)
+        return Spectrum(grid, out)
+    axis, phi = _phi_hat_window(grid)
     amps = _modulation_weights(weights, K, spec.query.theta, spec.query.p)
     for k in range(1, K + 1):
         shift = int(round(2.0**k / grid.dxi))
-        out += amps[k - 1] * np.roll(phi_hat, shift, axis=0)
-    return inverse_ft(Spectrum(grid, out))
+        out[np.ix_((axis + shift) % grid.N, *(axis,) * (grid.n - 1))] += amps[k - 1] * phi
+    return Spectrum(grid, out)
 
 
 def dilated_witness(grid, spec: WitnessSpec) -> Field:
@@ -239,6 +276,11 @@ def dilated_witness(grid, spec: WitnessSpec) -> Field:
     Raises:
         BandError: "K exceeds low band" when C_(-K) is not resolvable.
     """
+    return inverse_ft(_dilated_spectrum(grid, spec))
+
+
+def _dilated_spectrum(grid, spec: WitnessSpec) -> Spectrum:
+    """Exact spectrum of :func:`dilated_witness`."""
     grid = resolve_grid(grid)
     K = spec.K
     if K > 0 and 0.75 * 2.0 ** (-K) < KAPPA * grid.dxi:
@@ -247,7 +289,7 @@ def dilated_witness(grid, spec: WitnessSpec) -> Field:
         )
     out = np.zeros(grid.shape, dtype=np.complex128)
     if K == 0:
-        return Field(grid, out)
+        return Spectrum(grid, out)
     q = spec.query
     n = grid.n
     n_over_r = 0.0 if isinf(q.space.r) else n / q.space.r
@@ -257,7 +299,7 @@ def dilated_witness(grid, spec: WitnessSpec) -> Field:
     for k in range(1, K + 1):
         c_k = k ** (-inv_p) * 2.0 ** (k * (q.space.s - n_over_r))
         out += (c_k * 2.0 ** (k * n) * unit) * _psi_hat_profile(2.0**k * r)
-    return inverse_ft(Spectrum(grid, out))
+    return Spectrum(grid, out)
 
 
 def lowfreq_blowup_witness(grid, M: int, s: float, r: float) -> Field:
@@ -273,6 +315,11 @@ def lowfreq_blowup_witness(grid, M: int, s: float, r: float) -> Field:
         ParameterError: when s <= n/r.
         BandError: "M exceeds low band" when C_(-M) is not resolvable.
     """
+    return inverse_ft(_blowup_spectrum(grid, M, s, r))
+
+
+def _blowup_spectrum(grid, M: int, s: float, r: float) -> Spectrum:
+    """Exact spectrum of :func:`lowfreq_blowup_witness`."""
     grid = resolve_grid(grid)
     n = grid.n
     n_over_r = 0.0 if isinf(r) else n / r
@@ -284,7 +331,7 @@ def lowfreq_blowup_witness(grid, M: int, s: float, r: float) -> Field:
         )
     out = np.zeros(grid.shape, dtype=np.complex128)
     if M == 0:
-        return Field(grid, out)
+        return Spectrum(grid, out)
     rad = radial_xi(grid)
     for k in range(1, M + 1):
         raw = _psi_hat_profile(2.0**k * rad).astype(np.complex128)
@@ -293,7 +340,7 @@ def lowfreq_blowup_witness(grid, M: int, s: float, r: float) -> Field:
         target = 2.0 ** (-k * (s - n_over_r) / 2.0)
         b_k = target * 2.0 ** (k * s) / norm_r
         out += b_k * raw
-    return inverse_ft(Spectrum(grid, out))
+    return Spectrum(grid, out)
 
 
 def random_bandlimited(grid, seed: int, j_lo: int, j_hi: int) -> Field:
@@ -308,6 +355,11 @@ def random_bandlimited(grid, seed: int, j_lo: int, j_hi: int) -> Field:
     Raises:
         BandError: when [j_lo, j_hi] is not inside the feasible band.
     """
+    return inverse_ft(_random_spectrum(grid, seed, j_lo, j_hi))
+
+
+def _random_spectrum(grid, seed: int, j_lo: int, j_hi: int) -> Spectrum:
+    """Exact spectrum of :func:`random_bandlimited`, normalized by Parseval."""
     grid = resolve_grid(grid)
     band = feasible_band(grid)
     if j_lo > j_hi or j_lo not in band or j_hi not in band:
@@ -333,28 +385,39 @@ def random_bandlimited(grid, seed: int, j_lo: int, j_hi: int) -> Field:
         mass = np.sum(np.abs(level) ** 2) * grid.dxi**grid.n
         if mass > 0.0:
             out[idx] += level / np.sqrt(mass)
-    f = inverse_ft(Spectrum(grid, out))
-    norm = lr_quasinorm(f, 2.0)
-    if norm == 0.0:
-        return f
-    return Field(grid, f.values / norm)
+    if not out.any():
+        return Spectrum(grid, out)
+    return Spectrum(grid, _unit_l2_spectrum(grid, out))
 
 
-def _build_witness(kind: str, query: SzaszQuery, size: int, grid: GridSpec, seed: int) -> Field:
+def _witness_spectrum(kind: str, query: SzaszQuery, size: int, grid: GridSpec, seed: int) -> Spectrum:
     if kind == "modulated":
-        return modulated_witness(grid, WitnessSpec(kind, size, query, seed), "linear")
+        return _modulated_spectrum(grid, WitnessSpec(kind, size, query, seed), "linear")
     if kind == "modulated_borderline":
-        return modulated_witness(grid, WitnessSpec(kind, size, query, seed), "inverse_root")
+        return _modulated_spectrum(grid, WitnessSpec(kind, size, query, seed), "inverse_root")
     if kind == "dilated_low":
-        return dilated_witness(grid, WitnessSpec(kind, size, query, seed))
+        return _dilated_spectrum(grid, WitnessSpec(kind, size, query, seed))
     if kind == "lowfreq_blowup":
-        return lowfreq_blowup_witness(grid, size, query.space.s, query.space.r)
+        return _blowup_spectrum(grid, size, query.space.s, query.space.r)
     if kind == "random_bandlimited":
         band = feasible_band(grid)
         j_hi = band.j_max
         j_lo = j_hi - size + 1
-        return random_bandlimited(grid, seed, j_lo, j_hi)
+        return _random_spectrum(grid, seed, j_lo, j_hi)
     raise ParameterError(f"invalid params: unknown witness kind {kind!r}")
+
+
+def _record(kind: str, query: SzaszQuery, size: int, grid: GridSpec, seed: int) -> ExperimentRecord:
+    """One record from the witness's exact spectrum, with no forward transform.
+
+    The spectrum is the only full-grid array kept; the norm synthesizes the
+    field once for its boundary check and drops it.
+    """
+    spec = _witness_spectrum(kind, query, size, grid, seed)
+    norm = space_norm(spec, query.space)
+    lhs = weighted_lhs(spec, query.theta, query.p, query.space.setting)
+    ratio = lhs / norm if norm > 0.0 else float("nan")
+    return ExperimentRecord(size, norm, lhs, ratio)
 
 
 def divergence_experiment(kind: str, query: SzaszQuery, sizes, grid=None, seed: int = 0) -> list:
@@ -363,19 +426,19 @@ def divergence_experiment(kind: str, query: SzaszQuery, sizes, grid=None, seed: 
     Returns one :class:`ExperimentRecord` per entry of ``sizes``, in input
     order.  A failure partway through raises :class:`ExperimentAbort`
     carrying the records computed so far.
+
+    Raises:
+        ParameterError: for an unknown kind, or when ``query.n`` is not the
+            grid's dimension.
     """
     if kind not in WITNESS_KINDS:
         raise ParameterError(f"invalid params: unknown witness kind {kind!r}")
     grid = resolve_grid(grid if grid is not None else _KIND_PRESET[kind])
+    _require_grid_dimension(query, grid)
     records: list[ExperimentRecord] = []
-    mode = query.space.setting
     for size in sizes:
         try:
-            f = _build_witness(kind, query, int(size), grid, seed)
-            norm = space_norm(f, query.space)
-            lhs = weighted_lhs(forward_ft(f), query.theta, query.p, mode)
-            ratio = lhs / norm if norm > 0.0 else float("nan")
+            records.append(_record(kind, query, int(size), grid, seed))
         except (BandError, ParameterError, ZeroDivisionError) as exc:
             raise ExperimentAbort(f"size {size}: {exc}", records) from exc
-        records.append(ExperimentRecord(int(size), norm, lhs, ratio))
     return records

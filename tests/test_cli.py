@@ -101,6 +101,17 @@ class TestExperimentCommand:
         assert lines[1].startswith("2,")
         assert lines[2].startswith("#error:")
 
+    def test_dimension_mismatch_exit_2_no_file(self, tmp_path, capsys):
+        out = tmp_path / "e.csv"
+        code = run_cli(
+            ["experiment", "--kind", "modulated", "--sizes", "2", "--s", "0", "--p", "4",
+             "--q", "4", "--r", "2", "--n", "3", "--family", "B", "--grid", "mid-band",
+             "--out", str(out)]
+        )
+        assert code == 2
+        assert not out.exists()
+        assert "n=3" in capsys.readouterr().err
+
     def test_bad_kind_exit_2_no_file(self, tmp_path):
         out = tmp_path / "e.csv"
         code = run_cli(
@@ -155,3 +166,13 @@ class TestSweepCommand:
              "--family", "Z", "--out", str(out)]
         ) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("n", ["inf", "1.7", "1,2.5"])
+    def test_non_integer_n_exit_2(self, tmp_path, capsys, n):
+        out = tmp_path / "s.csv"
+        assert run_cli(
+            ["sweep", "--s", "0", "--p", "2", "--q", "2", "--r", "2", "--n", n,
+             "--family", "B", "--out", str(out)]
+        ) == 2
+        assert not out.exists()
+        assert "n: must be an integer" in capsys.readouterr().err

@@ -8,10 +8,17 @@ from szaszlab import (
     ModelFidelityWarning,
     ParameterError,
     SpaceParams,
+    Spectrum,
     besov_norm,
     dyadic_dilate,
+    feasible_band,
+    forward_ft,
     grid_translate,
+    inverse_ft,
+    lowpass_profile,
+    lp_project,
     lr_quasinorm,
+    radial_xi,
     space_norm,
     triebel_norm,
 )
@@ -116,6 +123,12 @@ class TestBesovNorm:
         with pytest.warns(ModelFidelityWarning, match="outside the feasible band"):
             besov_norm(f, SpaceParams(0.0, 2.0, 2.0, "B"))
 
+    def test_out_of_band_mass_warns_from_spectrum(self, grid_mid):
+        coeffs = np.zeros(grid_mid.shape, dtype=complex)
+        coeffs[grid_mid.center + 1] = 1.0
+        with pytest.warns(ModelFidelityWarning, match="outside the feasible band"):
+            besov_norm(Spectrum(grid_mid, coeffs), SpaceParams(0.0, 2.0, 2.0, "B"))
+
     def test_boundary_mass_warns(self, grid_mid):
         f = plateau_field(grid_mid, 4)  # mollifier tails reach the boundary at this L
         with pytest.warns(ModelFidelityWarning, match="box boundary"):
@@ -191,3 +204,60 @@ class TestScalingLaw:
         got = besov_norm(dyadic_dilate(f, -1), params)
         expected = 2.0 ** (-(2 / 2.0 - 0.4)) * base
         assert abs(got - expected) < 1e-3 * expected
+
+
+def _broadband_field(grid):
+    """Packets across many levels, through LP transitions, plus a mean."""
+    vals = sum(
+        (0.8**k) * wave_packet(grid, xi0, width).values
+        for k, (xi0, width) in enumerate([(0.9, 6.0), (2.3, 4.0), (5.1, 3.0), (11.0, 2.0), (40.0, 1.0)])
+    )
+    return Field(grid, vals + 0.2 * wave_packet(grid, 0.0, 5.0).values)
+
+
+def _synthesized_besov(f, params):
+    """Reference Besov norm: every level synthesized on the full grid."""
+    g = f.grid
+    levels = [j for j in feasible_band(g).levels() if params.homogeneous or j >= 1]
+    summands = [2.0 ** (j * params.s) * lr_quasinorm(lp_project(f, j), params.r) for j in levels]
+    if not params.homogeneous:
+        low = forward_ft(f).coeffs * lowpass_profile(radial_xi(g))
+        summands.append(lr_quasinorm(inverse_ft(Spectrum(g, low)), params.r))
+    a = np.asarray(summands)
+    return float(a.max()) if np.isinf(params.q) else float(np.sum(a**params.q) ** (1.0 / params.q))
+
+
+class TestSpectrumInput:
+    @pytest.mark.parametrize("grid_name", ["grid_mid", "grid_2d"])
+    @pytest.mark.parametrize("setting", ["homogeneous", "inhomogeneous"])
+    @pytest.mark.parametrize("q", [1.0, 4.0, np.inf])
+    def test_parseval_matches_full_grid_synthesis(self, request, grid_name, setting, q):
+        grid = request.getfixturevalue(grid_name)
+        f = _broadband_field(grid)
+        params = SpaceParams(0.35, 2.0, q, "B", setting)
+        want = _synthesized_besov(f, params)
+        assert besov_norm(f, params) == pytest.approx(want, rel=1e-12)
+        assert besov_norm(forward_ft(f), params) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            SpaceParams(0.35, 1.5, 2.0, "B"),
+            SpaceParams(0.35, 1.5, 2.0, "B", "inhomogeneous"),
+            SpaceParams(0.2, 2.0, 4.0, "F"),
+            SpaceParams(0.2, 1.5, 3.0, "F", "inhomogeneous"),
+        ],
+    )
+    def test_spectrum_and_field_give_the_same_norm(self, grid_mid, params):
+        f = _broadband_field(grid_mid)
+        assert space_norm(forward_ft(f), params) == space_norm(f, params)
+
+    def test_synthesis_path_matches_reference(self, grid_mid):
+        f = _broadband_field(grid_mid)
+        params = SpaceParams(0.35, 1.5, 4.0, "B", "inhomogeneous")
+        assert besov_norm(f, params) == pytest.approx(_synthesized_besov(f, params), rel=1e-12)
+
+    def test_boundary_mass_warns_from_spectrum(self, grid_mid):
+        f = plateau_field(grid_mid, 4)
+        with pytest.warns(ModelFidelityWarning, match="box boundary"):
+            besov_norm(forward_ft(f), SpaceParams(0.0, 2.0, 2.0, "B"))

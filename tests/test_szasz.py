@@ -221,6 +221,11 @@ class TestSzaszRatio:
         with pytest.raises(ZeroDivisionError, match="zero denominator"):
             szasz_ratio(z, make_query("B", 0.0, 2.0, 2.0, 2.0))
 
+    def test_dimension_mismatch(self, grid_mid):
+        f = plateau_field(grid_mid, 4)
+        with pytest.raises(ParameterError, match="n=2"):
+            szasz_ratio(f, make_query("B", 0.0, 2.0, 2.0, 2.0, n=2))
+
     def test_triebel_route(self, grid_mid):
         f = plateau_field(grid_mid, 4)
         q = make_query("F", 0.0, 2.0, 2.0, 2.0)

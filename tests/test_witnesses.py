@@ -1,5 +1,7 @@
 """Witness constructions against their series/annulus oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from szaszlab import (
     BandError,
     ExperimentAbort,
     GridSpec,
+    ModelFidelityWarning,
     ParameterError,
     SpaceParams,
     SzaszQuery,
@@ -17,14 +20,19 @@ from szaszlab import (
     boundary_decay_ratio,
     dilated_witness,
     divergence_experiment,
+    feasible_band,
     forward_ft,
     lowfreq_blowup_witness,
+    lowpass_profile,
     lr_quasinorm,
     modulated_witness,
     radial_xi,
     random_bandlimited,
+    space_norm,
+    weighted_lhs,
 )
 from szaszlab.realization import low_frequency_mass
+from szaszlab.witnesses import _modulated_spectrum
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +59,11 @@ class TestBumpLowpassPhi:
     def test_real_valued(self, grid_hi_small):
         f = bump_lowpass_phi(grid_hi_small)
         assert np.max(np.abs(f.values.imag)) == 0.0
+
+    def test_boundary_ratio_on_16pi_box(self, grid_mid):
+        # the 16 pi box of hi-band and mid-band is short against phi's slow
+        # decay, so the boundary check rightly flags the modulated witness
+        assert boundary_decay_ratio(bump_lowpass_phi(grid_mid)) == pytest.approx(0.1266, abs=1e-3)
 
     def test_boundary_decay_on_large_box(self, grid_wide):
         # bandwidth-1/2 bumps decay slowly; a box of ~2.6e4 is what it takes
@@ -256,3 +269,71 @@ class TestDivergenceExperiment:
         q = make_query("B", 0.0, 2.0, 2.0, 2.0)
         with pytest.raises(ParameterError, match="witness kind"):
             divergence_experiment("mystery", q, [2])
+
+    def test_dimension_mismatch(self, grid_hi_small):
+        q = make_query("B", 0.0, 2.0, 4.0, 4.0, n=3)
+        with pytest.raises(ParameterError, match="n=3"):
+            divergence_experiment("modulated", q, [2], grid=grid_hi_small)
+        with pytest.raises(ParameterError, match="n=3"):
+            divergence_experiment("modulated", q, [])
+
+    def test_one_boundary_warning_per_record(self):
+        # phi is 0.127 of its peak at the box boundary of mid-band, so the
+        # check must fire on every record even though no field is synthesized
+        # by the builder
+        q = make_query("B", 0.0, 2.0, 4.0, 4.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ModelFidelityWarning)
+            recs = divergence_experiment("modulated", q, [2, 4, 8], grid="mid-band")
+        fidelity = [w for w in caught if issubclass(w.category, ModelFidelityWarning)]
+        assert len(fidelity) == len(recs)
+        assert all("box boundary" in str(w.message) for w in fidelity)
+
+
+def _public_witness(kind, query, size, grid, seed):
+    """The Field a public builder returns for one experiment size."""
+    if kind == "random_bandlimited":
+        j_hi = feasible_band(grid).j_max
+        return random_bandlimited(grid, seed, j_hi - size + 1, j_hi)
+    if kind == "lowfreq_blowup":
+        return lowfreq_blowup_witness(grid, size, query.space.s, query.space.r)
+    if kind == "dilated_low":
+        return dilated_witness(grid, WitnessSpec(kind, size, query))
+    weights = "linear" if kind == "modulated" else "inverse_root"
+    return modulated_witness(grid, WitnessSpec(kind, size, query), weights)
+
+
+class TestSpectrumNativeRecords:
+    @pytest.mark.parametrize(
+        "kind, query, sizes, grid_name",
+        [
+            ("modulated", make_query("B", 0.0, 2.0, 4.0, 4.0), [2, 5], "grid_hi_small"),
+            ("modulated_borderline", make_query("F", 0.0, 2.0, 2.0, 4.0), [3, 6], "grid_hi_small"),
+            ("dilated_low", make_query("B", 0.0, 2.0, 1.0, 2.0), [2, 4], "grid_wide"),
+            ("random_bandlimited", make_query("B", 2.0 / 3.0, 1.5, 1.0, 1.0), [2, 4], "grid_mid"),
+            ("random_bandlimited", make_query("F", 0.0, 1.5, 2.0, 1.5), [3], "grid_mid"),
+            ("lowfreq_blowup", make_query("B", 2.0, 1.5, 3.0, 1.0), [2, 3], "grid_wide"),
+        ],
+    )
+    def test_records_match_the_field_path(self, request, kind, query, sizes, grid_name):
+        grid = request.getfixturevalue(grid_name)
+        recs = divergence_experiment(kind, query, sizes, grid=grid, seed=7)
+        for rec, size in zip(recs, sizes):
+            f = _public_witness(kind, query, size, grid, 7)
+            norm = space_norm(f, query.space)
+            lhs = weighted_lhs(forward_ft(f), query.theta, query.p, query.space.setting)
+            assert rec.space_norm == pytest.approx(norm, rel=1e-10)
+            assert rec.lhs == pytest.approx(lhs, rel=1e-10)
+            assert rec.ratio == pytest.approx(lhs / norm, rel=1e-10)
+
+    @pytest.mark.parametrize("grid, K", [(GridSpec(1, 2**16, 16.0 * np.pi), 11), (GridSpec(2, 256, 16.0 * np.pi), 3)])
+    def test_windowed_modulated_spectrum_matches_roll(self, grid, K):
+        q = make_query("B", 0.0, 2.0, 4.0, 4.0, n=grid.n)
+        prof = lowpass_profile(3.0 * radial_xi(grid)).astype(np.complex128)
+        phi = prof / np.sqrt(np.sum(np.abs(prof) ** 2) * grid.dxi**grid.n / (2.0 * np.pi) ** grid.n)
+        want = np.zeros(grid.shape, dtype=np.complex128)
+        for k in range(1, K + 1):
+            a_k = k * 2.0 ** (-k * q.theta)
+            want += a_k * np.roll(phi, int(round(2.0**k / grid.dxi)), axis=0)
+        got = _modulated_spectrum(grid, WitnessSpec("modulated", K, q), "linear").coeffs
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
