@@ -35,6 +35,7 @@ __all__ = [
     "Spectrum",
     "forward_ft",
     "inverse_ft",
+    "inverse_ft_rows",
     "dyadic_dilate",
     "grid_translate",
     "radial_xi",
@@ -176,6 +177,26 @@ def inverse_ft(s: Spectrum) -> Field:
     v = _fft.fftshift(_fft.ifftn(_fft.ifftshift(s.coeffs), workers=-1))
     v /= g.dx**g.n
     return Field(g, v)
+
+
+def inverse_ft_rows(grid: GridSpec, rows: np.ndarray) -> np.ndarray:
+    """Samples of a stack of spectra, scaled like :func:`inverse_ft`, from one batched FFT.
+
+    ``rows`` has shape ``(W, *grid.shape)`` and holds W spectra in
+    FFT-natural order: frequency index k (center-relative) at array index
+    k mod N along each axis, the order :func:`inverse_ft` reaches with
+    ``ifftshift``.  The samples come back in natural order too (x = m dx at
+    index m mod N), with no shift copies.  ``rows`` is overwritten (scipy
+    transforms it in place where it can).  pocketfft spreads the W rows
+    over the CPUs, while a single 1-D transform runs on one.
+    """
+    if rows.shape[1:] != grid.shape:
+        raise ParameterError(
+            f"row shape {rows.shape[1:]} does not match grid shape {grid.shape}"
+        )
+    v = _fft.ifftn(rows, axes=tuple(range(-grid.n, 0)), workers=-1, overwrite_x=True)
+    v /= grid.dx**grid.n
+    return v
 
 
 def boundary_decay_ratio(f: Field) -> float:

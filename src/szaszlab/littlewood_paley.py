@@ -182,23 +182,27 @@ def lp_mask(grid: GridSpec, j: int) -> np.ndarray:
 
 
 def apply_level_mask(coeffs: np.ndarray, grid: GridSpec, j: int) -> np.ndarray:
-    """coeffs * gamma(2^-j |xi|) with exact zeros outside the annulus.
+    """coeffs * gamma(2^-j |xi|) with exact zeros outside the annulus."""
+    out = np.zeros_like(coeffs)
+    _add_level(out, coeffs, grid, j)
+    return out
 
-    The 1-d path touches only the annulus bins, which keeps repeated norm
+
+def _add_level(acc: np.ndarray, coeffs: np.ndarray, grid: GridSpec, j: int) -> None:
+    """acc += coeffs * gamma(2^-j |xi|), in centered order.
+
+    The 1-d path touches only the annulus bins, which keeps repeated
     evaluations on large grids cheap.
     """
-    if grid.n == 1:
-        out = np.zeros_like(coeffs)
-        c = grid.center
-        k_lo, vals = _annulus_window_1d(grid, j)
-        w = len(vals)
-        if w:
-            out[c + k_lo : c + k_lo + w] = coeffs[c + k_lo : c + k_lo + w] * vals
-            out[c - k_lo - w + 1 : c - k_lo + 1] = (
-                coeffs[c - k_lo - w + 1 : c - k_lo + 1] * vals[::-1]
-            )
-        return out
-    return coeffs * lp_mask(grid, j)
+    if grid.n != 1:
+        acc += coeffs * lp_mask(grid, j)
+        return
+    c = grid.center
+    k_lo, vals = _annulus_window_1d(grid, j)
+    w = len(vals)
+    if w:
+        acc[c + k_lo : c + k_lo + w] += coeffs[c + k_lo : c + k_lo + w] * vals
+        acc[c - k_lo - w + 1 : c - k_lo + 1] += coeffs[c - k_lo - w + 1 : c - k_lo + 1] * vals[::-1]
 
 
 def lp_project(f: Field, j: int) -> Field:

@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import BandError
 from .grid import Field, Spectrum, forward_ft, inverse_ft, radial_xi
-from .littlewood_paley import apply_level_mask, feasible_band
-from .spaces import space_norm
+from .littlewood_paley import _add_level, feasible_band
+from .spaces import _transformed_norm
 from .szasz import SzaszQuery, translation_realization_gate
 
 __all__ = [
@@ -58,18 +58,23 @@ def sigma0_partial(f: Field, M: int) -> Field:
     Raises:
         BandError: when no level of [-M, M] is resolvable on f's grid.
     """
-    band = feasible_band(f.grid)
+    return inverse_ft(Spectrum(f.grid, _sigma0_coeffs(forward_ft(f), M)))
+
+
+def _sigma0_coeffs(spec: Spectrum, M: int) -> np.ndarray:
+    """Spectrum of sigma_0(f, M) from the spectrum of f: the summed level masks."""
+    g = spec.grid
+    band = feasible_band(g)
     j_lo = max(-M, band.j_min)
     j_hi = min(M, band.j_max)
     if j_lo > j_hi:
         raise BandError(
             f"levels [-{M}, {M}] miss the feasible band [{band.j_min}, {band.j_max}]"
         )
-    s = forward_ft(f)
-    acc = np.zeros(f.grid.shape, dtype=np.complex128)
+    acc = np.zeros(g.shape, dtype=np.complex128)
     for j in range(j_lo, j_hi + 1):
-        acc += apply_level_mask(s.coeffs, f.grid, j)
-    return inverse_ft(Spectrum(f.grid, acc))
+        _add_level(acc, spec.coeffs, g, j)
+    return acc
 
 
 def low_frequency_mass(f: Field, R: float) -> float:
@@ -78,13 +83,15 @@ def low_frequency_mass(f: Field, R: float) -> float:
     Raises:
         BandError: "radius below resolution" when R <= dxi.
     """
-    g = f.grid
+    return _low_mass(forward_ft(f).coeffs, f.grid, R)
+
+
+def _low_mass(coeffs: np.ndarray, g, R: float) -> float:
     if not R > g.dxi:
         raise BandError(f"radius below resolution: R={R} <= dxi={g.dxi}")
-    s = forward_ft(f)
     r = radial_xi(g)
     keep = (r > 0.0) & (r <= R)
-    return float(np.sum(np.abs(s.coeffs[keep])) * g.dxi**g.n)
+    return float(np.sum(np.abs(coeffs[keep])) * g.dxi**g.n)
 
 
 def realization_feasible(query: SzaszQuery) -> bool:
@@ -100,11 +107,16 @@ def realization_feasible(query: SzaszQuery) -> bool:
 
 
 def realization_report(f: Field, query: SzaszQuery, M: int, R: float = 1.0) -> RealizationReport:
-    """Evaluate the low-frequency mass of sigma_0(f, M) alongside the norm."""
-    partial = sigma0_partial(f, M)
+    """Evaluate the low-frequency mass of sigma_0(f, M) alongside the norm.
+
+    f is transformed once.  The mass is read from sigma_0's spectrum, the
+    summed level masks, rather than from a synthesized partial sum, and the
+    norm takes the same spectrum.
+    """
+    spec = forward_ft(f)
     return RealizationReport(
         M=M,
-        low_mass=low_frequency_mass(partial, R),
-        besov=space_norm(f, query.space),
+        low_mass=_low_mass(_sigma0_coeffs(spec, M), f.grid, R),
+        besov=_transformed_norm(f, spec, query.space),
         feasible=realization_feasible(query),
     )

@@ -18,27 +18,56 @@ At r = 2 the Besov norm takes each piece's Riemann sum from Parseval on the
 piece's spectral window instead, which is the same sum without synthesizing
 the piece.  The norms accept a field or its spectrum; a spectrum built
 exactly (as the witness families are) leaves the levels it does not reach
-exactly empty, and those are skipped.
+exactly empty, and those are skipped.  In 1-D a level's emptiness is read
+from its annulus window's bins alone.
+
+Every other piece is synthesized on the full grid, in batches.  A norm call
+allocates one stack of W complex full-grid rows, W being the number of CPUs
+the process may use (``os.sched_getaffinity``, else ``os.cpu_count()``)
+capped by the number of pieces.  Each nonempty piece fills the next free
+row in FFT-natural order (frequency k at index k mod N), and a full stack
+goes through one multi-row inverse FFT (:func:`~szaszlab.grid.inverse_ft_rows`),
+which pocketfft spreads over the cores.  The samples stay in natural order
+too: no L_r sum depends on the order of the samples, so no ``fftshift``
+copy is made.  |piece| and its powers are computed inside the row's own
+memory, so the stack of W rows of 16 N^n bytes is all the full-grid memory
+a Besov norm adds (the F-norm adds its real pointwise sum).  Pieces combine in level order, so the result does not depend
+on W: a batched row is bitwise the single transform.
+
+Power sums are rescaled by their maximum only when the plain sum overflows
+or underflows, so no quasi-norm silently returns inf or 0.
 For r < 1 or q < 1 the same formulas produce quasi-norms; nothing here
 assumes the triangle inequality.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from math import isfinite, isinf, sqrt
 
 import numpy as np
 
 from .errors import ModelFidelityWarning, ParameterError
-from .grid import Field, Spectrum, forward_ft, inverse_ft, radial_xi, warn_if_boundary_mass
+from .grid import (
+    Field,
+    Spectrum,
+    forward_ft,
+    inverse_ft,
+    inverse_ft_rows,
+    radial_xi,
+    warn_if_boundary_mass,
+)
 from .littlewood_paley import (
     BandLimits,
     _annulus_window_1d,
     apply_level_mask,
     feasible_band,
     lowpass_profile,
+    lp_mask,
 )
 
 __all__ = ["SpaceParams", "lr_quasinorm", "besov_norm", "triebel_norm", "space_norm"]
@@ -46,6 +75,12 @@ __all__ = ["SpaceParams", "lr_quasinorm", "besov_norm", "triebel_norm", "space_n
 #: relative spectral mass allowed outside the feasible band before a
 #: truncation warning is issued
 OUT_OF_BAND_TOL = 1e-10
+
+#: smallest normal float; a power sum below it has lost digits to underflow
+_TINY = float(np.finfo(float).tiny)
+
+#: unit roundoff of a float
+_EPS = float(np.finfo(float).eps) / 2.0
 
 
 @dataclass(frozen=True)
@@ -86,21 +121,71 @@ class SpaceParams:
         return self.setting == "homogeneous"
 
 
+def _power_sum(a: np.ndarray, p: float, weight: float = 1.0, out: np.ndarray | None = None) -> float:
+    """(weight * sum(a**p))**(1/p) for a nonnegative array, with no spurious inf or 0.
+
+    The plain sum is kept unless it is non-finite or below the smallest
+    normal float; only then is it recomputed with ``a`` scaled by its
+    maximum (Blue, ACM TOMS 1978).  An in-range sum thus costs one pass and
+    has the bits of the plain formula.  a**p goes to ``out`` when given;
+    ``a`` itself is never modified.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        total = float(np.sum(np.power(a, p, out=out))) * weight
+    if isfinite(total) and total >= _TINY:
+        return total ** (1.0 / p)
+    peak = float(a.max()) if a.size else 0.0
+    if not 0.0 < peak < np.inf:  # zero, inf or nan: the plain value is the answer
+        return total ** (1.0 / p)
+    return peak * (float(np.sum((a / peak) ** p)) * weight) ** (1.0 / p)
+
+
+#: elements per np.abs call in :func:`_modulus_in_place`
+_CHUNK = 2**16
+
+
+def _modulus_in_place(row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|row| written over the first half of the row's own memory.
+
+    Returns (modulus, spare): two real arrays of the row's shape that view
+    the row's bytes, the modulus in the first half and the second half free
+    for a work array.  The row's samples are destroyed.  Chunk k's output covers
+    the input of chunks below k only, so no chunk after the first reads
+    bytes it has already overwritten and none needs a copy.
+    """
+    flat = row.reshape(-1)
+    halves = flat.view(np.float64)
+    a, spare = halves[: flat.size], halves[flat.size :]
+    for lo in range(0, flat.size, _CHUNK):
+        np.abs(flat[lo : lo + _CHUNK], out=a[lo : lo + _CHUNK])
+    return a.reshape(row.shape), spare.reshape(row.shape)
+
+
+def _lr_of_modulus(a: np.ndarray, r: float, grid, out: np.ndarray | None = None) -> float:
+    """L_r quasi-norm of samples on ``grid`` whose modulus is ``a``; a**r goes to ``out``."""
+    if isinf(r):
+        return float(a.max())
+    return _power_sum(a, r, grid.dx**grid.n, out=out)
+
+
+def _row_lr(row: np.ndarray, r: float, grid) -> float:
+    """L_r quasi-norm of one synthesized row, computed inside the row's memory."""
+    a, spare = _modulus_in_place(row)
+    return _lr_of_modulus(a, r, grid, out=spare)
+
+
 def lr_quasinorm(f: Field, r: float) -> float:
     """L_r quasi-norm of a sampled field, (sum |f(x_i)|^r dx^n)^(1/r).
 
-    r = inf uses the grid maximum of |f|.
+    r = inf uses the grid maximum of |f|.  The power sum is rescaled when it
+    would overflow or underflow.
 
     Raises:
         ParameterError: "invalid exponent" for r <= 0.
     """
     if not r > 0:
         raise ParameterError(f"invalid exponent: r must be > 0, got {r}")
-    a = np.abs(f.values)
-    if isinf(r):
-        return float(a.max())
-    g = f.grid
-    return float(np.sum(a**r) * g.dx**g.n) ** (1.0 / r)
+    return _lr_of_modulus(np.abs(f.values), r, f.grid)
 
 
 def _ell_q(values: np.ndarray, q: float) -> float:
@@ -109,19 +194,24 @@ def _ell_q(values: np.ndarray, q: float) -> float:
         return 0.0
     if isinf(q):
         return float(values.max())
-    return float(np.sum(values**q)) ** (1.0 / q)
+    return _power_sum(values, q)
 
 
-def _prepared_spectrum(f: Field | Spectrum, params: SpaceParams) -> tuple[Spectrum, BandLimits]:
+def _prepared_spectrum(
+    f: Field | Spectrum, params: SpaceParams, spec: Spectrum | None = None
+) -> tuple[Spectrum, BandLimits]:
     """Spectrum of f plus the model-fidelity validations shared by norms.
 
-    A Field is transformed once.  A Spectrum is used as given and is
-    synthesized once for the boundary check only; that field is dropped
-    before the norm's levels are evaluated.  Neither path copies the
-    spectrum: the k = 0 bin that the homogeneous norms discard lies outside
-    every level mask, so it needs no zeroing.
+    A Field is transformed once, unless its spectrum is passed as ``spec``.
+    A Spectrum is used as given and is synthesized once for the boundary
+    check only; that field is dropped before the norm's levels are
+    evaluated.  Neither path copies the spectrum: the k = 0 bin that the
+    homogeneous norms discard lies outside every level mask, so it needs no
+    zeroing.
     """
-    if isinstance(f, Field):
+    if spec is not None:
+        field = f
+    elif isinstance(f, Field):
         field, spec = f, forward_ft(f)
     else:
         field, spec = None, f
@@ -156,13 +246,25 @@ def _lowpass_coeffs(spec: Spectrum) -> np.ndarray:
     return spec.coeffs * lowpass_profile(radial_xi(spec.grid))
 
 
-def _lowpass_piece(spec: Spectrum) -> np.ndarray:
-    return inverse_ft(Spectrum(spec.grid, _lowpass_coeffs(spec))).values
-
-
 def _parseval_l2(grid, energy: float) -> float:
     """||g||_2 of the field whose coefficients have sum |c_k|^2 = ``energy``."""
     return sqrt(energy * grid.dxi**grid.n / (2.0 * np.pi) ** grid.n)
+
+
+def _window_1d(spec: Spectrum, j: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Level j's masked coefficients on its 1-d annulus window.
+
+    Returns (k_lo, pos, neg): ``pos`` holds bins k_lo..k_lo+w-1 and ``neg``
+    bins -(k_lo+w-1)..-k_lo, in increasing order; every other bin of Q_j f
+    is zero.
+    """
+    g = spec.grid
+    c = g.center
+    k_lo, vals = _annulus_window_1d(g, j)
+    w = len(vals)
+    pos = spec.coeffs[c + k_lo : c + k_lo + w] * vals
+    neg = spec.coeffs[c - k_lo - w + 1 : c - k_lo + 1] * vals[::-1]
+    return k_lo, pos, neg
 
 
 def _level_l2(spec: Spectrum, j: int) -> float:
@@ -174,12 +276,89 @@ def _level_l2(spec: Spectrum, j: int) -> float:
     g = spec.grid
     if g.n != 1:
         return _parseval_l2(g, float(np.sum(np.abs(apply_level_mask(spec.coeffs, g, j)) ** 2)))
-    c = g.center
-    k_lo, vals = _annulus_window_1d(g, j)
-    w = len(vals)
-    pos = spec.coeffs[c + k_lo : c + k_lo + w] * vals
-    neg = spec.coeffs[c - k_lo - w + 1 : c - k_lo + 1] * vals[::-1]
+    _, pos, neg = _window_1d(spec, j)
     return _parseval_l2(g, float(np.sum(np.abs(pos) ** 2) + np.sum(np.abs(neg) ** 2)))
+
+
+def _put_natural(row: np.ndarray, centered: np.ndarray) -> None:
+    """row[...] = ifftshift(centered), written quadrant by quadrant with no temporary."""
+    c = row.shape[0] // 2
+    halves = ((slice(0, c), slice(c, None)), (slice(c, None), slice(0, c)))
+    for parts in itertools.product(halves, repeat=row.ndim):
+        row[tuple(dst for dst, _ in parts)] = centered[tuple(src for _, src in parts)]
+
+
+def _fill_piece(spec: Spectrum, row: np.ndarray, j: int | None) -> bool:
+    """Write Q_j f's spectrum (S_0 f's for j None) into a zeroed row, in FFT-natural order.
+
+    Returns whether the piece has a nonzero bin.  In 1-D a level writes,
+    and is judged empty on, only its annulus window's bins.
+    """
+    g = spec.grid
+    if j is not None and g.n == 1:
+        k_lo, pos, neg = _window_1d(spec, j)
+        if not (pos.any() or neg.any()):
+            return False
+        w = len(pos)
+        row[k_lo : k_lo + w] = pos
+        row[g.N - k_lo - w + 1 : g.N - k_lo + 1] = neg
+        return True
+    piece = _lowpass_coeffs(spec) if j is None else spec.coeffs * lp_mask(g, j)
+    if not piece.any():
+        return False
+    _put_natural(row, piece)
+    return True
+
+
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _synthesized(grid, fill, keys):
+    """Samples of each piece in ``keys``, in order; None for an empty piece.
+
+    ``fill(row, key)`` writes a piece's spectrum in FFT-natural order into
+    a zeroed row and returns whether it has a nonzero bin.  Nonempty pieces
+    take the next free row of one stack of W = min(usable CPUs, len(keys))
+    rows, and each full stack (and the last, partial one) goes through one
+    :func:`inverse_ft_rows` call, so the W transforms run on W cores.  The
+    samples are in natural order, which no L_r sum depends on.  A yielded
+    row is valid until the next one is drawn.
+    """
+    keys = list(keys)
+    rows = np.zeros((min(_usable_cpus(), len(keys)),) + grid.shape, dtype=np.complex128)
+    batch: list[int | None] = []  # per key of the batch: its row, or None if empty
+    used = 0
+    for i, key in enumerate(keys):
+        if fill(rows[used], key):
+            batch.append(used)
+            used += 1
+        else:
+            batch.append(None)
+        if used == len(rows) or i == len(keys) - 1:
+            samples = inverse_ft_rows(grid, rows[:used]) if used else rows
+            for slot in batch:
+                yield None if slot is None else samples[slot]
+            rows[:used] = 0.0
+            batch, used = [], 0
+
+
+def _scaled_moduli(spec: Spectrum, keys, s: float):
+    """2^(js) |Q_j f| for each nonempty key j in order (|S_0 f| for j None).
+
+    Each item lives in its synthesized row's memory and is valid until the
+    next is drawn; the consumer may overwrite it.
+    """
+    for j, row in zip(keys, _synthesized(spec.grid, partial(_fill_piece, spec), keys)):
+        if row is None:
+            continue
+        a, _ = _modulus_in_place(row)
+        if j is not None:
+            a *= 2.0 ** (j * s)
+        yield a
 
 
 def besov_norm(f: Field | Spectrum, params: SpaceParams) -> float:
@@ -189,32 +368,33 @@ def besov_norm(f: Field | Spectrum, params: SpaceParams) -> float:
     k = 0 bin discarded.  Inhomogeneous: ||S_0 f||_r joins the l_q sum with
     the levels j >= 1.  At r = 2 each piece's norm comes from Parseval on
     its spectral window; every other r synthesizes the nonempty pieces on
-    the full grid.
+    the full grid, W at a time.
 
     Raises:
         ParameterError: "invalid params" when params.family != "B".
     """
     if params.family != "B":
         raise ParameterError(f"invalid params: besov_norm needs family B, got {params.family}")
-    spec, band = _prepared_spectrum(f, params)
+    return _besov(*_prepared_spectrum(f, params), params)
+
+
+def _besov(spec: Spectrum, band: BandLimits, params: SpaceParams) -> float:
     g = spec.grid
-    parseval = params.r == 2.0
+    levels = _norm_levels(params, band)
+    if params.r == 2.0:
+        summands = [2.0 ** (j * params.s) * _level_l2(spec, j) for j in levels]
+        if not params.homogeneous:
+            lowpass = _parseval_l2(g, float(np.sum(np.abs(_lowpass_coeffs(spec)) ** 2)))
+            summands.insert(0, lowpass)
+        return _ell_q(np.asarray(summands), params.q)
+    keys = levels if params.homogeneous else [None] + levels
     summands = []
-    if not params.homogeneous:
-        if parseval:
-            summands.append(_parseval_l2(g, float(np.sum(np.abs(_lowpass_coeffs(spec)) ** 2))))
-        else:
-            summands.append(lr_quasinorm(Field(g, _lowpass_piece(spec)), params.r))
-    for j in _norm_levels(params, band):
-        if parseval:
-            summands.append(2.0 ** (j * params.s) * _level_l2(spec, j))
-            continue
-        masked = apply_level_mask(spec.coeffs, g, j)
-        if not masked.any():
+    for j, row in zip(keys, _synthesized(g, partial(_fill_piece, spec), keys)):
+        if row is None:
             summands.append(0.0)
-            continue
-        piece = inverse_ft(Spectrum(g, masked))
-        summands.append(2.0 ** (j * params.s) * lr_quasinorm(piece, params.r))
+        else:
+            scale = 1.0 if j is None else 2.0 ** (j * params.s)
+            summands.append(scale * _row_lr(row, params.r, g))
     return _ell_q(np.asarray(summands), params.q)
 
 
@@ -231,29 +411,44 @@ def triebel_norm(f: Field | Spectrum, params: SpaceParams) -> float:
         raise ParameterError(f"invalid params: triebel_norm needs family F, got {params.family}")
     if isinf(params.r):
         raise ParameterError("r=inf unsupported in F-case")
-    spec, band = _prepared_spectrum(f, params)
+    return _triebel(*_prepared_spectrum(f, params), params)
+
+
+def _triebel(spec: Spectrum, band: BandLimits, params: SpaceParams) -> float:
     g = spec.grid
     q = params.q
-
+    keys = _norm_levels(params, band) + ([] if params.homogeneous else [None])
     acc = np.zeros(g.shape)
-    for j in _norm_levels(params, band):
-        masked = apply_level_mask(spec.coeffs, g, j)
-        if not masked.any():
-            continue
-        piece = np.abs(inverse_ft(Spectrum(g, masked)).values)
-        piece *= 2.0 ** (j * params.s)
-        if isinf(q):
-            np.maximum(acc, piece, out=acc)
-        else:
-            acc += piece**q
-    if not params.homogeneous:
-        piece = np.abs(_lowpass_piece(spec))
-        if isinf(q):
-            np.maximum(acc, piece, out=acc)
-        else:
-            acc += piece**q
-    pointwise = acc if isinf(q) else acc ** (1.0 / q)
-    return lr_quasinorm(Field(g, pointwise), params.r)
+    with np.errstate(over="ignore", under="ignore"):
+        for piece in _scaled_moduli(spec, keys, params.s):
+            if isinf(q):
+                np.maximum(acc, piece, out=acc)
+            else:
+                acc += np.power(piece, q, out=piece)
+    if isinf(q):
+        return _lr_of_modulus(acc, params.r, g)
+    r = params.r
+    if acc.max() < np.inf:
+        # a point whose power sum is below the normal range has all its terms
+        # there, so its value is below (pieces * tiny)^(1/q); keep the plain
+        # norm when all such points together cannot move the L_r sum
+        low = int(np.count_nonzero(acc < _TINY))
+        norm = _lr_of_modulus(np.power(acc, 1.0 / q, out=acc), r, g)
+        lost = (low * g.dx**g.n) ** (1.0 / r) * (len(keys) * _TINY) ** (1.0 / q)
+        if lost <= _EPS ** (1.0 / r) * norm:
+            return norm
+    # overflow, or underflow that matters: redo each point with its pieces
+    # scaled by their maximum there (Blue 1978)
+    peak = np.zeros(g.shape)
+    for piece in _scaled_moduli(spec, keys, params.s):
+        np.maximum(peak, piece, out=peak)
+    acc[...] = 0.0
+    for piece in _scaled_moduli(spec, keys, params.s):
+        np.divide(piece, peak, out=piece, where=peak > 0.0)
+        acc += np.power(piece, q, out=piece)
+    np.power(acc, 1.0 / q, out=acc)
+    acc *= peak
+    return _lr_of_modulus(acc, r, g)
 
 
 def space_norm(f: Field | Spectrum, params: SpaceParams) -> float:
@@ -261,3 +456,9 @@ def space_norm(f: Field | Spectrum, params: SpaceParams) -> float:
     if params.family == "B":
         return besov_norm(f, params)
     return triebel_norm(f, params)
+
+
+def _transformed_norm(f: Field, spec: Spectrum, params: SpaceParams) -> float:
+    """space_norm(f, params) for a field whose spectrum ``spec`` is already at hand."""
+    norm = _besov if params.family == "B" else _triebel
+    return norm(*_prepared_spectrum(f, params, spec), params)

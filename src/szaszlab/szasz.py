@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .grid import Field, Spectrum, forward_ft, radial_xi
-from .spaces import SpaceParams, space_norm
+from .spaces import SpaceParams, _power_sum, _transformed_norm
 
 __all__ = [
     "SzaszQuery",
@@ -130,7 +130,7 @@ def weighted_lhs(g: Spectrum, theta: float, p: float, mode: str = "homogeneous")
         weighted = (1.0 + r).ravel() ** theta * a.ravel()
     if isinf(p):
         return float(weighted.max()) if weighted.size else 0.0
-    return float(np.sum(weighted**p) * grid.dxi**grid.n) ** (1.0 / p)
+    return _power_sum(weighted, p, grid.dxi**grid.n)
 
 
 def _weak_conditions(query: SzaszQuery) -> tuple[bool, list]:
@@ -205,9 +205,9 @@ def szasz_ratio(f: Field, query: SzaszQuery) -> float:
         ZeroDivisionError: "zero denominator" when the space norm underflows.
     """
     _require_grid_dimension(query, f.grid)
-    mode = query.space.setting
-    denom = space_norm(f, query.space)
+    spec = forward_ft(f)
+    denom = _transformed_norm(f, spec, query.space)
     if denom <= 0.0 or not np.isfinite(denom):
         raise ZeroDivisionError(f"zero denominator: space norm is {denom}")
-    lhs = weighted_lhs(forward_ft(f), query.theta, query.p, mode)
+    lhs = weighted_lhs(spec, query.theta, query.p, query.space.setting)
     return lhs / denom

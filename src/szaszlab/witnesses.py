@@ -72,7 +72,7 @@ import numpy as np
 from .errors import BandError, ExperimentAbort, ParameterError
 from .grid import Field, GridSpec, Spectrum, inverse_ft, radial_xi
 from .littlewood_paley import KAPPA, SAFETY, _mollifier_step, feasible_band, lowpass_profile
-from .spaces import lr_quasinorm, space_norm
+from .spaces import _put_natural, _row_lr, _synthesized, space_norm
 from .szasz import SzaszQuery, _require_grid_dimension, weighted_lhs
 
 __all__ = [
@@ -333,13 +333,19 @@ def _blowup_spectrum(grid, M: int, s: float, r: float) -> Spectrum:
     if M == 0:
         return Spectrum(grid, out)
     rad = radial_xi(grid)
-    for k in range(1, M + 1):
-        raw = _psi_hat_profile(2.0**k * rad).astype(np.complex128)
-        piece = inverse_ft(Spectrum(grid, raw))
-        norm_r = lr_quasinorm(piece, r)
+    profiles = {}  # term k's real profile, from its fill until its weight is known
+
+    def fill(row, k):
+        profiles[k] = _psi_hat_profile(2.0**k * rad)
+        _put_natural(row, profiles[k])
+        return True
+
+    terms = range(1, M + 1)
+    for k, piece in zip(terms, _synthesized(grid, fill, terms)):
+        norm_r = _row_lr(piece, r, grid)
         target = 2.0 ** (-k * (s - n_over_r) / 2.0)
         b_k = target * 2.0 ** (k * s) / norm_r
-        out += b_k * raw
+        out += b_k * profiles.pop(k)
     return Spectrum(grid, out)
 
 

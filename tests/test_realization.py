@@ -18,6 +18,7 @@ from szaszlab import (
     realization_feasible,
     realization_report,
     sigma0_partial,
+    space_norm,
 )
 
 from conftest import plateau_field
@@ -133,6 +134,17 @@ class TestRealizationReport:
         assert rep.feasible is True
         rec = rep.to_record()
         assert set(rec) == {"M", "low_mass", "space_norm", "feasible"}
+
+    @pytest.mark.parametrize("family", ["B", "F"])
+    def test_equals_the_composition_of_public_parts(self, grid_wide, family):
+        q = make_query(family, 2.0, 1.5, 3.0, 1.0)
+        f = lowfreq_blowup_witness(grid_wide, 4, 2.0, 1.5)
+        rep = realization_report(f, q, M=4)
+        assert rep.low_mass == pytest.approx(
+            low_frequency_mass(sigma0_partial(f, 4), 1.0), rel=1e-12
+        )
+        assert rep.besov == space_norm(f, q.space)
+        assert rep.feasible == realization_feasible(q)
 
     def test_mass_sequence_cauchy_for_admissible_field(self, grid_wide):
         # a fixed band-limited field: sigma0 partial sums exhaust its band,

@@ -1,8 +1,11 @@
 """Quasi-norm values, invariances and the dyadic scaling law."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+import szaszlab.spaces as spaces_module
 from szaszlab import (
     Field,
     ModelFidelityWarning,
@@ -10,6 +13,7 @@ from szaszlab import (
     SpaceParams,
     Spectrum,
     besov_norm,
+    bump_lowpass_phi,
     dyadic_dilate,
     feasible_band,
     forward_ft,
@@ -22,6 +26,9 @@ from szaszlab import (
     space_norm,
     triebel_norm,
 )
+
+from szaszlab.littlewood_paley import apply_level_mask
+from szaszlab.witnesses import _random_spectrum
 
 from conftest import plateau_field, wave_packet
 
@@ -261,3 +268,115 @@ class TestSpectrumInput:
         f = plateau_field(grid_mid, 4)
         with pytest.warns(ModelFidelityWarning, match="box boundary"):
             besov_norm(forward_ft(f), SpaceParams(0.0, 2.0, 2.0, "B"))
+
+
+def _synthesized_triebel(f, params):
+    """Reference Triebel norm: every level synthesized on the full grid."""
+    g = f.grid
+    levels = [j for j in feasible_band(g).levels() if params.homogeneous or j >= 1]
+    pieces = [2.0 ** (j * params.s) * np.abs(lp_project(f, j).values) for j in levels]
+    if not params.homogeneous:
+        low = forward_ft(f).coeffs * lowpass_profile(radial_xi(g))
+        pieces.append(np.abs(inverse_ft(Spectrum(g, low)).values))
+    stack = np.asarray(pieces)
+    if np.isinf(params.q):
+        pointwise = stack.max(axis=0)
+    else:
+        pointwise = np.sum(stack**params.q, axis=0) ** (1.0 / params.q)
+    return lr_quasinorm(Field(g, pointwise), params.r)
+
+
+_BATCHED_PARAMS = [
+    SpaceParams(0.35, r, 2.0, "B", setting)
+    for r in (1.0, 1.5, np.inf)
+    for setting in ("homogeneous", "inhomogeneous")
+] + [
+    SpaceParams(0.2, 1.5, q, "F", setting)
+    for q in (1.5, np.inf)
+    for setting in ("homogeneous", "inhomogeneous")
+]
+
+
+def _with_cpus(monkeypatch, width):
+    monkeypatch.setattr(spaces_module, "_usable_cpus", lambda: width)
+
+
+class TestBatchedSynthesis:
+    @pytest.mark.parametrize("grid_name", ["grid_mid", "grid_2d"])
+    @pytest.mark.parametrize("params", _BATCHED_PARAMS, ids=str)
+    @pytest.mark.filterwarnings("ignore::szaszlab.ModelFidelityWarning")
+    def test_matches_per_level_reference(self, request, grid_name, params):
+        grid = request.getfixturevalue(grid_name)
+        f = _broadband_field(grid)
+        ref = _synthesized_besov if params.family == "B" else _synthesized_triebel
+        assert space_norm(f, params) == pytest.approx(ref(f, params), rel=1e-12)
+
+    @pytest.mark.parametrize("params", _BATCHED_PARAMS, ids=str)
+    @pytest.mark.filterwarnings("ignore::szaszlab.ModelFidelityWarning")
+    def test_bitwise_independent_of_batch_width(self, monkeypatch, grid_mid, params):
+        # seven exactly nonempty levels, or eight pieces with S_0: every
+        # width below leaves a partial last batch for one of the inputs
+        spec = _random_spectrum(grid_mid, 5, 2, 8)
+        inputs = (spec, inverse_ft(spec))
+        got = {}
+        for width in (1, 2, 3):
+            _with_cpus(monkeypatch, width)
+            got[width] = [space_norm(x, params) for x in inputs]
+        assert got[1] == got[2] == got[3]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_one_nonempty_level_fills_one_row(self, monkeypatch, grid_mid, cpus):
+        _with_cpus(monkeypatch, cpus)
+        widths = []
+        real = spaces_module.inverse_ft_rows
+
+        def counting(grid, rows):
+            widths.append(rows.shape[0])
+            return real(grid, rows)
+
+        monkeypatch.setattr(spaces_module, "inverse_ft_rows", counting)
+        spec = _random_spectrum(grid_mid, 3, 5, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ModelFidelityWarning)
+            besov_norm(spec, SpaceParams(0.0, 1.5, 2.0, "B"))
+            triebel_norm(spec, SpaceParams(0.0, 1.5, 2.0, "F"))
+        assert widths == [1, 1]
+
+    def test_level_window_is_natural_order_of_centered_mask(self, grid_mid):
+        spec = forward_ft(_broadband_field(grid_mid))
+        for j in feasible_band(grid_mid).levels():
+            row = np.zeros(grid_mid.shape, dtype=np.complex128)
+            assert spaces_module._fill_piece(spec, row, j)
+            want = np.fft.ifftshift(apply_level_mask(spec.coeffs, grid_mid, j))
+            assert np.array_equal(row, want)
+
+
+class TestOverflowSafePowerSums:
+    @pytest.mark.parametrize("peak", [1e3, 1e-3])
+    def test_lr_at_large_r(self, grid_mid, peak):
+        x = grid_mid.x_axis()
+        unit = lr_quasinorm(Field(grid_mid, np.exp(-(x**2) / 2)), 200.0)
+        got = lr_quasinorm(Field(grid_mid, peak * np.exp(-(x**2) / 2)), 200.0)
+        assert got == pytest.approx(peak * unit, rel=1e-12, abs=0.0)
+
+    def test_besov_at_large_q(self, grid_mid):
+        # phi's pieces are roundoff-sized; their 400th powers underflow
+        phi = bump_lowpass_phi(grid_mid)
+        sup = besov_norm(phi, SpaceParams(0.0, 2.0, np.inf))
+        got = besov_norm(phi, SpaceParams(0.0, 2.0, 400.0))
+        assert sup > 0.0
+        assert sup <= got <= 10.0 ** (1.0 / 400.0) * sup
+
+    @pytest.mark.parametrize("scale", [1e100, 1e-100])
+    @pytest.mark.parametrize("q", [4.0, 400.0])
+    def test_triebel_is_homogeneous_far_from_unit_scale(self, grid_mid, scale, q):
+        spec = _random_spectrum(grid_mid, 1, 2, 8)
+        params = SpaceParams(0.3, 1.5, q, "F")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ModelFidelityWarning)
+            unit = triebel_norm(spec, params)
+            sup = triebel_norm(spec, SpaceParams(0.3, 1.5, np.inf, "F"))
+            got = triebel_norm(Spectrum(grid_mid, spec.coeffs * scale), params)
+        # pointwise, l_q of 10 levels lies between l_inf and 10^(1/q) l_inf
+        assert sup <= unit * (1 + 1e-12) and unit <= 10.0 ** (1.0 / q) * sup
+        assert got == pytest.approx(scale * unit, rel=1e-12, abs=0.0)

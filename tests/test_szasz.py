@@ -9,6 +9,7 @@ from szaszlab import (
     SpaceParams,
     Spectrum,
     SzaszQuery,
+    bump_lowpass_phi,
     classify,
     conjugate_exponent,
     dyadic_dilate,
@@ -103,6 +104,14 @@ class TestWeightedLhs:
         s = Spectrum(grid_mid, np.zeros(grid_mid.shape))
         with pytest.raises(ParameterError, match="invalid exponent"):
             weighted_lhs(s, 0.0, -2.0)
+
+    def test_large_weight_power_does_not_overflow(self, grid_mid):
+        # |xi|^60 reaches 1e180 on mid-band, and its 8th power overflows
+        s = forward_ft(bump_lowpass_phi(grid_mid))
+        got = weighted_lhs(s, 60.0, 8.0)
+        small = weighted_lhs(Spectrum(grid_mid, s.coeffs * 1e-200), 60.0, 8.0)
+        assert np.isfinite(got)
+        assert got == pytest.approx(1e200 * small, rel=1e-12, abs=0.0)
 
 
 class TestClassify:

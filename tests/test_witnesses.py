@@ -12,6 +12,7 @@ from szaszlab import (
     ModelFidelityWarning,
     ParameterError,
     SpaceParams,
+    Spectrum,
     SzaszQuery,
     WitnessSpec,
     annulus_psi,
@@ -22,6 +23,7 @@ from szaszlab import (
     divergence_experiment,
     feasible_band,
     forward_ft,
+    inverse_ft,
     lowfreq_blowup_witness,
     lowpass_profile,
     lr_quasinorm,
@@ -32,7 +34,7 @@ from szaszlab import (
     weighted_lhs,
 )
 from szaszlab.realization import low_frequency_mass
-from szaszlab.witnesses import _modulated_spectrum
+from szaszlab.witnesses import _blowup_spectrum, _modulated_spectrum, _psi_hat_profile
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +202,18 @@ class TestLowfreqBlowup:
     def test_too_deep_raises(self, grid_wide):
         with pytest.raises(BandError, match="M exceeds low band"):
             lowfreq_blowup_witness(grid_wide, 10, 2.0, 2.0)
+
+    @pytest.mark.parametrize("r", [1.5, np.inf])
+    def test_batched_spectrum_matches_per_piece_construction(self, grid_wide, r):
+        rad = radial_xi(grid_wide)
+        want = np.zeros(grid_wide.shape, dtype=np.complex128)
+        for k in range(1, 6):
+            raw = _psi_hat_profile(2.0**k * rad).astype(np.complex128)
+            norm_r = lr_quasinorm(inverse_ft(Spectrum(grid_wide, raw)), r)
+            n_over_r = 0.0 if np.isinf(r) else 1.0 / r
+            want += 2.0 ** (-k * (2.0 - n_over_r) / 2.0) * 2.0 ** (2.0 * k) / norm_r * raw
+        got = _blowup_spectrum(grid_wide, 5, 2.0, r).coeffs
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 class TestRandomBandlimited:
