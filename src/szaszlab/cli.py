@@ -55,8 +55,6 @@ def _parse_sizes(text: str) -> list:
             out.append(int(part))
         except ValueError:
             raise ParameterError(f"sizes: cannot parse {part!r} as an integer") from None
-        if out[-1] < 0:
-            raise ParameterError(f"sizes: must be >= 0, got {out[-1]}")
     return out
 
 
@@ -80,25 +78,40 @@ def _build_query(s, p, q, r, n, family, setting) -> SzaszQuery:
     return SzaszQuery(space=space, p=p, n=n)
 
 
-def _open_out(path):
+def _emit(path, fmt: str, header, rows, error: str | None = None) -> None:
+    """Write records to ``path`` ('-' or None: stdout) as CSV or JSON lines.
+
+    A CSV has a header line and ends with a '#error: ...' comment when
+    ``error`` is given; JSON has one object per row (floats in 17-digit text)
+    and then an {"error": ...} object.
+
+    Raises:
+        ParameterError: when ``path`` cannot be opened for writing.
+    """
+    if fmt == "json":
+        lines = [
+            json.dumps({k: _fmt(v) if isinstance(v, float) else v for k, v in zip(header, row)})
+            for row in rows
+        ]
+        if error is not None:
+            lines.append(json.dumps({"error": error}))
+    else:
+        lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+        if error is not None:
+            lines.append(f"#error: {error}")
+    text = "".join(line + "\n" for line in lines)
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
-
-
-def _write_rows(handle, header, rows) -> None:
-    handle.write(",".join(header) + "\n")
-    for row in rows:
-        handle.write(",".join(_fmt(v) for v in row) + "\n")
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write --out {path}: {exc.strerror or exc}") from None
 
 
 def _cmd_classify(args) -> int:
-    try:
-        query = _build_query(args.s, args.p, args.q, args.r, args.n, args.family, args.setting)
-    except ParameterError as exc:
-        print(f"szaszlab classify: {exc}", file=sys.stderr)
-        return _USAGE_EXIT
-    result = classify(query)
+    query = _build_query(args.s, args.p, args.q, args.r, args.n, args.family, args.setting)
     record = {
         "s": args.s,
         "p": args.p,
@@ -107,59 +120,23 @@ def _cmd_classify(args) -> int:
         "n": args.n,
         "family": args.family,
         "setting": args.setting,
-        **result.to_record(),
+        **classify(query).to_record(),
         "realization_feasible": realization_feasible(query),
     }
-    handle, close = _open_out(args.out)
-    try:
-        if args.format == "json":
-            handle.write(json.dumps({k: _fmt(v) if isinstance(v, float) else v for k, v in record.items()}) + "\n")
-        else:
-            _write_rows(handle, list(record), [tuple(record.values())])
-    finally:
-        if close:
-            handle.close()
+    _emit(args.out, args.format, list(record), [tuple(record.values())])
     return 0
 
 
 def _cmd_experiment(args) -> int:
+    query = _build_query(args.s, args.p, args.q, args.r, args.n, args.family, args.setting)
+    sizes = _parse_sizes(args.sizes)
+    error = None
     try:
-        query = _build_query(args.s, args.p, args.q, args.r, args.n, args.family, args.setting)
-        sizes = _parse_sizes(args.sizes)
-        if args.kind not in WITNESS_KINDS:
-            raise ParameterError(f"unknown kind {args.kind!r}; known: {WITNESS_KINDS}")
-        if args.grid is not None and args.grid not in GRID_PRESETS:
-            raise ParameterError(f"unknown grid preset {args.grid!r}; known: {sorted(GRID_PRESETS)}")
-        error = None
-        try:
-            records = divergence_experiment(args.kind, query, sizes, grid=args.grid, seed=args.seed)
-        except ExperimentAbort as exc:
-            records = exc.records
-            error = exc.reason
-    except ParameterError as exc:
-        print(f"szaszlab experiment: {exc}", file=sys.stderr)
-        return _USAGE_EXIT
-
+        records = divergence_experiment(args.kind, query, sizes, grid=args.grid, seed=args.seed)
+    except ExperimentAbort as exc:
+        records, error = exc.records, exc.reason
     header = ("size", "space_norm", "lhs", "ratio")
-    handle, close = _open_out(args.out)
-    try:
-        if args.format == "json":
-            for rec in records:
-                handle.write(json.dumps({
-                    "size": rec.size,
-                    "space_norm": _fmt(rec.space_norm),
-                    "lhs": _fmt(rec.lhs),
-                    "ratio": _fmt(rec.ratio),
-                }) + "\n")
-            if error is not None:
-                handle.write(json.dumps({"error": error}) + "\n")
-        else:
-            _write_rows(handle, header, [rec.to_row() for rec in records])
-            if error is not None:
-                handle.write(f"#error: {error}\n")
-    finally:
-        if close:
-            handle.close()
+    _emit(args.out, args.format, header, [rec.to_row() for rec in records], error)
     if error is not None:
         print(f"szaszlab experiment: {error}", file=sys.stderr)
         return _INFEASIBLE_EXIT
@@ -167,44 +144,18 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        lists = {
-            "s": _parse_list(args.s, "s"),
-            "p": _parse_list(args.p, "p"),
-            "q": _parse_list(args.q, "q"),
-            "r": _parse_list(args.r, "r"),
-        }
-        n_list = _parse_dimensions(args.n)
-        family_list = [f.strip() for f in args.family.split(",") if f.strip()] if args.family.strip() else []
-        for fam in family_list:
-            if fam not in ("B", "F"):
-                raise ParameterError(f"family: must be B or F, got {fam!r}")
-    except ParameterError as exc:
-        print(f"szaszlab sweep: {exc}", file=sys.stderr)
-        return _USAGE_EXIT
-
+    lists = [_parse_list(getattr(args, name), name) for name in ("s", "p", "q", "r")]
+    n_list = _parse_dimensions(args.n)
+    family_list = [f.strip() for f in args.family.split(",") if f.strip()]
+    for fam in family_list:
+        if fam not in ("B", "F"):
+            raise ParameterError(f"family: must be B or F, got {fam!r}")
     rows = []
-    try:
-        for s, p, q, r, n, fam in itertools.product(
-            lists["s"], lists["p"], lists["q"], lists["r"], n_list, family_list
-        ):
-            res = classify(_build_query(s, p, q, r, n, fam, args.setting))
-            rows.append((s, p, q, r, n, fam, res.theta, res.weak, res.strong))
-    except ParameterError as exc:
-        print(f"szaszlab sweep: {exc}", file=sys.stderr)
-        return _USAGE_EXIT
-
+    for s, p, q, r, n, fam in itertools.product(*lists, n_list, family_list):
+        res = classify(_build_query(s, p, q, r, n, fam, args.setting))
+        rows.append((s, p, q, r, n, fam, res.theta, res.weak, res.strong))
     header = ("s", "p", "q", "r", "n", "family", "theta", "weak", "strong")
-    handle, close = _open_out(args.out)
-    try:
-        if args.format == "json":
-            for row in rows:
-                handle.write(json.dumps(dict(zip(header, (_fmt(v) if isinstance(v, float) else v for v in row)))) + "\n")
-        else:
-            _write_rows(handle, header, rows)
-    finally:
-        if close:
-            handle.close()
+    _emit(args.out, args.format, header, rows)
     return 0
 
 
@@ -264,7 +215,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ParameterError as exc:
-        print(f"szaszlab: {exc}", file=sys.stderr)
+        print(f"szaszlab {args.subcommand}: {exc}", file=sys.stderr)
         return _USAGE_EXIT
     except BandError as exc:
         print(f"szaszlab: {exc}", file=sys.stderr)

@@ -15,10 +15,18 @@ On a finite grid only finitely many levels are resolvable; ``feasible_band``
 returns the dyadic levels whose annuli fit between the frequency resolution
 (at least KAPPA bins across the lowest annulus) and a safety margin below
 the Nyquist frequency.
+
+Every consumer reads and writes a spectral piece through one cached
+primitive: ``_piece_blocks(grid, j)`` lists the (box, multiplier) blocks of
+level j (of the low-pass piece S_0 for j None) in centered order, and the
+piece is exactly zero off them; ``_box`` gives the box holding a ball, which
+the witness terms use too, and ``_put_natural`` writes a block into a row in
+FFT-natural order.  Only this module knows how a piece is laid out.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -157,23 +165,70 @@ def feasible_band(grid: GridSpec) -> BandLimits:
     return BandLimits(j_min, j_max)
 
 
-@lru_cache(maxsize=256)
-def _annulus_window_1d(grid: GridSpec, j: int):
-    """Mask values of level j on the nonzero bins of a 1-d grid.
+def _box(grid: GridSpec, radius: float) -> tuple:
+    """Centered slices of the smallest box |k_i| <= h holding the ball |xi| <= radius.
 
-    Returns (k_lo, values) where the mask is ``values`` on bins
-    k_lo..k_lo+len-1 (positive side, center-relative) and mirrored on the
-    negative side; it vanishes elsewhere by construction.
+    h = floor(radius / dxi), and the box is clipped to the grid, so a ball
+    reaching the Nyquist frequency keeps the bin -N/2.  ``radial_xi(grid)[box]``
+    is |xi| on the box, a view of the cached array.  Every profile read
+    through a box vanishes on the sphere |xi| = radius, so a rounding of
+    radius / dxi that loses a bin there loses only a zero.
     """
+    c, h = grid.center, math.floor(radius / grid.dxi)
+    return (slice(max(0, c - h), min(grid.N, c + h + 1)),) * grid.n
+
+
+@lru_cache(maxsize=256)
+def _piece_blocks(grid: GridSpec, j: int | None) -> list:
+    """Where level j's multiplier gamma(2^-j |xi|) is nonzero (S_0's lowpass profile for j None).
+
+    Returns (box, multiplier) pairs: the piece is ``coeffs[box] * multiplier``
+    on each box, in centered order, and exactly zero off the boxes.  The
+    multipliers are read-only.  A 1-D level is two one-sided blocks on the
+    annulus bins k_lo..k_hi and their mirror, sharing one multiplier array
+    (the negative side is a reversed view), so the hole |xi| < 2^(j-1) is
+    neither read nor cached; k_hi stops at N/2 - 1, where an in-band
+    multiplier is zero.  Every other piece is the one box holding its ball.
+    """
+    if j is None:
+        box = _box(grid, 1.5)
+        return [(box, _read_only(lowpass_profile(radial_xi(grid)[box])))]
     scale = 2.0**j
+    if grid.n != 1:
+        box = _box(grid, 1.5 * scale)
+        return [(box, _read_only(gamma_profile(radial_xi(grid)[box] / scale)))]
+    c = grid.center
     k_lo = max(1, math.floor(0.5 * scale / grid.dxi))
     k_hi = min(grid.N // 2 - 1, math.ceil(1.5 * scale / grid.dxi))
     if k_hi < k_lo:
-        return k_lo, np.zeros(0)
-    xi = np.arange(k_lo, k_hi + 1) * grid.dxi
-    vals = gamma_profile(xi / scale)
-    vals.setflags(write=False)
-    return k_lo, vals
+        return []
+    pos = (slice(c + k_lo, c + k_hi + 1),)
+    vals = _read_only(gamma_profile(radial_xi(grid)[pos] / scale))
+    return [(pos, vals), ((slice(c - k_hi, c - k_lo + 1),), vals[::-1])]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _put_natural(row: np.ndarray, box: tuple, block: np.ndarray) -> None:
+    """Write ``block``, the values on a centered ``box``, into ``row`` in FFT-natural order.
+
+    Frequency k goes to index k mod N along each axis.  A box straddling
+    frequency 0 splits into its negative and nonnegative parts per axis.
+    """
+    c = row.shape[0] // 2
+
+    def parts(s: slice):
+        if s.start < c:  # negative frequencies: index i goes to i + c
+            yield slice(s.start + c, min(s.stop, c) + c), slice(0, min(s.stop, c) - s.start)
+        if s.stop > c:  # nonnegative frequencies: index i goes to i - c
+            lo = max(s.start, c)
+            yield slice(lo - c, s.stop - c), slice(lo - s.start, s.stop - s.start)
+
+    for split in itertools.product(*(parts(s) for s in box)):
+        row[tuple(dst for dst, _ in split)] = block[tuple(src for _, src in split)]
 
 
 def lp_mask(grid: GridSpec, j: int) -> np.ndarray:
@@ -189,20 +244,9 @@ def apply_level_mask(coeffs: np.ndarray, grid: GridSpec, j: int) -> np.ndarray:
 
 
 def _add_level(acc: np.ndarray, coeffs: np.ndarray, grid: GridSpec, j: int) -> None:
-    """acc += coeffs * gamma(2^-j |xi|), in centered order.
-
-    The 1-d path touches only the annulus bins, which keeps repeated
-    evaluations on large grids cheap.
-    """
-    if grid.n != 1:
-        acc += coeffs * lp_mask(grid, j)
-        return
-    c = grid.center
-    k_lo, vals = _annulus_window_1d(grid, j)
-    w = len(vals)
-    if w:
-        acc[c + k_lo : c + k_lo + w] += coeffs[c + k_lo : c + k_lo + w] * vals
-        acc[c - k_lo - w + 1 : c - k_lo + 1] += coeffs[c - k_lo - w + 1 : c - k_lo + 1] * vals[::-1]
+    """acc += coeffs * gamma(2^-j |xi|), in centered order, on the level's blocks only."""
+    for box, mult in _piece_blocks(grid, j):
+        acc[box] += coeffs[box] * mult
 
 
 def lp_project(f: Field, j: int) -> Field:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BandError
+from .errors import BandError, ParameterError
 from .grid import Field, Spectrum, forward_ft, inverse_ft, radial_xi
 from .littlewood_paley import _add_level, feasible_band
 from .spaces import _transformed_norm
@@ -56,6 +56,7 @@ def sigma0_partial(f: Field, M: int) -> Field:
     """Littlewood-Paley partial sum over the levels -M..M that are in band.
 
     Raises:
+        ParameterError: when M < 0.
         BandError: when no level of [-M, M] is resolvable on f's grid.
     """
     return inverse_ft(Spectrum(f.grid, _sigma0_coeffs(forward_ft(f), M)))
@@ -63,6 +64,8 @@ def sigma0_partial(f: Field, M: int) -> Field:
 
 def _sigma0_coeffs(spec: Spectrum, M: int) -> np.ndarray:
     """Spectrum of sigma_0(f, M) from the spectrum of f: the summed level masks."""
+    if M < 0:
+        raise ParameterError(f"invalid params: M must be >= 0, got {M}")
     g = spec.grid
     band = feasible_band(g)
     j_lo = max(-M, band.j_min)
@@ -112,6 +115,10 @@ def realization_report(f: Field, query: SzaszQuery, M: int, R: float = 1.0) -> R
     f is transformed once.  The mass is read from sigma_0's spectrum, the
     summed level masks, rather than from a synthesized partial sum, and the
     norm takes the same spectrum.
+
+    Raises:
+        ParameterError: when M < 0.
+        BandError: when no level of [-M, M] is resolvable on f's grid.
     """
     spec = forward_ft(f)
     return RealizationReport(

@@ -18,16 +18,18 @@ At r = 2 the Besov norm takes each piece's Riemann sum from Parseval on the
 piece's spectral window instead, which is the same sum without synthesizing
 the piece.  The norms accept a field or its spectrum; a spectrum built
 exactly (as the witness families are) leaves the levels it does not reach
-exactly empty, and those are skipped.  In 1-D a level's emptiness is read
-from its annulus window's bins alone.
+exactly empty, and those are skipped.  Every piece is read through its
+blocks from :func:`~szaszlab.littlewood_paley._piece_blocks`, and its
+emptiness is decided there.
 
 Every other piece is synthesized on the full grid, in batches.  A norm call
 allocates one stack of W complex full-grid rows, W being the number of CPUs
 the process may use (``os.sched_getaffinity``, else ``os.cpu_count()``)
-capped by the number of pieces.  Each nonempty piece fills the next free
-row in FFT-natural order (frequency k at index k mod N), and a full stack
-goes through one multi-row inverse FFT (:func:`~szaszlab.grid.inverse_ft_rows`),
-which pocketfft spreads over the cores.  The samples stay in natural order
+capped by the number of pieces.  Each nonempty piece writes its blocks
+into the next free row in FFT-natural order (frequency k at index k mod N),
+and a full stack goes through one multi-row inverse FFT
+(:func:`~szaszlab.grid.inverse_ft_rows`), which pocketfft spreads over the
+cores.  The samples stay in natural order
 too: no L_r sum depends on the order of the samples, so no ``fftshift``
 copy is made.  |piece| and its powers are computed inside the row's own
 memory, so the stack of W rows of 16 N^n bytes is all the full-grid memory
@@ -42,7 +44,6 @@ assumes the triangle inequality.
 
 from __future__ import annotations
 
-import itertools
 import os
 import warnings
 from dataclasses import dataclass
@@ -61,14 +62,7 @@ from .grid import (
     radial_xi,
     warn_if_boundary_mass,
 )
-from .littlewood_paley import (
-    BandLimits,
-    _annulus_window_1d,
-    apply_level_mask,
-    feasible_band,
-    lowpass_profile,
-    lp_mask,
-)
+from .littlewood_paley import BandLimits, _piece_blocks, _put_natural, feasible_band
 
 __all__ = ["SpaceParams", "lr_quasinorm", "besov_norm", "triebel_norm", "space_norm"]
 
@@ -242,71 +236,34 @@ def _norm_levels(params: SpaceParams, band) -> list[int]:
     return [j for j in band.levels() if j >= 1]
 
 
-def _lowpass_coeffs(spec: Spectrum) -> np.ndarray:
-    return spec.coeffs * lowpass_profile(radial_xi(spec.grid))
-
-
 def _parseval_l2(grid, energy: float) -> float:
     """||g||_2 of the field whose coefficients have sum |c_k|^2 = ``energy``."""
     return sqrt(energy * grid.dxi**grid.n / (2.0 * np.pi) ** grid.n)
 
 
-def _window_1d(spec: Spectrum, j: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """Level j's masked coefficients on its 1-d annulus window.
-
-    Returns (k_lo, pos, neg): ``pos`` holds bins k_lo..k_lo+w-1 and ``neg``
-    bins -(k_lo+w-1)..-k_lo, in increasing order; every other bin of Q_j f
-    is zero.
-    """
-    g = spec.grid
-    c = g.center
-    k_lo, vals = _annulus_window_1d(g, j)
-    w = len(vals)
-    pos = spec.coeffs[c + k_lo : c + k_lo + w] * vals
-    neg = spec.coeffs[c - k_lo - w + 1 : c - k_lo + 1] * vals[::-1]
-    return k_lo, pos, neg
+def _piece(spec: Spectrum, j: int | None) -> list:
+    """Q_j f's spectrum (S_0 f's for j None) as (box, masked coefficients) blocks, centered."""
+    return [(box, spec.coeffs[box] * mult) for box, mult in _piece_blocks(spec.grid, j)]
 
 
-def _level_l2(spec: Spectrum, j: int) -> float:
-    """||Q_j f||_2 by Parseval on the level-j annulus, with no synthesis.
-
-    In 1-D only the annulus window's bins are read; no full-grid array is
-    allocated.
-    """
-    g = spec.grid
-    if g.n != 1:
-        return _parseval_l2(g, float(np.sum(np.abs(apply_level_mask(spec.coeffs, g, j)) ** 2)))
-    _, pos, neg = _window_1d(spec, j)
-    return _parseval_l2(g, float(np.sum(np.abs(pos) ** 2) + np.sum(np.abs(neg) ** 2)))
-
-
-def _put_natural(row: np.ndarray, centered: np.ndarray) -> None:
-    """row[...] = ifftshift(centered), written quadrant by quadrant with no temporary."""
-    c = row.shape[0] // 2
-    halves = ((slice(0, c), slice(c, None)), (slice(c, None), slice(0, c)))
-    for parts in itertools.product(halves, repeat=row.ndim):
-        row[tuple(dst for dst, _ in parts)] = centered[tuple(src for _, src in parts)]
+def _piece_l2(spec: Spectrum, j: int | None) -> float:
+    """||Q_j f||_2 (||S_0 f||_2 for j None) by Parseval on the piece's blocks, with no synthesis."""
+    energy = 0.0
+    for _, block in _piece(spec, j):
+        energy += float(np.sum(np.abs(block) ** 2))
+    return _parseval_l2(spec.grid, energy)
 
 
 def _fill_piece(spec: Spectrum, row: np.ndarray, j: int | None) -> bool:
     """Write Q_j f's spectrum (S_0 f's for j None) into a zeroed row, in FFT-natural order.
 
-    Returns whether the piece has a nonzero bin.  In 1-D a level writes,
-    and is judged empty on, only its annulus window's bins.
+    Returns whether the piece has a nonzero bin; only its blocks are read.
     """
-    g = spec.grid
-    if j is not None and g.n == 1:
-        k_lo, pos, neg = _window_1d(spec, j)
-        if not (pos.any() or neg.any()):
-            return False
-        w = len(pos)
-        row[k_lo : k_lo + w] = pos
-        row[g.N - k_lo - w + 1 : g.N - k_lo + 1] = neg
-        return True
-    piece = _lowpass_coeffs(spec) if j is None else spec.coeffs * lp_mask(g, j)
-    if not piece.any():
+    blocks = _piece(spec, j)
+    if not any(block.any() for _, block in blocks):
         return False
-    _put_natural(row, piece)
+    for box, block in blocks:
+        _put_natural(row, box, block)
     return True
 
 
@@ -381,20 +338,13 @@ def besov_norm(f: Field | Spectrum, params: SpaceParams) -> float:
 def _besov(spec: Spectrum, band: BandLimits, params: SpaceParams) -> float:
     g = spec.grid
     levels = _norm_levels(params, band)
-    if params.r == 2.0:
-        summands = [2.0 ** (j * params.s) * _level_l2(spec, j) for j in levels]
-        if not params.homogeneous:
-            lowpass = _parseval_l2(g, float(np.sum(np.abs(_lowpass_coeffs(spec)) ** 2)))
-            summands.insert(0, lowpass)
-        return _ell_q(np.asarray(summands), params.q)
     keys = levels if params.homogeneous else [None] + levels
-    summands = []
-    for j, row in zip(keys, _synthesized(g, partial(_fill_piece, spec), keys)):
-        if row is None:
-            summands.append(0.0)
-        else:
-            scale = 1.0 if j is None else 2.0 ** (j * params.s)
-            summands.append(scale * _row_lr(row, params.r, g))
+    if params.r == 2.0:
+        norms = [_piece_l2(spec, j) for j in keys]
+    else:
+        rows = _synthesized(g, partial(_fill_piece, spec), keys)
+        norms = [0.0 if row is None else _row_lr(row, params.r, g) for row in rows]
+    summands = [x if j is None else 2.0 ** (j * params.s) * x for j, x in zip(keys, norms)]
     return _ell_q(np.asarray(summands), params.q)
 
 

@@ -58,12 +58,14 @@ Experiment records are spectrum-native: ``divergence_experiment`` hands the
 witness's exact spectrum to the space norm and to ``weighted_lhs``, so a
 record costs one inverse transform (the norm's boundary check), levels the
 witness does not reach are skipped as exactly empty, and at r = 2 no level
-is synthesized at all.
+is synthesized at all.  Every term is evaluated only on the box holding its
+support (``littlewood_paley._box``): phi on |xi| <= 1/2, psi's dilation into
+C_(-k) on |xi| <= 5/4 * 2^-k and a random plateau on |xi| <= 2^j.  One
+registry maps each witness kind to its default preset and spectrum builder.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from math import isinf
 
@@ -71,8 +73,16 @@ import numpy as np
 
 from .errors import BandError, ExperimentAbort, ParameterError
 from .grid import Field, GridSpec, Spectrum, inverse_ft, radial_xi
-from .littlewood_paley import KAPPA, SAFETY, _mollifier_step, feasible_band, lowpass_profile
-from .spaces import _put_natural, _row_lr, _synthesized, space_norm
+from .littlewood_paley import (
+    KAPPA,
+    SAFETY,
+    _box,
+    _mollifier_step,
+    _put_natural,
+    feasible_band,
+    lowpass_profile,
+)
+from .spaces import _row_lr, _synthesized, space_norm
 from .szasz import SzaszQuery, _require_grid_dimension, weighted_lhs
 
 __all__ = [
@@ -94,24 +104,6 @@ GRID_PRESETS: dict[str, GridSpec] = {
     "lo-band": GridSpec(n=1, N=2**20, L=2.0**14 * 2.0 * np.pi),
     "mid-band": GridSpec(n=1, N=2**14, L=16.0 * np.pi),
 }
-
-WITNESS_KINDS = (
-    "modulated",
-    "modulated_borderline",
-    "dilated_low",
-    "random_bandlimited",
-    "lowfreq_blowup",
-)
-
-#: default grid preset per witness kind
-_KIND_PRESET = {
-    "modulated": "hi-band",
-    "modulated_borderline": "hi-band",
-    "random_bandlimited": "lo-band",
-    "dilated_low": "lo-band",
-    "lowfreq_blowup": "lo-band",
-}
-
 
 def resolve_grid(grid) -> GridSpec:
     """Accept a GridSpec or a preset name."""
@@ -135,8 +127,7 @@ class WitnessSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in WITNESS_KINDS:
-            raise ParameterError(f"invalid params: unknown witness kind {self.kind!r}")
+        _witness(self.kind)
         if self.K < 0:
             raise ParameterError(f"invalid params: K must be >= 0, got {self.K}")
 
@@ -162,22 +153,19 @@ def _unit_l2_spectrum(grid: GridSpec, prof: np.ndarray) -> np.ndarray:
     return prof / np.sqrt(mass)
 
 
-def _phi_hat_window(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+def _phi_hat_window(grid: GridSpec) -> tuple[tuple, np.ndarray]:
     """Smooth radial bump supported in |xi| <= 1/2, unit spatial L2 norm.
 
-    Returns (axis, values): ``axis`` holds the array indices, along every
-    axis, of the box around the center that contains the ball |xi| <= 1/2,
-    and ``values`` the bump on that box.  The bump vanishes off the box.
+    Returns (box, values): the centered box holding the ball |xi| <= 1/2
+    and the bump on it.  The bump vanishes off the box.
     """
-    m = math.ceil(0.5 / grid.dxi)
-    axis = np.arange(max(0, grid.center - m), min(grid.N, grid.center + m + 1))
-    xi = (axis - grid.center) * grid.dxi
-    r = np.abs(xi) if grid.n == 1 else np.sqrt(xi[:, None] ** 2 + xi[None, :] ** 2)
+    box = _box(grid, 0.5)
+    r = radial_xi(grid)[box]
     inside = int(np.count_nonzero(r <= 0.5))
     if inside < 8:
         raise BandError(f"grid too coarse: only {inside} bins resolve |xi| <= 1/2")
     prof = lowpass_profile(3.0 * r).astype(np.complex128)
-    return axis, _unit_l2_spectrum(grid, prof)
+    return box, _unit_l2_spectrum(grid, prof)
 
 
 def _psi_hat_profile(t: np.ndarray) -> np.ndarray:
@@ -185,34 +173,38 @@ def _psi_hat_profile(t: np.ndarray) -> np.ndarray:
     return _mollifier_step(4.0 * t - 3.0) * _mollifier_step(5.0 - 4.0 * t)
 
 
+def _psi_term(grid: GridSpec, k: int) -> tuple[tuple, np.ndarray]:
+    """(box, profile): psi's profile dilated into C_(-k), on the box holding |xi| <= 5/4 * 2^-k."""
+    box = _box(grid, 1.25 * 2.0**-k)
+    return box, _psi_hat_profile(2.0**k * radial_xi(grid)[box])
+
+
 def _psi_norm_constant(grid: GridSpec) -> float:
     """Scale making the C_0 annulus bump a unit-L2 field on this grid."""
-    r = radial_xi(grid)
+    box, prof = _psi_term(grid, 0)
+    r = radial_xi(grid)[box]
     inside = np.count_nonzero((r >= 0.75) & (r <= 1.25))
     if inside < 8:
         raise BandError(f"grid too coarse: only {inside} bins resolve the annulus C_0")
-    prof = _psi_hat_profile(r)
     mass = np.sum(prof**2) * grid.dxi**grid.n / (2.0 * np.pi) ** grid.n
     return 1.0 / np.sqrt(mass)
 
 
-def _psi_hat(grid: GridSpec) -> np.ndarray:
-    """Smooth radial bump supported in C_0, unit spatial L2 norm."""
-    return _psi_norm_constant(grid) * _psi_hat_profile(radial_xi(grid)).astype(np.complex128)
-
-
 def bump_lowpass_phi(grid: GridSpec) -> Field:
     """Real field whose spectrum is a smooth bump in the ball |xi| <= 1/2."""
-    axis, phi = _phi_hat_window(grid)
+    box, phi = _phi_hat_window(grid)
     coeffs = np.zeros(grid.shape, dtype=np.complex128)
-    coeffs[np.ix_(*(axis,) * grid.n)] = phi
+    coeffs[box] = phi
     f = inverse_ft(Spectrum(grid, coeffs))
     return Field(grid, f.values.real.astype(np.complex128))
 
 
 def annulus_psi(grid: GridSpec) -> Field:
     """Real field whose spectrum is a smooth radial bump supported in C_0."""
-    f = inverse_ft(Spectrum(grid, _psi_hat(grid)))
+    box, prof = _psi_term(grid, 0)
+    coeffs = np.zeros(grid.shape, dtype=np.complex128)
+    coeffs[box] = _psi_norm_constant(grid) * prof
+    f = inverse_ft(Spectrum(grid, coeffs))
     return Field(grid, f.values.real.astype(np.complex128))
 
 
@@ -244,9 +236,9 @@ def modulated_witness(grid, spec: WitnessSpec, weights: str = "linear") -> Field
 def _modulated_spectrum(grid, spec: WitnessSpec, weights: str) -> Spectrum:
     """Exact spectrum of :func:`modulated_witness`.
 
-    Term k adds a_k times phi's few nonzero bins, moved up by nu_k along the
-    first axis; the placement wraps like ``np.roll`` and never overlaps
-    another term.
+    Term k adds a_k times phi on its box, moved up by nu_k along the first
+    axis; below the Nyquist margin that K is checked against, the moved box
+    stays on the grid and overlaps no other term's.
     """
     grid = resolve_grid(grid)
     K = spec.K
@@ -257,11 +249,11 @@ def _modulated_spectrum(grid, spec: WitnessSpec, weights: str) -> Spectrum:
     out = np.zeros(grid.shape, dtype=np.complex128)
     if K == 0:
         return Spectrum(grid, out)
-    axis, phi = _phi_hat_window(grid)
+    box, phi = _phi_hat_window(grid)
     amps = _modulation_weights(weights, K, spec.query.theta, spec.query.p)
     for k in range(1, K + 1):
         shift = int(round(2.0**k / grid.dxi))
-        out[np.ix_((axis + shift) % grid.N, *(axis,) * (grid.n - 1))] += amps[k - 1] * phi
+        out[(slice(box[0].start + shift, box[0].stop + shift),) + box[1:]] += amps[k - 1] * phi
     return Spectrum(grid, out)
 
 
@@ -294,11 +286,11 @@ def _dilated_spectrum(grid, spec: WitnessSpec) -> Spectrum:
     n = grid.n
     n_over_r = 0.0 if isinf(q.space.r) else n / q.space.r
     inv_p = 0.0 if isinf(q.p) else 1.0 / q.p
-    r = radial_xi(grid)
     unit = _psi_norm_constant(grid)  # also validates C_0 resolution
     for k in range(1, K + 1):
         c_k = k ** (-inv_p) * 2.0 ** (k * (q.space.s - n_over_r))
-        out += (c_k * 2.0 ** (k * n) * unit) * _psi_hat_profile(2.0**k * r)
+        box, prof = _psi_term(grid, k)
+        out[box] += (c_k * 2.0 ** (k * n) * unit) * prof
     return Spectrum(grid, out)
 
 
@@ -332,20 +324,18 @@ def _blowup_spectrum(grid, M: int, s: float, r: float) -> Spectrum:
     out = np.zeros(grid.shape, dtype=np.complex128)
     if M == 0:
         return Spectrum(grid, out)
-    rad = radial_xi(grid)
-    profiles = {}  # term k's real profile, from its fill until its weight is known
+    terms = {k: _psi_term(grid, k) for k in range(1, M + 1)}
 
     def fill(row, k):
-        profiles[k] = _psi_hat_profile(2.0**k * rad)
-        _put_natural(row, profiles[k])
+        _put_natural(row, *terms[k])
         return True
 
-    terms = range(1, M + 1)
     for k, piece in zip(terms, _synthesized(grid, fill, terms)):
         norm_r = _row_lr(piece, r, grid)
         target = 2.0 ** (-k * (s - n_over_r) / 2.0)
         b_k = target * 2.0 ** (k * s) / norm_r
-        out += b_k * profiles.pop(k)
+        box, prof = terms[k]
+        out[box] += b_k * prof
     return Spectrum(grid, out)
 
 
@@ -372,17 +362,16 @@ def _random_spectrum(grid, seed: int, j_lo: int, j_hi: int) -> Spectrum:
         raise BandError(
             f"levels [{j_lo}, {j_hi}] not inside feasible band [{band.j_min}, {band.j_max}]"
         )
-    rng = np.random.default_rng(seed)
-    rad = radial_xi(grid)
+    rng = np.random.default_rng(_count(seed, "seed"))
     out = np.zeros(grid.shape, dtype=np.complex128)
     n_modes = 4
     for j in range(j_lo, j_hi + 1):
-        t = rad / 2.0**j
-        idx = np.nonzero((t > 0.75) & (t < 1.0))
-        window = _mollifier_step(16.0 * (t[idx] - 0.75)) * _mollifier_step(
-            16.0 * (1.0 - t[idx])
-        )
-        u = (t[idx] - 0.75) * 4.0
+        box = _box(grid, 2.0**j)
+        t = radial_xi(grid)[box] / 2.0**j
+        plateau = (t > 0.75) & (t < 1.0)
+        t = t[plateau]
+        window = _mollifier_step(16.0 * (t - 0.75)) * _mollifier_step(16.0 * (1.0 - t))
+        u = (t - 0.75) * 4.0
         coeff = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
         modulation = np.zeros(window.shape, dtype=np.complex128)
         for d in range(n_modes):
@@ -390,36 +379,55 @@ def _random_spectrum(grid, seed: int, j_lo: int, j_hi: int) -> Spectrum:
         level = window * modulation
         mass = np.sum(np.abs(level) ** 2) * grid.dxi**grid.n
         if mass > 0.0:
-            out[idx] += level / np.sqrt(mass)
+            out[box][plateau] += level / np.sqrt(mass)
     if not out.any():
         return Spectrum(grid, out)
     return Spectrum(grid, _unit_l2_spectrum(grid, out))
 
 
-def _witness_spectrum(kind: str, query: SzaszQuery, size: int, grid: GridSpec, seed: int) -> Spectrum:
-    if kind == "modulated":
-        return _modulated_spectrum(grid, WitnessSpec(kind, size, query, seed), "linear")
-    if kind == "modulated_borderline":
-        return _modulated_spectrum(grid, WitnessSpec(kind, size, query, seed), "inverse_root")
-    if kind == "dilated_low":
-        return _dilated_spectrum(grid, WitnessSpec(kind, size, query, seed))
-    if kind == "lowfreq_blowup":
-        return _blowup_spectrum(grid, size, query.space.s, query.space.r)
-    if kind == "random_bandlimited":
-        band = feasible_band(grid)
-        j_hi = band.j_max
-        j_lo = j_hi - size + 1
-        return _random_spectrum(grid, seed, j_lo, j_hi)
-    raise ParameterError(f"invalid params: unknown witness kind {kind!r}")
+#: kind -> (default grid preset, exact-spectrum builder(grid, WitnessSpec)); a
+#: spec's K is the experiment size
+_WITNESSES = {
+    "modulated": ("hi-band", lambda g, w: _modulated_spectrum(g, w, "linear")),
+    "modulated_borderline": ("hi-band", lambda g, w: _modulated_spectrum(g, w, "inverse_root")),
+    "dilated_low": ("lo-band", _dilated_spectrum),
+    "random_bandlimited": (
+        "lo-band",
+        lambda g, w: _random_spectrum(g, w.seed, feasible_band(g).j_max - w.K + 1, feasible_band(g).j_max),
+    ),
+    "lowfreq_blowup": ("lo-band", lambda g, w: _blowup_spectrum(g, w.K, w.query.space.s, w.query.space.r)),
+}
+
+WITNESS_KINDS = tuple(_WITNESSES)
 
 
-def _record(kind: str, query: SzaszQuery, size: int, grid: GridSpec, seed: int) -> ExperimentRecord:
+def _witness(kind: str) -> tuple:
+    """The registry entry (preset, builder) of a witness kind."""
+    try:
+        return _WITNESSES[kind]
+    except (KeyError, TypeError):
+        raise ParameterError(
+            f"invalid params: unknown witness kind {kind!r}; known: {WITNESS_KINDS}"
+        ) from None
+
+
+def _count(value, name: str) -> int:
+    """``value`` as an int, or ParameterError when it is not an integer >= 0."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        count = -1
+    if count < 0 or count != value:
+        raise ParameterError(f"invalid params: {name} must be an integer >= 0, got {value!r}")
+    return count
+
+
+def _record(spec: Spectrum, query: SzaszQuery, size: int) -> ExperimentRecord:
     """One record from the witness's exact spectrum, with no forward transform.
 
     The spectrum is the only full-grid array kept; the norm synthesizes the
     field once for its boundary check and drops it.
     """
-    spec = _witness_spectrum(kind, query, size, grid, seed)
     norm = space_norm(spec, query.space)
     lhs = weighted_lhs(spec, query.theta, query.p, query.space.setting)
     ratio = lhs / norm if norm > 0.0 else float("nan")
@@ -434,17 +442,19 @@ def divergence_experiment(kind: str, query: SzaszQuery, sizes, grid=None, seed: 
     carrying the records computed so far.
 
     Raises:
-        ParameterError: for an unknown kind, or when ``query.n`` is not the
-            grid's dimension.
+        ParameterError: for an unknown kind or grid preset, a size or seed
+            that is not an integer >= 0, or when ``query.n`` is not the
+            grid's dimension; before any record is computed.
     """
-    if kind not in WITNESS_KINDS:
-        raise ParameterError(f"invalid params: unknown witness kind {kind!r}")
-    grid = resolve_grid(grid if grid is not None else _KIND_PRESET[kind])
+    preset, build = _witness(kind)
+    grid = resolve_grid(grid if grid is not None else preset)
     _require_grid_dimension(query, grid)
+    seed = _count(seed, "seed")
+    sizes = [_count(size, "size") for size in sizes]
     records: list[ExperimentRecord] = []
     for size in sizes:
         try:
-            records.append(_record(kind, query, int(size), grid, seed))
+            records.append(_record(build(grid, WitnessSpec(kind, size, query, seed)), query, size))
         except (BandError, ParameterError, ZeroDivisionError) as exc:
             raise ExperimentAbort(f"size {size}: {exc}", records) from exc
     return records

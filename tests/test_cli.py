@@ -112,7 +112,7 @@ class TestExperimentCommand:
         assert not out.exists()
         assert "n=3" in capsys.readouterr().err
 
-    def test_bad_kind_exit_2_no_file(self, tmp_path):
+    def test_bad_kind_exit_2_no_file(self, tmp_path, capsys):
         out = tmp_path / "e.csv"
         code = run_cli(
             ["experiment", "--kind", "bogus", "--sizes", "2", "--s", "0", "--p", "2",
@@ -120,6 +120,41 @@ class TestExperimentCommand:
         )
         assert code == 2
         assert not out.exists()
+        assert "known: ('modulated'," in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--grid", "bogus", "known: ['hi-band', 'lo-band', 'mid-band']"),
+         ("--seed", "-1", "seed must be an integer >= 0")],
+    )
+    @pytest.mark.parametrize("kind", ["modulated", "random_bandlimited"])
+    def test_bad_grid_or_seed_exit_2_no_file(self, tmp_path, capsys, kind, flag, value, message):
+        out = tmp_path / "e.csv"
+        argv = {"--grid": "mid-band", "--seed": "0", flag: value}
+        code = run_cli(
+            ["experiment", "--kind", kind, "--sizes", "2", "--s", "0", "--p", "2", "--q", "2",
+             "--r", "2", "--n", "1", "--family", "B", "--out", str(out)]
+            + [token for item in argv.items() for token in item]
+        )
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("szaszlab experiment: ") and message in err
+        assert err.count("\n") == 1
+
+    def test_json_bytes(self, tmp_path):
+        out = tmp_path / "e.json"
+        code = run_cli(
+            ["experiment", "--kind", "modulated", "--sizes", "2,10", "--s", "0", "--p", "4",
+             "--q", "4", "--r", "2", "--n", "1", "--family", "B", "--grid", "mid-band",
+             "--format", "json", "--out", str(out)]
+        )
+        assert code == 3
+        assert out.read_bytes() == (
+            b'{"size": 2, "space_norm": "1.4496331555936059", "lhs": "5.2671572271223814", '
+            b'"ratio": "3.6334414722775494"}\n'
+            b'{"error": "size 10: K exceeds band: annulus C_10 needs 5/4*2^K <= 0.9 * xi_max"}\n'
+        )
 
 
 class TestSweepCommand:
@@ -167,6 +202,23 @@ class TestSweepCommand:
         ) == 2
         assert not out.exists()
 
+    def test_json_bytes(self, tmp_path):
+        out = tmp_path / "s.json"
+        assert run_cli(
+            ["sweep", "--s", "0,1", "--p", "2,inf", "--q", "2", "--r", "1.5", "--n", "1",
+             "--family", "F", "--format", "json", "--out", str(out)]
+        ) == 0
+        assert out.read_bytes() == (
+            b'{"s": "0", "p": "2", "q": "2", "r": "1.5", "n": 1, "family": "F", '
+            b'"theta": "-0.16666666666666663", "weak": true, "strong": true}\n'
+            b'{"s": "0", "p": "inf", "q": "2", "r": "1.5", "n": 1, "family": "F", '
+            b'"theta": "0.33333333333333337", "weak": false, "strong": false}\n'
+            b'{"s": "1", "p": "2", "q": "2", "r": "1.5", "n": 1, "family": "F", '
+            b'"theta": "0.83333333333333337", "weak": true, "strong": false}\n'
+            b'{"s": "1", "p": "inf", "q": "2", "r": "1.5", "n": 1, "family": "F", '
+            b'"theta": "1.3333333333333335", "weak": false, "strong": false}\n'
+        )
+
     @pytest.mark.parametrize("n", ["inf", "1.7", "1,2.5"])
     def test_non_integer_n_exit_2(self, tmp_path, capsys, n):
         out = tmp_path / "s.csv"
@@ -176,3 +228,23 @@ class TestSweepCommand:
         ) == 2
         assert not out.exists()
         assert "n: must be an integer" in capsys.readouterr().err
+
+
+_ARGS = {
+    "classify": ["--s", "0", "--p", "2", "--q", "2", "--r", "2", "--n", "1", "--family", "B"],
+    "experiment": ["--kind", "modulated", "--sizes", "2", "--grid", "mid-band", "--s", "0",
+                   "--p", "4", "--q", "4", "--r", "2", "--n", "1", "--family", "B"],
+    "sweep": ["--s", "0", "--p", "2", "--q", "2", "--r", "2", "--n", "1", "--family", "B"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_ARGS))
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+@pytest.mark.filterwarnings("ignore::szaszlab.ModelFidelityWarning")
+def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys, command, where):
+    out = tmp_path / "no" / "such" / "x.csv" if where == "missing_dir" else tmp_path
+    assert run_cli([command] + _ARGS[command] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"szaszlab {command}: cannot write --out {out}")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []

@@ -16,7 +16,7 @@ from szaszlab import (
     lp_project,
     radial_xi,
 )
-from szaszlab.littlewood_paley import apply_level_mask
+from szaszlab.littlewood_paley import _piece_blocks, _put_natural, apply_level_mask
 
 from conftest import plateau_field, wave_packet
 
@@ -172,3 +172,54 @@ class TestLpProject:
             scale = np.max(np.abs(rhs.values))
             assert scale > 0
             assert np.max(np.abs(lhs.values - rhs.values)) < 1e-8 * scale
+
+
+#: N = 32 grids whose top level window ends at k = N/2 - 1 and whose S_0
+#: ball covers every bin, -N/2 included
+_EDGE_GRIDS = [GridSpec(1, 32, 304.0 * np.pi), GridSpec(2, 32, 304.0 * np.pi)]
+
+
+@pytest.fixture(params=["grid_mid", "grid_2d", "edge_1d", "edge_2d"])
+def block_grid(request):
+    if request.param.startswith("edge"):
+        return _EDGE_GRIDS[request.param == "edge_2d"]
+    return request.getfixturevalue(request.param)
+
+
+def _pieces(grid):
+    return list(feasible_band(grid).levels()) + [None]
+
+
+def _embedded(grid, j, values=None):
+    """The piece's multipliers (or ``values`` on its blocks) on the full grid, centered."""
+    out = np.zeros(grid.shape, dtype=np.complex128 if values is not None else float)
+    for box, mult in _piece_blocks(grid, j):
+        out[box] = mult if values is None else values[box]
+    return out
+
+
+class TestPieceBlocks:
+    def test_edge_grids_reach_the_edges(self):
+        g = _EDGE_GRIDS[0]
+        (pos, _), _ = _piece_blocks(g, feasible_band(g).j_max)
+        assert pos[0].stop == g.N
+        assert all(s == slice(0, g.N) for s in _piece_blocks(g, None)[0][0])
+
+    def test_level_blocks_rebuild_lp_mask(self, block_grid):
+        for j in feasible_band(block_grid).levels():
+            assert np.array_equal(_embedded(block_grid, j), lp_mask(block_grid, j))
+            for _, mult in _piece_blocks(block_grid, j):
+                assert not mult.flags.writeable
+
+    def test_lowpass_blocks_rebuild_the_profile(self, block_grid):
+        want = lowpass_profile(radial_xi(block_grid))
+        assert np.array_equal(_embedded(block_grid, None), want)
+
+    def test_natural_writer_is_ifftshift_of_centered_embedding(self, block_grid):
+        rng = np.random.default_rng(4)
+        values = rng.standard_normal(block_grid.shape) + 1j * rng.standard_normal(block_grid.shape)
+        for j in _pieces(block_grid):
+            row = np.zeros(block_grid.shape, dtype=np.complex128)
+            for box, _ in _piece_blocks(block_grid, j):
+                _put_natural(row, box, values[box])
+            assert np.array_equal(row, np.fft.ifftshift(_embedded(block_grid, j, values)))

@@ -6,6 +6,7 @@ import pytest
 from szaszlab import (
     BandError,
     Field,
+    ParameterError,
     SpaceParams,
     SzaszQuery,
     WitnessSpec,
@@ -124,6 +125,13 @@ class TestRealizationFeasible:
 
 
 class TestRealizationReport:
+    def test_negative_M_is_a_parameter_error(self, grid_mid):
+        f = plateau_field(grid_mid, 3)
+        with pytest.raises(ParameterError, match="M must be >= 0"):
+            sigma0_partial(f, -1)
+        with pytest.raises(ParameterError, match="M must be >= 0"):
+            realization_report(f, make_query("B", 0.0, 2.0, 1.0, 2.0), M=-1)
+
     def test_report_fields(self, grid_wide):
         q = make_query("B", 0.0, 2.0, 1.0, 2.0)
         f = dilated_witness(grid_wide, WitnessSpec("dilated_low", 4, q))

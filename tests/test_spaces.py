@@ -342,13 +342,29 @@ class TestBatchedSynthesis:
             triebel_norm(spec, SpaceParams(0.0, 1.5, 2.0, "F"))
         assert widths == [1, 1]
 
-    def test_level_window_is_natural_order_of_centered_mask(self, grid_mid):
-        spec = forward_ft(_broadband_field(grid_mid))
-        for j in feasible_band(grid_mid).levels():
-            row = np.zeros(grid_mid.shape, dtype=np.complex128)
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    @pytest.mark.filterwarnings("ignore::szaszlab.ModelFidelityWarning")
+    def test_one_sided_level_is_not_empty(self, grid_mid, side):
+        # an analytic signal fills one side of its level only
+        spec = _random_spectrum(grid_mid, 3, 5, 5)
+        one_sided = Spectrum(grid_mid, np.where(side * grid_mid.xi_axis() > 0, spec.coeffs, 0.0))
+        params = SpaceParams(0.0, 1.5, 2.0, "B")
+        want = _synthesized_besov(inverse_ft(one_sided), params)
+        assert want > 0.0
+        assert besov_norm(one_sided, params) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("grid_name", ["grid_mid", "grid_2d"])
+    def test_level_window_is_natural_order_of_centered_mask(self, request, grid_name):
+        grid = request.getfixturevalue(grid_name)
+        spec = forward_ft(_broadband_field(grid))
+        for j in list(feasible_band(grid).levels()) + [None]:
+            row = np.zeros(grid.shape, dtype=np.complex128)
             assert spaces_module._fill_piece(spec, row, j)
-            want = np.fft.ifftshift(apply_level_mask(spec.coeffs, grid_mid, j))
-            assert np.array_equal(row, want)
+            if j is None:
+                centered = spec.coeffs * lowpass_profile(radial_xi(grid))
+            else:
+                centered = apply_level_mask(spec.coeffs, grid, j)
+            assert np.array_equal(row, np.fft.ifftshift(centered))
 
 
 class TestOverflowSafePowerSums:

@@ -8,6 +8,7 @@ import pytest
 from szaszlab import (
     BandError,
     ExperimentAbort,
+    Field,
     GridSpec,
     ModelFidelityWarning,
     ParameterError,
@@ -34,7 +35,15 @@ from szaszlab import (
     weighted_lhs,
 )
 from szaszlab.realization import low_frequency_mass
-from szaszlab.witnesses import _blowup_spectrum, _modulated_spectrum, _psi_hat_profile
+from szaszlab.grid import inverse_ft_rows
+from szaszlab.littlewood_paley import _mollifier_step
+from szaszlab.witnesses import (
+    _blowup_spectrum,
+    _dilated_spectrum,
+    _modulated_spectrum,
+    _psi_hat_profile,
+    _random_spectrum,
+)
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +257,11 @@ class TestRandomBandlimited:
         with pytest.raises(BandError):
             random_bandlimited(grid_mid, 0, -2, 3)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_is_a_parameter_error(self, grid_mid, seed):
+        with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
+            random_bandlimited(grid_mid, seed, 2, 6)
+
 
 class TestDivergenceExperiment:
     def test_empty_sizes(self):
@@ -281,8 +295,21 @@ class TestDivergenceExperiment:
 
     def test_unknown_kind(self):
         q = make_query("B", 0.0, 2.0, 2.0, 2.0)
-        with pytest.raises(ParameterError, match="witness kind"):
+        with pytest.raises(ParameterError, match="witness kind 'mystery'; known: .*'lowfreq_blowup'"):
             divergence_experiment("mystery", q, [2])
+
+    @pytest.mark.parametrize("kind", ["modulated", "random_bandlimited"])
+    @pytest.mark.parametrize(
+        "sizes, seed, match",
+        [([2], -1, "seed must be"), ([2], 0.5, "seed must be"), ([2, 2.7], 0, "size must be"), ([-1], 0, "size must be")],
+    )
+    def test_bad_size_or_seed_raises_before_any_record(self, monkeypatch, grid_mid, kind, sizes, seed, match):
+        import szaszlab.witnesses as witnesses_module
+
+        monkeypatch.setattr(witnesses_module, "_record", None)  # any record would fail loudly
+        q = make_query("B", 0.0, 2.0, 2.0, 2.0)
+        with pytest.raises(ParameterError, match=match):
+            divergence_experiment(kind, q, sizes, grid=grid_mid, seed=seed)
 
     def test_dimension_mismatch(self, grid_hi_small):
         q = make_query("B", 0.0, 2.0, 4.0, 4.0, n=3)
@@ -351,3 +378,110 @@ class TestSpectrumNativeRecords:
             want += a_k * np.roll(phi, int(round(2.0**k / grid.dxi)), axis=0)
         got = _modulated_spectrum(grid, WitnessSpec("modulated", K, q), "linear").coeffs
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def _unit(grid, prof):
+    """prof scaled to unit L2 norm, its Parseval sum taken over the full grid."""
+    return prof / np.sqrt(np.sum(np.abs(prof) ** 2) * grid.dxi**grid.n / (2.0 * np.pi) ** grid.n)
+
+
+def _full_phi(grid):
+    phi = _unit(grid, lowpass_profile(3.0 * radial_xi(grid)).astype(np.complex128))
+    return Field(grid, inverse_ft(Spectrum(grid, phi)).values.real.astype(np.complex128))
+
+
+def _psi_unit(grid):
+    """psi's normalization, its Parseval sum taken over the full grid."""
+    mass = np.sum(_psi_hat_profile(radial_xi(grid)) ** 2) * grid.dxi**grid.n / (2.0 * np.pi) ** grid.n
+    return 1.0 / np.sqrt(mass)
+
+
+def _full_psi(grid):
+    psi = (_psi_unit(grid) * _psi_hat_profile(radial_xi(grid))).astype(np.complex128)
+    return Field(grid, inverse_ft(Spectrum(grid, psi)).values.real.astype(np.complex128))
+
+
+def _full_dilated(grid, query, K):
+    unit = _psi_unit(grid)
+    n, r, p = grid.n, query.space.r, query.p
+    out = np.zeros(grid.shape, dtype=np.complex128)
+    for k in range(1, K + 1):
+        c_k = k ** (-1.0 / p) * 2.0 ** (k * (query.space.s - n / r))
+        out += (c_k * 2.0 ** (k * n) * unit) * _psi_hat_profile(2.0**k * radial_xi(grid))
+    return out
+
+
+def _full_blowup(grid, M, s, r):
+    n_over_r = 0.0 if np.isinf(r) else grid.n / r
+    out = np.zeros(grid.shape, dtype=np.complex128)
+    for k in range(1, M + 1):
+        raw = _psi_hat_profile(2.0**k * radial_xi(grid))
+        row = np.fft.ifftshift(raw).astype(np.complex128)[None]
+        norm_r = lr_quasinorm(Field(grid, inverse_ft_rows(grid, row)[0]), r)
+        out += 2.0 ** (-k * (s - n_over_r) / 2.0) * 2.0 ** (k * s) / norm_r * raw
+    return out
+
+
+def _full_random(grid, seed, j_lo, j_hi):
+    rng = np.random.default_rng(seed)
+    out = np.zeros(grid.shape, dtype=np.complex128)
+    for j in range(j_lo, j_hi + 1):
+        t = radial_xi(grid) / 2.0**j
+        idx = np.nonzero((t > 0.75) & (t < 1.0))
+        window = _mollifier_step(16.0 * (t[idx] - 0.75)) * _mollifier_step(16.0 * (1.0 - t[idx]))
+        coeff = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        modulation = sum(coeff[d] / (1.0 + d) * np.exp(2j * np.pi * d * (t[idx] - 0.75) * 4.0) for d in range(4))
+        level = window * modulation
+        out[idx] += level / np.sqrt(np.sum(np.abs(level) ** 2) * grid.dxi**grid.n)
+    return _unit(grid, out)
+
+
+def _grid(request, name):
+    if name == "grid_2d_512":
+        return GridSpec(2, 512, 64.0 * np.pi)  # dxi = 1/32, band [-2, 2]
+    return request.getfixturevalue(name)
+
+
+class TestWindowedBuildersMatchFullGrid:
+    """Builders that evaluate each term on its box against full-grid constructions.
+
+    Bitwise in 1-D; the psi-scaled builders, whose normalization sum runs
+    over the box instead of the grid, and every 2-D builder to 1e-15.
+    """
+
+    @staticmethod
+    def _check(got, want, bitwise):
+        if bitwise:
+            assert np.array_equal(got, want)
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("grid_name", ["grid_mid", "grid_2d_512"])
+    def test_bump_lowpass_phi(self, request, grid_name):
+        grid = _grid(request, grid_name)
+        self._check(bump_lowpass_phi(grid).values, _full_phi(grid).values, grid.n == 1)
+
+    @pytest.mark.parametrize("grid_name", ["grid_wide", "grid_2d_512"])
+    def test_annulus_psi(self, request, grid_name):
+        grid = _grid(request, grid_name)
+        self._check(annulus_psi(grid).values, _full_psi(grid).values, False)
+
+    @pytest.mark.parametrize("grid_name, K", [("grid_wide", 6), ("grid_2d_512", 2)])
+    def test_dilated_spectrum(self, request, grid_name, K):
+        grid = _grid(request, grid_name)
+        q = make_query("B", 0.5, 1.5, 1.5, 2.0, n=grid.n)
+        got = _dilated_spectrum(grid, WitnessSpec("dilated_low", K, q)).coeffs
+        self._check(got, _full_dilated(grid, q, K), False)
+
+    @pytest.mark.parametrize("grid_name, M", [("grid_wide", 6), ("grid_2d_512", 2)])
+    @pytest.mark.parametrize("r", [1.5, np.inf])
+    def test_blowup_spectrum(self, request, grid_name, M, r):
+        grid = _grid(request, grid_name)
+        got = _blowup_spectrum(grid, M, 2.5, r).coeffs
+        self._check(got, _full_blowup(grid, M, 2.5, r), grid.n == 1)
+
+    @pytest.mark.parametrize("grid_name, levels", [("grid_mid", (0, 9)), ("grid_wide", (-9, 4)), ("grid_2d_512", (-2, 2))])
+    def test_random_spectrum(self, request, grid_name, levels):
+        grid = _grid(request, grid_name)
+        got = _random_spectrum(grid, 9, *levels).coeffs
+        self._check(got, _full_random(grid, 9, *levels), grid.n == 1)
