@@ -175,28 +175,40 @@ def inverse_ft(s: Spectrum) -> Field:
     """Exact discrete inverse of :func:`forward_ft` (identity up to roundoff)."""
     g = s.grid
     v = _fft.fftshift(_fft.ifftn(_fft.ifftshift(s.coeffs), workers=-1))
-    v /= g.dx**g.n
+    _unscale(v, g)
     return Field(g, v)
 
 
+def _unscale(v: np.ndarray, grid: GridSpec) -> None:
+    """Divide complex samples by dx^n in place: the scaling of :func:`inverse_ft`.
+
+    Both parts are multiplied by 1/dx^n.  numpy divides a complex by a real
+    d (Smith's algorithm with a zero imaginary part) as both parts times
+    1/d, so for finite samples this is bit for bit ``v / dx**n``, at a
+    tenth of the cost of the complex division.
+    """
+    parts = v.view(np.float64)
+    np.multiply(parts, 1.0 / grid.dx**grid.n, out=parts)
+
+
 def inverse_ft_rows(grid: GridSpec, rows: np.ndarray) -> np.ndarray:
-    """Samples of a stack of spectra, scaled like :func:`inverse_ft`, from one batched FFT.
+    """Unscaled samples of a stack of spectra, from one batched FFT.
 
     ``rows`` has shape ``(W, *grid.shape)`` and holds W spectra in
     FFT-natural order: frequency index k (center-relative) at array index
     k mod N along each axis, the order :func:`inverse_ft` reaches with
     ``ifftshift``.  The samples come back in natural order too (x = m dx at
-    index m mod N), with no shift copies.  ``rows`` is overwritten (scipy
-    transforms it in place where it can).  pocketfft spreads the W rows
-    over the CPUs, while a single 1-D transform runs on one.
+    index m mod N), with no shift copies, and dx^n times :func:`inverse_ft`'s:
+    ``_unscale`` gives its scaling, which the space norms apply chunk by
+    chunk in cache.  ``rows`` is overwritten (scipy transforms it in place
+    where it can).  pocketfft spreads the W rows over the CPUs, while a
+    single 1-D transform runs on one.
     """
     if rows.shape[1:] != grid.shape:
         raise ParameterError(
             f"row shape {rows.shape[1:]} does not match grid shape {grid.shape}"
         )
-    v = _fft.ifftn(rows, axes=tuple(range(-grid.n, 0)), workers=-1, overwrite_x=True)
-    v /= grid.dx**grid.n
-    return v
+    return _fft.ifftn(rows, axes=tuple(range(-grid.n, 0)), workers=-1, overwrite_x=True)
 
 
 def boundary_decay_ratio(f: Field) -> float:

@@ -29,12 +29,21 @@ capped by the number of pieces.  Each nonempty piece writes its blocks
 into the next free row in FFT-natural order (frequency k at index k mod N),
 and a full stack goes through one multi-row inverse FFT
 (:func:`~szaszlab.grid.inverse_ft_rows`), which pocketfft spreads over the
-cores.  The samples stay in natural order
-too: no L_r sum depends on the order of the samples, so no ``fftshift``
-copy is made.  |piece| and its powers are computed inside the row's own
-memory, so the stack of W rows of 16 N^n bytes is all the full-grid memory
-a Besov norm adds (the F-norm adds its real pointwise sum).  Pieces combine in level order, so the result does not depend
-on W: a batched row is bitwise the single transform.
+cores.  The samples stay in natural order too: no L_r sum depends on the
+order of the samples, so no ``fftshift`` copy is made.
+
+The rest is one chunked pass over the batch on W threads
+(:func:`_chunk_pass`).  Each thread walks a contiguous group of chunks of
+2^16 samples and, for each chunk, every row in level order: it scales the
+chunk by 1/dx^n in place, takes its modulus into one reused per-thread
+buffer, and keeps the chunk's power sum (:func:`_rows_lr`) or adds the
+chunk's terms into the F-norm's pointwise sum (:func:`_accumulate`).  A
+row's chunk sums are added pairwise in chunk order (:func:`_tree_sum`),
+which on the power-of-two lengths of every grid is bit for bit ``np.sum``
+of the whole row, and each point of the F-sum sees its levels in level
+order, so no result depends on W.  The stack of W rows of 16 N^n bytes is
+all the full-grid memory a Besov norm adds (the F-norm adds its real
+pointwise sum).
 
 Power sums are rescaled by their maximum only when the plain sum overflows
 or underflows, so no quasi-norm silently returns inf or 0.
@@ -46,6 +55,7 @@ from __future__ import annotations
 
 import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from math import isfinite, isinf, sqrt
@@ -56,6 +66,7 @@ from .errors import ModelFidelityWarning, ParameterError
 from .grid import (
     Field,
     Spectrum,
+    _unscale,
     forward_ft,
     inverse_ft,
     inverse_ft_rows,
@@ -115,18 +126,22 @@ class SpaceParams:
         return self.setting == "homogeneous"
 
 
-def _power_sum(a: np.ndarray, p: float, weight: float = 1.0, out: np.ndarray | None = None) -> float:
+def _in_range(total: float) -> bool:
+    """Whether a plain power sum is finite and normal, so that no digits were lost."""
+    return isfinite(total) and total >= _TINY
+
+
+def _power_sum(a: np.ndarray, p: float, weight: float = 1.0) -> float:
     """(weight * sum(a**p))**(1/p) for a nonnegative array, with no spurious inf or 0.
 
     The plain sum is kept unless it is non-finite or below the smallest
     normal float; only then is it recomputed with ``a`` scaled by its
     maximum (Blue, ACM TOMS 1978).  An in-range sum thus costs one pass and
-    has the bits of the plain formula.  a**p goes to ``out`` when given;
-    ``a`` itself is never modified.
+    has the bits of the plain formula.
     """
     with np.errstate(over="ignore", under="ignore"):
-        total = float(np.sum(np.power(a, p, out=out))) * weight
-    if isfinite(total) and total >= _TINY:
+        total = float(np.sum(np.power(a, p))) * weight
+    if _in_range(total):
         return total ** (1.0 / p)
     peak = float(a.max()) if a.size else 0.0
     if not 0.0 < peak < np.inf:  # zero, inf or nan: the plain value is the answer
@@ -134,38 +149,87 @@ def _power_sum(a: np.ndarray, p: float, weight: float = 1.0, out: np.ndarray | N
     return peak * (float(np.sum((a / peak) ** p)) * weight) ** (1.0 / p)
 
 
-#: elements per np.abs call in :func:`_modulus_in_place`
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+#: samples per chunk of a row pass: 1 MiB of complex samples, which stays in L2
 _CHUNK = 2**16
 
 
-def _modulus_in_place(row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|row| written over the first half of the row's own memory.
+def _chunk_pass(size: int, work) -> None:
+    """Call ``work(lo, hi, buf)`` for every chunk [lo, hi) of range(size), on W threads.
 
-    Returns (modulus, spare): two real arrays of the row's shape that view
-    the row's bytes, the modulus in the first half and the second half free
-    for a work array.  The row's samples are destroyed.  Chunk k's output covers
-    the input of chunks below k only, so no chunk after the first reads
-    bytes it has already overwritten and none needs a copy.
+    Chunks hold _CHUNK samples, and W = min(usable CPUs, chunks).  Each
+    thread walks one contiguous group of chunks in order with one real
+    buffer of a chunk's length, reused for every chunk, and with over- and
+    underflow ignored.  The buffers are allocated here, so the threads
+    allocate no memory.  The threads are joined, and the first exception
+    raised, before this returns.
     """
-    flat = row.reshape(-1)
-    halves = flat.view(np.float64)
-    a, spare = halves[: flat.size], halves[flat.size :]
-    for lo in range(0, flat.size, _CHUNK):
-        np.abs(flat[lo : lo + _CHUNK], out=a[lo : lo + _CHUNK])
-    return a.reshape(row.shape), spare.reshape(row.shape)
+    starts = range(0, size, _CHUNK)
+    width = min(_usable_cpus(), len(starts))
+    bufs = np.empty((width, min(size, _CHUNK)))
+
+    def walk(group, buf):
+        with np.errstate(over="ignore", under="ignore"):
+            for lo in group:
+                hi = min(lo + _CHUNK, size)
+                work(lo, hi, buf[: hi - lo])
+
+    groups = [starts[i * len(starts) // width : (i + 1) * len(starts) // width] for i in range(width)]
+    with ThreadPoolExecutor(max(1, width - 1)) as pool:  # starts no thread when width is 1
+        rest = [pool.submit(walk, group, buf) for group, buf in zip(groups[1:], bufs[1:])]
+        walk(groups[0], bufs[0])
+        for future in rest:
+            future.result()
 
 
-def _lr_of_modulus(a: np.ndarray, r: float, grid, out: np.ndarray | None = None) -> float:
-    """L_r quasi-norm of samples on ``grid`` whose modulus is ``a``; a**r goes to ``out``."""
+def _tree_sum(parts: list) -> float:
+    """Chunk partial sums added pairwise, neighbours first, in chunk order.
+
+    numpy sums a power-of-two length by halving it down to 128-element
+    leaves (pairwise summation; Higham, SIAM J. Sci. Comput. 1993), so each
+    chunk is one subtree: on the power-of-two lengths of every grid this is
+    bit for bit ``np.sum`` of the whole array.
+    """
+    while len(parts) > 1:
+        parts = [a + b for a, b in zip(parts[::2], parts[1::2])] + parts[len(parts) & ~1 :]
+    return parts[0]
+
+
+def _rows_lr(rows: np.ndarray, r: float, grid, prepare=None) -> list:
+    """L_r quasi-norm on ``grid`` of each row of a stack, in one chunked pass on W threads.
+
+    ``rows`` has shape (W, *grid.shape).  For each chunk, each row in turn
+    is set by ``prepare(chunk)`` in place when given, its modulus goes to
+    the thread's buffer, and the chunk keeps the sum of its r-th powers
+    (its maximum for r = inf).  A row's power sum is its chunk sums added by
+    :func:`_tree_sum`, and is recomputed rescaled from the prepared row only
+    when it over- or underflows (:func:`_power_sum`).
+    """
+    flat = rows.reshape(len(rows), -1)
+    parts = np.empty((len(flat), -(-flat.shape[1] // _CHUNK)))
+
+    def work(lo, hi, buf):
+        for i, v in enumerate(flat[:, lo:hi]):
+            if prepare is not None:
+                prepare(v)
+            np.abs(v, out=buf)
+            parts[i, lo // _CHUNK] = buf.max() if isinf(r) else np.sum(np.power(buf, r, out=buf))
+
+    _chunk_pass(flat.shape[1], work)
     if isinf(r):
-        return float(a.max())
-    return _power_sum(a, r, grid.dx**grid.n, out=out)
-
-
-def _row_lr(row: np.ndarray, r: float, grid) -> float:
-    """L_r quasi-norm of one synthesized row, computed inside the row's memory."""
-    a, spare = _modulus_in_place(row)
-    return _lr_of_modulus(a, r, grid, out=spare)
+        return [float(part.max()) for part in parts]
+    weight = grid.dx**grid.n
+    norms = []
+    for v, part in zip(flat, parts):
+        total = _tree_sum(part.tolist()) * weight
+        norms.append(total ** (1.0 / r) if _in_range(total) else _power_sum(np.abs(v), r, weight))
+    return norms
 
 
 def lr_quasinorm(f: Field, r: float) -> float:
@@ -179,7 +243,7 @@ def lr_quasinorm(f: Field, r: float) -> float:
     """
     if not r > 0:
         raise ParameterError(f"invalid exponent: r must be > 0, got {r}")
-    return _lr_of_modulus(np.abs(f.values), r, f.grid)
+    return _rows_lr(f.values[None], r, f.grid)[0]
 
 
 def _ell_q(values: np.ndarray, q: float) -> float:
@@ -267,55 +331,60 @@ def _fill_piece(spec: Spectrum, row: np.ndarray, j: int | None) -> bool:
     return True
 
 
-def _usable_cpus() -> int:
-    """Number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _synthesized(grid, fill, keys):
-    """Samples of each piece in ``keys``, in order; None for an empty piece.
+    """Batches (keys, rows) of the nonempty pieces in ``keys``, in order, W at a time.
 
     ``fill(row, key)`` writes a piece's spectrum in FFT-natural order into
     a zeroed row and returns whether it has a nonzero bin.  Nonempty pieces
     take the next free row of one stack of W = min(usable CPUs, len(keys))
     rows, and each full stack (and the last, partial one) goes through one
-    :func:`inverse_ft_rows` call, so the W transforms run on W cores.  The
-    samples are in natural order, which no L_r sum depends on.  A yielded
-    row is valid until the next one is drawn.
+    :func:`inverse_ft_rows` call, so the W transforms run on W cores.  A
+    batch holds the keys of its pieces and their unscaled samples in
+    natural order, which no L_r sum depends on; it is valid until the next
+    batch is drawn.
     """
     keys = list(keys)
     rows = np.zeros((min(_usable_cpus(), len(keys)),) + grid.shape, dtype=np.complex128)
-    batch: list[int | None] = []  # per key of the batch: its row, or None if empty
-    used = 0
+    batch: list = []
     for i, key in enumerate(keys):
-        if fill(rows[used], key):
-            batch.append(used)
-            used += 1
-        else:
-            batch.append(None)
-        if used == len(rows) or i == len(keys) - 1:
-            samples = inverse_ft_rows(grid, rows[:used]) if used else rows
-            for slot in batch:
-                yield None if slot is None else samples[slot]
-            rows[:used] = 0.0
-            batch, used = [], 0
+        if fill(rows[len(batch)], key):
+            batch.append(key)
+        if batch and (len(batch) == len(rows) or i == len(keys) - 1):
+            yield batch, inverse_ft_rows(grid, rows[: len(batch)])
+            rows[: len(batch)] = 0.0
+            batch = []
 
 
-def _scaled_moduli(spec: Spectrum, keys, s: float):
-    """2^(js) |Q_j f| for each nonempty key j in order (|S_0 f| for j None).
+def _accumulate(rows: np.ndarray, keys: list, grid, s: float, q: float, acc, peak=None) -> None:
+    """Add (2^(js) |Q_j f|)^q of each synthesized row into ``acc``, in key order, on W threads.
 
-    Each item lives in its synthesized row's memory and is valid until the
-    next is drawn; the consumer may overwrite it.
+    ``rows`` are unscaled samples of the pieces ``keys`` (|S_0 f| for key
+    None carries no factor); q = inf takes the pointwise maximum instead of
+    the sum.  With ``peak``, each scaled modulus is divided by ``peak``
+    where that is positive before its power is taken.  Each chunk scales
+    every row in place, takes its modulus into the thread's buffer and adds
+    into the chunk's slice of ``acc``, so a point sees its levels in order
+    whatever the batch width.
     """
-    for j, row in zip(keys, _synthesized(spec.grid, partial(_fill_piece, spec), keys)):
-        if row is None:
-            continue
-        a, _ = _modulus_in_place(row)
-        if j is not None:
-            a *= 2.0 ** (j * s)
-        yield a
+    flat = rows.reshape(len(rows), -1)
+    sink, top = acc.reshape(-1), None if peak is None else peak.reshape(-1)
+    gains = [None if j is None else 2.0 ** (j * s) for j in keys]
+
+    def work(lo, hi, buf):
+        out = sink[lo:hi]
+        for gain, v in zip(gains, flat[:, lo:hi]):
+            _unscale(v, grid)
+            np.abs(v, out=buf)
+            if gain is not None:
+                buf *= gain
+            if top is not None:
+                np.divide(buf, top[lo:hi], out=buf, where=top[lo:hi] > 0.0)
+            if isinf(q):
+                np.maximum(out, buf, out=out)
+            else:
+                out += np.power(buf, q, out=buf)
+
+    _chunk_pass(sink.size, work)
 
 
 def besov_norm(f: Field | Spectrum, params: SpaceParams) -> float:
@@ -340,11 +409,12 @@ def _besov(spec: Spectrum, band: BandLimits, params: SpaceParams) -> float:
     levels = _norm_levels(params, band)
     keys = levels if params.homogeneous else [None] + levels
     if params.r == 2.0:
-        norms = [_piece_l2(spec, j) for j in keys]
+        norms = {j: _piece_l2(spec, j) for j in keys}
     else:
-        rows = _synthesized(g, partial(_fill_piece, spec), keys)
-        norms = [0.0 if row is None else _row_lr(row, params.r, g) for row in rows]
-    summands = [x if j is None else 2.0 ** (j * params.s) * x for j, x in zip(keys, norms)]
+        norms = dict.fromkeys(keys, 0.0)
+        for batch, rows in _synthesized(g, partial(_fill_piece, spec), keys):
+            norms.update(zip(batch, _rows_lr(rows, params.r, g, partial(_unscale, grid=g))))
+    summands = [x if j is None else 2.0 ** (j * params.s) * x for j, x in norms.items()]
     return _ell_q(np.asarray(summands), params.q)
 
 
@@ -366,39 +436,34 @@ def triebel_norm(f: Field | Spectrum, params: SpaceParams) -> float:
 
 def _triebel(spec: Spectrum, band: BandLimits, params: SpaceParams) -> float:
     g = spec.grid
-    q = params.q
+    q, r = params.q, params.r
     keys = _norm_levels(params, band) + ([] if params.homogeneous else [None])
-    acc = np.zeros(g.shape)
-    with np.errstate(over="ignore", under="ignore"):
-        for piece in _scaled_moduli(spec, keys, params.s):
-            if isinf(q):
-                np.maximum(acc, piece, out=acc)
-            else:
-                acc += np.power(piece, q, out=piece)
+
+    def pointwise(exponent, acc, peak=None):
+        for batch, rows in _synthesized(g, partial(_fill_piece, spec), keys):
+            _accumulate(rows, batch, g, params.s, exponent, acc, peak)
+        return acc
+
+    acc = pointwise(q, np.zeros(g.shape))
     if isinf(q):
-        return _lr_of_modulus(acc, params.r, g)
-    r = params.r
+        return _rows_lr(acc[None], r, g)[0]
     if acc.max() < np.inf:
         # a point whose power sum is below the normal range has all its terms
         # there, so its value is below (pieces * tiny)^(1/q); keep the plain
         # norm when all such points together cannot move the L_r sum
         low = int(np.count_nonzero(acc < _TINY))
-        norm = _lr_of_modulus(np.power(acc, 1.0 / q, out=acc), r, g)
+        norm = _rows_lr(acc[None], r, g, lambda v: np.power(v, 1.0 / q, out=v))[0]
         lost = (low * g.dx**g.n) ** (1.0 / r) * (len(keys) * _TINY) ** (1.0 / q)
         if lost <= _EPS ** (1.0 / r) * norm:
             return norm
     # overflow, or underflow that matters: redo each point with its pieces
     # scaled by their maximum there (Blue 1978)
-    peak = np.zeros(g.shape)
-    for piece in _scaled_moduli(spec, keys, params.s):
-        np.maximum(peak, piece, out=peak)
+    peak = pointwise(np.inf, np.zeros(g.shape))
     acc[...] = 0.0
-    for piece in _scaled_moduli(spec, keys, params.s):
-        np.divide(piece, peak, out=piece, where=peak > 0.0)
-        acc += np.power(piece, q, out=piece)
+    pointwise(q, acc, peak)
     np.power(acc, 1.0 / q, out=acc)
     acc *= peak
-    return _lr_of_modulus(acc, r, g)
+    return _rows_lr(acc[None], r, g)[0]
 
 
 def space_norm(f: Field | Spectrum, params: SpaceParams) -> float:

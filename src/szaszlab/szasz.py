@@ -125,9 +125,14 @@ def weighted_lhs(g: Spectrum, theta: float, p: float, mode: str = "homogeneous")
     a = np.abs(g.coeffs)
     if mode == "homogeneous":
         keep = r > 0.0
-        weighted = r[keep] ** theta * a[keep]
+        base, a = r[keep], a[keep]
     else:
-        weighted = (1.0 + r).ravel() ** theta * a.ravel()
+        base, a = (1.0 + r).ravel(), a.ravel()
+    # the weight is evaluated only where it multiplies a nonzero coefficient:
+    # elsewhere it may overflow, and inf * 0 would poison the sum with nan
+    weighted = np.zeros_like(a)
+    nonzero = a != 0.0
+    weighted[nonzero] = base[nonzero] ** theta * a[nonzero]
     if isinf(p):
         return float(weighted.max()) if weighted.size else 0.0
     return _power_sum(weighted, p, grid.dxi**grid.n)

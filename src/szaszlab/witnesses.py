@@ -67,12 +67,13 @@ registry maps each witness kind to its default preset and spectrum builder.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import isinf
 
 import numpy as np
 
 from .errors import BandError, ExperimentAbort, ParameterError
-from .grid import Field, GridSpec, Spectrum, inverse_ft, radial_xi
+from .grid import Field, GridSpec, Spectrum, _unscale, inverse_ft, radial_xi
 from .littlewood_paley import (
     KAPPA,
     SAFETY,
@@ -82,7 +83,7 @@ from .littlewood_paley import (
     feasible_band,
     lowpass_profile,
 )
-from .spaces import _row_lr, _synthesized, space_norm
+from .spaces import _rows_lr, _synthesized, space_norm
 from .szasz import SzaszQuery, _require_grid_dimension, weighted_lhs
 
 __all__ = [
@@ -128,8 +129,7 @@ class WitnessSpec:
 
     def __post_init__(self):
         _witness(self.kind)
-        if self.K < 0:
-            raise ParameterError(f"invalid params: K must be >= 0, got {self.K}")
+        object.__setattr__(self, "K", _count(self.K, "K"))
 
 
 @dataclass(frozen=True)
@@ -304,15 +304,44 @@ def lowfreq_blowup_witness(grid, M: int, s: float, r: float) -> Field:
     no translation-commuting realization exists.
 
     Raises:
-        ParameterError: when s <= n/r.
+        ParameterError: when s <= n/r, or M is not an integer >= 0.
         BandError: "M exceeds low band" when C_(-M) is not resolvable.
     """
     return inverse_ft(_blowup_spectrum(grid, M, s, r))
 
 
+#: grid L_r norms of psi's dilation into C_(-k), by (grid, k, r); beyond
+#: _TERM_NORMS_MAX entries the oldest are dropped
+_TERM_NORMS: dict = {}
+_TERM_NORMS_MAX = 256
+
+
+def _term_norms(grid: GridSpec, terms: dict, r: float) -> list:
+    """Grid L_r norm of each term (k -> (box, profile)) of :func:`_blowup_spectrum`, in order.
+
+    A norm depends only on (grid, k, r), so each is synthesized once, with
+    the terms a build misses filled W at a time.
+    """
+    norms = {k: _TERM_NORMS.get((grid, k, r)) for k in terms}
+    missing = [k for k, norm in norms.items() if norm is None]
+
+    def fill(row, k):
+        _put_natural(row, *terms[k])
+        return True
+
+    for batch, rows in _synthesized(grid, fill, missing):
+        norms.update(zip(batch, _rows_lr(rows, r, grid, partial(_unscale, grid=grid))))
+    for k in missing:
+        _TERM_NORMS[grid, k, r] = norms[k]
+    while len(_TERM_NORMS) > _TERM_NORMS_MAX:
+        _TERM_NORMS.pop(next(iter(_TERM_NORMS)), None)
+    return list(norms.values())
+
+
 def _blowup_spectrum(grid, M: int, s: float, r: float) -> Spectrum:
     """Exact spectrum of :func:`lowfreq_blowup_witness`."""
     grid = resolve_grid(grid)
+    M = _count(M, "M")
     n = grid.n
     n_over_r = 0.0 if isinf(r) else n / r
     if not s > n_over_r:
@@ -325,13 +354,7 @@ def _blowup_spectrum(grid, M: int, s: float, r: float) -> Spectrum:
     if M == 0:
         return Spectrum(grid, out)
     terms = {k: _psi_term(grid, k) for k in range(1, M + 1)}
-
-    def fill(row, k):
-        _put_natural(row, *terms[k])
-        return True
-
-    for k, piece in zip(terms, _synthesized(grid, fill, terms)):
-        norm_r = _row_lr(piece, r, grid)
+    for k, norm_r in zip(terms, _term_norms(grid, terms, r)):
         target = 2.0 ** (-k * (s - n_over_r) / 2.0)
         b_k = target * 2.0 ** (k * s) / norm_r
         box, prof = terms[k]

@@ -1,11 +1,13 @@
 """Quasi-norm values, invariances and the dyadic scaling law."""
 
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
 import szaszlab.spaces as spaces_module
+import szaszlab.witnesses as witnesses_module
 from szaszlab import (
     Field,
     ModelFidelityWarning,
@@ -27,8 +29,9 @@ from szaszlab import (
     triebel_norm,
 )
 
+from szaszlab.grid import _unscale
 from szaszlab.littlewood_paley import apply_level_mask
-from szaszlab.witnesses import _random_spectrum
+from szaszlab.witnesses import _blowup_spectrum, _random_spectrum
 
 from conftest import plateau_field, wave_packet
 
@@ -313,16 +316,42 @@ class TestBatchedSynthesis:
 
     @pytest.mark.parametrize("params", _BATCHED_PARAMS, ids=str)
     @pytest.mark.filterwarnings("ignore::szaszlab.ModelFidelityWarning")
-    def test_bitwise_independent_of_batch_width(self, monkeypatch, grid_mid, params):
+    def test_bitwise_independent_of_batch_width(self, monkeypatch, grid_mid, grid_wide, params):
         # seven exactly nonempty levels, or eight pieces with S_0: every
-        # width below leaves a partial last batch for one of the inputs
+        # width below leaves a partial last batch for one of the inputs;
+        # a grid_wide row is four chunks, split unevenly over three threads
         spec = _random_spectrum(grid_mid, 5, 2, 8)
-        inputs = (spec, inverse_ft(spec))
+        wide = inverse_ft(_random_spectrum(grid_wide, 5, -6, 2))
+        inputs = (spec, inverse_ft(spec), wide)
         got = {}
         for width in (1, 2, 3):
             _with_cpus(monkeypatch, width)
-            got[width] = [space_norm(x, params) for x in inputs]
+            monkeypatch.setattr(witnesses_module, "_TERM_NORMS", {})
+            got[width] = [space_norm(x, params) for x in inputs] + [
+                lr_quasinorm(wide, params.r),
+                _blowup_spectrum(grid_wide, 3, 2.0, params.r).coeffs.tobytes(),
+            ]
         assert got[1] == got[2] == got[3]
+
+    @pytest.mark.filterwarnings("ignore::szaszlab.ModelFidelityWarning")
+    def test_no_thread_outlives_a_norm_call(self, monkeypatch, grid_wide):
+        _with_cpus(monkeypatch, 3)
+        spec = _random_spectrum(grid_wide, 5, -6, 2)
+        before = threading.active_count()
+        besov_norm(spec, SpaceParams(0.2, 1.5, 2.0, "B"))
+        assert threading.active_count() == before
+        triebel_norm(spec, SpaceParams(0.2, 1.5, 2.0, "F"))
+        assert threading.active_count() == before
+
+    def test_chunk_pass_raises_a_worker_error(self, monkeypatch):
+        _with_cpus(monkeypatch, 2)
+
+        def work(lo, hi, buf):
+            if lo > 0:
+                raise ValueError(f"chunk at {lo}")
+
+        with pytest.raises(ValueError, match="chunk at"):
+            spaces_module._chunk_pass(2 * spaces_module._CHUNK, work)
 
     @pytest.mark.parametrize("cpus", [1, 2, 4])
     def test_one_nonempty_level_fills_one_row(self, monkeypatch, grid_mid, cpus):
@@ -367,12 +396,45 @@ class TestBatchedSynthesis:
             assert np.array_equal(row, np.fft.ifftshift(centered))
 
 
+class TestChunkedRowPass:
+    # the numpy behaviour that keeps the chunked pass bit for bit the
+    # whole-row formulas
+    @pytest.mark.parametrize("shape", [(2**10,), (2**16,), (2**20,), (64, 64), (256, 256), (1024, 512)])
+    def test_tree_of_chunk_sums_is_numpy_sum(self, shape):
+        a = np.random.default_rng(7).random(shape) ** 7 * 1e3
+        flat = a.reshape(-1)
+        chunk = spaces_module._CHUNK
+        parts = [float(np.sum(flat[lo : lo + chunk])) for lo in range(0, flat.size, chunk)]
+        assert spaces_module._tree_sum(parts) == float(np.sum(a))
+
+    @pytest.mark.parametrize("grid_name", ["grid_mid", "grid_wide", "grid_2d"])
+    @pytest.mark.parametrize("scale", [1.0, 1e300, 1e-310])
+    def test_unscale_is_complex_division(self, request, grid_name, scale):
+        grid = request.getfixturevalue(grid_name)
+        rng = np.random.default_rng(3)
+        v = (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)) * scale
+        got = v.copy()
+        _unscale(got, grid)
+        assert got.tobytes() == (v / grid.dx**grid.n).tobytes()
+
+
 class TestOverflowSafePowerSums:
     @pytest.mark.parametrize("peak", [1e3, 1e-3])
     def test_lr_at_large_r(self, grid_mid, peak):
         x = grid_mid.x_axis()
         unit = lr_quasinorm(Field(grid_mid, np.exp(-(x**2) / 2)), 200.0)
         got = lr_quasinorm(Field(grid_mid, peak * np.exp(-(x**2) / 2)), 200.0)
+        assert got == pytest.approx(peak * unit, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("peak", [1e3, 1e-3])
+    @pytest.mark.filterwarnings("ignore::szaszlab.ModelFidelityWarning")
+    def test_besov_at_large_r_on_chunked_rows(self, monkeypatch, grid_wide, peak):
+        # four chunks per row on two threads; |piece|^200 over- or underflows
+        _with_cpus(monkeypatch, 2)
+        spec = _random_spectrum(grid_wide, 2, -6, 2)
+        params = SpaceParams(0.3, 200.0, 2.0, "B")
+        unit = besov_norm(spec, params)
+        got = besov_norm(Spectrum(grid_wide, spec.coeffs * peak), params)
         assert got == pytest.approx(peak * unit, rel=1e-12, abs=0.0)
 
     def test_besov_at_large_q(self, grid_mid):

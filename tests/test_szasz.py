@@ -15,10 +15,13 @@ from szaszlab import (
     dyadic_dilate,
     forward_ft,
     lr_quasinorm,
+    radial_xi,
     szasz_exponent,
     szasz_ratio,
     weighted_lhs,
 )
+
+from szaszlab.witnesses import _random_spectrum
 
 from conftest import plateau_field, wave_packet
 
@@ -104,6 +107,17 @@ class TestWeightedLhs:
         s = Spectrum(grid_mid, np.zeros(grid_mid.shape))
         with pytest.raises(ParameterError, match="invalid exponent"):
             weighted_lhs(s, 0.0, -2.0)
+
+    @pytest.mark.parametrize("p, mode", [(2.0, "homogeneous"), (2.0, "inhomogeneous"), (INF, "homogeneous")])
+    def test_weight_overflowing_on_empty_bins(self, grid_mid, p, mode):
+        # |xi|^120 overflows for |xi| > 2^8.5, where this spectrum is exactly zero
+        s = _random_spectrum(grid_mid, 1, 2, 4)
+        nonzero = s.coeffs != 0.0
+        rad = radial_xi(grid_mid)[nonzero]
+        weighted = (rad if mode == "homogeneous" else 1.0 + rad) ** 120.0 * np.abs(s.coeffs[nonzero])
+        want = weighted.max() if p == INF else np.sum(weighted**p * grid_mid.dxi) ** (1.0 / p)
+        assert np.isfinite(want) and want > 1e100
+        assert weighted_lhs(s, 120.0, p, mode) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_large_weight_power_does_not_overflow(self, grid_mid):
         # |xi|^60 reaches 1e180 on mid-band, and its 8th power overflows

@@ -34,6 +34,8 @@ from szaszlab import (
     space_norm,
     weighted_lhs,
 )
+import szaszlab.spaces as spaces_module
+import szaszlab.witnesses as witnesses_module
 from szaszlab.realization import low_frequency_mass
 from szaszlab.grid import inverse_ft_rows
 from szaszlab.littlewood_paley import _mollifier_step
@@ -109,6 +111,12 @@ class TestAnnulusPsi:
 
 
 class TestModulatedWitness:
+    @pytest.mark.parametrize("K", [-1, 2.5])
+    def test_size_must_be_a_count(self, grid_hi_small, K):
+        q = make_query("B", 0.0, 2.0, 4.0, 4.0)
+        with pytest.raises(ParameterError, match="K must be an integer >= 0"):
+            modulated_witness(grid_hi_small, WitnessSpec("modulated", K, q))
+
     def test_zero_terms(self, grid_hi_small):
         q = make_query("B", 0.0, 2.0, 4.0, 4.0)
         f = modulated_witness(grid_hi_small, WitnessSpec("modulated", 0, q))
@@ -211,6 +219,39 @@ class TestLowfreqBlowup:
     def test_too_deep_raises(self, grid_wide):
         with pytest.raises(BandError, match="M exceeds low band"):
             lowfreq_blowup_witness(grid_wide, 10, 2.0, 2.0)
+
+    @pytest.mark.parametrize("M", [-1, 2.5])
+    def test_size_must_be_a_count(self, grid_wide, M):
+        with pytest.raises(ParameterError, match="M must be an integer >= 0"):
+            lowfreq_blowup_witness(grid_wide, M, 2.0, 1.5)
+
+    def test_second_build_synthesizes_only_new_terms(self, monkeypatch, grid_wide):
+        monkeypatch.setattr(witnesses_module, "_TERM_NORMS", {})
+        widths = []
+        real = spaces_module.inverse_ft_rows
+
+        def counting(grid, rows):
+            widths.append(rows.shape[0])
+            return real(grid, rows)
+
+        monkeypatch.setattr(spaces_module, "inverse_ft_rows", counting)
+        counts = []
+        for M, r in [(3, 1.5), (5, 1.5), (5, 1.5), (2, np.inf)]:
+            before = sum(widths)
+            warm = _blowup_spectrum(grid_wide, M, 2.0, r).coeffs
+            counts.append(sum(widths) - before)
+        assert counts == [3, 2, 0, 2]
+        monkeypatch.setattr(witnesses_module, "_TERM_NORMS", {})
+        assert _blowup_spectrum(grid_wide, 2, 2.0, np.inf).coeffs.tobytes() == warm.tobytes()
+
+    def test_term_norm_cache_is_bounded(self, monkeypatch, grid_wide):
+        monkeypatch.setattr(witnesses_module, "_TERM_NORMS", {})
+        cold = _blowup_spectrum(grid_wide, 5, 2.0, 1.5).coeffs
+        monkeypatch.setattr(witnesses_module, "_TERM_NORMS", {})
+        monkeypatch.setattr(witnesses_module, "_TERM_NORMS_MAX", 3)
+        got = _blowup_spectrum(grid_wide, 5, 2.0, 1.5).coeffs
+        assert list(witnesses_module._TERM_NORMS) == [(grid_wide, k, 1.5) for k in (3, 4, 5)]
+        assert got.tobytes() == cold.tobytes()
 
     @pytest.mark.parametrize("r", [1.5, np.inf])
     def test_batched_spectrum_matches_per_piece_construction(self, grid_wide, r):
@@ -417,7 +458,7 @@ def _full_blowup(grid, M, s, r):
     for k in range(1, M + 1):
         raw = _psi_hat_profile(2.0**k * radial_xi(grid))
         row = np.fft.ifftshift(raw).astype(np.complex128)[None]
-        norm_r = lr_quasinorm(Field(grid, inverse_ft_rows(grid, row)[0]), r)
+        norm_r = lr_quasinorm(Field(grid, inverse_ft_rows(grid, row)[0] / grid.dx**grid.n), r)
         out += 2.0 ** (-k * (s - n_over_r) / 2.0) * 2.0 ** (k * s) / norm_r * raw
     return out
 
