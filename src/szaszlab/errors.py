@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types, and the integer-argument check, shared across the package."""
 
 
 class ParameterError(ValueError):
@@ -30,3 +30,14 @@ class ModelFidelityWarning(UserWarning):
     near the box boundary, so the continuum interpretation of grid sums
     carries extra error.
     """
+
+
+def _integer(value, name: str, least: int | None = 0) -> int:
+    """``value`` (2.0 too) as an int; ParameterError unless an integer >= ``least`` (None: any)."""
+    try:
+        if (number := int(value)) == value and (least is None or number >= least):
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    bound = "" if least is None else f" >= {least}"
+    raise ParameterError(f"invalid params: {name} must be an integer{bound}, got {value!r}")

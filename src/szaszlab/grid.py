@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.fft as _fft
 
-from .errors import BandError, ModelFidelityWarning, ParameterError
+from .errors import BandError, ModelFidelityWarning, ParameterError, _integer
 
 __all__ = [
     "GridSpec",
@@ -66,6 +66,8 @@ class GridSpec:
     L: float
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "n"))
+        object.__setattr__(self, "N", _integer(self.N, "N"))
         if self.n not in (1, 2):
             raise ParameterError(f"dimension n must be 1 or 2, got {self.n}")
         if self.N < 16 or (self.N & (self.N - 1)) != 0:
@@ -226,11 +228,12 @@ def boundary_decay_ratio(f: Field) -> float:
     mask_1d = np.zeros(g.N, dtype=bool)
     mask_1d[:margin] = True
     mask_1d[-margin:] = True
-    if g.n == 1:
-        shell = mask_1d
-    else:
-        shell = mask_1d[:, None] | mask_1d[None, :]
-    return float(np.max(np.abs(f.values[shell]))) / peak
+    return float(np.max(np.abs(f.values[_on_any_axis(mask_1d, g.n)]))) / peak
+
+
+def _on_any_axis(mask_1d: np.ndarray, n: int) -> np.ndarray:
+    """The n-D mask of the points whose index along some axis is set in ``mask_1d``."""
+    return mask_1d if n == 1 else mask_1d[:, None] | mask_1d[None, :]
 
 
 def warn_if_boundary_mass(f: Field, context: str) -> None:
@@ -259,16 +262,22 @@ def dyadic_dilate(f: Field, m: int) -> Field:
     interpolant, so F(h f)(xi) = 2^(mn) F(f)(2^m xi) within tolerance.
 
     Raises:
+        ParameterError: when m is not an integer.
         BandError: when the dilated spectrum would cross the Nyquist limit
             (m < 0) or the dilated support would reach the box boundary
             (m > 0).
     """
     g = f.grid
-    m = int(m)
+    m = _integer(m, "m", None)
     if m == 0:
         return Field(g, f.values.copy())
     if m < 0:
-        _check_spectral_headroom(f, -m)
+        # the spectrum spreads by 2^-m; it must stay below Nyquist
+        _check_headroom(
+            forward_ft(f).coeffs,
+            np.abs(_axis_indices(g)) >= g.N // (2 ** (1 - m)),
+            f"spectrum at {{:.2e}} of peak beyond |xi| = xi_max / 2^{-m}",
+        )
         # stride read; source points outside the box read the function as 0,
         # not its periodization
         t = 2 ** (-m) * _axis_indices(g)
@@ -279,53 +288,28 @@ def dyadic_dilate(f: Field, m: int) -> Field:
         else:
             vals = f.values[np.ix_(idx, idx)] * (inside[:, None] & inside[None, :])
         return Field(g, vals)
-    _check_spatial_headroom(f, m)
+    # the support spreads by 2^m; f must vanish outside the shrunk box
+    _check_headroom(
+        f.values,
+        np.abs(g.x_axis()) >= 0.95 * g.L / 2 ** (m + 1),
+        f"field at {{:.2e}} of peak outside |x| = 0.95 L / 2^{m + 1}",
+    )
     vals = f.values
     for axis in range(g.n):
         vals = _resample_axis(vals, g, m, axis)
     return Field(g, vals)
 
 
-def _check_spectral_headroom(f: Field, mm: int) -> None:
-    """m < 0 spreads the spectrum by 2^mm; it must stay below Nyquist."""
-    s = forward_ft(f)
-    peak = float(np.max(np.abs(s.coeffs)))
-    if peak == 0.0:
-        return
-    g = f.grid
-    keep = g.N // (2 ** (mm + 1))
-    outside_1d = np.abs(_axis_indices(g)) >= keep
-    if g.n == 1:
-        outside = outside_1d
-    else:
-        outside = outside_1d[:, None] | outside_1d[None, :]
-    leaked = float(np.max(np.abs(s.coeffs[outside]))) if outside.any() else 0.0
-    if leaked > 1e-12 * peak:
-        raise BandError(
-            f"dilation escapes grid: spectrum at {leaked/peak:.2e} of peak "
-            f"beyond |xi| = xi_max / 2^{mm}"
-        )
+def _check_headroom(values: np.ndarray, outside_1d: np.ndarray, message: str) -> None:
+    """BandError when |values| exceeds 1e-12 of its peak where ``outside_1d`` holds on an axis.
 
-
-def _check_spatial_headroom(f: Field, m: int) -> None:
-    """m > 0 spreads the support by 2^m; f must vanish outside the shrunk box."""
-    g = f.grid
-    peak = float(np.max(np.abs(f.values)))
-    if peak == 0.0:
-        return
-    half_keep = 0.95 * g.L / 2 ** (m + 1)
-    x = np.abs(g.x_axis())
-    outside_1d = x >= half_keep
-    if g.n == 1:
-        outside = outside_1d
-    else:
-        outside = outside_1d[:, None] | outside_1d[None, :]
-    leaked = float(np.max(np.abs(f.values[outside]))) if outside.any() else 0.0
+    ``message`` says what escaped, with ``{}`` where the ratio to the peak goes.
+    """
+    peak = float(np.max(np.abs(values)))
+    outside = _on_any_axis(outside_1d, values.ndim)
+    leaked = float(np.max(np.abs(values[outside]))) if outside.any() else 0.0
     if leaked > 1e-12 * peak:
-        raise BandError(
-            f"dilation escapes grid: field at {leaked/peak:.2e} of peak "
-            f"outside |x| = 0.95 L / 2^{m + 1}"
-        )
+        raise BandError("dilation escapes grid: " + message.format(leaked / peak))
 
 
 def _resample_axis(vals: np.ndarray, g: GridSpec, m: int, axis: int) -> np.ndarray:

@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BandError
+from .errors import BandError, _integer
 from .grid import Field, GridSpec, Spectrum, forward_ft, inverse_ft, radial_xi
 
 __all__ = [
@@ -256,8 +256,10 @@ def lp_project(f: Field, j: int) -> Field:
     2^(j-1) <= |xi| <= 3 * 2^(j-1).
 
     Raises:
+        ParameterError: when j is not an integer.
         BandError: "level out of band" when j is not resolvable on f's grid.
     """
+    j = _integer(j, "j", None)
     band = feasible_band(f.grid)
     if j not in band:
         raise BandError(

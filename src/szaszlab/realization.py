@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BandError, ParameterError
+from .errors import BandError, _integer
 from .grid import Field, Spectrum, forward_ft, inverse_ft, radial_xi
 from .littlewood_paley import _add_level, feasible_band
-from .spaces import _transformed_norm
+from .spaces import _norm
 from .szasz import SzaszQuery, translation_realization_gate
 
 __all__ = [
@@ -56,7 +56,7 @@ def sigma0_partial(f: Field, M: int) -> Field:
     """Littlewood-Paley partial sum over the levels -M..M that are in band.
 
     Raises:
-        ParameterError: when M < 0.
+        ParameterError: when M is not an integer >= 0.
         BandError: when no level of [-M, M] is resolvable on f's grid.
     """
     return inverse_ft(Spectrum(f.grid, _sigma0_coeffs(forward_ft(f), M)))
@@ -64,8 +64,7 @@ def sigma0_partial(f: Field, M: int) -> Field:
 
 def _sigma0_coeffs(spec: Spectrum, M: int) -> np.ndarray:
     """Spectrum of sigma_0(f, M) from the spectrum of f: the summed level masks."""
-    if M < 0:
-        raise ParameterError(f"invalid params: M must be >= 0, got {M}")
+    M = _integer(M, "M")
     g = spec.grid
     band = feasible_band(g)
     j_lo = max(-M, band.j_min)
@@ -117,13 +116,13 @@ def realization_report(f: Field, query: SzaszQuery, M: int, R: float = 1.0) -> R
     norm takes the same spectrum.
 
     Raises:
-        ParameterError: when M < 0.
+        ParameterError: when M is not an integer >= 0.
         BandError: when no level of [-M, M] is resolvable on f's grid.
     """
     spec = forward_ft(f)
     return RealizationReport(
         M=M,
         low_mass=_low_mass(_sigma0_coeffs(spec, M), f.grid, R),
-        besov=_transformed_norm(f, spec, query.space),
+        besov=_norm(f, query.space, spec),
         feasible=realization_feasible(query),
     )

@@ -19,18 +19,18 @@ piece's spectral window instead, which is the same sum without synthesizing
 the piece.  The norms accept a field or its spectrum; a spectrum built
 exactly (as the witness families are) leaves the levels it does not reach
 exactly empty, and those are skipped.  Every piece is read through its
-blocks from :func:`~szaszlab.littlewood_paley._piece_blocks`, and its
-emptiness is decided there.
+blocks from :func:`~szaszlab.littlewood_paley._piece_blocks`.
 
-Every other piece is synthesized on the full grid, in batches.  A norm call
-allocates one stack of W complex full-grid rows, W being the number of CPUs
-the process may use (``os.sched_getaffinity``, else ``os.cpu_count()``)
-capped by the number of pieces.  Each nonempty piece writes its blocks
-into the next free row in FFT-natural order (frequency k at index k mod N),
-and a full stack goes through one multi-row inverse FFT
+Every other piece, and every witness term, is synthesized on the full grid
+in batches by :func:`_synthesized`, which takes a piece as (centered box,
+values) blocks and alone decides whether it is empty (:func:`_pieces_lr`
+gives their L_r norms).  A call allocates one stack of W complex full-grid
+rows, W being the usable CPUs (``os.sched_getaffinity``, else
+``os.cpu_count()``) capped by the number of pieces.  Each nonempty piece
+takes the next free row in FFT-natural order (frequency k at index k mod
+N), and a full stack goes through one multi-row inverse FFT
 (:func:`~szaszlab.grid.inverse_ft_rows`), which pocketfft spreads over the
-cores.  The samples stay in natural order too: no L_r sum depends on the
-order of the samples, so no ``fftshift`` copy is made.
+cores.  No L_r sum depends on sample order, so no ``fftshift`` copy is made.
 
 The rest is one chunked pass over the batch on W threads
 (:func:`_chunk_pass`).  Each thread walks a contiguous group of chunks of
@@ -134,11 +134,14 @@ def _in_range(total: float) -> bool:
 def _power_sum(a: np.ndarray, p: float, weight: float = 1.0) -> float:
     """(weight * sum(a**p))**(1/p) for a nonnegative array, with no spurious inf or 0.
 
-    The plain sum is kept unless it is non-finite or below the smallest
-    normal float; only then is it recomputed with ``a`` scaled by its
-    maximum (Blue, ACM TOMS 1978).  An in-range sum thus costs one pass and
-    has the bits of the plain formula.
+    p = inf gives the maximum (0.0 for an empty array).  The plain sum is
+    kept unless it is non-finite or below the smallest normal float; only
+    then is it recomputed with ``a`` scaled by its maximum (Blue, ACM TOMS
+    1978).  An in-range sum thus costs one pass and has the bits of the
+    plain formula.
     """
+    if isinf(p):
+        return float(a.max()) if a.size else 0.0
     with np.errstate(over="ignore", under="ignore"):
         total = float(np.sum(np.power(a, p))) * weight
     if _in_range(total):
@@ -246,15 +249,6 @@ def lr_quasinorm(f: Field, r: float) -> float:
     return _rows_lr(f.values[None], r, f.grid)[0]
 
 
-def _ell_q(values: np.ndarray, q: float) -> float:
-    """l_q combination of a finite nonnegative sequence (max for q = inf)."""
-    if values.size == 0:
-        return 0.0
-    if isinf(q):
-        return float(values.max())
-    return _power_sum(values, q)
-
-
 def _prepared_spectrum(
     f: Field | Spectrum, params: SpaceParams, spec: Spectrum | None = None
 ) -> tuple[Spectrum, BandLimits]:
@@ -288,7 +282,7 @@ def _prepared_spectrum(
                 f"spectral mass {outside/total:.2e} of total lies outside the "
                 f"feasible band's annuli; the truncated norm misses it",
                 ModelFidelityWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
     warn_if_boundary_mass(field if field is not None else inverse_ft(spec), "space norm")
     return spec, band
@@ -318,41 +312,39 @@ def _piece_l2(spec: Spectrum, j: int | None) -> float:
     return _parseval_l2(spec.grid, energy)
 
 
-def _fill_piece(spec: Spectrum, row: np.ndarray, j: int | None) -> bool:
-    """Write Q_j f's spectrum (S_0 f's for j None) into a zeroed row, in FFT-natural order.
+def _synthesized(grid, keys, blocks):
+    """Batches (keys, rows) of the nonempty pieces in the list ``keys``, in order, W at a time.
 
-    Returns whether the piece has a nonzero bin; only its blocks are read.
-    """
-    blocks = _piece(spec, j)
-    if not any(block.any() for _, block in blocks):
-        return False
-    for box, block in blocks:
-        _put_natural(row, box, block)
-    return True
-
-
-def _synthesized(grid, fill, keys):
-    """Batches (keys, rows) of the nonempty pieces in ``keys``, in order, W at a time.
-
-    ``fill(row, key)`` writes a piece's spectrum in FFT-natural order into
-    a zeroed row and returns whether it has a nonzero bin.  Nonempty pieces
-    take the next free row of one stack of W = min(usable CPUs, len(keys))
-    rows, and each full stack (and the last, partial one) goes through one
+    ``blocks(key)`` is a piece's spectrum as (centered box, values) blocks,
+    zero off the boxes.  A piece with a nonzero value takes the next free
+    row of one stack of W = min(usable CPUs, len(keys)) rows, in FFT-natural
+    order, and each full stack (and the last, partial one) goes through one
     :func:`inverse_ft_rows` call, so the W transforms run on W cores.  A
     batch holds the keys of its pieces and their unscaled samples in
     natural order, which no L_r sum depends on; it is valid until the next
     batch is drawn.
     """
-    keys = list(keys)
     rows = np.zeros((min(_usable_cpus(), len(keys)),) + grid.shape, dtype=np.complex128)
     batch: list = []
     for i, key in enumerate(keys):
-        if fill(rows[len(batch)], key):
+        piece = blocks(key)
+        if any(values.any() for _, values in piece):
+            for box, values in piece:
+                _put_natural(rows[len(batch)], box, values)
             batch.append(key)
+        piece = values = None  # a piece's blocks (16 MB on hi-band) must not outlive its write
         if batch and (len(batch) == len(rows) or i == len(keys) - 1):
             yield batch, inverse_ft_rows(grid, rows[: len(batch)])
             rows[: len(batch)] = 0.0
             batch = []
+
+
+def _pieces_lr(grid, keys, blocks, r: float) -> dict:
+    """{key: grid L_r quasi-norm of the piece ``blocks(key)``, 0.0 if empty}, in key order."""
+    norms = dict.fromkeys(keys, 0.0)
+    for batch, rows in _synthesized(grid, keys, blocks):
+        norms.update(zip(batch, _rows_lr(rows, r, grid, partial(_unscale, grid=grid))))
+    return norms
 
 
 def _accumulate(rows: np.ndarray, keys: list, grid, s: float, q: float, acc, peak=None) -> None:
@@ -401,21 +393,18 @@ def besov_norm(f: Field | Spectrum, params: SpaceParams) -> float:
     """
     if params.family != "B":
         raise ParameterError(f"invalid params: besov_norm needs family B, got {params.family}")
-    return _besov(*_prepared_spectrum(f, params), params)
+    return _norm(f, params)
 
 
 def _besov(spec: Spectrum, band: BandLimits, params: SpaceParams) -> float:
-    g = spec.grid
     levels = _norm_levels(params, band)
     keys = levels if params.homogeneous else [None] + levels
     if params.r == 2.0:
         norms = {j: _piece_l2(spec, j) for j in keys}
     else:
-        norms = dict.fromkeys(keys, 0.0)
-        for batch, rows in _synthesized(g, partial(_fill_piece, spec), keys):
-            norms.update(zip(batch, _rows_lr(rows, params.r, g, partial(_unscale, grid=g))))
+        norms = _pieces_lr(spec.grid, keys, partial(_piece, spec), params.r)
     summands = [x if j is None else 2.0 ** (j * params.s) * x for j, x in norms.items()]
-    return _ell_q(np.asarray(summands), params.q)
+    return _power_sum(np.asarray(summands), params.q)
 
 
 def triebel_norm(f: Field | Spectrum, params: SpaceParams) -> float:
@@ -425,13 +414,11 @@ def triebel_norm(f: Field | Spectrum, params: SpaceParams) -> float:
     quadrature.  Requires r < inf.
 
     Raises:
-        ParameterError: "invalid params" / "r=inf unsupported in F-case".
+        ParameterError: "invalid params" when params.family != "F".
     """
     if params.family != "F":
         raise ParameterError(f"invalid params: triebel_norm needs family F, got {params.family}")
-    if isinf(params.r):
-        raise ParameterError("r=inf unsupported in F-case")
-    return _triebel(*_prepared_spectrum(f, params), params)
+    return _norm(f, params)
 
 
 def _triebel(spec: Spectrum, band: BandLimits, params: SpaceParams) -> float:
@@ -440,7 +427,7 @@ def _triebel(spec: Spectrum, band: BandLimits, params: SpaceParams) -> float:
     keys = _norm_levels(params, band) + ([] if params.homogeneous else [None])
 
     def pointwise(exponent, acc, peak=None):
-        for batch, rows in _synthesized(g, partial(_fill_piece, spec), keys):
+        for batch, rows in _synthesized(g, keys, partial(_piece, spec)):
             _accumulate(rows, batch, g, params.s, exponent, acc, peak)
         return acc
 
@@ -467,13 +454,11 @@ def _triebel(spec: Spectrum, band: BandLimits, params: SpaceParams) -> float:
 
 
 def space_norm(f: Field | Spectrum, params: SpaceParams) -> float:
-    """Dispatch to :func:`besov_norm` or :func:`triebel_norm` by family."""
-    if params.family == "B":
-        return besov_norm(f, params)
-    return triebel_norm(f, params)
+    """The quasi-norm of params.family: :func:`besov_norm` or :func:`triebel_norm`."""
+    return (besov_norm if params.family == "B" else triebel_norm)(f, params)
 
 
-def _transformed_norm(f: Field, spec: Spectrum, params: SpaceParams) -> float:
-    """space_norm(f, params) for a field whose spectrum ``spec`` is already at hand."""
+def _norm(f: Field | Spectrum, params: SpaceParams, spec: Spectrum | None = None) -> float:
+    """The quasi-norm of params.family; a field's spectrum already at hand is passed as ``spec``."""
     norm = _besov if params.family == "B" else _triebel
     return norm(*_prepared_spectrum(f, params, spec), params)

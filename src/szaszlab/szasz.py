@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .grid import Field, Spectrum, forward_ft, radial_xi
-from .spaces import SpaceParams, _power_sum, _transformed_norm
+from .spaces import SpaceParams, _norm, _power_sum
 
 __all__ = [
     "SzaszQuery",
@@ -133,8 +133,6 @@ def weighted_lhs(g: Spectrum, theta: float, p: float, mode: str = "homogeneous")
     weighted = np.zeros_like(a)
     nonzero = a != 0.0
     weighted[nonzero] = base[nonzero] ** theta * a[nonzero]
-    if isinf(p):
-        return float(weighted.max()) if weighted.size else 0.0
     return _power_sum(weighted, p, grid.dxi**grid.n)
 
 
@@ -211,7 +209,7 @@ def szasz_ratio(f: Field, query: SzaszQuery) -> float:
     """
     _require_grid_dimension(query, f.grid)
     spec = forward_ft(f)
-    denom = _transformed_norm(f, spec, query.space)
+    denom = _norm(f, query.space, spec)
     if denom <= 0.0 or not np.isfinite(denom):
         raise ZeroDivisionError(f"zero denominator: space norm is {denom}")
     lhs = weighted_lhs(spec, query.theta, query.p, query.space.setting)

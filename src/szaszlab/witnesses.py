@@ -62,28 +62,29 @@ is synthesized at all.  Every term is evaluated only on the box holding its
 support (``littlewood_paley._box``): phi on |xi| <= 1/2, psi's dilation into
 C_(-k) on |xi| <= 5/4 * 2^-k and a random plateau on |xi| <= 2^j.  One
 registry maps each witness kind to its default preset and spectrum builder.
+
+The blowup witness scales each term by its grid L_r norm, cached by (grid,
+k, r) and taken from the space norms' own path, ``spaces._pieces_lr``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from math import isinf
 
 import numpy as np
 
-from .errors import BandError, ExperimentAbort, ParameterError
-from .grid import Field, GridSpec, Spectrum, _unscale, inverse_ft, radial_xi
+from .errors import BandError, ExperimentAbort, ParameterError, _integer
+from .grid import Field, GridSpec, Spectrum, inverse_ft, radial_xi
 from .littlewood_paley import (
     KAPPA,
     SAFETY,
     _box,
     _mollifier_step,
-    _put_natural,
     feasible_band,
     lowpass_profile,
 )
-from .spaces import _rows_lr, _synthesized, space_norm
+from .spaces import _parseval_l2, _pieces_lr, space_norm
 from .szasz import SzaszQuery, _require_grid_dimension, weighted_lhs
 
 __all__ = [
@@ -129,7 +130,7 @@ class WitnessSpec:
 
     def __post_init__(self):
         _witness(self.kind)
-        object.__setattr__(self, "K", _count(self.K, "K"))
+        object.__setattr__(self, "K", _integer(self.K, "K"))
 
 
 @dataclass(frozen=True)
@@ -147,10 +148,10 @@ class ExperimentRecord:
 
 def _unit_l2_spectrum(grid: GridSpec, prof: np.ndarray) -> np.ndarray:
     """Scale a spectral profile so the field has unit L2 norm (Parseval)."""
-    mass = np.sum(np.abs(prof) ** 2) * grid.dxi**grid.n / (2.0 * np.pi) ** grid.n
-    if mass <= 0.0:
+    norm = _parseval_l2(grid, float(np.sum(np.abs(prof) ** 2)))
+    if norm <= 0.0:
         raise ParameterError("cannot normalize an empty spectrum")
-    return prof / np.sqrt(mass)
+    return prof / norm
 
 
 def _phi_hat_window(grid: GridSpec) -> tuple[tuple, np.ndarray]:
@@ -186,26 +187,25 @@ def _psi_norm_constant(grid: GridSpec) -> float:
     inside = np.count_nonzero((r >= 0.75) & (r <= 1.25))
     if inside < 8:
         raise BandError(f"grid too coarse: only {inside} bins resolve the annulus C_0")
-    mass = np.sum(prof**2) * grid.dxi**grid.n / (2.0 * np.pi) ** grid.n
-    return 1.0 / np.sqrt(mass)
+    return 1.0 / _parseval_l2(grid, float(np.sum(prof**2)))
+
+
+def _real_part(grid: GridSpec, box: tuple, values: np.ndarray) -> Field:
+    """Real part of the field whose spectrum is ``values`` on the centered ``box`` and 0 off it."""
+    coeffs = np.zeros(grid.shape, dtype=np.complex128)
+    coeffs[box] = values
+    return Field(grid, inverse_ft(Spectrum(grid, coeffs)).values.real.astype(np.complex128))
 
 
 def bump_lowpass_phi(grid: GridSpec) -> Field:
     """Real field whose spectrum is a smooth bump in the ball |xi| <= 1/2."""
-    box, phi = _phi_hat_window(grid)
-    coeffs = np.zeros(grid.shape, dtype=np.complex128)
-    coeffs[box] = phi
-    f = inverse_ft(Spectrum(grid, coeffs))
-    return Field(grid, f.values.real.astype(np.complex128))
+    return _real_part(grid, *_phi_hat_window(grid))
 
 
 def annulus_psi(grid: GridSpec) -> Field:
     """Real field whose spectrum is a smooth radial bump supported in C_0."""
     box, prof = _psi_term(grid, 0)
-    coeffs = np.zeros(grid.shape, dtype=np.complex128)
-    coeffs[box] = _psi_norm_constant(grid) * prof
-    f = inverse_ft(Spectrum(grid, coeffs))
-    return Field(grid, f.values.real.astype(np.complex128))
+    return _real_part(grid, box, _psi_norm_constant(grid) * prof)
 
 
 def _modulation_weights(kind: str, K: int, theta: float, p: float) -> np.ndarray:
@@ -275,10 +275,7 @@ def _dilated_spectrum(grid, spec: WitnessSpec) -> Spectrum:
     """Exact spectrum of :func:`dilated_witness`."""
     grid = resolve_grid(grid)
     K = spec.K
-    if K > 0 and 0.75 * 2.0 ** (-K) < KAPPA * grid.dxi:
-        raise BandError(
-            f"K exceeds low band: annulus C_-{K} needs 3/4*2^-K >= {KAPPA} * dxi"
-        )
+    _check_low_band(grid, K, "K")
     out = np.zeros(grid.shape, dtype=np.complex128)
     if K == 0:
         return Spectrum(grid, out)
@@ -320,17 +317,11 @@ def _term_norms(grid: GridSpec, terms: dict, r: float) -> list:
     """Grid L_r norm of each term (k -> (box, profile)) of :func:`_blowup_spectrum`, in order.
 
     A norm depends only on (grid, k, r), so each is synthesized once, with
-    the terms a build misses filled W at a time.
+    the terms a build misses synthesized W at a time.
     """
     norms = {k: _TERM_NORMS.get((grid, k, r)) for k in terms}
     missing = [k for k, norm in norms.items() if norm is None]
-
-    def fill(row, k):
-        _put_natural(row, *terms[k])
-        return True
-
-    for batch, rows in _synthesized(grid, fill, missing):
-        norms.update(zip(batch, _rows_lr(rows, r, grid, partial(_unscale, grid=grid))))
+    norms.update(_pieces_lr(grid, missing, lambda k: [terms[k]], r))
     for k in missing:
         _TERM_NORMS[grid, k, r] = norms[k]
     while len(_TERM_NORMS) > _TERM_NORMS_MAX:
@@ -338,18 +329,22 @@ def _term_norms(grid: GridSpec, terms: dict, r: float) -> list:
     return list(norms.values())
 
 
+def _check_low_band(grid: GridSpec, K: int, name: str) -> None:
+    """BandError "<name> exceeds low band" unless the annulus C_(-K) is resolvable."""
+    if K > 0 and 0.75 * 2.0 ** (-K) < KAPPA * grid.dxi:
+        raise BandError(
+            f"{name} exceeds low band: annulus C_-{K} needs 3/4*2^-{name} >= {KAPPA} * dxi"
+        )
+
+
 def _blowup_spectrum(grid, M: int, s: float, r: float) -> Spectrum:
     """Exact spectrum of :func:`lowfreq_blowup_witness`."""
     grid = resolve_grid(grid)
-    M = _count(M, "M")
-    n = grid.n
-    n_over_r = 0.0 if isinf(r) else n / r
+    M = _integer(M, "M")
+    n_over_r = 0.0 if isinf(r) else grid.n / r
     if not s > n_over_r:
         raise ParameterError(f"invalid params: needs s > n/r, got s={s}, n/r={n_over_r}")
-    if M > 0 and 0.75 * 2.0 ** (-M) < KAPPA * grid.dxi:
-        raise BandError(
-            f"M exceeds low band: annulus C_-{M} needs 3/4*2^-M >= {KAPPA} * dxi"
-        )
+    _check_low_band(grid, M, "M")
     out = np.zeros(grid.shape, dtype=np.complex128)
     if M == 0:
         return Spectrum(grid, out)
@@ -385,7 +380,7 @@ def _random_spectrum(grid, seed: int, j_lo: int, j_hi: int) -> Spectrum:
         raise BandError(
             f"levels [{j_lo}, {j_hi}] not inside feasible band [{band.j_min}, {band.j_max}]"
         )
-    rng = np.random.default_rng(_count(seed, "seed"))
+    rng = np.random.default_rng(_integer(seed, "seed"))
     out = np.zeros(grid.shape, dtype=np.complex128)
     n_modes = 4
     for j in range(j_lo, j_hi + 1):
@@ -434,17 +429,6 @@ def _witness(kind: str) -> tuple:
         ) from None
 
 
-def _count(value, name: str) -> int:
-    """``value`` as an int, or ParameterError when it is not an integer >= 0."""
-    try:
-        count = int(value)
-    except (TypeError, ValueError, OverflowError):
-        count = -1
-    if count < 0 or count != value:
-        raise ParameterError(f"invalid params: {name} must be an integer >= 0, got {value!r}")
-    return count
-
-
 def _record(spec: Spectrum, query: SzaszQuery, size: int) -> ExperimentRecord:
     """One record from the witness's exact spectrum, with no forward transform.
 
@@ -472,8 +456,8 @@ def divergence_experiment(kind: str, query: SzaszQuery, sizes, grid=None, seed: 
     preset, build = _witness(kind)
     grid = resolve_grid(grid if grid is not None else preset)
     _require_grid_dimension(query, grid)
-    seed = _count(seed, "seed")
-    sizes = [_count(size, "size") for size in sizes]
+    seed = _integer(seed, "seed")
+    sizes = [_integer(size, "size") for size in sizes]
     records: list[ExperimentRecord] = []
     for size in sizes:
         try:

@@ -15,6 +15,7 @@ from szaszlab import (
     grid_translate,
     inverse_ft,
 )
+from szaszlab.grid import BOUNDARY_MARGIN
 
 from conftest import wave_packet
 
@@ -32,6 +33,19 @@ class TestGridSpec:
     def test_rejects_bad_specs(self, n, N, L):
         with pytest.raises(ParameterError):
             GridSpec(n, N, L)
+
+    @pytest.mark.parametrize(
+        "n,N",
+        [(1, 16.5), (1.5, 16), (1, "16"), ("1", 16), (1, None)],
+        ids=["N=16.5", "n=1.5", "N='16'", "n='1'", "N=None"],
+    )
+    def test_dimension_and_size_must_be_integers(self, n, N):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            GridSpec(n, N, 1.0)
+
+    def test_integral_floats_give_the_integer_grid(self):
+        assert GridSpec(1.0, 16.0, 1.0) == GridSpec(1, 16, 1.0)
+        assert GridSpec(2.0, 16.0, 1.0).shape == (16, 16)
 
     def test_field_shape_checked(self, grid_1d):
         with pytest.raises(ParameterError):
@@ -146,6 +160,32 @@ class TestDyadicDilate:
         with pytest.raises(BandError, match="dilation escapes grid"):
             dyadic_dilate(f, -3)
 
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_band_escape_raises_2d(self, grid_2d, axis):
+        # spectrum near xi = 10 along one axis; m = -2 keeps |xi| < xi_max / 4
+        f = wave_packet(grid_2d, 10.0, 2.0)
+        f = Field(grid_2d, f.values if axis == 0 else f.values.T)
+        msg = r"dilation escapes grid: spectrum at \S+ of peak beyond \|xi\| = xi_max / 2\^2$"
+        with pytest.raises(BandError, match=msg):
+            dyadic_dilate(f, -2)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_support_escape_raises_2d(self, grid_2d, axis):
+        # a bump at x = 8 along one axis; m = 2 keeps |x| < 0.95 L / 8 = 3.8
+        x = grid_2d.x_axis()
+        bump = np.exp(-((x[:, None] - 8.0) ** 2) - x[None, :] ** 2)
+        f = Field(grid_2d, bump if axis == 0 else bump.T)
+        msg = r"dilation escapes grid: field at \S+ of peak outside \|x\| = 0\.95 L / 2\^3$"
+        with pytest.raises(BandError, match=msg):
+            dyadic_dilate(f, 2)
+
+    @pytest.mark.parametrize("m", [1.5, -0.5, "1", None])
+    def test_m_must_be_an_integer(self, grid_1d, m):
+        x = grid_1d.x_axis()
+        f = Field(grid_1d, np.exp(-(x**2) / 2))
+        with pytest.raises(ParameterError, match="m must be an integer"):
+            dyadic_dilate(f, m)
+
 
 class TestGridTranslate:
     def test_identity_and_full_period(self, grid_1d):
@@ -189,3 +229,17 @@ class TestBoundaryDecay:
     def test_constant_field_is_not(self, grid_1d):
         f = Field(grid_1d, np.ones(4096))
         assert boundary_decay_ratio(f) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("grid_name,axis", [("grid_1d", 0), ("grid_2d", 0), ("grid_2d", 1)])
+    def test_shell_edges_are_exact(self, request, grid_name, axis):
+        # the shell is the first and last `margin` indices along each axis
+        grid = request.getfixturevalue(grid_name)
+        margin = max(1, int(round(BOUNDARY_MARGIN * grid.N)))
+        cases = {margin - 1: 0.5, margin: 0.0, grid.N - margin: 0.5, grid.N - margin - 1: 0.0}
+        for index, ratio in cases.items():
+            values = np.zeros(grid.shape)
+            values[(grid.center,) * grid.n] = 1.0
+            point = [grid.center] * grid.n
+            point[axis] = index
+            values[tuple(point)] = 0.5
+            assert boundary_decay_ratio(Field(grid, values)) == ratio, index

@@ -7,6 +7,7 @@ from szaszlab import (
     BandError,
     Field,
     GridSpec,
+    ParameterError,
     dyadic_dilate,
     feasible_band,
     forward_ft,
@@ -154,6 +155,12 @@ class TestLpProject:
         band = feasible_band(grid_1d)
         with pytest.raises(BandError, match="level out of band"):
             lp_project(f, band.j_max + 1)
+
+    @pytest.mark.parametrize("j", [2.5, "3", None])
+    def test_level_must_be_an_integer(self, grid_1d, j):
+        f = Field(grid_1d, np.zeros(4096))
+        with pytest.raises(ParameterError, match="j must be an integer"):
+            lp_project(f, j)
 
     def test_mask_matches_windowed_application(self, grid_mid):
         rng = np.random.default_rng(11)

@@ -16,6 +16,7 @@ from szaszlab import (
     low_frequency_mass,
     lowfreq_blowup_witness,
     lp_project,
+    random_bandlimited,
     realization_feasible,
     realization_report,
     sigma0_partial,
@@ -127,10 +128,18 @@ class TestRealizationFeasible:
 class TestRealizationReport:
     def test_negative_M_is_a_parameter_error(self, grid_mid):
         f = plateau_field(grid_mid, 3)
-        with pytest.raises(ParameterError, match="M must be >= 0"):
+        with pytest.raises(ParameterError, match="M must be an integer >= 0"):
             sigma0_partial(f, -1)
-        with pytest.raises(ParameterError, match="M must be >= 0"):
+        with pytest.raises(ParameterError, match="M must be an integer >= 0"):
             realization_report(f, make_query("B", 0.0, 2.0, 1.0, 2.0), M=-1)
+
+    @pytest.mark.parametrize("M", [2.5, 1.5, "3"])
+    def test_non_integer_M_is_a_parameter_error(self, M):
+        f = random_bandlimited("mid-band", 1, 2, 4)
+        with pytest.raises(ParameterError, match="M must be an integer >= 0"):
+            sigma0_partial(f, M)
+        with pytest.raises(ParameterError, match="M must be an integer >= 0"):
+            realization_report(f, make_query("B", 0.0, 2.0, 1.0, 2.0), M)
 
     def test_report_fields(self, grid_wide):
         q = make_query("B", 0.0, 2.0, 1.0, 2.0)

@@ -2,6 +2,7 @@
 
 import threading
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -383,12 +384,22 @@ class TestBatchedSynthesis:
         assert besov_norm(one_sided, params) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("grid_name", ["grid_mid", "grid_2d"])
-    def test_level_window_is_natural_order_of_centered_mask(self, request, grid_name):
+    def test_level_window_is_natural_order_of_centered_mask(self, monkeypatch, request, grid_name):
+        # one row a batch: keep the row each piece hands to the inverse FFT
+        _with_cpus(monkeypatch, 1)
+        filled = []
+
+        def keep(grid, rows):
+            filled.append(rows[0].copy())
+            return rows
+
+        monkeypatch.setattr(spaces_module, "inverse_ft_rows", keep)
         grid = request.getfixturevalue(grid_name)
         spec = forward_ft(_broadband_field(grid))
-        for j in list(feasible_band(grid).levels()) + [None]:
-            row = np.zeros(grid.shape, dtype=np.complex128)
-            assert spaces_module._fill_piece(spec, row, j)
+        keys = list(feasible_band(grid).levels()) + [None]
+        batches = spaces_module._synthesized(grid, keys, partial(spaces_module._piece, spec))
+        assert [batch for batch, _ in batches] == [[j] for j in keys]
+        for j, row in zip(keys, filled, strict=True):
             if j is None:
                 centered = spec.coeffs * lowpass_profile(radial_xi(grid))
             else:
@@ -419,6 +430,10 @@ class TestChunkedRowPass:
 
 
 class TestOverflowSafePowerSums:
+    @pytest.mark.parametrize("a,want", [([0.5, 3.0, 2.0], 3.0), ([], 0.0)])
+    def test_power_sum_at_infinity_is_the_maximum(self, a, want):
+        assert spaces_module._power_sum(np.asarray(a), np.inf, 7.0) == want
+
     @pytest.mark.parametrize("peak", [1e3, 1e-3])
     def test_lr_at_large_r(self, grid_mid, peak):
         x = grid_mid.x_axis()
