@@ -1,4 +1,11 @@
-"""Exception and warning types, and the integer-argument check, shared across the package."""
+"""Exception and warning types, the fidelity-warning emitter and the integer-argument check."""
+
+import os
+import sys
+import warnings
+
+#: directory of this package; a fidelity warning names the first frame outside it
+_PACKAGE = os.path.dirname(__file__) + os.sep
 
 
 class ParameterError(ValueError):
@@ -30,6 +37,14 @@ class ModelFidelityWarning(UserWarning):
     near the box boundary, so the continuum interpretation of grid sums
     carries extra error.
     """
+
+
+def _warn_fidelity(message: str) -> None:
+    """Issue a ModelFidelityWarning that names the first calling line outside this package."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, ModelFidelityWarning, stacklevel=level)
 
 
 def _integer(value, name: str, least: int | None = 0) -> int:

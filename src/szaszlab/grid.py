@@ -20,14 +20,13 @@ with the dyadic Littlewood-Paley ladder built on top of this module.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 import scipy.fft as _fft
 
-from .errors import BandError, ModelFidelityWarning, ParameterError, _integer
+from .errors import BandError, ParameterError, _integer
 
 __all__ = [
     "GridSpec",
@@ -221,32 +220,20 @@ def boundary_decay_ratio(f: Field) -> float:
     for the zero field.
     """
     g = f.grid
-    peak = float(np.max(np.abs(f.values)))
-    if peak == 0.0:
-        return 0.0
     margin = max(1, int(round(BOUNDARY_MARGIN * g.N)))
-    mask_1d = np.zeros(g.N, dtype=bool)
-    mask_1d[:margin] = True
-    mask_1d[-margin:] = True
-    return float(np.max(np.abs(f.values[_on_any_axis(mask_1d, g.n)]))) / peak
+    shell = np.zeros(g.N, dtype=bool)
+    shell[:margin] = True
+    shell[-margin:] = True
+    return _leak_ratio(f.values, shell)
 
 
-def _on_any_axis(mask_1d: np.ndarray, n: int) -> np.ndarray:
-    """The n-D mask of the points whose index along some axis is set in ``mask_1d``."""
-    return mask_1d if n == 1 else mask_1d[:, None] | mask_1d[None, :]
-
-
-def warn_if_boundary_mass(f: Field, context: str) -> None:
-    """Emit a ModelFidelityWarning when a field does not decay in the box."""
-    ratio = boundary_decay_ratio(f)
-    if ratio > BOUNDARY_TOL:
-        warnings.warn(
-            f"{context}: field is {ratio:.2e} of its peak near the box boundary "
-            f"(tolerance {BOUNDARY_TOL:.0e}); periodization error may not be "
-            "subdominant",
-            ModelFidelityWarning,
-            stacklevel=3,
-        )
+def _leak_ratio(values: np.ndarray, outside_1d: np.ndarray) -> float:
+    """Largest |values| where ``outside_1d`` holds along some axis, over the peak; 0.0 if none."""
+    peak = float(np.max(np.abs(values)))
+    outside = outside_1d if values.ndim == 1 else outside_1d[:, None] | outside_1d[None, :]
+    if peak == 0.0 or not outside.any():
+        return 0.0
+    return float(np.max(np.abs(values[outside]))) / peak
 
 
 def _axis_indices(grid: GridSpec) -> np.ndarray:
@@ -305,11 +292,9 @@ def _check_headroom(values: np.ndarray, outside_1d: np.ndarray, message: str) ->
 
     ``message`` says what escaped, with ``{}`` where the ratio to the peak goes.
     """
-    peak = float(np.max(np.abs(values)))
-    outside = _on_any_axis(outside_1d, values.ndim)
-    leaked = float(np.max(np.abs(values[outside]))) if outside.any() else 0.0
-    if leaked > 1e-12 * peak:
-        raise BandError("dilation escapes grid: " + message.format(leaked / peak))
+    ratio = _leak_ratio(values, outside_1d)
+    if ratio > 1e-12:
+        raise BandError("dilation escapes grid: " + message.format(ratio))
 
 
 def _resample_axis(vals: np.ndarray, g: GridSpec, m: int, axis: int) -> np.ndarray:
@@ -319,24 +304,13 @@ def _resample_axis(vals: np.ndarray, g: GridSpec, m: int, axis: int) -> np.ndarr
     coarse = t // step + g.center
     frac = t % step
     xi = _fft.ifftshift(g.xi_axis())
-    spec = _fft.fft(_fft.ifftshift(vals, axes=axis), axis=axis, workers=-1)
+    spec = _fft.fft(_fft.ifftshift(np.moveaxis(vals, axis, -1), axes=-1), workers=-1)
     out = np.empty_like(vals)
-    shape = [1] * vals.ndim
-    shape[axis] = g.N
-    xi_b = xi.reshape(shape)
     for b in range(step):
         delta = b * g.dx / step
-        shifted = _fft.fftshift(
-            _fft.ifft(spec * np.exp(1j * xi_b * delta), axis=axis, workers=-1),
-            axes=axis,
-        )
+        shifted = _fft.fftshift(_fft.ifft(spec * np.exp(1j * xi * delta), workers=-1), axes=-1)
         sel = np.nonzero(frac == b)[0]
-        src = coarse[sel]
-        out_idx = [slice(None)] * vals.ndim
-        src_idx = [slice(None)] * vals.ndim
-        out_idx[axis] = sel
-        src_idx[axis] = src
-        out[tuple(out_idx)] = shifted[tuple(src_idx)]
+        np.moveaxis(out, axis, -1)[..., sel] = shifted[..., coarse[sel]]
     return out
 
 

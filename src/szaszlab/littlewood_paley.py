@@ -89,11 +89,8 @@ def gamma_profile(t):
     Supported on 1/2 <= |t| <= 3/2, identically 1 on 3/4 <= |t| <= 1, and the
     dyadic translates gamma(2^-j t) sum to 1 for every t != 0.
     """
-    t = np.abs(np.asarray(t, dtype=float))
-    out = _mollifier_step(3.0 - 2.0 * t) - _mollifier_step(3.0 - 4.0 * t)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    t = np.asarray(t, dtype=float)
+    return lowpass_profile(t) - lowpass_profile(2.0 * t)
 
 
 @dataclass(frozen=True)
@@ -143,20 +140,14 @@ def feasible_band(grid: GridSpec) -> BandLimits:
     Raises:
         BandError: "grid too coarse" when no level satisfies both.
     """
-    hi = SAFETY * grid.xi_max / 3.0
-    j_max = math.floor(math.log2(hi)) + 1
-    while 3.0 * 2.0 ** (j_max - 1) > SAFETY * grid.xi_max:
+    top = SAFETY * grid.xi_max
+    j_max = math.ceil(math.log2(top)) + 1
+    while 3.0 * 2.0 ** (j_max - 1) > top:
         j_max -= 1
-    while 3.0 * 2.0**j_max <= SAFETY * grid.xi_max:
-        j_max += 1
-
-    lo = KAPPA * grid.dxi
-    j_min = math.ceil(math.log2(lo)) + 1
-    while 2.0 ** (j_min - 1) < KAPPA * grid.dxi:
+    low = KAPPA * grid.dxi
+    j_min = math.floor(math.log2(low))
+    while 2.0 ** (j_min - 1) < low:
         j_min += 1
-    while 2.0 ** (j_min - 2) >= KAPPA * grid.dxi:
-        j_min -= 1
-
     if j_min > j_max:
         raise BandError(
             f"grid too coarse: needs j_min={j_min} <= j_max={j_max} "

@@ -23,7 +23,7 @@ from .errors import BandError, _integer
 from .grid import Field, Spectrum, forward_ft, inverse_ft, radial_xi
 from .littlewood_paley import _add_level, feasible_band
 from .spaces import _norm
-from .szasz import SzaszQuery, translation_realization_gate
+from .szasz import SzaszQuery, _require_grid_dimension, translation_realization_gate
 
 __all__ = [
     "RealizationReport",
@@ -116,9 +116,12 @@ def realization_report(f: Field, query: SzaszQuery, M: int, R: float = 1.0) -> R
     norm takes the same spectrum.
 
     Raises:
-        ParameterError: when M is not an integer >= 0.
+        ParameterError: when M is not an integer >= 0, or when ``query.n``
+            is not the field's dimension.
         BandError: when no level of [-M, M] is resolvable on f's grid.
     """
+    _require_grid_dimension(query, f.grid)
+    M = _integer(M, "M")
     spec = forward_ft(f)
     return RealizationReport(
         M=M,

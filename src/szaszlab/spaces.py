@@ -54,7 +54,6 @@ assumes the triangle inequality.
 from __future__ import annotations
 
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -62,16 +61,17 @@ from math import isfinite, isinf, sqrt
 
 import numpy as np
 
-from .errors import ModelFidelityWarning, ParameterError
+from .errors import ParameterError, _warn_fidelity
 from .grid import (
+    BOUNDARY_TOL,
     Field,
     Spectrum,
     _unscale,
+    boundary_decay_ratio,
     forward_ft,
     inverse_ft,
     inverse_ft_rows,
     radial_xi,
-    warn_if_boundary_mass,
 )
 from .littlewood_paley import BandLimits, _piece_blocks, _put_natural, feasible_band
 
@@ -261,12 +261,8 @@ def _prepared_spectrum(
     homogeneous norms discard lies outside every level mask, so it needs no
     zeroing.
     """
-    if spec is not None:
-        field = f
-    elif isinstance(f, Field):
-        field, spec = f, forward_ft(f)
-    else:
-        field, spec = None, f
+    if spec is None:
+        spec = forward_ft(f) if isinstance(f, Field) else f
     g = spec.grid
     band = feasible_band(g)
     r = radial_xi(g)
@@ -278,13 +274,16 @@ def _prepared_spectrum(
     if total > 0.0:
         outside = float(np.sum(np.abs(spec.coeffs[~covered])))
         if outside > OUT_OF_BAND_TOL * total:
-            warnings.warn(
+            _warn_fidelity(
                 f"spectral mass {outside/total:.2e} of total lies outside the "
-                f"feasible band's annuli; the truncated norm misses it",
-                ModelFidelityWarning,
-                stacklevel=4,
+                f"feasible band's annuli; the truncated norm misses it"
             )
-    warn_if_boundary_mass(field if field is not None else inverse_ft(spec), "space norm")
+    ratio = boundary_decay_ratio(f if isinstance(f, Field) else inverse_ft(spec))
+    if ratio > BOUNDARY_TOL:
+        _warn_fidelity(
+            f"space norm: field is {ratio:.2e} of its peak near the box boundary "
+            f"(tolerance {BOUNDARY_TOL:.0e}); periodization error may not be subdominant"
+        )
     return spec, band
 
 

@@ -34,7 +34,7 @@ from math import isinf
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _integer
 from .grid import Field, Spectrum, forward_ft, radial_xi
 from .spaces import SpaceParams, _norm, _power_sum
 
@@ -61,8 +61,7 @@ class SzaszQuery:
     def __post_init__(self):
         if not self.p > 0:
             raise ParameterError(f"invalid exponent: p must be > 0, got {self.p}")
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise ParameterError(f"invalid params: n must be a positive integer, got {self.n}")
+        object.__setattr__(self, "n", _integer(self.n, "n", 1))
 
     @property
     def theta(self) -> float:
@@ -105,7 +104,7 @@ def szasz_exponent(s: float, p: float, r: float, n: int) -> float:
     """theta = s + n - n/p - n/r, with n/inf = 0."""
     if not p > 0 or not r > 0:
         raise ParameterError(f"invalid exponent: p, r must be > 0, got p={p}, r={r}")
-    return s + n - (0.0 if isinf(p) else n / p) - (0.0 if isinf(r) else n / r)
+    return s + n - n / p - n / r
 
 
 def weighted_lhs(g: Spectrum, theta: float, p: float, mode: str = "homogeneous") -> float:
@@ -159,7 +158,7 @@ def translation_realization_gate(s: float, r: float, q: float, n: int, family: s
     B-family: s < n/r or (s = n/r and q <= 1).
     F-family: s < n/r or (s = n/r and r <= 1).
     """
-    n_over_r = 0.0 if isinf(r) else n / r
+    n_over_r = n / r
     below = bool(s < n_over_r)
     at = bool(s == n_over_r)
     trace = [("s<n/r", below)]

@@ -63,14 +63,16 @@ support (``littlewood_paley._box``): phi on |xi| <= 1/2, psi's dilation into
 C_(-k) on |xi| <= 5/4 * 2^-k and a random plateau on |xi| <= 2^j.  One
 registry maps each witness kind to its default preset and spectrum builder.
 
-The blowup witness scales each term by its grid L_r norm, cached by (grid,
-k, r) and taken from the space norms' own path, ``spaces._pieces_lr``.
+Every builder hands its terms, (centered box, values) pairs, to one writer,
+``_spectrum``.  The blowup witness scales each term by its grid L_r norm,
+taken from the space norms' own path, ``spaces._pieces_lr``, and kept in
+one small table per (grid, r) for the life of the process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isinf
+from functools import lru_cache
 
 import numpy as np
 
@@ -190,11 +192,17 @@ def _psi_norm_constant(grid: GridSpec) -> float:
     return 1.0 / _parseval_l2(grid, float(np.sum(prof**2)))
 
 
+def _spectrum(grid: GridSpec, terms) -> Spectrum:
+    """The spectrum summing ``terms``, (centered box, values) pairs, each zero off its box."""
+    out = np.zeros(grid.shape, dtype=np.complex128)
+    for box, values in terms:
+        out[box] += values
+    return Spectrum(grid, out)
+
+
 def _real_part(grid: GridSpec, box: tuple, values: np.ndarray) -> Field:
     """Real part of the field whose spectrum is ``values`` on the centered ``box`` and 0 off it."""
-    coeffs = np.zeros(grid.shape, dtype=np.complex128)
-    coeffs[box] = values
-    return Field(grid, inverse_ft(Spectrum(grid, coeffs)).values.real.astype(np.complex128))
+    return Field(grid, inverse_ft(_spectrum(grid, [(box, values)])).values.real.astype(np.complex128))
 
 
 def bump_lowpass_phi(grid: GridSpec) -> Field:
@@ -213,7 +221,7 @@ def _modulation_weights(kind: str, K: int, theta: float, p: float) -> np.ndarray
     if kind == "linear":
         amp = k
     elif kind == "inverse_root":
-        amp = k ** (-(0.0 if isinf(p) else 1.0 / p))
+        amp = k ** (-1.0 / p)
     else:
         raise ParameterError(f"invalid params: unknown weights {kind!r}")
     return amp * 2.0 ** (-k * theta)
@@ -246,15 +254,15 @@ def _modulated_spectrum(grid, spec: WitnessSpec, weights: str) -> Spectrum:
         raise BandError(
             f"K exceeds band: annulus C_{K} needs 5/4*2^K <= {SAFETY} * xi_max"
         )
-    out = np.zeros(grid.shape, dtype=np.complex128)
     if K == 0:
-        return Spectrum(grid, out)
+        return _spectrum(grid, [])
     box, phi = _phi_hat_window(grid)
     amps = _modulation_weights(weights, K, spec.query.theta, spec.query.p)
-    for k in range(1, K + 1):
-        shift = int(round(2.0**k / grid.dxi))
-        out[(slice(box[0].start + shift, box[0].stop + shift),) + box[1:]] += amps[k - 1] * phi
-    return Spectrum(grid, out)
+    shifts = [int(round(2.0**k / grid.dxi)) for k in range(1, K + 1)]
+    return _spectrum(grid, (
+        ((slice(box[0].start + shift, box[0].stop + shift),) + box[1:], amp * phi)
+        for amp, shift in zip(amps, shifts)
+    ))
 
 
 def dilated_witness(grid, spec: WitnessSpec) -> Field:
@@ -276,19 +284,19 @@ def _dilated_spectrum(grid, spec: WitnessSpec) -> Spectrum:
     grid = resolve_grid(grid)
     K = spec.K
     _check_low_band(grid, K, "K")
-    out = np.zeros(grid.shape, dtype=np.complex128)
     if K == 0:
-        return Spectrum(grid, out)
+        return _spectrum(grid, [])
     q = spec.query
     n = grid.n
-    n_over_r = 0.0 if isinf(q.space.r) else n / q.space.r
-    inv_p = 0.0 if isinf(q.p) else 1.0 / q.p
     unit = _psi_norm_constant(grid)  # also validates C_0 resolution
-    for k in range(1, K + 1):
-        c_k = k ** (-inv_p) * 2.0 ** (k * (q.space.s - n_over_r))
-        box, prof = _psi_term(grid, k)
-        out[box] += (c_k * 2.0 ** (k * n) * unit) * prof
-    return Spectrum(grid, out)
+
+    def terms():
+        for k in range(1, K + 1):
+            c_k = k ** (-1.0 / q.p) * 2.0 ** (k * (q.space.s - n / q.space.r))
+            box, prof = _psi_term(grid, k)
+            yield box, (c_k * 2.0 ** (k * n) * unit) * prof
+
+    return _spectrum(grid, terms())
 
 
 def lowfreq_blowup_witness(grid, M: int, s: float, r: float) -> Field:
@@ -307,10 +315,10 @@ def lowfreq_blowup_witness(grid, M: int, s: float, r: float) -> Field:
     return inverse_ft(_blowup_spectrum(grid, M, s, r))
 
 
-#: grid L_r norms of psi's dilation into C_(-k), by (grid, k, r); beyond
-#: _TERM_NORMS_MAX entries the oldest are dropped
-_TERM_NORMS: dict = {}
-_TERM_NORMS_MAX = 256
+@lru_cache(maxsize=16)
+def _term_norm_table(grid: GridSpec, r: float) -> dict:
+    """k -> grid L_r norm of psi's dilation into C_(-k), for at most the resolvable k (11 on lo-band)."""
+    return {}
 
 
 def _term_norms(grid: GridSpec, terms: dict, r: float) -> list:
@@ -319,14 +327,9 @@ def _term_norms(grid: GridSpec, terms: dict, r: float) -> list:
     A norm depends only on (grid, k, r), so each is synthesized once, with
     the terms a build misses synthesized W at a time.
     """
-    norms = {k: _TERM_NORMS.get((grid, k, r)) for k in terms}
-    missing = [k for k, norm in norms.items() if norm is None]
-    norms.update(_pieces_lr(grid, missing, lambda k: [terms[k]], r))
-    for k in missing:
-        _TERM_NORMS[grid, k, r] = norms[k]
-    while len(_TERM_NORMS) > _TERM_NORMS_MAX:
-        _TERM_NORMS.pop(next(iter(_TERM_NORMS)), None)
-    return list(norms.values())
+    table = _term_norm_table(grid, r)
+    table.update(_pieces_lr(grid, [k for k in terms if k not in table], lambda k: [terms[k]], r))
+    return [table[k] for k in terms]
 
 
 def _check_low_band(grid: GridSpec, K: int, name: str) -> None:
@@ -341,20 +344,15 @@ def _blowup_spectrum(grid, M: int, s: float, r: float) -> Spectrum:
     """Exact spectrum of :func:`lowfreq_blowup_witness`."""
     grid = resolve_grid(grid)
     M = _integer(M, "M")
-    n_over_r = 0.0 if isinf(r) else grid.n / r
+    n_over_r = grid.n / r
     if not s > n_over_r:
         raise ParameterError(f"invalid params: needs s > n/r, got s={s}, n/r={n_over_r}")
     _check_low_band(grid, M, "M")
-    out = np.zeros(grid.shape, dtype=np.complex128)
-    if M == 0:
-        return Spectrum(grid, out)
     terms = {k: _psi_term(grid, k) for k in range(1, M + 1)}
-    for k, norm_r in zip(terms, _term_norms(grid, terms, r)):
-        target = 2.0 ** (-k * (s - n_over_r) / 2.0)
-        b_k = target * 2.0 ** (k * s) / norm_r
-        box, prof = terms[k]
-        out[box] += b_k * prof
-    return Spectrum(grid, out)
+    return _spectrum(grid, (
+        (box, 2.0 ** (-k * (s - n_over_r) / 2.0) * 2.0 ** (k * s) / norm_r * prof)
+        for (k, (box, prof)), norm_r in zip(terms.items(), _term_norms(grid, terms, r))
+    ))
 
 
 def random_bandlimited(grid, seed: int, j_lo: int, j_hi: int) -> Field:
@@ -376,28 +374,34 @@ def _random_spectrum(grid, seed: int, j_lo: int, j_hi: int) -> Spectrum:
     """Exact spectrum of :func:`random_bandlimited`, normalized by Parseval."""
     grid = resolve_grid(grid)
     band = feasible_band(grid)
+    j_lo, j_hi = _integer(j_lo, "j_lo", None), _integer(j_hi, "j_hi", None)
     if j_lo > j_hi or j_lo not in band or j_hi not in band:
         raise BandError(
             f"levels [{j_lo}, {j_hi}] not inside feasible band [{band.j_min}, {band.j_max}]"
         )
     rng = np.random.default_rng(_integer(seed, "seed"))
-    out = np.zeros(grid.shape, dtype=np.complex128)
     n_modes = 4
-    for j in range(j_lo, j_hi + 1):
-        box = _box(grid, 2.0**j)
-        t = radial_xi(grid)[box] / 2.0**j
-        plateau = (t > 0.75) & (t < 1.0)
-        t = t[plateau]
-        window = _mollifier_step(16.0 * (t - 0.75)) * _mollifier_step(16.0 * (1.0 - t))
-        u = (t - 0.75) * 4.0
-        coeff = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
-        modulation = np.zeros(window.shape, dtype=np.complex128)
-        for d in range(n_modes):
-            modulation += coeff[d] / (1.0 + d) * np.exp(2j * np.pi * d * u)
-        level = window * modulation
-        mass = np.sum(np.abs(level) ** 2) * grid.dxi**grid.n
-        if mass > 0.0:
-            out[box][plateau] += level / np.sqrt(mass)
+
+    def plateaus():
+        for j in range(j_lo, j_hi + 1):
+            box = _box(grid, 2.0**j)
+            t = radial_xi(grid)[box] / 2.0**j
+            plateau = (t > 0.75) & (t < 1.0)
+            t = t[plateau]
+            window = _mollifier_step(16.0 * (t - 0.75)) * _mollifier_step(16.0 * (1.0 - t))
+            u = (t - 0.75) * 4.0
+            coeff = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
+            modulation = np.zeros(window.shape, dtype=np.complex128)
+            for d in range(n_modes):
+                modulation += coeff[d] / (1.0 + d) * np.exp(2j * np.pi * d * u)
+            level = window * modulation
+            mass = np.sum(np.abs(level) ** 2) * grid.dxi**grid.n
+            if mass > 0.0:
+                values = np.zeros(plateau.shape, dtype=np.complex128)
+                values[plateau] = level / np.sqrt(mass)
+                yield box, values
+
+    out = _spectrum(grid, plateaus()).coeffs
     if not out.any():
         return Spectrum(grid, out)
     return Spectrum(grid, _unit_l2_spectrum(grid, out))
@@ -464,4 +468,7 @@ def divergence_experiment(kind: str, query: SzaszQuery, sizes, grid=None, seed: 
             records.append(_record(build(grid, WitnessSpec(kind, size, query, seed)), query, size))
         except (BandError, ParameterError, ZeroDivisionError) as exc:
             raise ExperimentAbort(f"size {size}: {exc}", records) from exc
+        except OverflowError as exc:  # a Python float power 2.0 ** x raises where numpy gives inf
+            reason = f"size {size}: a level weight or witness coefficient overflows a float: {exc}"
+            raise ExperimentAbort(reason, records) from exc
     return records

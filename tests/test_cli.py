@@ -101,6 +101,19 @@ class TestExperimentCommand:
         assert lines[1].startswith("2,")
         assert lines[2].startswith("#error:")
 
+    @pytest.mark.filterwarnings("ignore::szaszlab.ModelFidelityWarning")
+    def test_overflowing_level_weight_exit_3_with_trailer(self, capsys):
+        code = run_cli(
+            ["experiment", "--kind", "modulated", "--sizes", "2", "--s", "2000", "--p", "4",
+             "--q", "4", "--r", "2", "--n", "1", "--family", "B", "--grid", "mid-band"]
+        )
+        reason = ("size 2: a level weight or witness coefficient overflows a float: "
+                  "(34, 'Numerical result out of range')")
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == f"size,space_norm,lhs,ratio\n#error: {reason}\n"
+        assert err == f"szaszlab experiment: {reason}\n"
+
     def test_dimension_mismatch_exit_2_no_file(self, tmp_path, capsys):
         out = tmp_path / "e.csv"
         code = run_cli(

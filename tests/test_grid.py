@@ -149,6 +149,16 @@ class TestDyadicDilate:
         d = dyadic_dilate(f, 1)
         assert np.max(np.abs(d.values - np.exp(-(X**2 + Y**2) / 8))) < 1e-8
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_two_dimensional_anisotropic(self, m):
+        # the axes stretch to different widths, so a swapped axis shows
+        g = GridSpec(2, 512, 128.0)
+        X, Y = np.meshgrid(g.x_axis(), g.x_axis(), indexing="ij")
+        f = Field(g, np.exp(-(X**2 / 2 + Y**2 / 8)))
+        d = dyadic_dilate(f, m)
+        want = np.exp(-((X / 2**m) ** 2 / 2 + (Y / 2**m) ** 2 / 8))
+        assert np.max(np.abs(d.values - want)) < 1e-8
+
     def test_support_escape_raises(self, grid_1d):
         x = grid_1d.x_axis()
         f = Field(grid_1d, np.exp(-(x**2) / 50.0))  # wide: fills a quarter box

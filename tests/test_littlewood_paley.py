@@ -75,6 +75,26 @@ class TestFeasibleBand:
         with pytest.raises(BandError, match="grid too coarse"):
             feasible_band(GridSpec(1, 16, 1.0))
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_a_scan_of_its_predicates(self, n):
+        from szaszlab import KAPPA, SAFETY
+
+        coarse = 0
+        for N in (2**e for e in range(4, 23)):
+            for L in (1e-9, 1e-6, 1e-3, 0.37, 1.0, 3.7, 2 * np.pi, 16 * np.pi, 100.0,
+                      2.0**14 * 2 * np.pi, 1e6, 1e9, 1e12):
+                g = GridSpec(n, N, L)
+                fits = [j for j in range(-80, 80)
+                        if 3.0 * 2.0 ** (j - 1) <= SAFETY * g.xi_max and 2.0 ** (j - 1) >= KAPPA * g.dxi]
+                if fits:
+                    band = feasible_band(g)
+                    assert (band.j_min, band.j_max) == (min(fits), max(fits)), (N, L)
+                else:
+                    coarse += 1
+                    with pytest.raises(BandError, match="grid too coarse"):
+                        feasible_band(g)
+        assert 0 < coarse < 19 * 13
+
     def test_annuli_inside_limits(self, grid_mid):
         from szaszlab import KAPPA, SAFETY
 

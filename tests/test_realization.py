@@ -141,6 +141,18 @@ class TestRealizationReport:
         with pytest.raises(ParameterError, match="M must be an integer >= 0"):
             realization_report(f, make_query("B", 0.0, 2.0, 1.0, 2.0), M)
 
+    @pytest.mark.parametrize("M", [3, 3.0])
+    def test_record_holds_the_validated_M(self, M):
+        f = random_bandlimited("mid-band", 1, 2, 4)
+        rec = realization_report(f, make_query("B", 0.0, 2.0, 1.0, 2.0), M).to_record()
+        assert type(rec["M"]) is int and rec["M"] == 3
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_query_dimension_must_match_the_field(self, n):
+        f = random_bandlimited("mid-band", 1, 2, 4)
+        with pytest.raises(ParameterError, match=f"query has n={n} but the grid is 1-dimensional"):
+            realization_report(f, make_query("B", 0.0, 2.0, 1.0, 2.0, n=n), 3)
+
     def test_report_fields(self, grid_wide):
         q = make_query("B", 0.0, 2.0, 1.0, 2.0)
         f = dilated_witness(grid_wide, WitnessSpec("dilated_low", 4, q))

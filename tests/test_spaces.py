@@ -11,12 +11,17 @@ import szaszlab.spaces as spaces_module
 import szaszlab.witnesses as witnesses_module
 from szaszlab import (
     Field,
+    GridSpec,
     ModelFidelityWarning,
     ParameterError,
     SpaceParams,
     Spectrum,
+    SzaszQuery,
+    WitnessSpec,
     besov_norm,
     bump_lowpass_phi,
+    dilated_witness,
+    divergence_experiment,
     dyadic_dilate,
     feasible_band,
     forward_ft,
@@ -26,7 +31,9 @@ from szaszlab import (
     lp_project,
     lr_quasinorm,
     radial_xi,
+    realization_report,
     space_norm,
+    szasz_ratio,
     triebel_norm,
 )
 
@@ -327,7 +334,7 @@ class TestBatchedSynthesis:
         got = {}
         for width in (1, 2, 3):
             _with_cpus(monkeypatch, width)
-            monkeypatch.setattr(witnesses_module, "_TERM_NORMS", {})
+            witnesses_module._term_norm_table.cache_clear()
             got[width] = [space_norm(x, params) for x in inputs] + [
                 lr_quasinorm(wide, params.r),
                 _blowup_spectrum(grid_wide, 3, 2.0, params.r).coeffs.tobytes(),
@@ -473,3 +480,34 @@ class TestOverflowSafePowerSums:
         # pointwise, l_q of 10 levels lies between l_inf and 10^(1/q) l_inf
         assert sup <= unit * (1 + 1e-12) and unit <= 10.0 ** (1.0 / q) * sup
         assert got == pytest.approx(scale * unit, rel=1e-12, abs=0.0)
+
+
+#: dilated_low with K = 1 on a 72-unit box: part of C_-1 lies below the
+#: band's lowest annulus, and the field is far from zero at the boundary
+_STRAINED_GRID = GridSpec(1, 256, 72.0)
+_STRAINED_QUERY = SzaszQuery(SpaceParams(0.5, 1.0, 2.0), 1.0, 1)
+
+
+class TestFidelityWarningAttribution:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda f, q: besov_norm(f, q.space),
+            lambda f, q: triebel_norm(f, SpaceParams(0.5, 1.0, 2.0, "F")),
+            lambda f, q: space_norm(f, q.space),
+            lambda f, q: szasz_ratio(f, q),
+            lambda f, q: realization_report(f, q, 2),
+            lambda f, q: divergence_experiment("dilated_low", q, [1], grid=f.grid),
+        ],
+        ids=["besov_norm", "triebel_norm", "space_norm", "szasz_ratio", "realization_report",
+             "divergence_experiment"],
+    )
+    def test_both_warnings_name_the_callers_line(self, call):
+        f = dilated_witness(_STRAINED_GRID, WitnessSpec("dilated_low", 1, _STRAINED_QUERY))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ModelFidelityWarning)
+            call(f, _STRAINED_QUERY)
+        fidelity = [w for w in caught if issubclass(w.category, ModelFidelityWarning)]
+        kinds = sorted("box boundary" in str(w.message) for w in fidelity)
+        assert kinds == [False, True]  # one out-of-band, one boundary warning
+        assert [w.filename for w in fidelity] == [__file__, __file__]

@@ -65,6 +65,18 @@ class TestSzaszExponent:
         assert szasz_exponent(1.0, INF, INF, 2) == 3.0
 
 
+class TestSzaszQuery:
+    def test_integral_float_dimension_is_the_integer(self):
+        q = SzaszQuery(SpaceParams(1.0, 2.0, 2.0), 2.0, 2.0)
+        assert type(q.n) is int and q.n == 2
+        assert q.theta == szasz_exponent(1.0, 2.0, 2.0, 2)
+
+    @pytest.mark.parametrize("n", [0, -1, 1.5, "2", None])
+    def test_dimension_must_be_a_positive_integer(self, n):
+        with pytest.raises(ParameterError, match="n must be an integer >= 1"):
+            SzaszQuery(SpaceParams(1.0, 2.0, 2.0), 2.0, n)
+
+
 class TestWeightedLhs:
     def test_zero(self, grid_mid):
         s = Spectrum(grid_mid, np.zeros(grid_mid.shape))

@@ -45,6 +45,7 @@ from szaszlab.witnesses import (
     _modulated_spectrum,
     _psi_hat_profile,
     _random_spectrum,
+    _term_norm_table,
 )
 
 
@@ -226,7 +227,7 @@ class TestLowfreqBlowup:
             lowfreq_blowup_witness(grid_wide, M, 2.0, 1.5)
 
     def test_second_build_synthesizes_only_new_terms(self, monkeypatch, grid_wide):
-        monkeypatch.setattr(witnesses_module, "_TERM_NORMS", {})
+        _term_norm_table.cache_clear()
         widths = []
         real = spaces_module.inverse_ft_rows
 
@@ -241,16 +242,20 @@ class TestLowfreqBlowup:
             warm = _blowup_spectrum(grid_wide, M, 2.0, r).coeffs
             counts.append(sum(widths) - before)
         assert counts == [3, 2, 0, 2]
-        monkeypatch.setattr(witnesses_module, "_TERM_NORMS", {})
+        _term_norm_table.cache_clear()
         assert _blowup_spectrum(grid_wide, 2, 2.0, np.inf).coeffs.tobytes() == warm.tobytes()
 
-    def test_term_norm_cache_is_bounded(self, monkeypatch, grid_wide):
-        monkeypatch.setattr(witnesses_module, "_TERM_NORMS", {})
+    def test_term_norm_cache_is_bounded(self, grid_wide):
+        _term_norm_table.cache_clear()
         cold = _blowup_spectrum(grid_wide, 5, 2.0, 1.5).coeffs
-        monkeypatch.setattr(witnesses_module, "_TERM_NORMS", {})
-        monkeypatch.setattr(witnesses_module, "_TERM_NORMS_MAX", 3)
+        assert list(_term_norm_table(grid_wide, 1.5)) == [1, 2, 3, 4, 5]
+        # builds at as many other r as the cache holds tables evict (grid_wide, 1.5)
+        tables = _term_norm_table.cache_info().maxsize
+        for i in range(tables):
+            _blowup_spectrum(grid_wide, 1, 2.0, 1.0 + i / 64)
+        assert _term_norm_table.cache_info().currsize == tables
+        assert _term_norm_table(grid_wide, 1.5) == {}
         got = _blowup_spectrum(grid_wide, 5, 2.0, 1.5).coeffs
-        assert list(witnesses_module._TERM_NORMS) == [(grid_wide, k, 1.5) for k in (3, 4, 5)]
         assert got.tobytes() == cold.tobytes()
 
     @pytest.mark.parametrize("r", [1.5, np.inf])
@@ -298,6 +303,19 @@ class TestRandomBandlimited:
         with pytest.raises(BandError):
             random_bandlimited(grid_mid, 0, -2, 3)
 
+    @pytest.mark.parametrize(
+        "j_lo, j_hi, match",
+        [(2.5, 4, "j_lo must be an integer, got 2.5"), ("2", 4, "j_lo must be an integer, got '2'"),
+         (2, 4.5, "j_hi must be an integer, got 4.5"), (2, None, "j_hi must be an integer, got None")],
+    )
+    def test_levels_must_be_integers(self, j_lo, j_hi, match):
+        with pytest.raises(ParameterError, match=match):
+            random_bandlimited("mid-band", 1, j_lo, j_hi)
+
+    def test_integral_float_levels_are_the_integer_levels(self):
+        got = random_bandlimited("mid-band", 1, 2.0, 4.0).values
+        assert got.tobytes() == random_bandlimited("mid-band", 1, 2, 4).values.tobytes()
+
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_bad_seed_is_a_parameter_error(self, grid_mid, seed):
         with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
@@ -333,6 +351,27 @@ class TestDivergenceExperiment:
         assert len(err.value.records) == 1
         assert err.value.records[0].size == 2
         assert "99" in err.value.reason
+
+    @pytest.mark.parametrize(
+        "kind, family, grid",
+        [("modulated", "B", "mid-band"), ("random_bandlimited", "F", "mid-band"),
+         ("dilated_low", "B", "grid_wide"), ("lowfreq_blowup", "B", "grid_wide")],
+        ids=["besov-weight", "triebel-gain", "dilated-c_k", "blowup-b_k"],
+    )
+    def test_overflowing_weight_aborts(self, request, kind, family, grid):
+        # s = 2000 puts 2^(js) or 2^(ks) far beyond the float range for j, k >= 1
+        grid = request.getfixturevalue(grid) if grid == "grid_wide" else grid
+        q = make_query(family, 2000.0, 1.5 if kind == "lowfreq_blowup" else 2.0, 4.0, 4.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ModelFidelityWarning)
+            with pytest.raises(ExperimentAbort) as err:
+                divergence_experiment(kind, q, [1, 2], grid=grid)
+        assert err.value.records == []
+        assert err.value.reason == (
+            "size 1: a level weight or witness coefficient overflows a float: "
+            "(34, 'Numerical result out of range')"
+        )
+        assert isinstance(err.value.__cause__, OverflowError)
 
     def test_unknown_kind(self):
         q = make_query("B", 0.0, 2.0, 2.0, 2.0)
