@@ -17,8 +17,10 @@ import argparse
 import itertools
 import json
 import sys
+import warnings
+from contextlib import contextmanager
 
-from .errors import BandError, ExperimentAbort, ParameterError
+from .errors import BandError, ExperimentAbort, ModelFidelityWarning, ParameterError
 from .spaces import SpaceParams
 from .szasz import SzaszQuery, classify
 from .realization import realization_feasible
@@ -127,12 +129,38 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+@contextmanager
+def _fidelity_warnings_to_stderr(command: str):
+    """Show each distinct ModelFidelityWarning once, as 'szaszlab <command>: warning: <message>'.
+
+    The warning filters still decide whether a warning is shown at all;
+    every other warning is shown as before.  Python would name the first
+    line outside the package that raised it, which under ``python -m`` is
+    runpy's, so the CLI speaks for itself.
+    """
+    shown, show = set(), warnings.showwarning
+
+    def one_line(message, category, filename, lineno, file=None, line=None):
+        if not issubclass(category, ModelFidelityWarning):
+            show(message, category, filename, lineno, file, line)
+        elif str(message) not in shown:
+            shown.add(str(message))
+            print(f"szaszlab {command}: warning: {message}", file=sys.stderr)
+
+    warnings.showwarning = one_line
+    try:
+        yield
+    finally:
+        warnings.showwarning = show
+
+
 def _cmd_experiment(args) -> int:
     query = _build_query(args.s, args.p, args.q, args.r, args.n, args.family, args.setting)
     sizes = _parse_sizes(args.sizes)
     error = None
     try:
-        records = divergence_experiment(args.kind, query, sizes, grid=args.grid, seed=args.seed)
+        with _fidelity_warnings_to_stderr("experiment"):
+            records = divergence_experiment(args.kind, query, sizes, grid=args.grid, seed=args.seed)
     except ExperimentAbort as exc:
         records, error = exc.records, exc.reason
     header = ("size", "space_norm", "lhs", "ratio")

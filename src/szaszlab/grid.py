@@ -12,6 +12,12 @@ so ``inverse_ft(forward_ft(f)) == f`` up to roundoff, and for functions that
 decay inside the box the coefficients converge superalgebraically to the
 continuum transform.
 
+A Field holds its samples in centered order, index i at x = (i - N/2) dx.
+The batched synthesis of :func:`inverse_ft_rows`, and the space norms'
+pieces, use natural order instead, index m at x = m dx (mod L), which needs
+no shift copy; there the boundary shell of :func:`boundary_decay_ratio` is
+the middle block of indices along each axis.
+
 Dyadic dilations f(x / 2^m) and grid-aligned translations are provided as
 exact grid operations; they are the only dilations/translations that commute
 with the dyadic Littlewood-Paley ladder built on top of this module.
@@ -48,6 +54,11 @@ BOUNDARY_TOL = 1e-12
 #: width of the boundary shell checked by :func:`boundary_decay_ratio`,
 #: as a fraction of the box side
 BOUNDARY_MARGIN = 0.05
+
+#: samples per block of a pass over a full-grid array (a chunk of a row, a
+#: tile of a narrow piece in the space norms): 1 MiB of complex samples,
+#: which stays in L2
+_CHUNK = 2**16
 
 
 @dataclass(frozen=True)
@@ -173,11 +184,32 @@ def forward_ft(f: Field) -> Spectrum:
 
 
 def inverse_ft(s: Spectrum) -> Field:
-    """Exact discrete inverse of :func:`forward_ft` (identity up to roundoff)."""
+    """Exact discrete inverse of :func:`forward_ft` (identity up to roundoff).
+
+    The one full-grid array it makes is the ``ifftshift`` copy of the
+    coefficients; the transform, the ``fftshift`` and the scaling run in
+    place on it.
+    """
     g = s.grid
-    v = _fft.fftshift(_fft.ifftn(_fft.ifftshift(s.coeffs), workers=-1))
+    v = _fft.ifftn(_fft.ifftshift(s.coeffs), workers=-1, overwrite_x=True)
+    _swap_halves(v)
     _unscale(v, g)
     return Field(g, v)
+
+
+def _swap_halves(v: np.ndarray) -> None:
+    """``fftshift`` in place for even lengths: each axis's two halves swapped, a block at a time."""
+    for axis in range(v.ndim):
+        a = np.moveaxis(v, axis, 0)
+        half = len(a) // 2
+        rows = min(half, max(1, _CHUNK * len(a) // a.size))
+        buf = np.empty((rows,) + a.shape[1:], dtype=v.dtype)
+        for lo in range(0, half, rows):
+            low, high = a[lo : lo + rows], a[half + lo : half + lo + rows]
+            tmp = buf[: len(low)]
+            tmp[...] = low
+            low[...] = high
+            high[...] = tmp
 
 
 def _unscale(v: np.ndarray, grid: GridSpec) -> None:
@@ -219,18 +251,43 @@ def boundary_decay_ratio(f: Field) -> float:
     this ratio is tiny (below ``BOUNDARY_TOL`` by convention).  Returns 0.0
     for the zero field.
     """
-    g = f.grid
-    margin = max(1, int(round(BOUNDARY_MARGIN * g.N)))
-    shell = np.zeros(g.N, dtype=bool)
-    shell[:margin] = True
-    shell[-margin:] = True
-    return _leak_ratio(f.values, shell)
+    return _leak_ratio(f.values, np.roll(_natural_shell_1d(f.grid), f.grid.center))
+
+
+def _natural_shell_1d(grid: GridSpec) -> np.ndarray:
+    """The boundary shell along one axis in natural sample order: the middle block of indices.
+
+    Index m holds x = m dx (mod the box), so the samples within
+    BOUNDARY_MARGIN of the box side from the boundary are the indices
+    N/2 - margin <= m < N/2 + margin.
+    """
+    margin = max(1, int(round(BOUNDARY_MARGIN * grid.N)))
+    shell = np.zeros(grid.N, dtype=bool)
+    shell[grid.center - margin : grid.center + margin] = True
+    return shell
+
+
+@lru_cache(maxsize=8)
+def _natural_shell(grid: GridSpec) -> np.ndarray:
+    """Read-only mask of the boundary shell over the whole grid in natural sample order."""
+    shell = _or_mask(_natural_shell_1d(grid), grid.n)
+    shell.setflags(write=False)
+    return shell
+
+
+def _or_mask(outside_1d: np.ndarray, n: int) -> np.ndarray:
+    """Where ``outside_1d`` holds along some axis of an n-D grid."""
+    return outside_1d if n == 1 else outside_1d[:, None] | outside_1d[None, :]
 
 
 def _leak_ratio(values: np.ndarray, outside_1d: np.ndarray) -> float:
-    """Largest |values| where ``outside_1d`` holds along some axis, over the peak; 0.0 if none."""
-    peak = float(np.max(np.abs(values)))
-    outside = outside_1d if values.ndim == 1 else outside_1d[:, None] | outside_1d[None, :]
+    """Largest |values| where ``outside_1d`` holds along some axis, over the peak; 0.0 if none.
+
+    The peak is taken a block of rows at a time, with no full-grid modulus.
+    """
+    rows = max(1, _CHUNK * len(values) // values.size)
+    peak = max(float(np.abs(values[i : i + rows]).max()) for i in range(0, len(values), rows))
+    outside = _or_mask(outside_1d, values.ndim)
     if peak == 0.0 or not outside.any():
         return 0.0
     return float(np.max(np.abs(values[outside]))) / peak

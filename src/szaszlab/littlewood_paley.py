@@ -20,8 +20,9 @@ Every consumer reads and writes a spectral piece through one cached
 primitive: ``_piece_blocks(grid, j)`` lists the (box, multiplier) blocks of
 level j (of the low-pass piece S_0 for j None) in centered order, and the
 piece is exactly zero off them; ``_box`` gives the box holding a ball, which
-the witness terms use too, and ``_put_natural`` writes a block into a row in
-FFT-natural order.  Only this module knows how a piece is laid out.
+the witness terms use too, and ``_put_window`` writes a block into a row in
+FFT-natural order or into the circular frequency window of a narrow piece.
+Only this module knows how a piece is laid out.
 """
 
 from __future__ import annotations
@@ -203,23 +204,28 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _put_natural(row: np.ndarray, box: tuple, block: np.ndarray) -> None:
-    """Write ``block``, the values on a centered ``box``, into ``row`` in FFT-natural order.
+def _put_window(out: np.ndarray, box: tuple, block: np.ndarray, N: int, start: tuple) -> None:
+    """Write ``block``, the values on a centered ``box`` of an N-point grid, into a window.
 
-    Frequency k goes to index k mod N along each axis.  A box straddling
-    frequency 0 splits into its negative and nonnegative parts per axis.
+    Axis i of ``out`` holds the frequencies start_i, start_i + 1, ... (mod
+    N): frequency k goes to index (k - start_i) mod N, and a bin whose index
+    falls outside ``out`` is dropped, so it must be zero.  With start 0 and
+    N bins per axis this is FFT-natural order, frequency k at index k mod N.
+    A box crossing the window's wrap point splits in two per axis.
     """
-    c = row.shape[0] // 2
+    c = N // 2
 
-    def parts(s: slice):
-        if s.start < c:  # negative frequencies: index i goes to i + c
-            yield slice(s.start + c, min(s.stop, c) + c), slice(0, min(s.stop, c) - s.start)
-        if s.stop > c:  # nonnegative frequencies: index i goes to i - c
-            lo = max(s.start, c)
-            yield slice(lo - c, s.stop - c), slice(lo - s.start, s.stop - s.start)
+    def parts(s: slice, k0: int, size: int):
+        first, length = (s.start - c - k0) % N, s.stop - s.start
+        head = min(length, N - first, size - first)
+        if head > 0:
+            yield slice(first, first + head), slice(0, head)
+        if length > N - first:  # the bins past the wrap point start the window
+            tail = min(length - (N - first), size)
+            yield slice(0, tail), slice(N - first, N - first + tail)
 
-    for split in itertools.product(*(parts(s) for s in box)):
-        row[tuple(dst for dst, _ in split)] = block[tuple(src for _, src in split)]
+    for split in itertools.product(*(parts(s, k0, size) for s, k0, size in zip(box, start, out.shape))):
+        out[tuple(dst for dst, _ in split)] = block[tuple(src for _, src in split)]
 
 
 def lp_mask(grid: GridSpec, j: int) -> np.ndarray:

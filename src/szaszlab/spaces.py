@@ -21,29 +21,42 @@ exactly (as the witness families are) leaves the levels it does not reach
 exactly empty, and those are skipped.  Every piece is read through its
 blocks from :func:`~szaszlab.littlewood_paley._piece_blocks`.
 
-Every other piece, and every witness term, is synthesized on the full grid
-in batches by :func:`_synthesized`, which takes a piece as (centered box,
-values) blocks and alone decides whether it is empty (:func:`_pieces_lr`
-gives their L_r norms).  A call allocates one stack of W complex full-grid
-rows, W being the usable CPUs (``os.sched_getaffinity``, else
-``os.cpu_count()``) capped by the number of pieces.  Each nonempty piece
-takes the next free row in FFT-natural order (frequency k at index k mod
-N), and a full stack goes through one multi-row inverse FFT
+Every other piece, and every witness term, is synthesized by
+:func:`_synthesized`, which takes a piece as (centered box, values) blocks
+and alone decides whether it is empty and how to read it
+(:func:`_pieces_lr` gives their L_r norms).  It finds the circular
+frequency window of a piece's nonzero bins (:func:`_window`).  A narrow
+piece, whose window's Q^n bins fit one tile of 2^16 samples while the grid
+does not and leave P^n >= 16 cosets (:func:`_narrow`), is read by FFT
+pruning (:class:`_Cosets`): with P = N / Q, the samples m = P a + b of
+coset b are one length-Q inverse FFT of the window's coefficients times
+twiddles, so a tile of 2^16 samples is a batch of short transforms and no
+full-grid array is made.  On hi-band every level of a witness is narrow.
+Any other piece takes the next free row of one stack of at most W complex
+full-grid rows, W being the usable CPUs (``os.sched_getaffinity``, else
+``os.cpu_count()``), in FFT-natural order (frequency k at index k mod N),
+and a full stack goes through one multi-row inverse FFT
 (:func:`~szaszlab.grid.inverse_ft_rows`), which pocketfft spreads over the
-cores.  No L_r sum depends on sample order, so no ``fftshift`` copy is made.
+cores (:class:`_Rows`).  The stack is allocated at the first wide piece.
+Both give samples in natural order (x = m dx at index m mod N), and no
+result depends on sample order, so no ``fftshift`` copy is made.
 
-The rest is one chunked pass over the batch on W threads
-(:func:`_chunk_pass`).  Each thread walks a contiguous group of chunks of
-2^16 samples and, for each chunk, every row in level order: it scales the
-chunk by 1/dx^n in place, takes its modulus into one reused per-thread
-buffer, and keeps the chunk's power sum (:func:`_rows_lr`) or adds the
-chunk's terms into the F-norm's pointwise sum (:func:`_accumulate`).  A
-row's chunk sums are added pairwise in chunk order (:func:`_tree_sum`),
-which on the power-of-two lengths of every grid is bit for bit ``np.sum``
-of the whole row, and each point of the F-sum sees its levels in level
-order, so no result depends on W.  The stack of W rows of 16 N^n bytes is
-all the full-grid memory a Besov norm adds (the F-norm adds its real
-pointwise sum).
+The rest is one pass over tiles of 2^16 samples on W threads
+(:func:`_chunk_pass`), the same for both kinds of piece.  Each thread
+walks a contiguous group of tiles and, for each tile, every piece of the
+batch in level order: it synthesizes the tile or scales the row's chunk
+by 1/dx^n in place, takes its modulus into one reused per-thread buffer,
+and keeps the tile's power sum (:func:`_lr_norms`), adds its terms into the
+F-norm's pointwise sum at the tile's positions (:func:`_accumulate`), or
+keeps its peak and boundary-shell maximum (:func:`_boundary_ratio`, which
+synthesizes a spectrum that is not narrow with :func:`inverse_ft`).  A
+piece's tile sums are added pairwise in tile order (:func:`_tree_sum`),
+which for a full-grid row on the power-of-two lengths of every grid is bit
+for bit ``np.sum`` of the whole row, and each point of the F-sum sees its
+levels in level order, so no result depends on W.  The stack of W rows of
+16 N^n bytes is all the full-grid memory a Besov norm's pieces add (the
+F-norm adds its real pointwise sum, and the boundary check of a spectrum
+that is not narrow its field).
 
 Power sums are rescaled by their maximum only when the plain sum overflows
 or underflows, so no quasi-norm silently returns inf or 0.
@@ -56,16 +69,19 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
-from math import isfinite, isinf, sqrt
+from functools import lru_cache, partial
+from math import isfinite, isinf, prod, sqrt
 
 import numpy as np
+import scipy.fft as _fft
 
 from .errors import ParameterError, _warn_fidelity
 from .grid import (
     BOUNDARY_TOL,
     Field,
     Spectrum,
+    _CHUNK,
+    _natural_shell,
     _unscale,
     boundary_decay_ratio,
     forward_ft,
@@ -73,7 +89,7 @@ from .grid import (
     inverse_ft_rows,
     radial_xi,
 )
-from .littlewood_paley import BandLimits, _piece_blocks, _put_natural, feasible_band
+from .littlewood_paley import BandLimits, _piece_blocks, _put_window, feasible_band
 
 __all__ = ["SpaceParams", "lr_quasinorm", "besov_norm", "triebel_norm", "space_norm"]
 
@@ -131,24 +147,34 @@ def _in_range(total: float) -> bool:
     return isfinite(total) and total >= _TINY
 
 
-def _power_sum(a: np.ndarray, p: float, weight: float = 1.0) -> float:
+def _power_sum(a: np.ndarray, p: float, weight: float = 1.0, at=None, size: int = 0) -> float:
     """(weight * sum(a**p))**(1/p) for a nonnegative array, with no spurious inf or 0.
 
     p = inf gives the maximum (0.0 for an empty array).  The plain sum is
     kept unless it is non-finite or below the smallest normal float; only
     then is it recomputed with ``a`` scaled by its maximum (Blue, ACM TOMS
     1978).  An in-range sum thus costs one pass and has the bits of the
-    plain formula.
+    plain formula.  With ``at``, ``a`` holds the nonzero entries of a longer
+    array of ``size`` entries, at the indices ``at``: the sum runs over that
+    array, zeros included, so it has the bits of the sum over the whole of
+    it, and the zeros are written out only for a rescaled sum.
     """
     if isinf(p):
         return float(a.max()) if a.size else 0.0
     with np.errstate(over="ignore", under="ignore"):
-        total = float(np.sum(np.power(a, p))) * weight
+        powered = np.power(a, p)
+        if at is not None:
+            powered, full = np.zeros(size), powered
+            powered[at] = full
+        total = float(np.sum(powered)) * weight
     if _in_range(total):
         return total ** (1.0 / p)
     peak = float(a.max()) if a.size else 0.0
     if not 0.0 < peak < np.inf:  # zero, inf or nan: the plain value is the answer
         return total ** (1.0 / p)
+    if at is not None:
+        a, full = np.zeros(size), a
+        a[at] = full
     return peak * (float(np.sum((a / peak) ** p)) * weight) ** (1.0 / p)
 
 
@@ -159,34 +185,38 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-#: samples per chunk of a row pass: 1 MiB of complex samples, which stays in L2
-_CHUNK = 2**16
+#: fewest cosets P^n of a narrow piece: at fewer, one full-grid transform
+#: of a wide row measured faster per piece than the coset tiles (2 CPUs,
+#: grids of 2^17 to 2^21 points)
+_MIN_COSETS = 16
 
 
-def _chunk_pass(size: int, work) -> None:
-    """Call ``work(lo, hi, buf)`` for every chunk [lo, hi) of range(size), on W threads.
+def _chunk_pass(size: int, work, spare: bool = False) -> None:
+    """Call ``work(lo, hi, buf, tmp)`` for every chunk [lo, hi) of range(size), on W threads.
 
     Chunks hold _CHUNK samples, and W = min(usable CPUs, chunks).  Each
     thread walks one contiguous group of chunks in order with one real
     buffer of a chunk's length, reused for every chunk, and with over- and
-    underflow ignored.  The buffers are allocated here, so the threads
-    allocate no memory.  The threads are joined, and the first exception
-    raised, before this returns.
+    underflow ignored; with ``spare`` it also reuses one complex buffer of
+    that length as ``tmp`` (else None).  The buffers are allocated here, so
+    the threads allocate no chunk-sized memory.  The threads are joined,
+    and the first exception raised, before this returns.
     """
     starts = range(0, size, _CHUNK)
     width = min(_usable_cpus(), len(starts))
     bufs = np.empty((width, min(size, _CHUNK)))
+    tmps = np.empty(bufs.shape, dtype=np.complex128) if spare else [None] * width
 
-    def walk(group, buf):
+    def walk(group, buf, tmp):
         with np.errstate(over="ignore", under="ignore"):
             for lo in group:
                 hi = min(lo + _CHUNK, size)
-                work(lo, hi, buf[: hi - lo])
+                work(lo, hi, buf[: hi - lo], tmp)
 
     groups = [starts[i * len(starts) // width : (i + 1) * len(starts) // width] for i in range(width)]
     with ThreadPoolExecutor(max(1, width - 1)) as pool:  # starts no thread when width is 1
-        rest = [pool.submit(walk, group, buf) for group, buf in zip(groups[1:], bufs[1:])]
-        walk(groups[0], bufs[0])
+        rest = [pool.submit(walk, *args) for args in zip(groups[1:], bufs[1:], tmps[1:])]
+        walk(groups[0], bufs[0], tmps[0])
         for future in rest:
             future.result()
 
@@ -204,35 +234,181 @@ def _tree_sum(parts: list) -> float:
     return parts[0]
 
 
-def _rows_lr(rows: np.ndarray, r: float, grid, prepare=None) -> list:
-    """L_r quasi-norm on ``grid`` of each row of a stack, in one chunked pass on W threads.
+class _Rows:
+    """Samples in natural order, one full grid per row; tile [lo, hi) is that chunk of every row.
 
-    ``rows`` has shape (W, *grid.shape).  For each chunk, each row in turn
-    is set by ``prepare(chunk)`` in place when given, its modulus goes to
-    the thread's buffer, and the chunk keeps the sum of its r-th powers
-    (its maximum for r = inf).  A row's power sum is its chunk sums added by
-    :func:`_tree_sum`, and is recomputed rescaled from the prepared row only
-    when it over- or underflows (:func:`_power_sum`).
+    ``prepare(chunk)``, when given, sets a row's chunk in place before its
+    modulus is taken: the 1/dx^n of a synthesized row, or the 1/q-th power
+    of the F-norm's pointwise sum.
     """
-    flat = rows.reshape(len(rows), -1)
-    parts = np.empty((len(flat), -(-flat.shape[1] // _CHUNK)))
 
-    def work(lo, hi, buf):
-        for i, v in enumerate(flat[:, lo:hi]):
-            if prepare is not None:
-                prepare(v)
-            np.abs(v, out=buf)
-            parts[i, lo // _CHUNK] = buf.max() if isinf(r) else np.sum(np.power(buf, r, out=buf))
+    spare = False
 
-    _chunk_pass(flat.shape[1], work)
+    def __init__(self, rows: np.ndarray, prepare=None):
+        self.flat, self.prepare = rows.reshape(len(rows), -1), prepare
+        self.size, self.prepared = self.flat.shape[1], set()
+
+    def moduli(self, lo: int, hi: int, buf: np.ndarray, tmp=None):
+        """|samples| of tile [lo, hi) of each row in turn, in ``buf``; a tile is prepared once."""
+        fresh = self.prepare is not None and lo not in self.prepared
+        for v in self.flat[:, lo:hi]:
+            if fresh:
+                self.prepare(v)
+            yield np.abs(v, out=buf)
+        self.prepared.add(lo)
+
+    def at(self, a: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """The tile's positions in a full-grid array in natural order, shaped like its moduli."""
+        return a.reshape(-1)[lo:hi]
+
+
+def _rotate(x: np.ndarray, axis: int, N: int, b) -> None:
+    """x *= w^(b k), w = exp(2 pi i / N), at index k along ``axis``, in place.
+
+    The length along ``axis`` is a power of two, and ``b`` is an integer
+    or an integer array broadcasting against the axes before ``axis``.
+    Each root is the product w^(b h s) w^(b l) of two roots whose integer
+    exponents are reduced mod N exactly, k = h s + l with s about
+    sqrt(length), so a b costs about 2 sqrt(length) complex exponentials.
+    """
+    q = x.shape[axis]
+    s = 1 << (q.bit_length() - 1) // 2
+    split = x.reshape(x.shape[:axis] + (q // s, s) + x.shape[axis + 1 :])
+    rest = (1,) * (x.ndim - axis - 1)
+    for k in (np.arange(0, q, s).reshape((-1, 1) + rest), np.arange(s).reshape((1, -1) + rest)):
+        split *= np.exp((2j * np.pi / N) * ((b * k) % N))
+
+
+def _along(a: np.ndarray, axes: tuple, ndim: int) -> np.ndarray:
+    """``a`` reshaped to broadcast along ``axes`` of an ``ndim``-dimensional array."""
+    shape = [1] * ndim
+    for axis, size in zip(axes, a.shape):
+        shape[axis] = size
+    return a.reshape(shape)
+
+
+class _Cosets:
+    """A narrow piece's samples, one tile of cosets at a time, by FFT pruning.
+
+    The piece's coefficients c_k vanish outside a circular window
+    k0 <= k < k0 + Q per axis, Q a power of two, and P = N / Q.  Along an
+    axis the sample at m = P a + b is
+
+        f(m dx) = w^(k0 m) / (P dx) * IFFT_Q( c_(k0 + k') w^(k' b) )[a],   w = exp(2 pi i / N),
+
+    one length-Q inverse FFT per coset b (Markel, IEEE Trans. Audio
+    Electroacoust. 1971; Sorensen & Burrus, IEEE Trans. Signal Process.
+    1993).  Every consumer takes |f|, so the unit phase w^(k0 m) is never
+    computed.  A tile is G = min(P^n, _CHUNK / Q^n) cosets, g_i per axis
+    taken from the last axis first: the blocks of cosets in C order are the
+    tiles [lo, hi) of range(N^n), one per chunk.  Its moduli are a
+    (Q_1, g_1, ..., Q_n, g_n) view, and ``at`` gives the same positions of
+    a natural-order array, ``a.reshape(Q_1, P_1, ...)[:, b_1:b_1 + g_1, ...]``.
+    No full-grid array is allocated.
+    """
+
+    spare = True
+
+    def __init__(self, grid, piece: list, window: tuple):
+        self.N, n = grid.N, grid.n
+        self.size = grid.N**n
+        self.Q = tuple(q for _, q in window)
+        self.P = tuple(grid.N // q for q in self.Q)
+        compact = np.zeros(self.Q, dtype=np.complex128)
+        for box, values in piece:
+            _put_window(compact, box, values, grid.N, tuple(k0 for k0, _ in window))
+        compact *= 1.0 / (prod(self.P) * grid.dx**n)
+        self.compact = compact
+        cosets, g = min(prod(self.P), _CHUNK // prod(self.Q)), []
+        for p in reversed(self.P):
+            g.insert(0, min(p, cosets))
+            cosets //= g[0]
+        self.g = tuple(g)
+        self.blocks = tuple(p // size for p, size in zip(self.P, g))
+        # w^(k' beta) for the beta-th coset of a tile, on axes (i, n + i) of its (g, Q) layout;
+        # the table is symmetric in (beta, k'), so it is rotated along its longer side
+        self.twiddles = []
+        for i, (size, q) in enumerate(zip(g, self.Q)):
+            table = np.ones((min(size, q), max(size, q)), dtype=np.complex128)
+            _rotate(table, 1, self.N, np.arange(len(table))[:, None, None])
+            self.twiddles.append(_along(table if size <= q else table.T.copy(), (i, n + i), 2 * n))
+        self.order = tuple(axis for i in range(n) for axis in (n + i, i))
+
+    def _first_cosets(self, lo: int) -> tuple:
+        return tuple(b * size for b, size in zip(np.unravel_index(lo // _CHUNK, self.blocks), self.g))
+
+    def moduli(self, lo: int, hi: int, buf: np.ndarray, tmp: np.ndarray):
+        """|samples| of tile [lo, hi), in ``buf``, synthesized in ``tmp`` with no chunk-sized allocation."""
+        n = len(self.Q)
+        x = tmp.reshape(self.g + self.Q)
+        first = x[(0,) * n]  # the tile's first coset b, whose tile twiddles are all 1
+        first[...] = self.compact
+        for axis, b in enumerate(self._first_cosets(lo)):
+            _rotate(first, axis, self.N, b)
+        for i, twiddle in enumerate(self.twiddles):  # the cosets made so far, times beta_i = 1, 2, ...
+            made = tuple(slice(None) if j < i else slice(0, 1) for j in range(n))
+            new = tuple(slice(None) if j < i else slice(1, None) if j == i else slice(0, 1) for j in range(n))
+            np.multiply(x[made], twiddle[new], out=x[new])
+        x = _fft.ifftn(x, axes=tuple(range(n, 2 * n)), workers=1, overwrite_x=True)
+        yield np.abs(x, out=buf.reshape(x.shape)).transpose(self.order)
+
+    def at(self, a: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """The tile's positions in a full-grid array in natural order, shaped like its moduli."""
+        view = a.reshape(tuple(size for q, p in zip(self.Q, self.P) for size in (q, p)))
+        return view[tuple(
+            part for b, size in zip(self._first_cosets(lo), self.g) for part in (slice(None), slice(b, b + size))
+        )]
+
+
+def _lr_parts(source, count: int, r: float, divisors=None) -> np.ndarray:
+    """(count, tiles) sums of the r-th powers of |samples| / divisor (maxima at r = inf), tile by tile.
+
+    ``divisors`` holds one divisor per piece, 1 for all when None; a piece
+    whose divisor is not positive and finite is skipped, its sums left 0.
+    """
+    parts = np.zeros((count, -(-source.size // _CHUNK)))
+
+    def work(lo, hi, buf, tmp):
+        for i, a in enumerate(source.moduli(lo, hi, buf, tmp)):
+            if divisors is not None:
+                if not 0.0 < divisors[i] < np.inf:
+                    continue
+                a /= divisors[i]
+            parts[i, lo // _CHUNK] = a.max() if isinf(r) else np.sum(np.power(a, r, out=a))
+
+    _chunk_pass(source.size, work, source.spare)
+    return parts
+
+
+def _lr_norms(source, count: int, r: float, grid) -> list:
+    """L_r quasi-norm on ``grid`` of each of the ``count`` pieces of a source, in one pass.
+
+    A piece's power sum is its tile sums added by :func:`_tree_sum`, which
+    for full-grid rows is bit for bit the sum over the whole row.  Only
+    when some sums over- or underflow do two more passes, for all those
+    pieces at once, find their maxima and sum their powers scaled by them
+    (Blue 1978), as :func:`_power_sum` does.
+    """
+    parts = _lr_parts(source, count, r)
     if isinf(r):
         return [float(part.max()) for part in parts]
     weight = grid.dx**grid.n
-    norms = []
-    for v, part in zip(flat, parts):
-        total = _tree_sum(part.tolist()) * weight
-        norms.append(total ** (1.0 / r) if _in_range(total) else _power_sum(np.abs(v), r, weight))
+    totals = [_tree_sum(part.tolist()) * weight for part in parts]
+    norms = [total ** (1.0 / r) for total in totals]
+    lost = [i for i, total in enumerate(totals) if not _in_range(total)]
+    if lost:
+        peaks = np.zeros(count)
+        peaks[lost] = _lr_parts(source, count, np.inf)[lost].max(axis=1)
+        scaled = _lr_parts(source, count, r, peaks)
+        for i in lost:
+            if 0.0 < peaks[i] < np.inf:  # zero, inf or nan: the plain value is the answer
+                norms[i] = float(peaks[i]) * (_tree_sum(scaled[i].tolist()) * weight) ** (1.0 / r)
     return norms
+
+
+def _rows_lr(rows: np.ndarray, r: float, grid, prepare=None) -> list:
+    """L_r quasi-norm on ``grid`` of each row of a (W, *grid.shape) stack, set by ``prepare`` chunk by chunk."""
+    return _lr_norms(_Rows(rows, prepare), len(rows), r, grid)
 
 
 def lr_quasinorm(f: Field, r: float) -> float:
@@ -249,42 +425,80 @@ def lr_quasinorm(f: Field, r: float) -> float:
     return _rows_lr(f.values[None], r, f.grid)[0]
 
 
+@lru_cache(maxsize=8)
+def _uncovered(grid, homogeneous: bool) -> np.ndarray:
+    """Read-only mask of the bins outside the feasible band's annuli (the k = 0 bin counts as covered)."""
+    band = feasible_band(grid)
+    r = radial_xi(grid)
+    covered = r <= band.cover_hi
+    if homogeneous:
+        covered &= r >= band.cover_lo
+        covered |= r == 0.0  # the discarded bin is not "leaked" mass
+    outside = ~covered
+    outside.setflags(write=False)
+    return outside
+
+
 def _prepared_spectrum(
     f: Field | Spectrum, params: SpaceParams, spec: Spectrum | None = None
 ) -> tuple[Spectrum, BandLimits]:
     """Spectrum of f plus the model-fidelity validations shared by norms.
 
     A Field is transformed once, unless its spectrum is passed as ``spec``.
-    A Spectrum is used as given and is synthesized once for the boundary
-    check only; that field is dropped before the norm's levels are
-    evaluated.  Neither path copies the spectrum: the k = 0 bin that the
-    homogeneous norms discard lies outside every level mask, so it needs no
-    zeroing.
+    A Spectrum is used as given, and its boundary check
+    (:func:`_boundary_ratio`) reads a narrow spectrum's field tile by tile
+    with no full-grid array.
+    Neither path copies the spectrum: the k = 0 bin that the homogeneous
+    norms discard lies outside every level mask, so it needs no zeroing.
     """
     if spec is None:
         spec = forward_ft(f) if isinstance(f, Field) else f
     g = spec.grid
-    band = feasible_band(g)
-    r = radial_xi(g)
-    covered = r <= band.cover_hi
-    if params.homogeneous:
-        covered &= r >= band.cover_lo
-        covered |= r == 0.0  # the discarded bin is not "leaked" mass
-    total = float(np.sum(np.abs(spec.coeffs)))
+    uncovered = _uncovered(g, params.homogeneous)
+    modulus = np.abs(spec.coeffs)
+    total = float(np.sum(modulus))
     if total > 0.0:
-        outside = float(np.sum(np.abs(spec.coeffs[~covered])))
+        outside = float(np.sum(modulus[uncovered]))
         if outside > OUT_OF_BAND_TOL * total:
             _warn_fidelity(
                 f"spectral mass {outside/total:.2e} of total lies outside the "
                 f"feasible band's annuli; the truncated norm misses it"
             )
-    ratio = boundary_decay_ratio(f if isinstance(f, Field) else inverse_ft(spec))
+    modulus = None  # freed before the boundary check's synthesis
+    ratio = boundary_decay_ratio(f) if isinstance(f, Field) else _boundary_ratio(spec)
     if ratio > BOUNDARY_TOL:
         _warn_fidelity(
             f"space norm: field is {ratio:.2e} of its peak near the box boundary "
             f"(tolerance {BOUNDARY_TOL:.0e}); periodization error may not be subdominant"
         )
-    return spec, band
+    return spec, feasible_band(g)
+
+
+def _boundary_ratio(spec: Spectrum) -> float:
+    """``boundary_decay_ratio(inverse_ft(spec))``, for a narrow spectrum with no full-grid array.
+
+    A narrow spectrum (:func:`_narrow`) is synthesized coset by coset
+    (:class:`_Cosets`), and each tile keeps its peak and its largest
+    modulus in the boundary shell, which in natural sample order is the
+    middle block of indices per axis.  Any other spectrum is synthesized
+    on the full grid.
+    """
+    g = spec.grid
+    whole = [((slice(0, g.N),) * g.n, spec.coeffs)]
+    window = _window(g, whole)
+    if window is None or not _narrow(g, window):
+        return boundary_decay_ratio(inverse_ft(spec))
+    source, shell = _Cosets(g, whole, window), _natural_shell(g)
+    peaks, edges = np.zeros((2, -(-source.size // _CHUNK)))
+
+    def work(lo, hi, buf, tmp):
+        (a,) = source.moduli(lo, hi, buf, tmp)
+        peaks[lo // _CHUNK] = a.max()
+        edges[lo // _CHUNK] = np.max(a, where=source.at(shell, lo, hi), initial=0.0)
+
+    _chunk_pass(source.size, work, source.spare)
+    peak = float(peaks.max())
+    return 0.0 if peak == 0.0 else float(edges.max()) / peak
 
 
 def _norm_levels(params: SpaceParams, band) -> list[int]:
@@ -311,71 +525,127 @@ def _piece_l2(spec: Spectrum, j: int | None) -> float:
     return _parseval_l2(spec.grid, energy)
 
 
+def _window(grid, piece: list) -> tuple | None:
+    """Per axis (k0, Q): a circular window k0 <= k < k0 + Q holding the piece's nonzero bins; None if empty.
+
+    Q is the least power of two holding the axis's nonzero frequencies
+    (those of any bin of the piece) after its largest circular gap.  An
+    axis with more than _CHUNK nonzero frequencies gets the whole axis,
+    (0, N), without its gaps being sought.
+    """
+    n, N = grid.n, grid.N
+    found: list = [[] for _ in range(n)]
+    for box, values in piece:
+        nonzero = values != 0
+        for i, s in enumerate(box):
+            hit = nonzero.any(axis=tuple(a for a in range(n) if a != i)) if n > 1 else nonzero
+            found[i].append((s.start - grid.center, hit))
+    window = []
+    for axis in found:
+        count = sum(int(np.count_nonzero(hit)) for _, hit in axis)
+        if count == 0:
+            return None
+        if count > _CHUNK:
+            window.append((0, N))
+            continue
+        k = np.concatenate([first + np.flatnonzero(hit) for first, hit in axis])
+        if len(axis) > 1:
+            k.sort()
+        gaps = np.diff(k, append=k[0] + N)
+        widest = int(np.argmax(gaps))
+        span = N - int(gaps[widest]) + 1
+        window.append((int(k[(widest + 1) % k.size]), min(N, 1 << (span - 1).bit_length())))
+    return tuple(window)
+
+
+def _narrow(grid, window: tuple) -> bool:
+    """Whether a piece in this window is read by FFT pruning rather than on the full grid.
+
+    It is when its Q^n bins fit one tile while the grid does not, and they
+    leave at least _MIN_COSETS cosets (P^n = N^n / Q^n).  Below either
+    bound the full-grid inverse FFT measured faster.
+    """
+    size, bins = grid.N**grid.n, prod(q for _, q in window)
+    return bins <= _CHUNK < size and size // bins >= _MIN_COSETS
+
+
 def _synthesized(grid, keys, blocks):
-    """Batches (keys, rows) of the nonempty pieces in the list ``keys``, in order, W at a time.
+    """Batches (keys, source) of the nonempty pieces in the list ``keys``, in order.
 
     ``blocks(key)`` is a piece's spectrum as (centered box, values) blocks,
-    zero off the boxes.  A piece with a nonzero value takes the next free
-    row of one stack of W = min(usable CPUs, len(keys)) rows, in FFT-natural
-    order, and each full stack (and the last, partial one) goes through one
-    :func:`inverse_ft_rows` call, so the W transforms run on W cores.  A
-    batch holds the keys of its pieces and their unscaled samples in
-    natural order, which no L_r sum depends on; it is valid until the next
-    batch is drawn.
+    zero off the boxes, and :func:`_window` finds the frequencies it
+    occupies.  A narrow piece (:func:`_narrow`) is a batch of its own,
+    read by FFT pruning coset by coset (:class:`_Cosets`).  Any other piece
+    takes the next free row of one stack of at most W = usable CPUs rows,
+    in FFT-natural order, and the stack goes through one
+    :func:`inverse_ft_rows` call when it is full, before a narrow piece and
+    at the end, so the W transforms run on W cores (:class:`_Rows`, scaled
+    by 1/dx^n chunk by chunk).  Sources give samples in natural order,
+    which no L_r sum depends on; a batch is valid until the next is drawn.
     """
-    rows = np.zeros((min(_usable_cpus(), len(keys)),) + grid.shape, dtype=np.complex128)
-    batch: list = []
+    rows, batch = None, []
+
+    def flush():
+        yield batch[:], _Rows(inverse_ft_rows(grid, rows[: len(batch)]), partial(_unscale, grid=grid))
+        rows[: len(batch)] = 0.0
+        batch.clear()
+
     for i, key in enumerate(keys):
         piece = blocks(key)
-        if any(values.any() for _, values in piece):
+        window = _window(grid, piece)
+        narrow = window is not None and _narrow(grid, window)
+        if narrow:
+            source = _Cosets(grid, piece, window)
+        elif window is not None:
+            if rows is None:
+                rows = np.zeros((min(_usable_cpus(), len(keys) - i),) + grid.shape, dtype=np.complex128)
             for box, values in piece:
-                _put_natural(rows[len(batch)], box, values)
+                _put_window(rows[len(batch)], box, values, grid.N, (0,) * grid.n)
             batch.append(key)
         piece = values = None  # a piece's blocks (16 MB on hi-band) must not outlive its write
+        if narrow:
+            if batch:
+                yield from flush()
+            yield [key], source
         if batch and (len(batch) == len(rows) or i == len(keys) - 1):
-            yield batch, inverse_ft_rows(grid, rows[: len(batch)])
-            rows[: len(batch)] = 0.0
-            batch = []
+            yield from flush()
 
 
 def _pieces_lr(grid, keys, blocks, r: float) -> dict:
     """{key: grid L_r quasi-norm of the piece ``blocks(key)``, 0.0 if empty}, in key order."""
     norms = dict.fromkeys(keys, 0.0)
-    for batch, rows in _synthesized(grid, keys, blocks):
-        norms.update(zip(batch, _rows_lr(rows, r, grid, partial(_unscale, grid=grid))))
+    for batch, source in _synthesized(grid, keys, blocks):
+        norms.update(zip(batch, _lr_norms(source, len(batch), r, grid)))
     return norms
 
 
-def _accumulate(rows: np.ndarray, keys: list, grid, s: float, q: float, acc, peak=None) -> None:
-    """Add (2^(js) |Q_j f|)^q of each synthesized row into ``acc``, in key order, on W threads.
+def _accumulate(source, keys: list, s: float, q: float, acc, peak=None) -> None:
+    """Add (2^(js) |Q_j f|)^q of each piece of a source into ``acc``, in key order, on W threads.
 
-    ``rows`` are unscaled samples of the pieces ``keys`` (|S_0 f| for key
-    None carries no factor); q = inf takes the pointwise maximum instead of
-    the sum.  With ``peak``, each scaled modulus is divided by ``peak``
-    where that is positive before its power is taken.  Each chunk scales
-    every row in place, takes its modulus into the thread's buffer and adds
-    into the chunk's slice of ``acc``, so a point sees its levels in order
-    whatever the batch width.
+    ``keys`` name the source's pieces (|S_0 f| for key None carries no
+    factor); q = inf takes the pointwise maximum instead of the sum.  With
+    ``peak``, each scaled modulus is divided by ``peak`` where that is
+    positive before its power is taken.  Each tile takes every piece's
+    moduli into the thread's buffer in turn and adds them into the tile's
+    positions of ``acc``, so a point sees its levels in order whatever the
+    batch width.
     """
-    flat = rows.reshape(len(rows), -1)
-    sink, top = acc.reshape(-1), None if peak is None else peak.reshape(-1)
     gains = [None if j is None else 2.0 ** (j * s) for j in keys]
 
-    def work(lo, hi, buf):
-        out = sink[lo:hi]
-        for gain, v in zip(gains, flat[:, lo:hi]):
-            _unscale(v, grid)
-            np.abs(v, out=buf)
+    def work(lo, hi, buf, tmp):
+        out = source.at(acc, lo, hi)
+        top = None if peak is None else source.at(peak, lo, hi)
+        for gain, a in zip(gains, source.moduli(lo, hi, buf, tmp)):
             if gain is not None:
-                buf *= gain
+                a *= gain
             if top is not None:
-                np.divide(buf, top[lo:hi], out=buf, where=top[lo:hi] > 0.0)
+                np.divide(a, top, out=a, where=top > 0.0)
             if isinf(q):
-                np.maximum(out, buf, out=out)
+                np.maximum(out, a, out=out)
             else:
-                out += np.power(buf, q, out=buf)
+                out += np.power(a, q, out=a)
 
-    _chunk_pass(sink.size, work)
+    _chunk_pass(source.size, work, source.spare)
 
 
 def besov_norm(f: Field | Spectrum, params: SpaceParams) -> float:
@@ -384,8 +654,8 @@ def besov_norm(f: Field | Spectrum, params: SpaceParams) -> float:
     Homogeneous: l_q over the feasible band of 2^(js) ||Q_j f||_r, with the
     k = 0 bin discarded.  Inhomogeneous: ||S_0 f||_r joins the l_q sum with
     the levels j >= 1.  At r = 2 each piece's norm comes from Parseval on
-    its spectral window; every other r synthesizes the nonempty pieces on
-    the full grid, W at a time.
+    its spectral window; every other r synthesizes the nonempty pieces,
+    narrow ones coset by coset and the others W at a time on the full grid.
 
     Raises:
         ParameterError: "invalid params" when params.family != "B".
@@ -426,8 +696,8 @@ def _triebel(spec: Spectrum, band: BandLimits, params: SpaceParams) -> float:
     keys = _norm_levels(params, band) + ([] if params.homogeneous else [None])
 
     def pointwise(exponent, acc, peak=None):
-        for batch, rows in _synthesized(g, keys, partial(_piece, spec)):
-            _accumulate(rows, batch, g, params.s, exponent, acc, peak)
+        for batch, source in _synthesized(g, keys, partial(_piece, spec)):
+            _accumulate(source, batch, params.s, exponent, acc, peak)
         return acc
 
     acc = pointwise(q, np.zeros(g.shape))

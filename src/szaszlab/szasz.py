@@ -120,19 +120,20 @@ def weighted_lhs(g: Spectrum, theta: float, p: float, mode: str = "homogeneous")
     if mode not in ("homogeneous", "inhomogeneous"):
         raise ParameterError(f"invalid params: unknown mode {mode!r}")
     grid = g.grid
-    r = radial_xi(grid)
-    a = np.abs(g.coeffs)
+    # the functional reads the nonzero bins only: elsewhere the weight may
+    # overflow, and inf * 0 would poison the sum with nan
+    bins = np.flatnonzero(g.coeffs)
+    base = radial_xi(grid).ravel()[bins]
     if mode == "homogeneous":
-        keep = r > 0.0
-        base, a = r[keep], a[keep]
+        # the array summed is the grid without its k = 0 bin, the only bin at |xi| = 0
+        zero = int(np.ravel_multi_index((grid.center,) * grid.n, grid.shape))
+        keep = bins != zero
+        bins, base = bins[keep], base[keep]
+        at, size = bins - (bins > zero), grid.N**grid.n - 1
     else:
-        base, a = (1.0 + r).ravel(), a.ravel()
-    # the weight is evaluated only where it multiplies a nonzero coefficient:
-    # elsewhere it may overflow, and inf * 0 would poison the sum with nan
-    weighted = np.zeros_like(a)
-    nonzero = a != 0.0
-    weighted[nonzero] = base[nonzero] ** theta * a[nonzero]
-    return _power_sum(weighted, p, grid.dxi**grid.n)
+        base, at, size = 1.0 + base, bins, grid.N**grid.n
+    weighted = base**theta * np.abs(g.coeffs.ravel()[bins])
+    return _power_sum(weighted, p, grid.dxi**grid.n, at, size)
 
 
 def _weak_conditions(query: SzaszQuery) -> tuple[bool, list]:

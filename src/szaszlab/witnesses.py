@@ -56,7 +56,7 @@ the transition of level k + 1 (4.7e-3 at K = 2), not from the box.
 
 Experiment records are spectrum-native: ``divergence_experiment`` hands the
 witness's exact spectrum to the space norm and to ``weighted_lhs``, so a
-record costs one inverse transform (the norm's boundary check), levels the
+record costs one synthesis (the norm's boundary check), levels the
 witness does not reach are skipped as exactly empty, and at r = 2 no level
 is synthesized at all.  Every term is evaluated only on the box holding its
 support (``littlewood_paley._box``): phi on |xi| <= 1/2, psi's dilation into
@@ -436,8 +436,9 @@ def _witness(kind: str) -> tuple:
 def _record(spec: Spectrum, query: SzaszQuery, size: int) -> ExperimentRecord:
     """One record from the witness's exact spectrum, with no forward transform.
 
-    The spectrum is the only full-grid array kept; the norm synthesizes the
-    field once for its boundary check and drops it.
+    The spectrum is the only full-grid array kept; the norm's boundary
+    check synthesizes the field once and keeps only its peak and shell
+    maximum.
     """
     norm = space_norm(spec, query.space)
     lhs = weighted_lhs(spec, query.theta, query.p, query.space.setting)

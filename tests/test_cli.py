@@ -2,12 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from szaszlab import SpaceParams, SzaszQuery, classify, divergence_experiment
-from szaszlab.cli import main
+import szaszlab
+from szaszlab import ModelFidelityWarning, SpaceParams, SzaszQuery, classify, divergence_experiment
+from szaszlab.cli import _fidelity_warnings_to_stderr, main
 
 
 def run_cli(argv):
@@ -168,6 +174,40 @@ class TestExperimentCommand:
             b'"ratio": "3.6334414722775494"}\n'
             b'{"error": "size 10: K exceeds band: annulus C_10 needs 5/4*2^K <= 0.9 * xi_max"}\n'
         )
+
+
+    def test_fidelity_warning_is_one_stderr_line_under_python_m(self, tmp_path, capsys):
+        # every mid-band modulated record warns about the box boundary; the
+        # CLI reports it once, in its own words, with stdout and exit unchanged
+        argv = ["experiment", "--kind", "modulated", "--sizes", "2,4", "--s", "0", "--p", "4",
+                "--q", "4", "--r", "2", "--n", "1", "--family", "B", "--grid", "mid-band"]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = os.pathsep.join([str(Path(szaszlab.__file__).parents[1])] + sys.path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "szaszlab.cli", *argv], capture_output=True, text=True, env=env, cwd=tmp_path
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == (
+            "szaszlab experiment: warning: space norm: field is 1.27e-01 of its peak near the box "
+            "boundary (tolerance 1e-12); periodization error may not be subdominant\n"
+        )
+        assert run_cli(argv) == 0
+        assert proc.stdout == capsys.readouterr().out
+
+    def test_other_warnings_pass_through_and_filters_hold(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with _fidelity_warnings_to_stderr("experiment"):
+                warnings.warn("unrelated", UserWarning)
+                warnings.warn("strained", ModelFidelityWarning)
+                warnings.warn("strained", ModelFidelityWarning)
+        assert [str(w.message) for w in caught] == ["unrelated"]
+        assert capsys.readouterr().err == "szaszlab experiment: warning: strained\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ModelFidelityWarning)
+            with _fidelity_warnings_to_stderr("experiment"):
+                warnings.warn("strained", ModelFidelityWarning)
+        assert capsys.readouterr().err == ""
 
 
 class TestSweepCommand:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from szaszlab import (
     BandError,
@@ -113,6 +114,15 @@ class TestInverseFT:
         f = inverse_ft(Spectrum(grid_1d, coeffs))
         mods = np.abs(f.values)
         assert np.max(mods) - np.min(mods) < 1e-12 * np.max(mods)
+
+    @pytest.mark.parametrize("shape", [(16,), (2**18,), (16, 16), (512, 512)])
+    def test_is_the_shifted_transform_bit_for_bit(self, shape):
+        # the transform and the shifts run in place, the shifts a block at a time
+        grid = GridSpec(len(shape), shape[0], 10.0)
+        rng = np.random.default_rng(0)
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = scipy.fft.fftshift(scipy.fft.ifftn(scipy.fft.ifftshift(coeffs))) / grid.dx**grid.n
+        assert np.array_equal(inverse_ft(Spectrum(grid, coeffs)).values, want)
 
 
 class TestDyadicDilate:
@@ -253,3 +263,12 @@ class TestBoundaryDecay:
             point[axis] = index
             values[tuple(point)] = 0.5
             assert boundary_decay_ratio(Field(grid, values)) == ratio, index
+
+    @pytest.mark.parametrize("shape, peak", [((2**18,), (3 * 2**16 + 5,)), ((512, 512), (400, 256))])
+    def test_peak_in_the_last_block(self, shape, peak):
+        # the peak is read a block of rows at a time; here it is in the last block
+        grid = GridSpec(len(shape), shape[0], 10.0)
+        values = np.zeros(shape)
+        values[peak] = 2.0
+        values[(0,) * grid.n] = 0.5
+        assert boundary_decay_ratio(Field(grid, values)) == 0.25

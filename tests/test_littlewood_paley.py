@@ -17,7 +17,7 @@ from szaszlab import (
     lp_project,
     radial_xi,
 )
-from szaszlab.littlewood_paley import _piece_blocks, _put_natural, apply_level_mask
+from szaszlab.littlewood_paley import _piece_blocks, _put_window, apply_level_mask
 
 from conftest import plateau_field, wave_packet
 
@@ -248,5 +248,5 @@ class TestPieceBlocks:
         for j in _pieces(block_grid):
             row = np.zeros(block_grid.shape, dtype=np.complex128)
             for box, _ in _piece_blocks(block_grid, j):
-                _put_natural(row, box, values[box])
+                _put_window(row, box, values[box], block_grid.N, (0,) * block_grid.n)
             assert np.array_equal(row, np.fft.ifftshift(_embedded(block_grid, j, values)))

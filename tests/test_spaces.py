@@ -1,5 +1,6 @@
 """Quasi-norm values, invariances and the dyadic scaling law."""
 
+import sys
 import threading
 import warnings
 from functools import partial
@@ -37,7 +38,7 @@ from szaszlab import (
     triebel_norm,
 )
 
-from szaszlab.grid import _unscale
+from szaszlab.grid import _unscale, boundary_decay_ratio
 from szaszlab.littlewood_paley import apply_level_mask
 from szaszlab.witnesses import _blowup_spectrum, _random_spectrum
 
@@ -328,9 +329,13 @@ class TestBatchedSynthesis:
         # seven exactly nonempty levels, or eight pieces with S_0: every
         # width below leaves a partial last batch for one of the inputs;
         # a grid_wide row is four chunks, split unevenly over three threads
+        # and a modulated witness's narrow pieces, four tiles each on a 2^18-point grid
         spec = _random_spectrum(grid_mid, 5, 2, 8)
         wide = inverse_ft(_random_spectrum(grid_wide, 5, -6, 2))
-        inputs = (spec, inverse_ft(spec), wide)
+        hi = GridSpec(1, 2**18, 16.0 * np.pi)
+        query = SzaszQuery(SpaceParams(params.s, params.r, params.q, params.family), 4.0, 1)
+        modulated = witnesses_module._modulated_spectrum(hi, WitnessSpec("modulated", 6, query), "linear")
+        inputs = (spec, inverse_ft(spec), wide, modulated)
         got = {}
         for width in (1, 2, 3):
             _with_cpus(monkeypatch, width)
@@ -342,9 +347,25 @@ class TestBatchedSynthesis:
         assert got[1] == got[2] == got[3]
 
     @pytest.mark.filterwarnings("ignore::szaszlab.ModelFidelityWarning")
-    def test_no_thread_outlives_a_norm_call(self, monkeypatch, grid_wide):
+    @pytest.mark.filterwarnings("ignore::szaszlab.ModelFidelityWarning")
+    def test_threads_switching_often_lose_no_update(self, monkeypatch, grid_wide):
+        # more threads than cores write disjoint tiles of one pointwise sum
+        spec = _random_spectrum(grid_wide, 6, -8, 4)
+        params = SpaceParams(0.2, 1.5, 2.0, "F")
+        _with_cpus(monkeypatch, 1)
+        want = triebel_norm(spec, params)
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            _with_cpus(monkeypatch, 4)
+            assert triebel_norm(spec, params) == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("levels", [(-6, 0), (3, 4)], ids=["narrow", "wide"])
+    def test_no_thread_outlives_a_norm_call(self, monkeypatch, grid_wide, levels):
         _with_cpus(monkeypatch, 3)
-        spec = _random_spectrum(grid_wide, 5, -6, 2)
+        spec = _random_spectrum(grid_wide, 5, *levels)
         before = threading.active_count()
         besov_norm(spec, SpaceParams(0.2, 1.5, 2.0, "B"))
         assert threading.active_count() == before
@@ -354,7 +375,7 @@ class TestBatchedSynthesis:
     def test_chunk_pass_raises_a_worker_error(self, monkeypatch):
         _with_cpus(monkeypatch, 2)
 
-        def work(lo, hi, buf):
+        def work(lo, hi, buf, tmp):
             if lo > 0:
                 raise ValueError(f"chunk at {lo}")
 
@@ -362,7 +383,8 @@ class TestBatchedSynthesis:
             spaces_module._chunk_pass(2 * spaces_module._CHUNK, work)
 
     @pytest.mark.parametrize("cpus", [1, 2, 4])
-    def test_one_nonempty_level_fills_one_row(self, monkeypatch, grid_mid, cpus):
+    def test_one_nonempty_level_fills_one_row(self, monkeypatch, grid_wide, cpus):
+        # level 4's plateau spans 2^17 bins of grid_wide: a wide piece
         _with_cpus(monkeypatch, cpus)
         widths = []
         real = spaces_module.inverse_ft_rows
@@ -372,12 +394,12 @@ class TestBatchedSynthesis:
             return real(grid, rows)
 
         monkeypatch.setattr(spaces_module, "inverse_ft_rows", counting)
-        spec = _random_spectrum(grid_mid, 3, 5, 5)
+        spec = _random_spectrum(grid_wide, 3, 4, 4)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ModelFidelityWarning)
             besov_norm(spec, SpaceParams(0.0, 1.5, 2.0, "B"))
             triebel_norm(spec, SpaceParams(0.0, 1.5, 2.0, "F"))
-        assert widths == [1, 1]
+        assert widths == [1, 1]  # per norm, the level; the wide field's boundary check is inverse_ft's
 
     @pytest.mark.parametrize("side", [-1.0, 1.0])
     @pytest.mark.filterwarnings("ignore::szaszlab.ModelFidelityWarning")
@@ -390,9 +412,11 @@ class TestBatchedSynthesis:
         assert want > 0.0
         assert besov_norm(one_sided, params) == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("grid_name", ["grid_mid", "grid_2d"])
+    @pytest.mark.parametrize("grid_name", ["grid_mid", "grid_2d", "grid_wide"])
     def test_level_window_is_natural_order_of_centered_mask(self, monkeypatch, request, grid_name):
-        # one row a batch: keep the row each piece hands to the inverse FFT
+        # a wide piece's row handed to the inverse FFT is the natural order of
+        # its centered spectrum; a narrow piece's window is that row read at
+        # the window's frequencies, times 1/(P^n dx^n), and holds all its bins
         _with_cpus(monkeypatch, 1)
         filled = []
 
@@ -404,14 +428,141 @@ class TestBatchedSynthesis:
         grid = request.getfixturevalue(grid_name)
         spec = forward_ft(_broadband_field(grid))
         keys = list(feasible_band(grid).levels()) + [None]
+        kinds = []
         batches = spaces_module._synthesized(grid, keys, partial(spaces_module._piece, spec))
-        assert [batch for batch, _ in batches] == [[j] for j in keys]
-        for j, row in zip(keys, filled, strict=True):
+        for (batch, source), j in zip(batches, keys, strict=True):
+            assert batch == [j]
             if j is None:
                 centered = spec.coeffs * lowpass_profile(radial_xi(grid))
             else:
                 centered = apply_level_mask(spec.coeffs, grid, j)
-            assert np.array_equal(row, np.fft.ifftshift(centered))
+            natural = np.fft.ifftshift(centered)
+            if isinstance(source, spaces_module._Rows):
+                kinds.append("wide")
+                assert np.array_equal(filled.pop(0), natural)
+                continue
+            kinds.append("narrow")
+            window = spaces_module._window(grid, spaces_module._piece(spec, j))
+            index = np.ix_(*[(k0 + np.arange(q)) % grid.N for k0, q in window])
+            scale = 1.0 / (np.prod(source.P) * grid.dx**grid.n)
+            assert np.array_equal(source.compact, natural[index] * scale)
+            assert np.count_nonzero(source.compact) == np.count_nonzero(natural)
+        assert not filled
+        # one-tile grids read every piece on the full grid
+        assert "wide" in kinds and ("narrow" in kinds) == (grid_name == "grid_wide")
+
+
+def _natural_moduli(source, grid):
+    """|samples| of a source's only piece over the grid in natural order, put back tile by tile."""
+    out = np.full(grid.shape, -1.0)
+    size = grid.N**grid.n
+    chunk = min(size, spaces_module._CHUNK)
+    buf, tmp = np.empty(chunk), np.empty(chunk, dtype=np.complex128)
+    for lo in range(0, size, chunk):
+        (a,) = source.moduli(lo, lo + chunk, buf, tmp)
+        view = source.at(out, lo, lo + chunk)
+        assert np.all(view == -1.0)  # tiles cover disjoint positions
+        view[...] = a
+    return out
+
+
+def _window_spectrum(grid, starts, spans, seed=0):
+    """Random coefficients on the circular window starts_i <= k < starts_i + spans_i per axis."""
+    rng = np.random.default_rng(seed)
+    coeffs = np.zeros(grid.shape, dtype=np.complex128)
+    index = np.ix_(*[(grid.center + k0 + np.arange(span)) % grid.N for k0, span in zip(starts, spans)])
+    shape = coeffs[index].shape
+    coeffs[index] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return Spectrum(grid, coeffs)
+
+
+#: (N, cosets P): P = 1 and 2 on one-tile grids, 16 and 4 over several tiles, and one bin (P = N)
+_COSET_CASES = [(2**12, 1), (2**16, 1), (2**16, 2), (2**18, 16), (2**18, 4), (2**18, 2**18), (2**16, 2**16)]
+
+
+class TestCosetSynthesis:
+    # every narrow piece is read coset by coset; each check is against the
+    # full-grid inverse FFT of the same spectrum
+
+    @pytest.mark.parametrize("N, P", _COSET_CASES)
+    @pytest.mark.parametrize("where", ["zero", "nyquist", "one-sided", "lowest"])
+    def test_moduli_match_the_full_grid_field(self, N, P, where):
+        grid = GridSpec(1, N, 2.0 * np.pi * N / 64.0)
+        span = N // P if P > 1 else N // 2 + 1  # P = 1: more than half the axis
+        start = {"zero": -(span // 2), "nyquist": N // 2 - span // 2, "one-sided": N // 8, "lowest": -N // 2}[where]
+        spec = _window_spectrum(grid, [start], [span])
+        whole = [((slice(0, N),), spec.coeffs)]
+        window = spaces_module._window(grid, whole)
+        assert [q for _, q in window] == [N // P]
+        source = spaces_module._Cosets(grid, whole, window)
+        want = np.abs(np.fft.ifftshift(inverse_ft(spec).values))
+        np.testing.assert_allclose(_natural_moduli(source, grid), want, rtol=0.0, atol=1e-12 * want.max())
+        for r in (1.5, 2.0, np.inf):
+            got = spaces_module._lr_norms(source, 1, r, grid)[0]
+            assert got == pytest.approx(lr_quasinorm(inverse_ft(spec), r), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "N, starts, spans, Q",
+        [
+            (256, (-5, 120), (11, 17), (16, 32)),  # around 0 and across Nyquist, one tile
+            (512, (40, -256), (30, 60), (32, 64)),  # one-sided and from the lowest bin, four tiles
+            (512, (-3, 250), (1, 3), (1, 4)),  # a column and a few rows of bins
+        ],
+    )
+    def test_two_dimensional_pieces(self, N, starts, spans, Q):
+        grid = GridSpec(2, N, 32.0)
+        spec = _window_spectrum(grid, starts, spans, seed=1)
+        whole = [((slice(0, N),) * 2, spec.coeffs)]
+        window = spaces_module._window(grid, whole)
+        assert tuple(q for _, q in window) == Q
+        source = spaces_module._Cosets(grid, whole, window)
+        want = np.abs(np.fft.ifftshift(inverse_ft(spec).values))
+        np.testing.assert_allclose(_natural_moduli(source, grid), want, rtol=0.0, atol=1e-12 * want.max())
+        assert spaces_module._lr_norms(source, 1, 1.5, grid)[0] == pytest.approx(
+            lr_quasinorm(inverse_ft(spec), 1.5), rel=1e-12
+        )
+
+    def test_empty_piece_is_skipped(self, grid_wide):
+        zeros = [((slice(10, 20),), np.zeros(10, dtype=np.complex128))]
+        assert spaces_module._window(grid_wide, zeros) is None
+        assert list(spaces_module._synthesized(grid_wide, ["a"], lambda _: zeros)) == []
+        assert spaces_module._pieces_lr(grid_wide, ["a"], lambda _: zeros, 1.5) == {"a": 0.0}
+
+    @pytest.mark.parametrize("family", ["B", "F"])
+    @pytest.mark.parametrize("setting", ["homogeneous", "inhomogeneous"])
+    @pytest.mark.filterwarnings("ignore::szaszlab.ModelFidelityWarning")
+    def test_narrow_and_wide_levels_match_the_reference(self, grid_wide, family, setting):
+        # levels -9..0 and S_0 of a field on grid_wide are narrow, 1 to 4 wide
+        f = inverse_ft(_random_spectrum(grid_wide, 4, -9, 4))
+        params = SpaceParams(0.2, 1.5, 2.0, family, setting)
+        ref = _synthesized_besov if family == "B" else _synthesized_triebel
+        assert space_norm(f, params) == pytest.approx(ref(f, params), rel=1e-12)
+
+    @pytest.mark.parametrize("grid_name", ["grid_mid", "grid_wide", "grid_2d", "grid_2d_512"])
+    @pytest.mark.parametrize("build", ["random", "modulated", "zero"])
+    def test_spectrum_boundary_ratio_is_the_fields(self, request, grid_name, build):
+        grid = GridSpec(2, 512, 32.0) if grid_name == "grid_2d_512" else request.getfixturevalue(grid_name)
+        if build == "zero":
+            spec = Spectrum(grid, np.zeros(grid.shape))
+        elif build == "random":
+            band = feasible_band(grid)
+            spec = _random_spectrum(grid, 2, band.j_min, band.j_max)
+        else:  # one bump, narrow, moved up by a quarter of the band
+            coeffs = np.zeros(grid.shape, dtype=np.complex128)
+            coeffs[(slice(grid.center + grid.N // 8 - 4, grid.center + grid.N // 8 + 5),) * grid.n] = 1.0
+            spec = Spectrum(grid, coeffs)
+        # the bump is read coset by coset on grids of more than one tile
+        window = spaces_module._window(grid, [((slice(0, grid.N),) * grid.n, spec.coeffs)])
+        narrow = window is not None and spaces_module._narrow(grid, window)
+        assert narrow == (build == "modulated" and grid.N**grid.n > spaces_module._CHUNK)
+        want = boundary_decay_ratio(inverse_ft(spec))
+        assert spaces_module._boundary_ratio(spec) == pytest.approx(want, rel=1e-12, abs=0.0)
+        caught = {}
+        for x in (spec, inverse_ft(spec)):
+            with warnings.catch_warnings(record=True) as caught[type(x)]:
+                warnings.simplefilter("always", ModelFidelityWarning)
+                besov_norm(x, SpaceParams(0.0, 1.5, 2.0, "B"))
+        assert [str(w.message) for w in caught[Spectrum]] == [str(w.message) for w in caught[Field]]
 
 
 class TestChunkedRowPass:
@@ -449,15 +600,26 @@ class TestOverflowSafePowerSums:
         assert got == pytest.approx(peak * unit, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("peak", [1e3, 1e-3])
+    @pytest.mark.parametrize("levels", [(-6, 0), (3, 4)], ids=["narrow", "wide"])
     @pytest.mark.filterwarnings("ignore::szaszlab.ModelFidelityWarning")
-    def test_besov_at_large_r_on_chunked_rows(self, monkeypatch, grid_wide, peak):
-        # four chunks per row on two threads; |piece|^200 over- or underflows
+    def test_besov_at_large_r_on_chunked_rows(self, monkeypatch, grid_wide, peak, levels):
+        # four tiles per piece on two threads; |piece|^200 over- or underflows
         _with_cpus(monkeypatch, 2)
-        spec = _random_spectrum(grid_wide, 2, -6, 2)
+        spec = _random_spectrum(grid_wide, 2, *levels)
         params = SpaceParams(0.3, 200.0, 2.0, "B")
         unit = besov_norm(spec, params)
         got = besov_norm(Spectrum(grid_wide, spec.coeffs * peak), params)
         assert got == pytest.approx(peak * unit, rel=1e-12, abs=0.0)
+
+    def test_rows_leaving_range_in_one_batch_keep_their_own_norms(self, monkeypatch, grid_wide):
+        # at r = 200 the rows' power sums overflow, stay in range, underflow
+        # and vanish: each row's norm is bit for bit the one it has alone
+        _with_cpus(monkeypatch, 2)
+        base = np.exp(-((grid_wide.x_axis() / 100.0) ** 2)).astype(np.complex128)
+        rows = np.stack([1e3 * base, base, 1e-3 * base, 0.0 * base])
+        want = [lr_quasinorm(Field(grid_wide, row), 200.0) for row in rows]
+        assert want[0] > 0.0 and want[2] > 0.0 and want[3] == 0.0
+        assert spaces_module._rows_lr(rows, 200.0, grid_wide) == want
 
     def test_besov_at_large_q(self, grid_mid):
         # phi's pieces are roundoff-sized; their 400th powers underflow

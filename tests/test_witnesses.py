@@ -37,7 +37,6 @@ from szaszlab import (
 import szaszlab.spaces as spaces_module
 import szaszlab.witnesses as witnesses_module
 from szaszlab.realization import low_frequency_mass
-from szaszlab.grid import inverse_ft_rows
 from szaszlab.littlewood_paley import _mollifier_step
 from szaszlab.witnesses import (
     _blowup_spectrum,
@@ -229,13 +228,14 @@ class TestLowfreqBlowup:
     def test_second_build_synthesizes_only_new_terms(self, monkeypatch, grid_wide):
         _term_norm_table.cache_clear()
         widths = []
-        real = spaces_module.inverse_ft_rows
+        real = spaces_module._synthesized
 
-        def counting(grid, rows):
-            widths.append(rows.shape[0])
-            return real(grid, rows)
+        def counting(grid, keys, blocks):
+            for batch, source in real(grid, keys, blocks):
+                widths.append(len(batch))
+                yield batch, source
 
-        monkeypatch.setattr(spaces_module, "inverse_ft_rows", counting)
+        monkeypatch.setattr(spaces_module, "_synthesized", counting)
         counts = []
         for M, r in [(3, 1.5), (5, 1.5), (5, 1.5), (2, np.inf)]:
             before = sum(widths)
@@ -496,8 +496,9 @@ def _full_blowup(grid, M, s, r):
     out = np.zeros(grid.shape, dtype=np.complex128)
     for k in range(1, M + 1):
         raw = _psi_hat_profile(2.0**k * radial_xi(grid))
-        row = np.fft.ifftshift(raw).astype(np.complex128)[None]
-        norm_r = lr_quasinorm(Field(grid, inverse_ft_rows(grid, row)[0] / grid.dx**grid.n), r)
+        # the term's norm from the builder's own path, so only the spectrum writer is compared
+        whole = [((slice(0, grid.N),) * grid.n, raw.astype(np.complex128))]
+        norm_r = spaces_module._pieces_lr(grid, [k], lambda _: whole, r)[k]
         out += 2.0 ** (-k * (s - n_over_r) / 2.0) * 2.0 ** (k * s) / norm_r * raw
     return out
 
