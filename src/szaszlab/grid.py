@@ -12,9 +12,9 @@ so ``inverse_ft(forward_ft(f)) == f`` up to roundoff, and for functions that
 decay inside the box the coefficients converge superalgebraically to the
 continuum transform.
 
-A Field holds its samples in centered order, index i at x = (i - N/2) dx.
-The batched synthesis of :func:`inverse_ft_rows`, and the space norms'
-pieces, use natural order instead, index m at x = m dx (mod L), which needs
+A Field holds its samples in centered order, index i at x = (i - N/2) dx,
+C-contiguous, as a Spectrum holds its coefficients.  The space norms'
+pieces use natural order instead, index m at x = m dx (mod L), which needs
 no shift copy; there the boundary shell of :func:`boundary_decay_ratio` is
 the middle block of indices along each axis.
 
@@ -40,7 +40,6 @@ __all__ = [
     "Spectrum",
     "forward_ft",
     "inverse_ft",
-    "inverse_ft_rows",
     "dyadic_dilate",
     "grid_translate",
     "radial_xi",
@@ -126,7 +125,7 @@ class Field:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
+        v = np.ascontiguousarray(self.values, dtype=np.complex128)
         if v.shape != self.grid.shape:
             raise ParameterError(
                 f"field shape {v.shape} does not match grid shape {self.grid.shape}"
@@ -147,7 +146,7 @@ class Spectrum:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
+        c = np.ascontiguousarray(self.coeffs, dtype=np.complex128)
         if c.shape != self.grid.shape:
             raise ParameterError(
                 f"spectrum shape {c.shape} does not match grid shape {self.grid.shape}"
@@ -178,23 +177,26 @@ def forward_ft(f: Field) -> Spectrum:
     centered index bookkeeping.
     """
     g = f.grid
-    c = _fft.fftshift(_fft.fftn(_fft.ifftshift(f.values), workers=-1))
-    c *= g.dx**g.n
-    return Spectrum(g, c)
+    return Spectrum(g, _centered(_fft.fftn, f.values, g.dx**g.n))
 
 
 def inverse_ft(s: Spectrum) -> Field:
-    """Exact discrete inverse of :func:`forward_ft` (identity up to roundoff).
-
-    The one full-grid array it makes is the ``ifftshift`` copy of the
-    coefficients; the transform, the ``fftshift`` and the scaling run in
-    place on it.
-    """
+    """Exact discrete inverse of :func:`forward_ft` (identity up to roundoff)."""
     g = s.grid
-    v = _fft.ifftn(_fft.ifftshift(s.coeffs), workers=-1, overwrite_x=True)
+    return Field(g, _centered(_fft.ifftn, s.coeffs, 1.0 / g.dx**g.n))
+
+
+def _centered(transform, a: np.ndarray, factor: float) -> np.ndarray:
+    """``fftshift(transform(ifftshift(a))) * factor`` of a C-contiguous complex ``a``: both transforms.
+
+    The one full-grid array it makes is the ``ifftshift`` copy, so ``a`` is
+    left unchanged; the transform, the ``fftshift`` and the scaling run in
+    place on the copy.
+    """
+    v = transform(_fft.ifftshift(a), workers=-1, overwrite_x=True)
     _swap_halves(v)
-    _unscale(v, g)
-    return Field(g, v)
+    _scale(v, factor)
+    return v
 
 
 def _swap_halves(v: np.ndarray) -> None:
@@ -212,36 +214,17 @@ def _swap_halves(v: np.ndarray) -> None:
             high[...] = tmp
 
 
-def _unscale(v: np.ndarray, grid: GridSpec) -> None:
-    """Divide complex samples by dx^n in place: the scaling of :func:`inverse_ft`.
+def _scale(v: np.ndarray, factor: float) -> None:
+    """Multiply C-contiguous complex samples by a real ``factor`` in place, both parts alike.
 
-    Both parts are multiplied by 1/dx^n.  numpy divides a complex by a real
-    d (Smith's algorithm with a zero imaginary part) as both parts times
-    1/d, so for finite samples this is bit for bit ``v / dx**n``, at a
-    tenth of the cost of the complex division.
+    numpy divides a complex by a real d (Smith's algorithm with a zero
+    imaginary part) as both parts times 1/d, so with ``factor`` 1/d this is
+    bit for bit ``v / d`` for finite samples, at a tenth of the cost of the
+    complex division; and it is ``v * factor`` bit for bit except for the
+    sign of an exact zero part, which it keeps.
     """
     parts = v.view(np.float64)
-    np.multiply(parts, 1.0 / grid.dx**grid.n, out=parts)
-
-
-def inverse_ft_rows(grid: GridSpec, rows: np.ndarray) -> np.ndarray:
-    """Unscaled samples of a stack of spectra, from one batched FFT.
-
-    ``rows`` has shape ``(W, *grid.shape)`` and holds W spectra in
-    FFT-natural order: frequency index k (center-relative) at array index
-    k mod N along each axis, the order :func:`inverse_ft` reaches with
-    ``ifftshift``.  The samples come back in natural order too (x = m dx at
-    index m mod N), with no shift copies, and dx^n times :func:`inverse_ft`'s:
-    ``_unscale`` gives its scaling, which the space norms apply chunk by
-    chunk in cache.  ``rows`` is overwritten (scipy transforms it in place
-    where it can).  pocketfft spreads the W rows over the CPUs, while a
-    single 1-D transform runs on one.
-    """
-    if rows.shape[1:] != grid.shape:
-        raise ParameterError(
-            f"row shape {rows.shape[1:]} does not match grid shape {grid.shape}"
-        )
-    return _fft.ifftn(rows, axes=tuple(range(-grid.n, 0)), workers=-1, overwrite_x=True)
+    np.multiply(parts, factor, out=parts)
 
 
 def boundary_decay_ratio(f: Field) -> float:

@@ -35,9 +35,9 @@ full-grid array is made.  On hi-band every level of a witness is narrow.
 Any other piece takes the next free row of one stack of at most W complex
 full-grid rows, W being the usable CPUs (``os.sched_getaffinity``, else
 ``os.cpu_count()``), in FFT-natural order (frequency k at index k mod N),
-and a full stack goes through one multi-row inverse FFT
-(:func:`~szaszlab.grid.inverse_ft_rows`), which pocketfft spreads over the
-cores (:class:`_Rows`).  The stack is allocated at the first wide piece.
+and a full stack goes through one multi-row inverse FFT in place
+(``_inverse_rows``), which pocketfft spreads over the cores
+(:class:`_Rows`).  The stack is allocated at the first wide piece.
 Both give samples in natural order (x = m dx at index m mod N), and no
 result depends on sample order, so no ``fftshift`` copy is made.
 
@@ -58,8 +58,9 @@ levels in level order, so no result depends on W.  The stack of W rows of
 F-norm adds its real pointwise sum, and the boundary check of a spectrum
 that is not narrow its field).
 
-Power sums are rescaled by their maximum only when the plain sum overflows
-or underflows, so no quasi-norm silently returns inf or 0.
+Power sums, the Parseval sums at r = 2 included, are rescaled by their
+maximum only when the plain sum overflows or underflows, so no quasi-norm
+silently returns inf or 0.
 For r < 1 or q < 1 the same formulas produce quasi-norms; nothing here
 assumes the triangle inequality.
 """
@@ -82,11 +83,10 @@ from .grid import (
     Spectrum,
     _CHUNK,
     _natural_shell,
-    _unscale,
+    _scale,
     boundary_decay_ratio,
     forward_ft,
     inverse_ft,
-    inverse_ft_rows,
     radial_xi,
 )
 from .littlewood_paley import BandLimits, _piece_blocks, _put_window, feasible_band
@@ -191,21 +191,21 @@ def _usable_cpus() -> int:
 _MIN_COSETS = 16
 
 
-def _chunk_pass(size: int, work, spare: bool = False) -> None:
+def _chunk_pass(size: int, work) -> None:
     """Call ``work(lo, hi, buf, tmp)`` for every chunk [lo, hi) of range(size), on W threads.
 
     Chunks hold _CHUNK samples, and W = min(usable CPUs, chunks).  Each
     thread walks one contiguous group of chunks in order with one real
-    buffer of a chunk's length, reused for every chunk, and with over- and
-    underflow ignored; with ``spare`` it also reuses one complex buffer of
-    that length as ``tmp`` (else None).  The buffers are allocated here, so
-    the threads allocate no chunk-sized memory.  The threads are joined,
-    and the first exception raised, before this returns.
+    buffer ``buf`` and one complex buffer ``tmp`` of a chunk's length,
+    reused for every chunk, and with over- and underflow ignored.  The
+    buffers are allocated here, so the threads allocate no chunk-sized
+    memory.  The threads are joined, and the first exception raised, before
+    this returns.
     """
     starts = range(0, size, _CHUNK)
     width = min(_usable_cpus(), len(starts))
     bufs = np.empty((width, min(size, _CHUNK)))
-    tmps = np.empty(bufs.shape, dtype=np.complex128) if spare else [None] * width
+    tmps = np.empty(bufs.shape, dtype=np.complex128)
 
     def walk(group, buf, tmp):
         with np.errstate(over="ignore", under="ignore"):
@@ -242,13 +242,11 @@ class _Rows:
     of the F-norm's pointwise sum.
     """
 
-    spare = False
-
     def __init__(self, rows: np.ndarray, prepare=None):
         self.flat, self.prepare = rows.reshape(len(rows), -1), prepare
         self.size, self.prepared = self.flat.shape[1], set()
 
-    def moduli(self, lo: int, hi: int, buf: np.ndarray, tmp=None):
+    def moduli(self, lo: int, hi: int, buf: np.ndarray, tmp: np.ndarray):
         """|samples| of tile [lo, hi) of each row in turn, in ``buf``; a tile is prepared once."""
         fresh = self.prepare is not None and lo not in self.prepared
         for v in self.flat[:, lo:hi]:
@@ -306,8 +304,6 @@ class _Cosets:
     a natural-order array, ``a.reshape(Q_1, P_1, ...)[:, b_1:b_1 + g_1, ...]``.
     No full-grid array is allocated.
     """
-
-    spare = True
 
     def __init__(self, grid, piece: list, window: tuple):
         self.N, n = grid.N, grid.n
@@ -376,7 +372,7 @@ def _lr_parts(source, count: int, r: float, divisors=None) -> np.ndarray:
                 a /= divisors[i]
             parts[i, lo // _CHUNK] = a.max() if isinf(r) else np.sum(np.power(a, r, out=a))
 
-    _chunk_pass(source.size, work, source.spare)
+    _chunk_pass(source.size, work)
     return parts
 
 
@@ -406,11 +402,6 @@ def _lr_norms(source, count: int, r: float, grid) -> list:
     return norms
 
 
-def _rows_lr(rows: np.ndarray, r: float, grid, prepare=None) -> list:
-    """L_r quasi-norm on ``grid`` of each row of a (W, *grid.shape) stack, set by ``prepare`` chunk by chunk."""
-    return _lr_norms(_Rows(rows, prepare), len(rows), r, grid)
-
-
 def lr_quasinorm(f: Field, r: float) -> float:
     """L_r quasi-norm of a sampled field, (sum |f(x_i)|^r dx^n)^(1/r).
 
@@ -422,7 +413,7 @@ def lr_quasinorm(f: Field, r: float) -> float:
     """
     if not r > 0:
         raise ParameterError(f"invalid exponent: r must be > 0, got {r}")
-    return _rows_lr(f.values[None], r, f.grid)[0]
+    return _lr_norms(_Rows(f.values[None]), 1, r, f.grid)[0]
 
 
 @lru_cache(maxsize=8)
@@ -496,7 +487,7 @@ def _boundary_ratio(spec: Spectrum) -> float:
         peaks[lo // _CHUNK] = a.max()
         edges[lo // _CHUNK] = np.max(a, where=source.at(shell, lo, hi), initial=0.0)
 
-    _chunk_pass(source.size, work, source.spare)
+    _chunk_pass(source.size, work)
     peak = float(peaks.max())
     return 0.0 if peak == 0.0 else float(edges.max()) / peak
 
@@ -518,11 +509,24 @@ def _piece(spec: Spectrum, j: int | None) -> list:
 
 
 def _piece_l2(spec: Spectrum, j: int | None) -> float:
-    """||Q_j f||_2 (||S_0 f||_2 for j None) by Parseval on the piece's blocks, with no synthesis."""
+    """||Q_j f||_2 (||S_0 f||_2 for j None) by Parseval on the piece's blocks, with no synthesis.
+
+    The plain energy sum |c_k|^2 is kept when it is in range; only an over-
+    or underflowing one is redone with the moduli scaled by their peak
+    (Blue 1978), as :func:`_power_sum` does.
+    """
+    moduli = [np.abs(block) for _, block in _piece(spec, j)]
     energy = 0.0
-    for _, block in _piece(spec, j):
-        energy += float(np.sum(np.abs(block) ** 2))
-    return _parseval_l2(spec.grid, energy)
+    with np.errstate(over="ignore", under="ignore"):
+        for a in moduli:
+            energy += float(np.sum(a**2))
+        if _in_range(energy):
+            return _parseval_l2(spec.grid, energy)
+        peak = max(float(a.max(initial=0.0)) for a in moduli)
+        if not 0.0 < peak < np.inf:  # zero, inf or nan: the plain value is the answer
+            return _parseval_l2(spec.grid, energy)
+        scaled = sum(float(np.sum((a / peak) ** 2)) for a in moduli)
+    return peak * _parseval_l2(spec.grid, scaled)
 
 
 def _window(grid, piece: list) -> tuple | None:
@@ -569,6 +573,11 @@ def _narrow(grid, window: tuple) -> bool:
     return bins <= _CHUNK < size and size // bins >= _MIN_COSETS
 
 
+#: the one batched inverse FFT of a stack of wide rows: in place where scipy
+#: can, and pocketfft spreads the rows over the cores
+_inverse_rows = partial(_fft.ifftn, workers=-1, overwrite_x=True)
+
+
 def _synthesized(grid, keys, blocks):
     """Batches (keys, source) of the nonempty pieces in the list ``keys``, in order.
 
@@ -577,16 +586,17 @@ def _synthesized(grid, keys, blocks):
     occupies.  A narrow piece (:func:`_narrow`) is a batch of its own,
     read by FFT pruning coset by coset (:class:`_Cosets`).  Any other piece
     takes the next free row of one stack of at most W = usable CPUs rows,
-    in FFT-natural order, and the stack goes through one
-    :func:`inverse_ft_rows` call when it is full, before a narrow piece and
-    at the end, so the W transforms run on W cores (:class:`_Rows`, scaled
-    by 1/dx^n chunk by chunk).  Sources give samples in natural order,
-    which no L_r sum depends on; a batch is valid until the next is drawn.
+    in FFT-natural order, and the stack goes through one unscaled inverse
+    FFT in place when it is full, before a narrow piece and at the end, so
+    the W transforms run on W cores (:class:`_Rows`, scaled by 1/dx^n chunk
+    by chunk).  Sources give samples in natural order, which no L_r sum
+    depends on; a batch is valid until the next is drawn.
     """
     rows, batch = None, []
 
     def flush():
-        yield batch[:], _Rows(inverse_ft_rows(grid, rows[: len(batch)]), partial(_unscale, grid=grid))
+        samples = _inverse_rows(rows[: len(batch)], axes=tuple(range(-grid.n, 0)))
+        yield batch[:], _Rows(samples, partial(_scale, factor=1.0 / grid.dx**grid.n))
         rows[: len(batch)] = 0.0
         batch.clear()
 
@@ -645,7 +655,7 @@ def _accumulate(source, keys: list, s: float, q: float, acc, peak=None) -> None:
             else:
                 out += np.power(a, q, out=a)
 
-    _chunk_pass(source.size, work, source.spare)
+    _chunk_pass(source.size, work)
 
 
 def besov_norm(f: Field | Spectrum, params: SpaceParams) -> float:
@@ -702,13 +712,13 @@ def _triebel(spec: Spectrum, band: BandLimits, params: SpaceParams) -> float:
 
     acc = pointwise(q, np.zeros(g.shape))
     if isinf(q):
-        return _rows_lr(acc[None], r, g)[0]
+        return _lr_norms(_Rows(acc[None]), 1, r, g)[0]
     if acc.max() < np.inf:
         # a point whose power sum is below the normal range has all its terms
         # there, so its value is below (pieces * tiny)^(1/q); keep the plain
         # norm when all such points together cannot move the L_r sum
         low = int(np.count_nonzero(acc < _TINY))
-        norm = _rows_lr(acc[None], r, g, lambda v: np.power(v, 1.0 / q, out=v))[0]
+        norm = _lr_norms(_Rows(acc[None], lambda v: np.power(v, 1.0 / q, out=v)), 1, r, g)[0]
         lost = (low * g.dx**g.n) ** (1.0 / r) * (len(keys) * _TINY) ** (1.0 / q)
         if lost <= _EPS ** (1.0 / r) * norm:
             return norm
@@ -719,7 +729,7 @@ def _triebel(spec: Spectrum, band: BandLimits, params: SpaceParams) -> float:
     pointwise(q, acc, peak)
     np.power(acc, 1.0 / q, out=acc)
     acc *= peak
-    return _rows_lr(acc[None], r, g)[0]
+    return _lr_norms(_Rows(acc[None]), 1, r, g)[0]
 
 
 def space_norm(f: Field | Spectrum, params: SpaceParams) -> float:

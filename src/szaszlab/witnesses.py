@@ -224,7 +224,11 @@ def _modulation_weights(kind: str, K: int, theta: float, p: float) -> np.ndarray
         amp = k ** (-1.0 / p)
     else:
         raise ParameterError(f"invalid params: unknown weights {kind!r}")
-    return amp * 2.0 ** (-k * theta)
+    with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf is nan
+        weights = amp * 2.0 ** (-k * theta)
+    if not np.isfinite(weights).all():
+        raise OverflowError(f"modulation weight 2^(-k theta) at theta = {theta!r}")
+    return weights
 
 
 def modulated_witness(grid, spec: WitnessSpec, weights: str = "linear") -> Field:
@@ -469,7 +473,7 @@ def divergence_experiment(kind: str, query: SzaszQuery, sizes, grid=None, seed: 
             records.append(_record(build(grid, WitnessSpec(kind, size, query, seed)), query, size))
         except (BandError, ParameterError, ZeroDivisionError) as exc:
             raise ExperimentAbort(f"size {size}: {exc}", records) from exc
-        except OverflowError as exc:  # a Python float power 2.0 ** x raises where numpy gives inf
+        except OverflowError as exc:  # a Python float power 2.0 ** x, or a modulation weight
             reason = f"size {size}: a level weight or witness coefficient overflows a float: {exc}"
             raise ExperimentAbort(reason, records) from exc
     return records

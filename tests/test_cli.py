@@ -120,6 +120,21 @@ class TestExperimentCommand:
         assert out == f"size,space_norm,lhs,ratio\n#error: {reason}\n"
         assert err == f"szaszlab experiment: {reason}\n"
 
+    @pytest.mark.parametrize("kind", ["modulated", "modulated_borderline"])
+    def test_overflowing_modulation_weight_exit_3_under_python_m(self, tmp_path, kind):
+        argv = ["experiment", "--kind", kind, "--sizes", "2", "--s", "0", "--p", "1e-300",
+                "--q", "4", "--r", "2", "--n", "1", "--family", "B", "--grid", "mid-band"]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = os.pathsep.join([str(Path(szaszlab.__file__).parents[1])] + sys.path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "szaszlab.cli", *argv], capture_output=True, text=True, env=env, cwd=tmp_path
+        )
+        reason = ("size 2: a level weight or witness coefficient overflows a float: "
+                  "modulation weight 2^(-k theta) at theta = -9.999999999999999e+299")
+        assert proc.returncode == 3
+        assert proc.stdout == f"size,space_norm,lhs,ratio\n#error: {reason}\n"
+        assert proc.stderr == f"szaszlab experiment: {reason}\n"
+
     def test_dimension_mismatch_exit_2_no_file(self, tmp_path, capsys):
         out = tmp_path / "e.csv"
         code = run_cli(

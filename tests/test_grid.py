@@ -117,12 +117,36 @@ class TestInverseFT:
 
     @pytest.mark.parametrize("shape", [(16,), (2**18,), (16, 16), (512, 512)])
     def test_is_the_shifted_transform_bit_for_bit(self, shape):
-        # the transform and the shifts run in place, the shifts a block at a time
+        # both directions: the transform, the shifts (a block at a time) and
+        # the scaling run in place on one copy, on one tile and on several
         grid = GridSpec(len(shape), shape[0], 10.0)
         rng = np.random.default_rng(0)
-        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        want = scipy.fft.fftshift(scipy.fft.ifftn(scipy.fft.ifftshift(coeffs))) / grid.dx**grid.n
-        assert np.array_equal(inverse_ft(Spectrum(grid, coeffs)).values, want)
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        kept = a.copy()
+        want = scipy.fft.fftshift(scipy.fft.ifftn(scipy.fft.ifftshift(a))) / grid.dx**grid.n
+        assert inverse_ft(Spectrum(grid, a)).values.tobytes() == want.tobytes()
+        want = scipy.fft.fftshift(scipy.fft.fftn(scipy.fft.ifftshift(a))) * grid.dx**grid.n
+        assert forward_ft(Field(grid, a)).coeffs.tobytes() == want.tobytes()
+        assert a.tobytes() == kept.tobytes()  # neither transform writes its input
+
+
+class TestMemoryLayout:
+    @pytest.mark.parametrize("layout", ["transposed", "fortran"])
+    def test_fields_and_spectra_are_c_contiguous(self, layout):
+        # the in-place scaling views the samples as float pairs, which needs C order
+        g = GridSpec(2, 64, 20.0)
+        rng = np.random.default_rng(1)
+        a = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        strided = a.T if layout == "transposed" else np.asfortranarray(a)
+        c = np.ascontiguousarray(strided)
+        assert Field(g, strided).values.flags.c_contiguous
+        assert Spectrum(g, strided).coeffs.flags.c_contiguous
+        assert inverse_ft(Spectrum(g, strided)).values.tobytes() == inverse_ft(Spectrum(g, c)).values.tobytes()
+        assert forward_ft(Field(g, strided)).coeffs.tobytes() == forward_ft(Field(g, c)).coeffs.tobytes()
+
+    def test_c_ordered_complex_input_is_not_copied(self, grid_2d):
+        a = np.zeros(grid_2d.shape, dtype=np.complex128)
+        assert Field(grid_2d, a).values is a and Spectrum(grid_2d, a).coeffs is a
 
 
 class TestDyadicDilate:

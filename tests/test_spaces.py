@@ -38,7 +38,7 @@ from szaszlab import (
     triebel_norm,
 )
 
-from szaszlab.grid import _unscale, boundary_decay_ratio
+from szaszlab.grid import _scale, boundary_decay_ratio
 from szaszlab.littlewood_paley import apply_level_mask
 from szaszlab.witnesses import _blowup_spectrum, _random_spectrum
 
@@ -387,13 +387,13 @@ class TestBatchedSynthesis:
         # level 4's plateau spans 2^17 bins of grid_wide: a wide piece
         _with_cpus(monkeypatch, cpus)
         widths = []
-        real = spaces_module.inverse_ft_rows
+        real = spaces_module._inverse_rows
 
-        def counting(grid, rows):
+        def counting(rows, axes):
             widths.append(rows.shape[0])
-            return real(grid, rows)
+            return real(rows, axes=axes)
 
-        monkeypatch.setattr(spaces_module, "inverse_ft_rows", counting)
+        monkeypatch.setattr(spaces_module, "_inverse_rows", counting)
         spec = _random_spectrum(grid_wide, 3, 4, 4)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ModelFidelityWarning)
@@ -420,11 +420,11 @@ class TestBatchedSynthesis:
         _with_cpus(monkeypatch, 1)
         filled = []
 
-        def keep(grid, rows):
+        def keep(rows, axes):
             filled.append(rows[0].copy())
             return rows
 
-        monkeypatch.setattr(spaces_module, "inverse_ft_rows", keep)
+        monkeypatch.setattr(spaces_module, "_inverse_rows", keep)
         grid = request.getfixturevalue(grid_name)
         spec = forward_ft(_broadband_field(grid))
         keys = list(feasible_band(grid).levels()) + [None]
@@ -578,13 +578,17 @@ class TestChunkedRowPass:
 
     @pytest.mark.parametrize("grid_name", ["grid_mid", "grid_wide", "grid_2d"])
     @pytest.mark.parametrize("scale", [1.0, 1e300, 1e-310])
-    def test_unscale_is_complex_division(self, request, grid_name, scale):
+    def test_scale_is_complex_division_and_product(self, request, grid_name, scale):
+        # the inverse transform and the rows scale by 1/dx^n, the forward transform by dx^n
         grid = request.getfixturevalue(grid_name)
         rng = np.random.default_rng(3)
         v = (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)) * scale
         got = v.copy()
-        _unscale(got, grid)
+        _scale(got, 1.0 / grid.dx**grid.n)
         assert got.tobytes() == (v / grid.dx**grid.n).tobytes()
+        got = v.copy()
+        _scale(got, grid.dx**grid.n)
+        assert got.tobytes() == (v * grid.dx**grid.n).tobytes()
 
 
 class TestOverflowSafePowerSums:
@@ -619,7 +623,18 @@ class TestOverflowSafePowerSums:
         rows = np.stack([1e3 * base, base, 1e-3 * base, 0.0 * base])
         want = [lr_quasinorm(Field(grid_wide, row), 200.0) for row in rows]
         assert want[0] > 0.0 and want[2] > 0.0 and want[3] == 0.0
-        assert spaces_module._rows_lr(rows, 200.0, grid_wide) == want
+        assert spaces_module._lr_norms(spaces_module._Rows(rows), len(rows), 200.0, grid_wide) == want
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    @pytest.mark.parametrize("setting", ["homogeneous", "inhomogeneous"])
+    @pytest.mark.filterwarnings("ignore::szaszlab.ModelFidelityWarning")
+    def test_besov_at_r2_far_from_unit_scale(self, grid_mid, scale, setting):
+        # the Parseval sums of |c_k|^2 over- or underflow
+        spec = _random_spectrum(grid_mid, 1, 2, 8)
+        params = SpaceParams(0.3, 2.0, 2.0, "B", setting)
+        unit = besov_norm(spec, params)
+        got = besov_norm(Spectrum(grid_mid, spec.coeffs * scale), params)
+        assert got == pytest.approx(scale * unit, rel=1e-12, abs=0.0)
 
     def test_besov_at_large_q(self, grid_mid):
         # phi's pieces are roundoff-sized; their 400th powers underflow
@@ -673,3 +688,18 @@ class TestFidelityWarningAttribution:
         kinds = sorted("box boundary" in str(w.message) for w in fidelity)
         assert kinds == [False, True]  # one out-of-band, one boundary warning
         assert [w.filename for w in fidelity] == [__file__, __file__]
+
+
+class TestStridedInput:
+    @pytest.mark.parametrize("layout", ["transposed", "fortran"])
+    @pytest.mark.parametrize("family,r", [("B", 1.5), ("B", 2.0), ("F", 1.5)])
+    @pytest.mark.filterwarnings("ignore::szaszlab.ModelFidelityWarning")
+    def test_norm_of_a_strided_spectrum(self, layout, family, r):
+        g = GridSpec(2, 64, 20.0)
+        rng = np.random.default_rng(2)
+        coeffs = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        strided = coeffs.T if layout == "transposed" else np.asfortranarray(coeffs)
+        params = SpaceParams(0.2, r, 2.0, family)
+        assert space_norm(Spectrum(g, strided), params) == space_norm(
+            Spectrum(g, np.ascontiguousarray(strided)), params
+        )

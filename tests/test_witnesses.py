@@ -373,6 +373,26 @@ class TestDivergenceExperiment:
         )
         assert isinstance(err.value.__cause__, OverflowError)
 
+    @pytest.mark.parametrize("kind", ["modulated", "modulated_borderline"])
+    def test_overflowing_modulation_weight_aborts(self, kind):
+        # p = 1e-300 gives theta = -1e300, so numpy's 2^(-k theta) overflows
+        q = make_query("B", 0.0, 2.0, 1e-300, 4.0)
+        with pytest.raises(ExperimentAbort) as err:
+            divergence_experiment(kind, q, [2, 3], grid="mid-band")
+        assert err.value.records == []
+        assert err.value.reason == (
+            "size 2: a level weight or witness coefficient overflows a float: "
+            "modulation weight 2^(-k theta) at theta = -9.999999999999999e+299"
+        )
+        assert isinstance(err.value.__cause__, OverflowError)
+
+    @pytest.mark.filterwarnings("ignore::szaszlab.ModelFidelityWarning")
+    def test_huge_modulation_weights_keep_a_finite_norm(self):
+        # s = -300, p = 400: weights k 2^(299.5 k) against level weights 2^(-300 j)
+        q = make_query("B", -300.0, 2.0, 400.0, 4.0)
+        (rec,) = divergence_experiment("modulated", q, [2], grid="mid-band")
+        assert 0.0 < rec.space_norm < np.inf and 0.0 < rec.ratio < np.inf
+
     def test_unknown_kind(self):
         q = make_query("B", 0.0, 2.0, 2.0, 2.0)
         with pytest.raises(ParameterError, match="witness kind 'mystery'; known: .*'lowfreq_blowup'"):
