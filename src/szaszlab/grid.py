@@ -125,12 +125,7 @@ class Field:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=np.complex128)
-        if v.shape != self.grid.shape:
-            raise ParameterError(
-                f"field shape {v.shape} does not match grid shape {self.grid.shape}"
-            )
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _on_grid(self.grid, self.values, "field"))
 
 
 @dataclass(frozen=True)
@@ -146,12 +141,15 @@ class Spectrum:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.ascontiguousarray(self.coeffs, dtype=np.complex128)
-        if c.shape != self.grid.shape:
-            raise ParameterError(
-                f"spectrum shape {c.shape} does not match grid shape {self.grid.shape}"
-            )
-        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "coeffs", _on_grid(self.grid, self.coeffs, "spectrum"))
+
+
+def _on_grid(grid: GridSpec, a, what: str) -> np.ndarray:
+    """``a`` as a C-contiguous complex array, copied only if it is not one; ParameterError unless grid-shaped."""
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    if a.shape != grid.shape:
+        raise ParameterError(f"{what} shape {a.shape} does not match grid shape {grid.shape}")
+    return a
 
 
 @lru_cache(maxsize=8)
@@ -286,13 +284,17 @@ def dyadic_dilate(f: Field, m: int) -> Field:
     For m <= 0 the result is an exact spectral zoom (a stride read of the
     periodic samples; the spectrum spreads to bins 2^|m| * k).  For m > 0 the
     samples are obtained by trigonometric resampling of the band-limited
-    interpolant, so F(h f)(xi) = 2^(mn) F(f)(2^m xi) within tolerance.
+    interpolant, so F(h f)(xi) = 2^(mn) F(f)(2^m xi) within tolerance, at the
+    cost of 2^m full-length inverse FFTs per axis, however large a
+    resolvable m is.  f must vanish outside the shrunk box
+    |x| < 0.95 L / 2^(m+1); when that box holds no sample but x = 0, only
+    the zero field (whose dilation is zero) is accepted.
 
     Raises:
         ParameterError: when m is not an integer.
         BandError: when the dilated spectrum would cross the Nyquist limit
             (m < 0) or the dilated support would reach the box boundary
-            (m > 0).
+            (m > 0), or when m > 0 leaves no sample but x = 0 in the box.
     """
     g = f.grid
     m = _integer(m, "m", None)
@@ -316,11 +318,12 @@ def dyadic_dilate(f: Field, m: int) -> Field:
             vals = f.values[np.ix_(idx, idx)] * (inside[:, None] & inside[None, :])
         return Field(g, vals)
     # the support spreads by 2^m; f must vanish outside the shrunk box
-    _check_headroom(
-        f.values,
-        np.abs(g.x_axis()) >= 0.95 * g.L / 2 ** (m + 1),
-        f"field at {{:.2e}} of peak outside |x| = 0.95 L / 2^{m + 1}",
-    )
+    outside = np.abs(g.x_axis()) >= math.ldexp(0.95 * g.L, -(m + 1))
+    _check_headroom(f.values, outside, f"field at {{:.2e}} of peak outside |x| = 0.95 L / 2^{m + 1}")
+    if np.count_nonzero(~outside) <= 1:
+        if not f.values.any():
+            return Field(g, np.zeros(g.shape))
+        raise BandError(f"dilation escapes grid: |x| < 0.95 L / 2^{m + 1} holds no sample but x = 0")
     vals = f.values
     for axis in range(g.n):
         vals = _resample_axis(vals, g, m, axis)
@@ -362,6 +365,8 @@ def grid_translate(f: Field, a) -> Field:
     circular).
 
     Raises:
+        ParameterError: for an offset of the wrong shape, or one that is not
+            a finite number of grid steps (nan, inf).
         BandError: for offsets that do not land on the grid.
     """
     g = f.grid
@@ -370,7 +375,10 @@ def grid_translate(f: Field, a) -> Field:
         raise ParameterError(
             f"offset must have {g.n} component(s), got shape {a.shape}"
         )
-    steps = a / g.dx
+    with np.errstate(over="ignore"):
+        steps = a / g.dx
+    if not np.isfinite(steps).all():
+        raise ParameterError(f"offset must be a finite number of grid steps, got {a}")
     rounded = np.round(steps)
     if np.max(np.abs(steps - rounded)) > 1e-9 * max(1.0, float(np.max(np.abs(steps)))):
         raise BandError(f"non-grid shift: offset {a} is not a multiple of dx = {g.dx}")

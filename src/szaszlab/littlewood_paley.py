@@ -16,13 +16,15 @@ returns the dyadic levels whose annuli fit between the frequency resolution
 (at least KAPPA bins across the lowest annulus) and a safety margin below
 the Nyquist frequency.
 
-Every consumer reads and writes a spectral piece through one cached
-primitive: ``_piece_blocks(grid, j)`` lists the (box, multiplier) blocks of
+Every consumer reads and writes a spectral piece through this module:
+``_piece_blocks(grid, j)`` lists the cached (box, multiplier) blocks of
 level j (of the low-pass piece S_0 for j None) in centered order, and the
-piece is exactly zero off them; ``_box`` gives the box holding a ball, which
-the witness terms use too, and ``_put_window`` writes a block into a row in
-FFT-natural order or into the circular frequency window of a narrow piece.
-Only this module knows how a piece is laid out.
+piece is exactly zero off them; ``_piece`` multiplies a spectrum by them,
+``_summed`` adds blocks into a centered array (the level masks, sigma_0
+and every witness spectrum), ``_box`` gives the box holding a ball, and
+``_put_window`` writes a block into a row in FFT-natural order or into the
+circular frequency window of a narrow piece.  Only this module knows how a
+piece is laid out.
 """
 
 from __future__ import annotations
@@ -233,17 +235,21 @@ def lp_mask(grid: GridSpec, j: int) -> np.ndarray:
     return np.asarray(gamma_profile(radial_xi(grid) / 2.0**j))
 
 
-def apply_level_mask(coeffs: np.ndarray, grid: GridSpec, j: int) -> np.ndarray:
-    """coeffs * gamma(2^-j |xi|) with exact zeros outside the annulus."""
-    out = np.zeros_like(coeffs)
-    _add_level(out, coeffs, grid, j)
+def _piece(coeffs: np.ndarray, grid: GridSpec, j: int | None) -> list:
+    """Q_j f's spectrum (S_0 f's for j None) from f's centered ``coeffs``, as (box, values) blocks."""
+    return [(box, coeffs[box] * mult) for box, mult in _piece_blocks(grid, j)]
+
+
+def _summed(out: np.ndarray, blocks) -> np.ndarray:
+    """``out`` with each (centered box, values) block added into it in turn, in place."""
+    for box, values in blocks:
+        out[box] += values
     return out
 
 
-def _add_level(acc: np.ndarray, coeffs: np.ndarray, grid: GridSpec, j: int) -> None:
-    """acc += coeffs * gamma(2^-j |xi|), in centered order, on the level's blocks only."""
-    for box, mult in _piece_blocks(grid, j):
-        acc[box] += coeffs[box] * mult
+def apply_level_mask(coeffs: np.ndarray, grid: GridSpec, j: int) -> np.ndarray:
+    """coeffs * gamma(2^-j |xi|) with exact zeros outside the annulus."""
+    return _summed(np.zeros_like(coeffs), _piece(coeffs, grid, j))
 
 
 def lp_project(f: Field, j: int) -> Field:

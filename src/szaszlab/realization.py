@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BandError, _integer
 from .grid import Field, Spectrum, forward_ft, inverse_ft, radial_xi
-from .littlewood_paley import _add_level, feasible_band
+from .littlewood_paley import _piece, _summed, feasible_band
 from .spaces import _norm
 from .szasz import SzaszQuery, _require_grid_dimension, translation_realization_gate
 
@@ -73,10 +73,8 @@ def _sigma0_coeffs(spec: Spectrum, M: int) -> np.ndarray:
         raise BandError(
             f"levels [-{M}, {M}] miss the feasible band [{band.j_min}, {band.j_max}]"
         )
-    acc = np.zeros(g.shape, dtype=np.complex128)
-    for j in range(j_lo, j_hi + 1):
-        _add_level(acc, spec.coeffs, g, j)
-    return acc
+    levels = (block for j in range(j_lo, j_hi + 1) for block in _piece(spec.coeffs, g, j))
+    return _summed(np.zeros(g.shape, dtype=np.complex128), levels)
 
 
 def low_frequency_mass(f: Field, R: float) -> float:

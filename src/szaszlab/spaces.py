@@ -18,8 +18,8 @@ At r = 2 the Besov norm takes each piece's Riemann sum from Parseval on the
 piece's spectral window instead, which is the same sum without synthesizing
 the piece.  The norms accept a field or its spectrum; a spectrum built
 exactly (as the witness families are) leaves the levels it does not reach
-exactly empty, and those are skipped.  Every piece is read through its
-blocks from :func:`~szaszlab.littlewood_paley._piece_blocks`.
+exactly empty, and those are skipped.  Every piece is made as (box,
+values) blocks by :func:`~szaszlab.littlewood_paley._piece`.
 
 Every other piece, and every witness term, is synthesized by
 :func:`_synthesized`, which takes a piece as (centered box, values) blocks
@@ -89,7 +89,7 @@ from .grid import (
     inverse_ft,
     radial_xi,
 )
-from .littlewood_paley import BandLimits, _piece_blocks, _put_window, feasible_band
+from .littlewood_paley import BandLimits, _piece, _put_window, feasible_band
 
 __all__ = ["SpaceParams", "lr_quasinorm", "besov_norm", "triebel_norm", "space_norm"]
 
@@ -155,27 +155,27 @@ def _power_sum(a: np.ndarray, p: float, weight: float = 1.0, at=None, size: int 
     then is it recomputed with ``a`` scaled by its maximum (Blue, ACM TOMS
     1978).  An in-range sum thus costs one pass and has the bits of the
     plain formula.  With ``at``, ``a`` holds the nonzero entries of a longer
-    array of ``size`` entries, at the indices ``at``: the sum runs over that
-    array, zeros included, so it has the bits of the sum over the whole of
-    it, and the zeros are written out only for a rescaled sum.
+    array of ``size`` entries, at the indices ``at``: both sums run over
+    that array, zeros included, so they have the bits of the sums over the
+    whole of it.
     """
     if isinf(p):
         return float(a.max()) if a.size else 0.0
-    with np.errstate(over="ignore", under="ignore"):
-        powered = np.power(a, p)
+
+    def total(powered):
         if at is not None:
             powered, full = np.zeros(size), powered
             powered[at] = full
-        total = float(np.sum(powered)) * weight
-    if _in_range(total):
-        return total ** (1.0 / p)
+        return float(np.sum(powered)) * weight
+
+    with np.errstate(over="ignore", under="ignore"):
+        plain = total(np.power(a, p))
+    if _in_range(plain):
+        return plain ** (1.0 / p)
     peak = float(a.max()) if a.size else 0.0
     if not 0.0 < peak < np.inf:  # zero, inf or nan: the plain value is the answer
-        return total ** (1.0 / p)
-    if at is not None:
-        a, full = np.zeros(size), a
-        a[at] = full
-    return peak * (float(np.sum((a / peak) ** p)) * weight) ** (1.0 / p)
+        return plain ** (1.0 / p)
+    return peak * total((a / peak) ** p) ** (1.0 / p)
 
 
 def _usable_cpus() -> int:
@@ -503,30 +503,17 @@ def _parseval_l2(grid, energy: float) -> float:
     return sqrt(energy * grid.dxi**grid.n / (2.0 * np.pi) ** grid.n)
 
 
-def _piece(spec: Spectrum, j: int | None) -> list:
-    """Q_j f's spectrum (S_0 f's for j None) as (box, masked coefficients) blocks, centered."""
-    return [(box, spec.coeffs[box] * mult) for box, mult in _piece_blocks(spec.grid, j)]
-
-
 def _piece_l2(spec: Spectrum, j: int | None) -> float:
     """||Q_j f||_2 (||S_0 f||_2 for j None) by Parseval on the piece's blocks, with no synthesis.
 
-    The plain energy sum |c_k|^2 is kept when it is in range; only an over-
-    or underflowing one is redone with the moduli scaled by their peak
-    (Blue 1978), as :func:`_power_sum` does.
+    A nonempty piece's energy sum |c_k|^2 that over- or underflows is redone by :func:`_power_sum`.
     """
-    moduli = [np.abs(block) for _, block in _piece(spec, j)]
-    energy = 0.0
+    moduli = [np.abs(block) for _, block in _piece(spec.coeffs, spec.grid, j)]
     with np.errstate(over="ignore", under="ignore"):
-        for a in moduli:
-            energy += float(np.sum(a**2))
-        if _in_range(energy):
-            return _parseval_l2(spec.grid, energy)
-        peak = max(float(a.max(initial=0.0)) for a in moduli)
-        if not 0.0 < peak < np.inf:  # zero, inf or nan: the plain value is the answer
-            return _parseval_l2(spec.grid, energy)
-        scaled = sum(float(np.sum((a / peak) ** 2)) for a in moduli)
-    return peak * _parseval_l2(spec.grid, scaled)
+        energy = sum(float(np.sum(a**2)) for a in moduli)
+    if _in_range(energy) or not any(a.max(initial=0.0) for a in moduli):
+        return _parseval_l2(spec.grid, energy)
+    return _power_sum(np.concatenate(moduli), 2.0) * _parseval_l2(spec.grid, 1.0)
 
 
 def _window(grid, piece: list) -> tuple | None:
@@ -681,7 +668,7 @@ def _besov(spec: Spectrum, band: BandLimits, params: SpaceParams) -> float:
     if params.r == 2.0:
         norms = {j: _piece_l2(spec, j) for j in keys}
     else:
-        norms = _pieces_lr(spec.grid, keys, partial(_piece, spec), params.r)
+        norms = _pieces_lr(spec.grid, keys, partial(_piece, spec.coeffs, spec.grid), params.r)
     summands = [x if j is None else 2.0 ** (j * params.s) * x for j, x in norms.items()]
     return _power_sum(np.asarray(summands), params.q)
 
@@ -706,7 +693,7 @@ def _triebel(spec: Spectrum, band: BandLimits, params: SpaceParams) -> float:
     keys = _norm_levels(params, band) + ([] if params.homogeneous else [None])
 
     def pointwise(exponent, acc, peak=None):
-        for batch, source in _synthesized(g, keys, partial(_piece, spec)):
+        for batch, source in _synthesized(g, keys, partial(_piece, spec.coeffs, g)):
             _accumulate(source, batch, params.s, exponent, acc, peak)
         return acc
 

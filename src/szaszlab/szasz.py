@@ -29,6 +29,7 @@ constant c is reported, never asserted against a theoretical value.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from math import isinf
 
@@ -62,6 +63,10 @@ class SzaszQuery:
         if not self.p > 0:
             raise ParameterError(f"invalid exponent: p must be > 0, got {self.p}")
         object.__setattr__(self, "n", _integer(self.n, "n", 1))
+        if self.n > sys.float_info.max:  # n / r and theta need n as a float
+            raise ParameterError(
+                f"invalid params: n does not fit a float, got an integer of {self.n.bit_length()} bits"
+            )
 
     @property
     def theta(self) -> float:

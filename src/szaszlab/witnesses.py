@@ -63,10 +63,11 @@ support (``littlewood_paley._box``): phi on |xi| <= 1/2, psi's dilation into
 C_(-k) on |xi| <= 5/4 * 2^-k and a random plateau on |xi| <= 2^j.  One
 registry maps each witness kind to its default preset and spectrum builder.
 
-Every builder hands its terms, (centered box, values) pairs, to one writer,
-``_spectrum``.  The blowup witness scales each term by its grid L_r norm,
-taken from the space norms' own path, ``spaces._pieces_lr``, and kept in
-one small table per (grid, r) for the life of the process.
+Every builder hands its terms, (centered box, values) pairs, to
+``_spectrum``, which sums them with ``littlewood_paley._summed``.  The
+blowup witness scales each term by its grid L_r norm, taken from the space
+norms' own path, ``spaces._pieces_lr``, and kept in one small table per
+(grid, r) for the life of the process.
 """
 
 from __future__ import annotations
@@ -83,6 +84,7 @@ from .littlewood_paley import (
     SAFETY,
     _box,
     _mollifier_step,
+    _summed,
     feasible_band,
     lowpass_profile,
 )
@@ -194,10 +196,7 @@ def _psi_norm_constant(grid: GridSpec) -> float:
 
 def _spectrum(grid: GridSpec, terms) -> Spectrum:
     """The spectrum summing ``terms``, (centered box, values) pairs, each zero off its box."""
-    out = np.zeros(grid.shape, dtype=np.complex128)
-    for box, values in terms:
-        out[box] += values
-    return Spectrum(grid, out)
+    return Spectrum(grid, _summed(np.zeros(grid.shape, dtype=np.complex128), terms))
 
 
 def _real_part(grid: GridSpec, box: tuple, values: np.ndarray) -> Field:

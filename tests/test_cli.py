@@ -1,5 +1,7 @@
 """Command-line contract: records, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import szaszlab
 from szaszlab import ModelFidelityWarning, SpaceParams, SzaszQuery, classify, divergence_experiment
@@ -50,6 +54,15 @@ class TestClassifyCommand:
         )
         assert code == 2
         assert not out.exists()
+
+    def test_n_too_large_for_a_float_exits_2_with_one_line(self, capsys):
+        n = "1" + "0" * 400
+        code = run_cli(["classify", "--s", "0", "--p", "2", "--q", "2", "--r", "2", "--n", n, "--family", "B"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("szaszlab classify: invalid params: n does not fit a float")
+        assert err.count("\n") == 1
 
     def test_inf_literal_round_trip(self, tmp_path):
         out = tmp_path / "c.json"
@@ -316,3 +329,53 @@ def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys, command, where):
     assert err.startswith(f"szaszlab {command}: cannot write --out {out}")
     assert err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+#: number-like command-line values: huge integers, infinities, a negative
+#: zero, an underflowing literal, nan, a fraction, the empty string, and
+#: ordinary exponents
+_NUMBERS = st.one_of(
+    st.sampled_from(["inf", "-inf", "-0", "1e-400", "nan", "1/2", "", "0", "1", "2", "0.5", "1.5", "3"]),
+    st.integers(min_value=10**300, max_value=10**420).map(str),
+    st.integers(min_value=10**300, max_value=10**420).map(lambda k: f"-{k}"),
+)
+
+_HUGE_N = "1" * 401
+
+
+def _exit_code(argv) -> int:
+    """main(argv)'s return value, or the code of argparse's SystemExit; stdout and stderr are dropped."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+def _query_argv(values: dict) -> list:
+    return [f"--{name}={value}" for name, value in values.items()]
+
+
+_PROPERTY = settings(max_examples=150, deadline=None, database=None, derandomize=True)
+
+
+@_PROPERTY
+@given(
+    st.fixed_dictionaries({name: _NUMBERS for name in ("s", "p", "q", "r", "n")}),
+    st.sampled_from(["B", "F"]),
+)
+@example({"s": "0", "p": "2", "q": "2", "r": "2", "n": _HUGE_N}, "B")
+def test_classify_never_raises_on_number_like_values(values, family):
+    assert _exit_code(["classify", *_query_argv(values), "--family", family]) in (0, 2, 3)
+
+
+@_PROPERTY
+@given(
+    st.fixed_dictionaries(
+        {name: st.lists(_NUMBERS, max_size=3).map(",".join) for name in ("s", "p", "q", "r", "n")}
+    ),
+    st.sampled_from(["B", "F", "B,F"]),
+)
+@example({"s": "0", "p": "2", "q": "2", "r": "2", "n": _HUGE_N}, "B")
+def test_sweep_never_raises_on_number_like_lists(values, family):
+    assert _exit_code(["sweep", *_query_argv(values), "--family", family]) in (0, 2, 3)

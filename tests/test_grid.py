@@ -16,6 +16,7 @@ from szaszlab import (
     grid_translate,
     inverse_ft,
 )
+import szaszlab.grid as grid_module
 from szaszlab.grid import BOUNDARY_MARGIN
 
 from conftest import wave_packet
@@ -223,6 +224,44 @@ class TestDyadicDilate:
         with pytest.raises(BandError, match=msg):
             dyadic_dilate(f, 2)
 
+    @pytest.fixture
+    def ifft_calls(self, monkeypatch):
+        """The number of ``scipy.fft.ifft`` calls the grid module makes, as a one-item list."""
+        calls, ifft = [0], grid_module._fft.ifft
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return ifft(*args, **kwargs)
+
+        monkeypatch.setattr(grid_module._fft, "ifft", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "m,msg", [(m, "holds no sample but x = 0") for m in (3, 12, 30, 63)] + [(10**20, "escapes grid: field at")]
+    )
+    def test_box_holding_only_the_origin_raises_before_any_transform(self, ifft_calls, m, msg):
+        # on 16 points 0.95 L / 2^(m+1) <= dx from m = 3 on: a spike at x = 0
+        # passes the headroom check, and the resampling would cost 2^m
+        # transforms; at m = 10^20 the box holds no sample at all
+        g = GridSpec(1, 16, 1.0)
+        f = Field(g, np.eye(16)[g.center])
+        with pytest.raises(BandError, match=msg):
+            dyadic_dilate(f, m)
+        assert ifft_calls == [0]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_zero_field_dilates_to_zero_with_no_transform(self, ifft_calls, n):
+        g = GridSpec(n, 16, 1.0)
+        d = dyadic_dilate(Field(g, np.zeros(g.shape)), 12)
+        assert not d.values.any() and d.values.shape == g.shape
+        assert ifft_calls == [0]
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_resolvable_m_costs_two_to_the_m_transforms_per_axis(self, ifft_calls, m):
+        g = GridSpec(1, 16, 1.0)
+        dyadic_dilate(Field(g, np.eye(16)[g.center]), m)
+        assert ifft_calls == [2**m]
+
     @pytest.mark.parametrize("m", [1.5, -0.5, "1", None])
     def test_m_must_be_an_integer(self, grid_1d, m):
         x = grid_1d.x_axis()
@@ -256,6 +295,13 @@ class TestGridTranslate:
         f = Field(grid_1d, np.zeros(4096))
         with pytest.raises(BandError, match="non-grid shift"):
             grid_translate(f, 0.3 * grid_1d.dx)
+
+    @pytest.mark.parametrize("offset", [np.nan, np.inf, -np.inf, 1e308, (0.0, np.nan)])
+    def test_non_finite_offset_raises(self, grid_1d, grid_2d, offset):
+        g = grid_1d if np.ndim(offset) == 0 else grid_2d
+        f = Field(g, np.zeros(g.shape))
+        with pytest.raises(ParameterError, match="offset must be a finite number of grid steps"):
+            grid_translate(f, offset)
 
     def test_two_dimensional_shift(self, grid_2d):
         rng = np.random.default_rng(6)

@@ -189,6 +189,12 @@ class TestLpProject:
             full = coeffs * lp_mask(grid_mid, j)
             assert np.max(np.abs(full - apply_level_mask(coeffs, grid_mid, j))) < 1e-15
 
+    def test_float_input_keeps_its_dtype(self, grid_mid):
+        coeffs = np.random.default_rng(12).standard_normal(grid_mid.shape)
+        masked = apply_level_mask(coeffs, grid_mid, 5)
+        assert masked.dtype == np.float64
+        assert np.array_equal(masked, apply_level_mask(coeffs.astype(complex), grid_mid, 5).real)
+
     def test_dilation_commutation(self, grid_wide):
         # content of f sits at level -3, so the dilated field lives at -3 - m
         f = wave_packet(grid_wide, 0.109, 900.0)

@@ -76,6 +76,15 @@ class TestSzaszQuery:
         with pytest.raises(ParameterError, match="n must be an integer >= 1"):
             SzaszQuery(SpaceParams(1.0, 2.0, 2.0), 2.0, n)
 
+    @pytest.mark.parametrize("n", [10**400, 2**1024], ids=["10^400", "2^1024"])
+    def test_dimension_must_fit_a_float(self, n):
+        # n / r and theta would raise OverflowError in the classifier
+        with pytest.raises(ParameterError, match="n does not fit a float"):
+            SzaszQuery(SpaceParams(1.0, 2.0, 2.0), 2.0, n)
+
+    def test_largest_float_dimension_is_accepted(self):
+        assert SzaszQuery(SpaceParams(1.0, 2.0, 2.0), 2.0, 10**308).n == 10**308
+
 
 class TestWeightedLhs:
     def test_zero(self, grid_mid):
