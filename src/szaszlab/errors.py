@@ -1,5 +1,6 @@
 """Exception and warning types, the fidelity-warning emitter and the integer-argument check."""
 
+import math
 import os
 import sys
 import warnings
@@ -55,4 +56,13 @@ def _integer(value, name: str, least: int | None = 0) -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     bound = "" if least is None else f" >= {least}"
-    raise ParameterError(f"invalid params: {name} must be an integer{bound}, got {value!r}")
+    raise ParameterError(f"invalid params: {name} must be an integer{bound}, got {_shown(value)}")
+
+
+def _shown(value) -> str:
+    """``repr(value)``, or the digit count of an integer too long for the interpreter to convert to a string."""
+    try:
+        return repr(value)
+    except ValueError:
+        digits = math.floor(math.log10(abs(value))) + 1
+        return f"an integer of {digits - (10 ** (digits - 1) > abs(value))} digits"

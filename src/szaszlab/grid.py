@@ -26,13 +26,13 @@ with the dyadic Littlewood-Paley ladder built on top of this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 import scipy.fft as _fft
 
-from .errors import BandError, ParameterError, _integer
+from .errors import BandError, ParameterError, _integer, _shown
 
 __all__ = [
     "GridSpec",
@@ -80,7 +80,7 @@ class GridSpec:
         if self.n not in (1, 2):
             raise ParameterError(f"dimension n must be 1 or 2, got {self.n}")
         if self.N < 16 or (self.N & (self.N - 1)) != 0:
-            raise ParameterError(f"N must be a power of two >= 16, got {self.N}")
+            raise ParameterError(f"N must be a power of two >= 16, got {_shown(self.N)}")
         if not (self.L > 0 and math.isfinite(self.L)):
             raise ParameterError(f"L must be a positive real, got {self.L}")
 
@@ -135,13 +135,40 @@ class Spectrum:
     ``coeffs[k]`` (multi-index k relative to the array center) approximates
     F(f)(xi_k).  The entry at the center approximates F(f)(0); consumers with
     homogeneous-weight semantics must exclude it.
+
+    A spectrum also carries a private support: disjoint centered boxes
+    outside which ``coeffs`` is exactly zero.  It is the whole grid, one
+    box, except for the witness spectra the package builds, whose support
+    is the union of their terms' boxes (:func:`_supported`); the norms,
+    the weighted functional and the fidelity checks read only the support.
     """
 
     grid: GridSpec
     coeffs: np.ndarray
+    _support: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _on_grid(self.grid, self.coeffs, "spectrum"))
+        object.__setattr__(self, "_support", ((slice(0, self.grid.N),) * self.grid.n,))
+
+
+def _supported(spec: Spectrum, boxes) -> Spectrum:
+    """``spec`` with the union of the centered ``boxes`` as its support; its coeffs must vanish off them.
+
+    Empty boxes are dropped, and overlapping boxes are merged into their
+    bounding box until no two overlap.  The support is kept in order of the
+    boxes' first corners.
+    """
+    merged = []
+    for box in boxes:
+        if any(s.start >= s.stop for s in box):
+            continue
+        while hit := [m for m in merged if all(a.start < b.stop and b.start < a.stop for a, b in zip(m, box))]:
+            merged = [m for m in merged if m not in hit]
+            box = tuple(slice(min(s.start for s in axis), max(s.stop for s in axis)) for axis in zip(box, *hit))
+        merged.append(box)
+    object.__setattr__(spec, "_support", tuple(sorted(merged, key=lambda box: [s.start for s in box])))
+    return spec
 
 
 def _on_grid(grid: GridSpec, a, what: str) -> np.ndarray:
@@ -300,6 +327,12 @@ def dyadic_dilate(f: Field, m: int) -> Field:
     m = _integer(m, "m", None)
     if m == 0:
         return Field(g, f.values.copy())
+    if m < 0 and -m >= g.N.bit_length() - 1:
+        # 2^-m >= N: every bin but k = 0 spreads past Nyquist, and the
+        # stride read keeps only x = 0, so only the zero field stays on the grid
+        if f.values.any():
+            raise BandError("dilation escapes grid: 2^-m >= N spreads every nonzero spectrum past xi_max")
+        return Field(g, np.zeros(g.shape))
     if m < 0:
         # the spectrum spreads by 2^-m; it must stay below Nyquist
         _check_headroom(

@@ -20,8 +20,10 @@ Every consumer reads and writes a spectral piece through this module:
 ``_piece_blocks(grid, j)`` lists the cached (box, multiplier) blocks of
 level j (of the low-pass piece S_0 for j None) in centered order, and the
 piece is exactly zero off them; ``_piece`` multiplies a spectrum by them,
+on their meets with the spectrum's support when it is given,
 ``_summed`` adds blocks into a centered array (the level masks, sigma_0
-and every witness spectrum), ``_box`` gives the box holding a ball, and
+and every witness spectrum), ``_box`` gives the box holding a ball,
+``_one_sided`` the two runs of a 1-D annulus, and
 ``_put_window`` writes a block into a row in FFT-natural order or into the
 circular frequency window of a narrow piece.  Only this module knows how a
 piece is laid out.
@@ -191,14 +193,19 @@ def _piece_blocks(grid: GridSpec, j: int | None) -> list:
     if grid.n != 1:
         box = _box(grid, 1.5 * scale)
         return [(box, _read_only(gamma_profile(radial_xi(grid)[box] / scale)))]
-    c = grid.center
     k_lo = max(1, math.floor(0.5 * scale / grid.dxi))
     k_hi = min(grid.N // 2 - 1, math.ceil(1.5 * scale / grid.dxi))
     if k_hi < k_lo:
         return []
-    pos = (slice(c + k_lo, c + k_hi + 1),)
+    pos, neg = _one_sided(grid, k_lo, k_hi)
     vals = _read_only(gamma_profile(radial_xi(grid)[pos] / scale))
-    return [(pos, vals), ((slice(c - k_hi, c - k_lo + 1),), vals[::-1])]
+    return [(pos, vals), (neg, vals[::-1])]
+
+
+def _one_sided(grid: GridSpec, k_lo: int, k_hi: int) -> tuple:
+    """The 1-D centered boxes of the bins k_lo..k_hi and of their mirror -k_hi..-k_lo."""
+    c = grid.center
+    return (slice(c + k_lo, c + k_hi + 1),), (slice(c - k_hi, c - k_lo + 1),)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -235,9 +242,27 @@ def lp_mask(grid: GridSpec, j: int) -> np.ndarray:
     return np.asarray(gamma_profile(radial_xi(grid) / 2.0**j))
 
 
-def _piece(coeffs: np.ndarray, grid: GridSpec, j: int | None) -> list:
-    """Q_j f's spectrum (S_0 f's for j None) from f's centered ``coeffs``, as (box, values) blocks."""
-    return [(box, coeffs[box] * mult) for box, mult in _piece_blocks(grid, j)]
+def _piece(coeffs: np.ndarray, grid: GridSpec, j: int | None, support=None) -> list:
+    """Q_j f's spectrum (S_0 f's for j None) from f's centered ``coeffs``, as (box, values) blocks.
+
+    With ``support``, boxes off which ``coeffs`` vanishes (a spectrum's
+    support), each block of the level is met with each of them in turn
+    (:func:`_met`), so no bin off the support is read.
+    """
+    return [part for box, mult in _piece_blocks(grid, j) for part in _met(coeffs, box, mult, support)]
+
+
+def _met(coeffs: np.ndarray, box: tuple, mult: np.ndarray, support) -> list:
+    """The (box, values) blocks of ``coeffs * mult`` on ``box`` met with each box of ``support`` (None: all of it)."""
+    if support is None:
+        return [(box, coeffs[box] * mult)]
+    parts = []
+    for other in support:
+        part = tuple(slice(max(a.start, b.start), min(a.stop, b.stop)) for a, b in zip(box, other))
+        if all(s.start < s.stop for s in part):
+            inner = tuple(slice(s.start - a.start, s.stop - a.start) for s, a in zip(part, box))
+            parts.append((part, coeffs[part] * mult[inner]))
+    return parts
 
 
 def _summed(out: np.ndarray, blocks) -> np.ndarray:

@@ -58,6 +58,17 @@ levels in level order, so no result depends on W.  The stack of W rows of
 F-norm adds its real pointwise sum, and the boundary check of a spectrum
 that is not narrow its field).
 
+A spectrum is read only on its support, the boxes off which its
+coefficients are exactly zero (``grid.Spectrum``): the whole grid for
+``forward_ft``'s, the terms' boxes for a witness's.  The level pieces are
+the level blocks met with those boxes, the out-of-band mass takes |xi|
+from ``radial_xi`` on them, and the boundary check's window and coset
+coefficients come from them.  Every sum over them keeps the bits of the
+sum over the whole zero-padded array through one helper,
+:func:`_padded_sum`, which walks numpy's pairwise tree and takes exactly 0
+for a subtree that holds no run of the support (:func:`_layout` lays
+boxes out as runs).
+
 Power sums, the Parseval sums at r = 2 included, are rescaled by their
 maximum only when the plain sum overflows or underflows, so no quasi-norm
 silently returns inf or 0.
@@ -68,9 +79,10 @@ assumes the triangle inequality.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from math import isfinite, isinf, prod, sqrt
 
 import numpy as np
@@ -89,7 +101,7 @@ from .grid import (
     inverse_ft,
     radial_xi,
 )
-from .littlewood_paley import BandLimits, _piece, _put_window, feasible_band
+from .littlewood_paley import BandLimits, _met, _piece, _piece_blocks, _put_window, feasible_band
 
 __all__ = ["SpaceParams", "lr_quasinorm", "besov_norm", "triebel_norm", "space_norm"]
 
@@ -147,26 +159,23 @@ def _in_range(total: float) -> bool:
     return isfinite(total) and total >= _TINY
 
 
-def _power_sum(a: np.ndarray, p: float, weight: float = 1.0, at=None, size: int = 0) -> float:
+def _power_sum(a: np.ndarray, p: float, weight: float = 1.0, runs=None, size: int = 0) -> float:
     """(weight * sum(a**p))**(1/p) for a nonnegative array, with no spurious inf or 0.
 
     p = inf gives the maximum (0.0 for an empty array).  The plain sum is
     kept unless it is non-finite or below the smallest normal float; only
     then is it recomputed with ``a`` scaled by its maximum (Blue, ACM TOMS
     1978).  An in-range sum thus costs one pass and has the bits of the
-    plain formula.  With ``at``, ``a`` holds the nonzero entries of a longer
-    array of ``size`` entries, at the indices ``at``: both sums run over
-    that array, zeros included, so they have the bits of the sums over the
-    whole of it.
+    plain formula.  With ``runs``, ``a`` holds the entries of those (start,
+    length) runs of a longer array of ``size`` entries that is zero
+    elsewhere (:func:`_layout`), and both sums have the bits of the sums
+    over the whole of it (:func:`_padded_sum`).
     """
     if isinf(p):
         return float(a.max()) if a.size else 0.0
 
     def total(powered):
-        if at is not None:
-            powered, full = np.zeros(size), powered
-            powered[at] = full
-        return float(np.sum(powered)) * weight
+        return (float(np.sum(powered)) if runs is None else _padded_sum(powered, runs, size)) * weight
 
     with np.errstate(over="ignore", under="ignore"):
         plain = total(np.power(a, p))
@@ -176,6 +185,73 @@ def _power_sum(a: np.ndarray, p: float, weight: float = 1.0, at=None, size: int 
     if not 0.0 < peak < np.inf:  # zero, inf or nan: the plain value is the answer
         return plain ** (1.0 / p)
     return peak * total((a / peak) ** p) ** (1.0 / p)
+
+
+#: longest leaf of numpy's pairwise sum
+_LEAF = 128
+
+
+def _padded_sum(values: np.ndarray, runs: list, size: int) -> float:
+    """``np.sum``'s bits for the zero array of ``size`` entries holding ``values`` in its ``runs``.
+
+    ``runs`` are disjoint (start, length) runs in increasing order, and
+    ``values`` holds their entries one run after another (:func:`_layout`).
+    numpy sums pairwise (Higham, SIAM J. Sci. Comput. 1993): n > _LEAF
+    entries split into halves at n//2 - (n//2) % 8, and a leaf is summed in
+    a fixed order.  This walks the same tree: a subtree inside one run, or
+    a leaf, is summed by ``np.sum`` itself, and a subtree that holds no run
+    is 0.0, which is numpy's sum of its zeros.
+    """
+    starts = [start for start, _ in runs]
+    offsets = np.cumsum([0] + [length for _, length in runs]).tolist()
+
+    def tree(lo, n, first, last):  # runs[first:last] are those meeting [lo, lo + n)
+        if first == last:
+            return 0.0
+        start, length = runs[first]
+        if last - first == 1 and start <= lo and lo + n <= start + length:
+            at = offsets[first] + lo - start
+            return float(np.sum(values[at : at + n]))
+        if n <= _LEAF:
+            leaf = np.zeros(n)
+            for (start, length), offset in zip(runs[first:last], offsets[first:last]):
+                a, b = max(start, lo), min(start + length, lo + n)
+                leaf[a - lo : b - lo] = values[offset + a - start : offset + b - start]
+            return float(np.sum(leaf))
+        half = n // 2 - (n // 2) % 8
+        split = bisect_left(starts, lo + half, first, last)
+        straddles = split > first and starts[split - 1] + runs[split - 1][1] > lo + half
+        return tree(lo, half, first, split) + tree(lo + half, n - half, split - straddles, last)
+
+    return tree(0, size, 0, len(runs))
+
+
+def _layout(blocks, container: tuple, hole: int | None = None) -> tuple:
+    """(values, runs, size): (centered box, values) blocks inside the centered box ``container``, flattened.
+
+    ``container`` in C order is an array of ``size`` entries.  The blocks'
+    bins are disjoint (start, length) ``runs`` of it, in increasing order:
+    one per block, or one per row of a 2-D block narrower than
+    ``container``; ``values`` holds their entries one run after another,
+    as :func:`_padded_sum` and :func:`_power_sum` take them.  With
+    ``hole``, that flat index is left out of the array, and the entries
+    after it move down one.
+    """
+    shape = tuple(s.stop - s.start for s in container)
+    pieces = []
+    for box, values in blocks:
+        first = [b.start - s.start for b, s in zip(box, container)]
+        if values.ndim == 1 or values.shape[1] == shape[1]:
+            pieces.append((first[0] * prod(shape[1:]) + sum(first[1:]), values.ravel()))
+        else:
+            pieces += [((first[0] + i) * shape[1] + first[1], row) for i, row in enumerate(values)]
+    size = prod(shape)
+    if hole is not None:
+        pieces = [(s - (s > hole), np.delete(v, hole - s) if s <= hole < s + v.size else v) for s, v in pieces]
+        size -= 1
+    pieces.sort(key=lambda piece: piece[0])
+    values = pieces[0][1] if len(pieces) == 1 else np.concatenate([v for _, v in pieces] or [np.zeros(0)])
+    return values, [(start, v.size) for start, v in pieces], size
 
 
 def _usable_cpus() -> int:
@@ -416,20 +492,6 @@ def lr_quasinorm(f: Field, r: float) -> float:
     return _lr_norms(_Rows(f.values[None]), 1, r, f.grid)[0]
 
 
-@lru_cache(maxsize=8)
-def _uncovered(grid, homogeneous: bool) -> np.ndarray:
-    """Read-only mask of the bins outside the feasible band's annuli (the k = 0 bin counts as covered)."""
-    band = feasible_band(grid)
-    r = radial_xi(grid)
-    covered = r <= band.cover_hi
-    if homogeneous:
-        covered &= r >= band.cover_lo
-        covered |= r == 0.0  # the discarded bin is not "leaked" mass
-    outside = ~covered
-    outside.setflags(write=False)
-    return outside
-
-
 def _prepared_spectrum(
     f: Field | Spectrum, params: SpaceParams, spec: Spectrum | None = None
 ) -> tuple[Spectrum, BandLimits]:
@@ -441,45 +503,53 @@ def _prepared_spectrum(
     with no full-grid array.
     Neither path copies the spectrum: the k = 0 bin that the homogeneous
     norms discard lies outside every level mask, so it needs no zeroing.
+    The total and out-of-band spectral mass read only the spectrum's
+    support, with |xi| taken from ``radial_xi`` on its boxes, and have the
+    bits of sums over the whole grid (:func:`_padded_sum`).
     """
     if spec is None:
         spec = forward_ft(f) if isinstance(f, Field) else f
     g = spec.grid
-    uncovered = _uncovered(g, params.homogeneous)
-    modulus = np.abs(spec.coeffs)
-    total = float(np.sum(modulus))
+    band, whole = feasible_band(g), (slice(0, g.N),) * g.n
+    modulus, runs, size = _layout([(box, np.abs(spec.coeffs[box])) for box in spec._support], whole)
+    total = _padded_sum(modulus, runs, size)
     if total > 0.0:
-        outside = float(np.sum(modulus[uncovered]))
+        r, _, _ = _layout([(box, radial_xi(g)[box]) for box in spec._support], whole)
+        leaked = r > band.cover_hi
+        if params.homogeneous:
+            leaked |= (r < band.cover_lo) & (r > 0.0)  # the discarded k = 0 bin is not leaked mass
+        outside = _padded_sum(np.where(leaked, modulus, 0.0), runs, size)
         if outside > OUT_OF_BAND_TOL * total:
             _warn_fidelity(
                 f"spectral mass {outside/total:.2e} of total lies outside the "
                 f"feasible band's annuli; the truncated norm misses it"
             )
-    modulus = None  # freed before the boundary check's synthesis
+    modulus = leaked = None  # freed before the boundary check's synthesis
     ratio = boundary_decay_ratio(f) if isinstance(f, Field) else _boundary_ratio(spec)
     if ratio > BOUNDARY_TOL:
         _warn_fidelity(
             f"space norm: field is {ratio:.2e} of its peak near the box boundary "
             f"(tolerance {BOUNDARY_TOL:.0e}); periodization error may not be subdominant"
         )
-    return spec, feasible_band(g)
+    return spec, band
 
 
 def _boundary_ratio(spec: Spectrum) -> float:
     """``boundary_decay_ratio(inverse_ft(spec))``, for a narrow spectrum with no full-grid array.
 
-    A narrow spectrum (:func:`_narrow`) is synthesized coset by coset
+    The window (:func:`_window`) reads only the spectrum's support.  A
+    narrow spectrum (:func:`_narrow`) is synthesized coset by coset
     (:class:`_Cosets`), and each tile keeps its peak and its largest
     modulus in the boundary shell, which in natural sample order is the
     middle block of indices per axis.  Any other spectrum is synthesized
     on the full grid.
     """
     g = spec.grid
-    whole = [((slice(0, g.N),) * g.n, spec.coeffs)]
-    window = _window(g, whole)
+    blocks = [(box, spec.coeffs[box]) for box in spec._support]
+    window = _window(g, blocks)
     if window is None or not _narrow(g, window):
         return boundary_decay_ratio(inverse_ft(spec))
-    source, shell = _Cosets(g, whole, window), _natural_shell(g)
+    source, shell = _Cosets(g, blocks, window), _natural_shell(g)
     peaks, edges = np.zeros((2, -(-source.size // _CHUNK)))
 
     def work(lo, hi, buf, tmp):
@@ -490,6 +560,11 @@ def _boundary_ratio(spec: Spectrum) -> float:
     _chunk_pass(source.size, work)
     peak = float(peaks.max())
     return 0.0 if peak == 0.0 else float(edges.max()) / peak
+
+
+def _pieces_of(spec: Spectrum):
+    """Level j -> the piece Q_j f (S_0 f for None) as (box, values) blocks on the spectrum's support."""
+    return partial(_piece, spec.coeffs, spec.grid, support=spec._support)
 
 
 def _norm_levels(params: SpaceParams, band) -> list[int]:
@@ -506,14 +581,25 @@ def _parseval_l2(grid, energy: float) -> float:
 def _piece_l2(spec: Spectrum, j: int | None) -> float:
     """||Q_j f||_2 (||S_0 f||_2 for j None) by Parseval on the piece's blocks, with no synthesis.
 
-    A nonempty piece's energy sum |c_k|^2 that over- or underflows is redone by :func:`_power_sum`.
+    Each block of the level is read only where it meets the spectrum's
+    support, and its energy sum |c_k|^2 has the bits of ``np.sum`` over the
+    whole block (:func:`_padded_sum`).  A nonempty piece's energy that
+    over- or underflows is redone by :func:`_power_sum` over its blocks one
+    after another.
     """
-    moduli = [np.abs(block) for _, block in _piece(spec.coeffs, spec.grid, j)]
+    g, blocks = spec.grid, []
+    for box, mult in _piece_blocks(g, j):
+        values, runs, size = _layout(_met(spec.coeffs, box, mult, spec._support), box)
+        blocks.append((np.abs(values), runs, size))
     with np.errstate(over="ignore", under="ignore"):
-        energy = sum(float(np.sum(a**2)) for a in moduli)
-    if _in_range(energy) or not any(a.max(initial=0.0) for a in moduli):
-        return _parseval_l2(spec.grid, energy)
-    return _power_sum(np.concatenate(moduli), 2.0) * _parseval_l2(spec.grid, 1.0)
+        energy = sum(_padded_sum(a**2, runs, size) for a, runs, size in blocks)
+    if _in_range(energy) or not any(a.max(initial=0.0) for a, _, _ in blocks):
+        return _parseval_l2(g, energy)
+    runs, offset = [], 0
+    for _, block_runs, size in blocks:
+        runs += [(start + offset, length) for start, length in block_runs]
+        offset += size
+    return _power_sum(np.concatenate([a for a, _, _ in blocks]), 2.0, 1.0, runs, offset) * _parseval_l2(g, 1.0)
 
 
 def _window(grid, piece: list) -> tuple | None:
@@ -525,12 +611,15 @@ def _window(grid, piece: list) -> tuple | None:
     (0, N), without its gaps being sought.
     """
     n, N = grid.n, grid.N
-    found: list = [[] for _ in range(n)]
+    # in 2-D two blocks may share an axis's frequencies, so each axis's are marked in one array
+    found: list = [[] if n == 1 else [(-grid.center, np.zeros(N, dtype=bool))] for _ in range(n)]
     for box, values in piece:
         nonzero = values != 0
-        for i, s in enumerate(box):
-            hit = nonzero.any(axis=tuple(a for a in range(n) if a != i)) if n > 1 else nonzero
-            found[i].append((s.start - grid.center, hit))
+        if n == 1:
+            found[0].append((box[0].start - grid.center, nonzero))
+        else:
+            for i, s in enumerate(box):
+                found[i][0][1][s] |= nonzero.any(axis=1 - i)
     window = []
     for axis in found:
         count = sum(int(np.count_nonzero(hit)) for _, hit in axis)
@@ -627,13 +716,13 @@ def _accumulate(source, keys: list, s: float, q: float, acc, peak=None) -> None:
     positions of ``acc``, so a point sees its levels in order whatever the
     batch width.
     """
-    gains = [None if j is None else 2.0 ** (j * s) for j in keys]
+    gains = [1.0 if j is None else 2.0 ** (j * s) for j in keys]
 
     def work(lo, hi, buf, tmp):
         out = source.at(acc, lo, hi)
         top = None if peak is None else source.at(peak, lo, hi)
         for gain, a in zip(gains, source.moduli(lo, hi, buf, tmp)):
-            if gain is not None:
+            if gain != 1.0:  # s = 0 or S_0: the product would change no bit
                 a *= gain
             if top is not None:
                 np.divide(a, top, out=a, where=top > 0.0)
@@ -668,7 +757,7 @@ def _besov(spec: Spectrum, band: BandLimits, params: SpaceParams) -> float:
     if params.r == 2.0:
         norms = {j: _piece_l2(spec, j) for j in keys}
     else:
-        norms = _pieces_lr(spec.grid, keys, partial(_piece, spec.coeffs, spec.grid), params.r)
+        norms = _pieces_lr(spec.grid, keys, _pieces_of(spec), params.r)
     summands = [x if j is None else 2.0 ** (j * params.s) * x for j, x in norms.items()]
     return _power_sum(np.asarray(summands), params.q)
 
@@ -693,7 +782,7 @@ def _triebel(spec: Spectrum, band: BandLimits, params: SpaceParams) -> float:
     keys = _norm_levels(params, band) + ([] if params.homogeneous else [None])
 
     def pointwise(exponent, acc, peak=None):
-        for batch, source in _synthesized(g, keys, partial(_piece, spec.coeffs, g)):
+        for batch, source in _synthesized(g, keys, _pieces_of(spec)):
             _accumulate(source, batch, params.s, exponent, acc, peak)
         return acc
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ParameterError, _integer
 from .grid import Field, Spectrum, forward_ft, radial_xi
-from .spaces import SpaceParams, _norm, _power_sum
+from .spaces import SpaceParams, _layout, _norm, _power_sum
 
 __all__ = [
     "SzaszQuery",
@@ -119,26 +119,27 @@ def weighted_lhs(g: Spectrum, theta: float, p: float, mode: str = "homogeneous")
     the k = 0 bin excluded (never evaluated, so negative theta is safe).
     Inhomogeneous mode: the weight is (1 + |xi_k|)^(theta p) over all bins.
     p = inf takes the supremum of the weighted modulus instead.
+
+    Only the spectrum's support is read, and only its nonzero bins are
+    weighted; the sum has the bits of the one over the whole grid.
     """
     if not p > 0:
         raise ParameterError(f"invalid exponent: p must be > 0, got {p}")
     if mode not in ("homogeneous", "inhomogeneous"):
         raise ParameterError(f"invalid params: unknown mode {mode!r}")
-    grid = g.grid
+    grid, whole = g.grid, (slice(0, g.grid.N),) * g.grid.n
+    # the array summed is the grid, without its k = 0 bin (the only bin at
+    # |xi| = 0) in homogeneous mode, laid out on the spectrum's support
+    zero = int(np.ravel_multi_index((grid.center,) * grid.n, grid.shape)) if mode == "homogeneous" else None
+    coeffs, runs, size = _layout([(box, g.coeffs[box]) for box in g._support], whole, zero)
+    base, _, _ = _layout([(box, radial_xi(grid)[box]) for box in g._support], whole, zero)
     # the functional reads the nonzero bins only: elsewhere the weight may
     # overflow, and inf * 0 would poison the sum with nan
-    bins = np.flatnonzero(g.coeffs)
-    base = radial_xi(grid).ravel()[bins]
-    if mode == "homogeneous":
-        # the array summed is the grid without its k = 0 bin, the only bin at |xi| = 0
-        zero = int(np.ravel_multi_index((grid.center,) * grid.n, grid.shape))
-        keep = bins != zero
-        bins, base = bins[keep], base[keep]
-        at, size = bins - (bins > zero), grid.N**grid.n - 1
-    else:
-        base, at, size = 1.0 + base, bins, grid.N**grid.n
-    weighted = base**theta * np.abs(g.coeffs.ravel()[bins])
-    return _power_sum(weighted, p, grid.dxi**grid.n, at, size)
+    bins = np.flatnonzero(coeffs)
+    base = base[bins] if mode == "homogeneous" else 1.0 + base[bins]
+    weighted = np.zeros(coeffs.size)
+    weighted[bins] = base**theta * np.abs(coeffs[bins])
+    return _power_sum(weighted, p, grid.dxi**grid.n, runs, size)
 
 
 def _weak_conditions(query: SzaszQuery) -> tuple[bool, list]:

@@ -60,11 +60,17 @@ record costs one synthesis (the norm's boundary check), levels the
 witness does not reach are skipped as exactly empty, and at r = 2 no level
 is synthesized at all.  Every term is evaluated only on the box holding its
 support (``littlewood_paley._box``): phi on |xi| <= 1/2, psi's dilation into
-C_(-k) on |xi| <= 5/4 * 2^-k and a random plateau on |xi| <= 2^j.  One
-registry maps each witness kind to its default preset and spectrum builder.
+C_(-k) on |xi| <= 5/4 * 2^-k, and a random plateau on its two one-sided
+runs 3/4 * 2^j < |xi| < 2^j in 1-D (``littlewood_paley._one_sided``) and on
+|xi| <= 2^j in 2-D.  One registry maps each witness kind to its default
+preset and spectrum builder.
 
 Every builder hands its terms, (centered box, values) pairs, to
-``_spectrum``, which sums them with ``littlewood_paley._summed``.  The
+``_spectrum``, which sums them with ``littlewood_paley._summed`` and
+records their boxes, overlapping ones merged, as the spectrum's support
+(``grid._supported``): a modulated record holds 7-112 nonzero bins of
+2^21, and the norms, ``weighted_lhs`` and the fidelity checks read only
+those boxes.  The
 blowup witness scales each term by its grid L_r norm, taken from the space
 norms' own path, ``spaces._pieces_lr``, and kept in one small table per
 (grid, r) for the life of the process.
@@ -72,23 +78,25 @@ norms' own path, ``spaces._pieces_lr``, and kept in one small table per
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import BandError, ExperimentAbort, ParameterError, _integer
-from .grid import Field, GridSpec, Spectrum, inverse_ft, radial_xi
+from .grid import Field, GridSpec, Spectrum, _supported, inverse_ft, radial_xi
 from .littlewood_paley import (
     KAPPA,
     SAFETY,
     _box,
     _mollifier_step,
+    _one_sided,
     _summed,
     feasible_band,
     lowpass_profile,
 )
-from .spaces import _parseval_l2, _pieces_lr, space_norm
+from .spaces import _layout, _padded_sum, _parseval_l2, _pieces_lr, space_norm
 from .szasz import SzaszQuery, _require_grid_dimension, weighted_lhs
 
 __all__ = [
@@ -150,12 +158,17 @@ class ExperimentRecord:
         return (self.size, self.space_norm, self.lhs, self.ratio)
 
 
-def _unit_l2_spectrum(grid: GridSpec, prof: np.ndarray) -> np.ndarray:
-    """Scale a spectral profile so the field has unit L2 norm (Parseval)."""
-    norm = _parseval_l2(grid, float(np.sum(np.abs(prof) ** 2)))
+def _l2_norm(grid: GridSpec, blocks, container: tuple) -> float:
+    """L2 norm (Parseval) of the field whose spectrum is the (box, values) blocks, zero elsewhere in ``container``.
+
+    The sum has the bits of ``np.sum`` over the whole centered box
+    ``container`` (:func:`~szaszlab.spaces._padded_sum`).
+    """
+    values, runs, size = _layout(blocks, container)
+    norm = _parseval_l2(grid, _padded_sum(np.abs(values) ** 2, runs, size))
     if norm <= 0.0:
         raise ParameterError("cannot normalize an empty spectrum")
-    return prof / norm
+    return norm
 
 
 def _phi_hat_window(grid: GridSpec) -> tuple[tuple, np.ndarray]:
@@ -170,7 +183,7 @@ def _phi_hat_window(grid: GridSpec) -> tuple[tuple, np.ndarray]:
     if inside < 8:
         raise BandError(f"grid too coarse: only {inside} bins resolve |xi| <= 1/2")
     prof = lowpass_profile(3.0 * r).astype(np.complex128)
-    return box, _unit_l2_spectrum(grid, prof)
+    return box, prof / _l2_norm(grid, [(box, prof)], box)
 
 
 def _psi_hat_profile(t: np.ndarray) -> np.ndarray:
@@ -195,8 +208,18 @@ def _psi_norm_constant(grid: GridSpec) -> float:
 
 
 def _spectrum(grid: GridSpec, terms) -> Spectrum:
-    """The spectrum summing ``terms``, (centered box, values) pairs, each zero off its box."""
-    return Spectrum(grid, _summed(np.zeros(grid.shape, dtype=np.complex128), terms))
+    """The spectrum summing ``terms``, (centered box, values) pairs, each zero off its box.
+
+    Its support is the union of the terms' boxes (``grid._supported``).
+    """
+    boxes = []
+
+    def kept():
+        for box, values in terms:
+            boxes.append(box)
+            yield box, values
+
+    return _supported(Spectrum(grid, _summed(np.zeros(grid.shape, dtype=np.complex128), kept())), boxes)
 
 
 def _real_part(grid: GridSpec, box: tuple, values: np.ndarray) -> Field:
@@ -373,6 +396,36 @@ def random_bandlimited(grid, seed: int, j_lo: int, j_hi: int) -> Field:
     return inverse_ft(_random_spectrum(grid, seed, j_lo, j_hi))
 
 
+def _plateau(grid: GridSpec, j: int) -> tuple:
+    """(t, place): |xi| / 2^j on the bins of level j's plateau 3/4 < |xi| / 2^j < 1, in centered order.
+
+    ``place(values)``, given one value per bin in the order of ``t``, gives
+    them as (centered box, values) terms.  In 1-D the plateau is its two
+    one-sided runs, laid out as ``_one_sided`` lays out a level; otherwise
+    it is the box holding the ball |xi| <= 2^j, zero off the plateau.
+    """
+    scale = 2.0**j
+    if grid.n == 1:
+        k_lo = max(1, math.floor(0.75 * scale / grid.dxi))
+        pos, _ = _one_sided(grid, k_lo, min(grid.N // 2 - 1, math.ceil(scale / grid.dxi)))
+        t = radial_xi(grid)[pos] / scale
+        inside = (t > 0.75) & (t < 1.0)  # one run, as t grows with k
+        first, t = int(np.argmax(inside)), t[inside]
+        pos, neg = _one_sided(grid, k_lo + first, k_lo + first + t.size - 1)
+        # the mirror's bins hold the same |xi|, in reverse
+        return np.concatenate([t[::-1], t]), lambda values: [(neg, values[: t.size]), (pos, values[t.size :])]
+    box = _box(grid, scale)
+    t = radial_xi(grid)[box] / scale
+    plateau = (t > 0.75) & (t < 1.0)
+
+    def place(values):
+        out = np.zeros(plateau.shape, dtype=np.complex128)
+        out[plateau] = values
+        return [(box, out)]
+
+    return t[plateau], place
+
+
 def _random_spectrum(grid, seed: int, j_lo: int, j_hi: int) -> Spectrum:
     """Exact spectrum of :func:`random_bandlimited`, normalized by Parseval."""
     grid = resolve_grid(grid)
@@ -387,10 +440,7 @@ def _random_spectrum(grid, seed: int, j_lo: int, j_hi: int) -> Spectrum:
 
     def plateaus():
         for j in range(j_lo, j_hi + 1):
-            box = _box(grid, 2.0**j)
-            t = radial_xi(grid)[box] / 2.0**j
-            plateau = (t > 0.75) & (t < 1.0)
-            t = t[plateau]
+            t, place = _plateau(grid, j)
             window = _mollifier_step(16.0 * (t - 0.75)) * _mollifier_step(16.0 * (1.0 - t))
             u = (t - 0.75) * 4.0
             coeff = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
@@ -400,14 +450,15 @@ def _random_spectrum(grid, seed: int, j_lo: int, j_hi: int) -> Spectrum:
             level = window * modulation
             mass = np.sum(np.abs(level) ** 2) * grid.dxi**grid.n
             if mass > 0.0:
-                values = np.zeros(plateau.shape, dtype=np.complex128)
-                values[plateau] = level / np.sqrt(mass)
-                yield box, values
+                yield from place(level / np.sqrt(mass))
 
-    out = _spectrum(grid, plateaus()).coeffs
-    if not out.any():
-        return Spectrum(grid, out)
-    return Spectrum(grid, _unit_l2_spectrum(grid, out))
+    spec = _spectrum(grid, plateaus())
+    blocks = [(box, spec.coeffs[box]) for box in spec._support]
+    if any(values.any() for _, values in blocks):
+        norm = _l2_norm(grid, blocks, (slice(0, grid.N),) * grid.n)
+        for box, values in blocks:
+            values /= norm
+    return spec
 
 
 #: kind -> (default grid preset, exact-spectrum builder(grid, WitnessSpec)); a

@@ -45,6 +45,16 @@ class TestGridSpec:
         with pytest.raises(ParameterError, match="must be an integer"):
             GridSpec(n, N, 1.0)
 
+    @pytest.mark.parametrize(
+        "N, match",
+        [(-(10**5000), "N must be an integer >= 0"), (10**5000, "power of two")],
+        ids=["-10^5000", "10^5000"],
+    )
+    def test_huge_size_gets_its_digit_count(self, N, match):
+        # an integer of more than 4300 digits cannot be converted to a string
+        with pytest.raises(ParameterError, match=f"{match}.*, got an integer of 5001 digits$"):
+            GridSpec(1, N, 1.0)
+
     def test_integral_floats_give_the_integer_grid(self):
         assert GridSpec(1.0, 16.0, 1.0) == GridSpec(1, 16, 1.0)
         assert GridSpec(2.0, 16.0, 1.0).shape == (16, 16)
@@ -255,6 +265,25 @@ class TestDyadicDilate:
         d = dyadic_dilate(Field(g, np.zeros(g.shape)), 12)
         assert not d.values.any() and d.values.shape == g.shape
         assert ifft_calls == [0]
+
+    @pytest.mark.parametrize("m", [-4, -63, -64, -100, -(10**20)])
+    def test_zoom_past_the_grid_decided_without_the_power(self, ifft_calls, m):
+        # on 16 points 2^-m >= N from m = -4 on: only the zero field stays on the grid
+        g = GridSpec(1, 16, 1.0)
+        d = dyadic_dilate(Field(g, np.zeros(16)), m)
+        assert not d.values.any() and d.values.shape == g.shape
+        with pytest.raises(BandError, match="dilation escapes grid: 2\\^-m >= N"):
+            dyadic_dilate(Field(g, np.eye(16)[g.center]), m)
+        assert ifft_calls == [0]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_largest_zoom_on_the_grid_is_unchanged(self, n):
+        # 2^-m = N / 2: only the k = 0 bin stays below Nyquist, and x = 0 alone is read
+        g = GridSpec(n, 16, 1.0)
+        d = dyadic_dilate(Field(g, np.full(g.shape, 2.0)), -3)
+        want = np.zeros(g.shape)
+        want[(g.center,) * n] = 2.0
+        assert np.array_equal(d.values, want)
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_resolvable_m_costs_two_to_the_m_transforms_per_axis(self, ifft_calls, m):

@@ -82,6 +82,11 @@ class TestSzaszQuery:
         with pytest.raises(ParameterError, match="n does not fit a float"):
             SzaszQuery(SpaceParams(1.0, 2.0, 2.0), 2.0, n)
 
+    def test_huge_negative_dimension_gets_its_digit_count(self):
+        # an integer of more than 4300 digits cannot be converted to a string
+        with pytest.raises(ParameterError, match="n must be an integer >= 1, got an integer of 5001 digits$"):
+            SzaszQuery(SpaceParams(0, 2, 2), 2, -(10**5000))
+
     def test_largest_float_dimension_is_accepted(self):
         assert SzaszQuery(SpaceParams(1.0, 2.0, 2.0), 2.0, 10**308).n == 10**308
 
