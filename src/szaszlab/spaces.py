@@ -198,32 +198,36 @@ def _padded_sum(values: np.ndarray, runs: list, size: int) -> float:
     ``values`` holds their entries one run after another (:func:`_layout`).
     numpy sums pairwise (Higham, SIAM J. Sci. Comput. 1993): n > _LEAF
     entries split into halves at n//2 - (n//2) % 8, and a leaf is summed in
-    a fixed order.  This walks the same tree: a subtree inside one run, or
-    a leaf, is summed by ``np.sum`` itself, and a subtree that holds no run
-    is 0.0, which is numpy's sum of its zeros.
+    a fixed order.  :func:`_subtree_sum` walks the same tree.
     """
-    starts = [start for start, _ in runs]
     offsets = np.cumsum([0] + [length for _, length in runs]).tolist()
+    return _subtree_sum(values, [(s, n, at) for (s, n), at in zip(runs, offsets)], 0, size, 0, len(runs))
 
-    def tree(lo, n, first, last):  # runs[first:last] are those meeting [lo, lo + n)
-        if first == last:
-            return 0.0
-        start, length = runs[first]
-        if last - first == 1 and start <= lo and lo + n <= start + length:
-            at = offsets[first] + lo - start
-            return float(np.sum(values[at : at + n]))
-        if n <= _LEAF:
-            leaf = np.zeros(n)
-            for (start, length), offset in zip(runs[first:last], offsets[first:last]):
-                a, b = max(start, lo), min(start + length, lo + n)
-                leaf[a - lo : b - lo] = values[offset + a - start : offset + b - start]
-            return float(np.sum(leaf))
-        half = n // 2 - (n // 2) % 8
-        split = bisect_left(starts, lo + half, first, last)
-        straddles = split > first and starts[split - 1] + runs[split - 1][1] > lo + half
-        return tree(lo, half, first, split) + tree(lo + half, n - half, split - straddles, last)
 
-    return tree(0, size, 0, len(runs))
+def _subtree_sum(values: np.ndarray, runs: list, lo: int, n: int, first: int, last: int) -> float:
+    """The sum of entries [lo, lo + n) of :func:`_padded_sum`'s array; runs[first:last] are the runs meeting them.
+
+    A run is (start, length, offset of its entries in ``values``).  A
+    subtree inside one run, or a leaf, is summed by ``np.sum`` itself, and
+    a subtree that holds no run is 0.0, which is numpy's sum of its zeros.
+    """
+    if first == last:
+        return 0.0
+    start, length, at = runs[first]
+    if last - first == 1 and start <= lo and lo + n <= start + length:
+        return float(np.sum(values[at + lo - start : at + lo - start + n]))
+    if n <= _LEAF:
+        leaf = np.zeros(n)
+        for start, length, at in runs[first:last]:
+            a, b = max(start, lo), min(start + length, lo + n)
+            leaf[a - lo : b - lo] = values[at + a - start : at + b - start]
+        return float(np.sum(leaf))
+    half = n // 2 - (n // 2) % 8
+    split = bisect_left(runs, (lo + half,), first, last)  # the first run starting in the right half
+    straddles = split > first and runs[split - 1][0] + runs[split - 1][1] > lo + half
+    return _subtree_sum(values, runs, lo, half, first, split) + _subtree_sum(
+        values, runs, lo + half, n - half, split - straddles, last
+    )
 
 
 def _layout(blocks, container: tuple, hole: int | None = None) -> tuple:
@@ -515,16 +519,17 @@ def _prepared_spectrum(
     total = _padded_sum(modulus, runs, size)
     if total > 0.0:
         r, _, _ = _layout([(box, radial_xi(g)[box]) for box in spec._support], whole)
-        leaked = r > band.cover_hi
+        covered = r <= band.cover_hi
         if params.homogeneous:
-            leaked |= (r < band.cover_lo) & (r > 0.0)  # the discarded k = 0 bin is not leaked mass
-        outside = _padded_sum(np.where(leaked, modulus, 0.0), runs, size)
+            covered &= (r >= band.cover_lo) | (r == 0.0)  # the discarded k = 0 bin is not leaked mass
+        modulus[covered] = 0.0  # what is left lies outside the band's annuli
+        outside = _padded_sum(modulus, runs, size)
         if outside > OUT_OF_BAND_TOL * total:
             _warn_fidelity(
                 f"spectral mass {outside/total:.2e} of total lies outside the "
                 f"feasible band's annuli; the truncated norm misses it"
             )
-    modulus = leaked = None  # freed before the boundary check's synthesis
+    modulus = covered = None  # freed before the boundary check's synthesis
     ratio = boundary_decay_ratio(f) if isinstance(f, Field) else _boundary_ratio(spec)
     if ratio > BOUNDARY_TOL:
         _warn_fidelity(

@@ -1,7 +1,9 @@
 """Spectrum supports: the padded pairwise sum, the builders' supports, and every support path against the dense one."""
 
+import gc
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -76,6 +78,19 @@ class TestPaddedSum:
         values, runs, size = _layout([(box, block)], container)
         assert len(runs) == (1 if w == cols else h) and size == a.size
         assert _padded_sum(values, runs, size) == float(np.sum(a))
+
+    def test_keeps_no_reference_to_its_values(self):
+        # a recursive closure would hold the values in a reference cycle
+        # until the cyclic collector runs: 8 MB for a lo-band modulus
+        values = np.ones(300)
+        ref = weakref.ref(values)
+        gc.disable()
+        try:
+            assert _padded_sum(values, [(10, 300)], 1024) == 300.0
+            del values
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_full_width_box_is_one_run(self):
         block = np.arange(1.0, 25.0).reshape(3, 8)
