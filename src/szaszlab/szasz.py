@@ -128,18 +128,22 @@ def weighted_lhs(g: Spectrum, theta: float, p: float, mode: str = "homogeneous")
     if mode not in ("homogeneous", "inhomogeneous"):
         raise ParameterError(f"invalid params: unknown mode {mode!r}")
     grid, whole = g.grid, (slice(0, g.grid.N),) * g.grid.n
-    # the array summed is the grid, without its k = 0 bin (the only bin at
-    # |xi| = 0) in homogeneous mode, laid out on the spectrum's support
-    zero = int(np.ravel_multi_index((grid.center,) * grid.n, grid.shape)) if mode == "homogeneous" else None
-    coeffs, runs, size = _layout([(box, g.coeffs[box]) for box in g._support], whole, zero)
-    base, _, _ = _layout([(box, radial_xi(grid)[box]) for box in g._support], whole, zero)
-    # the functional reads the nonzero bins only: elsewhere the weight may
-    # overflow, and inf * 0 would poison the sum with nan
-    bins = np.flatnonzero(coeffs)
-    base = base[bins] if mode == "homogeneous" else 1.0 + base[bins]
-    weighted = np.zeros(coeffs.size)
-    weighted[bins] = base**theta * np.abs(coeffs[bins])
-    return _power_sum(weighted, p, grid.dxi**grid.n, runs, size)
+    homogeneous = mode == "homogeneous"
+
+    def weighted(box):
+        # the nonzero bins only: elsewhere the weight may overflow, and inf * 0
+        # would poison the sum with nan; homogeneous mode leaves out the k = 0
+        # bin, the only one at |xi| = 0
+        c, r = g.coeffs[box], radial_xi(grid)[box]
+        on = (c != 0) & (r > 0.0) if homogeneous else c != 0
+        out = np.zeros(c.shape)
+        out[on] = (r[on] if homogeneous else 1.0 + r[on]) ** theta * np.abs(c[on])
+        return out
+
+    # the array summed is the grid, without its k = 0 bin in homogeneous mode
+    zero = int(np.ravel_multi_index((grid.center,) * grid.n, grid.shape)) if homogeneous else None
+    values, runs, size = _layout([(box, weighted(box)) for box in g._support], whole, zero)
+    return _power_sum(values, p, grid.dxi**grid.n, runs, size)
 
 
 def _weak_conditions(query: SzaszQuery) -> tuple[bool, list]:
