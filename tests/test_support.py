@@ -182,6 +182,37 @@ def _measured(call):
     return value, [str(w.message) for w in caught if issubclass(w.category, ModelFidelityWarning)]
 
 
+def _dense_lhs(spec, theta, p, mode):
+    """weighted_lhs as a sum over the whole grid: its nonzero bins in a zero array, k = 0 left out in homogeneous mode."""
+    grid = spec.grid
+    bins = np.flatnonzero(spec.coeffs)
+    base = radial_xi(grid).ravel()[bins]
+    at, size = bins, grid.N**grid.n
+    if mode == "homogeneous":
+        zero = grid.N**grid.n // 2 + (grid.center if grid.n == 2 else 0)
+        keep = bins != zero
+        bins, base, at, size = bins[keep], base[keep], bins[keep] - (bins[keep] > zero), size - 1
+    else:
+        base = 1.0 + base
+    padded = np.zeros(size)
+    padded[at] = (base**theta * np.abs(spec.coeffs.ravel()[bins])) ** p
+    return (float(np.sum(padded)) * grid.dxi**grid.n) ** (1.0 / p)
+
+
+def _zero_bin_spectrum(grid):
+    """Random coefficients of magnitudes 1e-6 to 1e6 on two boxes, the first holding k = 0.
+
+    The magnitudes make a sum's bits depend on how its terms are grouped.
+    """
+    c, rng = grid.center, np.random.default_rng(4)
+    boxes = [(slice(c - 100, c + 40),) * grid.n, (slice(c + 60, c + 90),) + (slice(c - 5, c + 5),) * (grid.n - 1)]
+    coeffs = np.zeros(grid.shape, dtype=np.complex128)
+    for box in boxes:
+        shape = coeffs[box].shape
+        coeffs[box] = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0 ** rng.uniform(-6, 6, shape)
+    return _supported(Spectrum(grid, coeffs), boxes)
+
+
 class TestSumsKeepTheDenseBits:
     # the sums over a support against the dense formulas they replace
 
@@ -199,19 +230,13 @@ class TestSumsKeepTheDenseBits:
     def test_weighted_lhs_is_the_sum_over_the_grid(self, request, grid_name, kind, mode):
         grid = _witness_grid(request, grid_name)
         spec, query = _built(grid, kind)
-        bins = np.flatnonzero(spec.coeffs)
-        base = radial_xi(grid).ravel()[bins]
-        at, size = bins, grid.N**grid.n
-        if mode == "homogeneous":
-            zero = grid.N**grid.n // 2 + (grid.center if grid.n == 2 else 0)
-            keep = bins != zero
-            bins, base, at, size = bins[keep], base[keep], bins[keep] - (bins[keep] > zero), size - 1
-        else:
-            base = 1.0 + base
-        padded = np.zeros(size)
-        padded[at] = (base**query.theta * np.abs(spec.coeffs.ravel()[bins])) ** query.p
-        want = (float(np.sum(padded)) * grid.dxi**grid.n) ** (1.0 / query.p)
-        assert weighted_lhs(spec, query.theta, query.p, mode) == want
+        assert weighted_lhs(spec, query.theta, query.p, mode) == _dense_lhs(spec, query.theta, query.p, mode)
+
+    @pytest.mark.parametrize("grid_name", ["grid_wide", "grid_2d"])
+    @pytest.mark.parametrize("mode", ["homogeneous", "inhomogeneous"])
+    def test_weighted_lhs_of_a_support_holding_the_zero_bin(self, request, grid_name, mode):
+        spec = _zero_bin_spectrum(request.getfixturevalue(grid_name))
+        assert weighted_lhs(spec, -0.5, 1.5, mode) == _dense_lhs(spec, -0.5, 1.5, mode)
 
     @pytest.mark.parametrize("setting", ["homogeneous", "inhomogeneous"])
     def test_zero_bin_is_not_out_of_band_for_homogeneous_norms(self, grid_mid, setting):
@@ -251,15 +276,8 @@ class TestSupportPathsMatchTheDenseOnes:
     def test_support_holding_the_zero_bin(self, request, grid_name):
         # random coefficients on two boxes, one holding k = 0, which the
         # homogeneous functional leaves out and the S_0 piece reads
-        grid = request.getfixturevalue(grid_name)
-        c, rng = grid.center, np.random.default_rng(4)
-        boxes = [(slice(c - 3, c + 40),) * grid.n, (slice(c + 60, c + 90),) + (slice(c - 5, c + 5),) * (grid.n - 1)]
-        coeffs = np.zeros(grid.shape, dtype=np.complex128)
-        for box in boxes:
-            shape = coeffs[box].shape
-            coeffs[box] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        spec = _supported(Spectrum(grid, coeffs), boxes)
-        dense = Spectrum(grid, coeffs.copy())
+        spec = _zero_bin_spectrum(request.getfixturevalue(grid_name))
+        dense = Spectrum(spec.grid, spec.coeffs.copy())
         calls = [
             lambda x: weighted_lhs(x, -0.5, 2.0, "homogeneous"),
             lambda x: weighted_lhs(x, 0.5, 3.0, "inhomogeneous"),
