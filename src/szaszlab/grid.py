@@ -139,7 +139,7 @@ class Spectrum:
     A spectrum also carries a private support: disjoint centered boxes
     outside which ``coeffs`` is exactly zero.  It is the whole grid, one
     box, except for the witness spectra the package builds, whose support
-    is the union of their terms' boxes (:func:`_supported`); the norms,
+    is the union of their terms' rows (:func:`_supported`); the norms,
     the weighted functional and the fidelity checks read only the support.
     """
 
@@ -149,25 +149,30 @@ class Spectrum:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _on_grid(self.grid, self.coeffs, "spectrum"))
-        object.__setattr__(self, "_support", ((slice(0, self.grid.N),) * self.grid.n,))
+        object.__setattr__(self, "_support", (_whole(self.grid),))
+
+
+def _whole(grid: GridSpec) -> tuple:
+    """The centered box of the whole grid."""
+    return (slice(0, grid.N),) * grid.n
 
 
 def _supported(spec: Spectrum, boxes) -> Spectrum:
-    """``spec`` with the union of the centered ``boxes`` as its support; its coeffs must vanish off them.
+    """``spec`` with the union of the rows of the centered ``boxes`` as its support; its coeffs must vanish off them.
 
-    Empty boxes are dropped, and overlapping boxes are merged into their
-    bounding box until no two overlap.  The support is kept in order of the
-    boxes' first corners.
+    A box is widened to whole rows, the full grid along every axis but the
+    first, so each support box is one run of the grid in C order.  Empty
+    boxes are dropped, and overlapping row ranges are merged, in order.
     """
+    rows = sorted((box[0].start, box[0].stop) for box in boxes if all(s.start < s.stop for s in box))
     merged = []
-    for box in boxes:
-        if any(s.start >= s.stop for s in box):
-            continue
-        while hit := [m for m in merged if all(a.start < b.stop and b.start < a.stop for a, b in zip(m, box))]:
-            merged = [m for m in merged if m not in hit]
-            box = tuple(slice(min(s.start for s in axis), max(s.stop for s in axis)) for axis in zip(box, *hit))
-        merged.append(box)
-    object.__setattr__(spec, "_support", tuple(sorted(merged, key=lambda box: [s.start for s in box])))
+    for start, stop in rows:
+        if merged and start < merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], stop)
+        else:
+            merged.append([start, stop])
+    rest = _whole(spec.grid)[1:]
+    object.__setattr__(spec, "_support", tuple((slice(start, stop),) + rest for start, stop in merged))
     return spec
 
 

@@ -39,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BandError, _integer
-from .grid import Field, GridSpec, Spectrum, forward_ft, inverse_ft, radial_xi
+from .grid import Field, GridSpec, Spectrum, _whole, forward_ft, inverse_ft, radial_xi
 
 __all__ = [
     "KAPPA",
@@ -242,20 +242,18 @@ def lp_mask(grid: GridSpec, j: int) -> np.ndarray:
     return np.asarray(gamma_profile(radial_xi(grid) / 2.0**j))
 
 
-def _piece(coeffs: np.ndarray, grid: GridSpec, j: int | None, support=None) -> list:
+def _piece(coeffs: np.ndarray, grid: GridSpec, j: int | None, support: tuple) -> list:
     """Q_j f's spectrum (S_0 f's for j None) from f's centered ``coeffs``, as (box, values) blocks.
 
-    With ``support``, boxes off which ``coeffs`` vanishes (a spectrum's
-    support), each block of the level is met with each of them in turn
-    (:func:`_met`), so no bin off the support is read.
+    ``support`` holds boxes off which ``coeffs`` vanishes (a spectrum's
+    support; the whole grid is one box).  Each block of the level is met
+    with each of them in turn, so no bin off the support is read.
     """
     return [part for box, mult in _piece_blocks(grid, j) for part in _met(coeffs, box, mult, support)]
 
 
-def _met(coeffs: np.ndarray, box: tuple, mult: np.ndarray, support) -> list:
-    """The (box, values) blocks of ``coeffs * mult`` on ``box`` met with each box of ``support`` (None: all of it)."""
-    if support is None:
-        return [(box, coeffs[box] * mult)]
+def _met(coeffs: np.ndarray, box: tuple, mult: np.ndarray, support: tuple) -> list:
+    """The (box, values) blocks of ``coeffs * mult`` on ``box`` met with each box of ``support``."""
     parts = []
     for other in support:
         part = tuple(slice(max(a.start, b.start), min(a.stop, b.stop)) for a, b in zip(box, other))
@@ -274,7 +272,7 @@ def _summed(out: np.ndarray, blocks) -> np.ndarray:
 
 def apply_level_mask(coeffs: np.ndarray, grid: GridSpec, j: int) -> np.ndarray:
     """coeffs * gamma(2^-j |xi|) with exact zeros outside the annulus."""
-    return _summed(np.zeros_like(coeffs), _piece(coeffs, grid, j))
+    return _summed(np.zeros_like(coeffs), _piece(coeffs, grid, j, (_whole(grid),)))
 
 
 def lp_project(f: Field, j: int) -> Field:

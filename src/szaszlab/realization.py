@@ -73,7 +73,7 @@ def _sigma0_coeffs(spec: Spectrum, M: int) -> np.ndarray:
         raise BandError(
             f"levels [-{M}, {M}] miss the feasible band [{band.j_min}, {band.j_max}]"
         )
-    levels = (block for j in range(j_lo, j_hi + 1) for block in _piece(spec.coeffs, g, j))
+    levels = (block for j in range(j_lo, j_hi + 1) for block in _piece(spec.coeffs, g, j, spec._support))
     return _summed(np.zeros(g.shape, dtype=np.complex128), levels)
 
 

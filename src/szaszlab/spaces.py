@@ -60,14 +60,14 @@ that is not narrow its field).
 
 A spectrum is read only on its support, the boxes off which its
 coefficients are exactly zero (``grid.Spectrum``): the whole grid for
-``forward_ft``'s, the terms' boxes for a witness's.  The level pieces are
-the level blocks met with those boxes, the out-of-band mass takes |xi|
-from ``radial_xi`` on them, and the boundary check's window and coset
-coefficients come from them.  Every sum over them keeps the bits of the
+``forward_ft``'s, the rows of the terms' boxes for a witness's.  The
+level pieces are the level blocks met with those boxes, the out-of-band
+mass takes |xi| from ``radial_xi`` on them, and the boundary check's
+window and coset coefficients come from them.  Every sum over them keeps the bits of the
 sum over the whole zero-padded array through one helper,
 :func:`_padded_sum`, which walks numpy's pairwise tree and takes exactly 0
 for a subtree that holds no run of the support (:func:`_layout` lays
-boxes out as runs).
+each box out as one run).
 
 Power sums, the Parseval sums at r = 2 included, are rescaled by their
 maximum only when the plain sum overflows or underflows, so no quasi-norm
@@ -96,6 +96,7 @@ from .grid import (
     _CHUNK,
     _natural_shell,
     _scale,
+    _whole,
     boundary_decay_ratio,
     forward_ft,
     inverse_ft,
@@ -233,27 +234,23 @@ def _subtree_sum(values: np.ndarray, runs: list, lo: int, n: int, first: int, la
 def _layout(blocks, container: tuple, hole: int | None = None) -> tuple:
     """(values, runs, size): (centered box, values) blocks inside the centered box ``container``, flattened.
 
-    ``container`` in C order is an array of ``size`` entries.  The blocks'
-    bins are disjoint (start, length) ``runs`` of it, in increasing order:
-    one per block, or one per row of a 2-D block narrower than
-    ``container``; ``values`` holds their entries one run after another,
-    as :func:`_padded_sum` and :func:`_power_sum` take them.  With
-    ``hole``, that flat index is left out of the array, and the entries
-    after it move down one.
+    ``container`` in C order is an array of ``size`` entries.  Each block
+    spans ``container`` along every axis but the first, as a box met with a
+    support does (:func:`~szaszlab.grid._supported`), so its bins are one
+    (start, length) run of that array.  ``values`` holds the blocks' entries
+    one run after another, the runs in increasing order, as
+    :func:`_padded_sum` and :func:`_power_sum` take them.  With ``hole``,
+    that flat index is left out of the array, and the entries after it
+    move down one.
     """
     shape = tuple(s.stop - s.start for s in container)
-    pieces = []
-    for box, values in blocks:
-        first = [b.start - s.start for b, s in zip(box, container)]
-        if values.ndim == 1 or values.shape[1] == shape[1]:
-            pieces.append((first[0] * prod(shape[1:]) + sum(first[1:]), values.ravel()))
-        else:
-            pieces += [((first[0] + i) * shape[1] + first[1], row) for i, row in enumerate(values)]
+    row = prod(shape[1:])
+    pieces = [((box[0].start - container[0].start) * row, values.ravel()) for box, values in blocks]
+    pieces.sort(key=lambda piece: piece[0])
     size = prod(shape)
     if hole is not None:
         pieces = [(s - (s > hole), np.delete(v, hole - s) if s <= hole < s + v.size else v) for s, v in pieces]
         size -= 1
-    pieces.sort(key=lambda piece: piece[0])
     values = pieces[0][1] if len(pieces) == 1 else np.concatenate([v for _, v in pieces] or [np.zeros(0)])
     return values, [(start, v.size) for start, v in pieces], size
 
@@ -514,7 +511,7 @@ def _prepared_spectrum(
     if spec is None:
         spec = forward_ft(f) if isinstance(f, Field) else f
     g = spec.grid
-    band, whole = feasible_band(g), (slice(0, g.N),) * g.n
+    band, whole = feasible_band(g), _whole(g)
     modulus, runs, size = _layout([(box, np.abs(spec.coeffs[box])) for box in spec._support], whole)
     total = _padded_sum(modulus, runs, size)
     if total > 0.0:

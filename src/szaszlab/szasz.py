@@ -36,7 +36,7 @@ from math import isinf
 import numpy as np
 
 from .errors import ParameterError, _integer
-from .grid import Field, Spectrum, forward_ft, radial_xi
+from .grid import Field, Spectrum, _whole, forward_ft, radial_xi
 from .spaces import SpaceParams, _layout, _norm, _power_sum
 
 __all__ = [
@@ -127,7 +127,7 @@ def weighted_lhs(g: Spectrum, theta: float, p: float, mode: str = "homogeneous")
         raise ParameterError(f"invalid exponent: p must be > 0, got {p}")
     if mode not in ("homogeneous", "inhomogeneous"):
         raise ParameterError(f"invalid params: unknown mode {mode!r}")
-    grid, whole = g.grid, (slice(0, g.grid.N),) * g.grid.n
+    grid = g.grid
     homogeneous = mode == "homogeneous"
 
     def weighted(box):
@@ -142,7 +142,7 @@ def weighted_lhs(g: Spectrum, theta: float, p: float, mode: str = "homogeneous")
 
     # the array summed is the grid, without its k = 0 bin in homogeneous mode
     zero = int(np.ravel_multi_index((grid.center,) * grid.n, grid.shape)) if homogeneous else None
-    values, runs, size = _layout([(box, weighted(box)) for box in g._support], whole, zero)
+    values, runs, size = _layout([(box, weighted(box)) for box in g._support], _whole(grid), zero)
     return _power_sum(values, p, grid.dxi**grid.n, runs, size)
 
 

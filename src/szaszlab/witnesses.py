@@ -67,10 +67,10 @@ preset and spectrum builder.
 
 Every builder hands its terms, (centered box, values) pairs, to
 ``_spectrum``, which sums them with ``littlewood_paley._summed`` and
-records their boxes, overlapping ones merged, as the spectrum's support
-(``grid._supported``): a modulated record holds 7-112 nonzero bins of
-2^21, and the norms, ``weighted_lhs`` and the fidelity checks read only
-those boxes.  The
+records their boxes, widened to whole rows in 2-D and overlapping ones
+merged, as the spectrum's support (``grid._supported``): a modulated
+record holds 7-112 nonzero bins of 2^21, and the norms, ``weighted_lhs``
+and the fidelity checks read only those boxes.  The
 blowup witness scales each term by its grid L_r norm, taken from the space
 norms' own path, ``spaces._pieces_lr``, and kept in one small table per
 (grid, r) for the life of the process.
@@ -85,7 +85,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BandError, ExperimentAbort, ParameterError, _integer
-from .grid import Field, GridSpec, Spectrum, _supported, inverse_ft, radial_xi
+from .grid import Field, GridSpec, Spectrum, _supported, _whole, inverse_ft, radial_xi
 from .littlewood_paley import (
     KAPPA,
     SAFETY,
@@ -210,7 +210,7 @@ def _psi_norm_constant(grid: GridSpec) -> float:
 def _spectrum(grid: GridSpec, terms) -> Spectrum:
     """The spectrum summing ``terms``, (centered box, values) pairs, each zero off its box.
 
-    Its support is the union of the terms' boxes (``grid._supported``).
+    Its support is the union of the terms' rows (``grid._supported``).
     """
     boxes = []
 
@@ -455,7 +455,7 @@ def _random_spectrum(grid, seed: int, j_lo: int, j_hi: int) -> Spectrum:
     spec = _spectrum(grid, plateaus())
     blocks = [(box, spec.coeffs[box]) for box in spec._support]
     if any(values.any() for _, values in blocks):
-        norm = _l2_norm(grid, blocks, (slice(0, grid.N),) * grid.n)
+        norm = _l2_norm(grid, blocks, _whole(grid))
         for box, values in blocks:
             values /= norm
     return spec

@@ -3,7 +3,6 @@
 import sys
 import threading
 import warnings
-from functools import partial
 
 import numpy as np
 import pytest
@@ -39,7 +38,7 @@ from szaszlab import (
 )
 
 from szaszlab.grid import _scale, boundary_decay_ratio
-from szaszlab.littlewood_paley import _piece, apply_level_mask
+from szaszlab.littlewood_paley import apply_level_mask
 from szaszlab.witnesses import _blowup_spectrum, _random_spectrum
 
 from conftest import plateau_field, wave_packet
@@ -429,7 +428,7 @@ class TestBatchedSynthesis:
         spec = forward_ft(_broadband_field(grid))
         keys = list(feasible_band(grid).levels()) + [None]
         kinds = []
-        batches = spaces_module._synthesized(grid, keys, partial(_piece, spec.coeffs, grid))
+        batches = spaces_module._synthesized(grid, keys, spaces_module._pieces_of(spec))
         for (batch, source), j in zip(batches, keys, strict=True):
             assert batch == [j]
             if j is None:
@@ -442,7 +441,7 @@ class TestBatchedSynthesis:
                 assert np.array_equal(filled.pop(0), natural)
                 continue
             kinds.append("narrow")
-            window = spaces_module._window(grid, _piece(spec.coeffs, grid, j))
+            window = spaces_module._window(grid, spaces_module._pieces_of(spec)(j))
             index = np.ix_(*[(k0 + np.arange(q)) % grid.N for k0, q in window])
             scale = 1.0 / (np.prod(source.P) * grid.dx**grid.n)
             assert np.array_equal(source.compact, natural[index] * scale)

@@ -66,17 +66,20 @@ class TestPaddedSum:
         st.data(),
     )
     def test_boxes_of_a_2d_array(self, shape, data):
-        # a block narrower than the array is one run per row, a full-width one a single run
+        # a box narrower than the array is one run per row in C order; its
+        # rows across the full width are one run, as _layout lays them out
         rows, cols = shape
         r0, c0 = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))
         h, w = data.draw(st.integers(1, rows - r0)), data.draw(st.integers(1, cols - c0))
         block = np.random.default_rng(rows * cols + h).random((h, w))
         a = np.zeros(shape)
         a[r0 : r0 + h, c0 : c0 + w] = block
+        runs = [((r0 + i) * cols + c0, w) for i in range(h)]
+        assert _padded_sum(block.ravel(), runs, a.size) == float(np.sum(a))
         container = (slice(5, 5 + rows), slice(-2 + cols, -2 + 2 * cols))
-        box = (slice(5 + r0, 5 + r0 + h), slice(-2 + cols + c0, -2 + cols + c0 + w))
-        values, runs, size = _layout([(box, block)], container)
-        assert len(runs) == (1 if w == cols else h) and size == a.size
+        band = (slice(5 + r0, 5 + r0 + h), container[1])
+        values, runs, size = _layout([(band, a[r0 : r0 + h])], container)
+        assert runs == [(r0 * cols, h * cols)] and size == a.size
         assert _padded_sum(values, runs, size) == float(np.sum(a))
 
     def test_keeps_no_reference_to_its_values(self):
@@ -97,13 +100,13 @@ class TestPaddedSum:
         values, runs, size = _layout([((slice(2, 5), slice(0, 8)), block)], (slice(0, 8), slice(0, 8)))
         assert runs == [(16, 24)] and size == 64 and np.array_equal(values, block.ravel())
 
-    def test_side_by_side_boxes_interleave_their_rows(self):
+    def test_row_bands_are_laid_out_in_order(self):
         a = np.zeros((300, 200))
-        boxes = [(slice(100, 250), slice(150, 190)), (slice(20, 160), slice(10, 60))]
-        for i, box in enumerate(boxes):
-            a[box] = np.random.default_rng(i).random(a[box].shape)
-        values, runs, size = _layout([(box, a[box]) for box in boxes], (slice(0, 300), slice(0, 200)))
-        assert [start for start, _ in runs] == sorted(start for start, _ in runs)
+        bands = [(slice(180, 250), slice(0, 200)), (slice(20, 160), slice(0, 200))]
+        for i, band in enumerate(bands):
+            a[band] = np.random.default_rng(i).random(a[band].shape) * 10.0 ** (6 * i)
+        values, runs, size = _layout([(band, a[band]) for band in bands], (slice(0, 300), slice(0, 200)))
+        assert runs == [(4000, 28000), (36000, 14000)] and size == a.size
         assert _padded_sum(values, runs, size) == float(np.sum(a))
 
     def test_hole_leaves_one_entry_out(self):
@@ -119,16 +122,24 @@ class TestSupportedSpectrum:
         spec = Spectrum(grid_2d, np.ones(grid_2d.shape))
         assert spec._support == ((slice(0, 256), slice(0, 256)),)
 
-    def test_overlapping_boxes_merge_and_empty_ones_drop(self, grid_2d):
+    def test_boxes_widen_to_rows_and_overlapping_rows_merge(self, grid_2d):
         boxes = [
             (slice(50, 60), slice(50, 60)),
             (slice(10, 20), slice(10, 20)),
-            (slice(55, 70), slice(58, 62)),  # overlaps the first
+            (slice(55, 70), slice(200, 210)),  # shares rows, not columns, with the first
             (slice(30, 30), slice(0, 256)),  # empty
-            (slice(65, 80), slice(40, 52)),  # overlaps only the merged box
+            (slice(40, 45), slice(7, 7)),  # empty
+            (slice(65, 80), slice(40, 52)),  # overlaps only the merged rows
+            (slice(20, 25), slice(0, 3)),  # touches the second, is not merged
         ]
         spec = _supported(Spectrum(grid_2d, np.zeros(grid_2d.shape)), boxes)
-        assert spec._support == ((slice(10, 20), slice(10, 20)), (slice(50, 80), slice(40, 62)))
+        full = slice(0, 256)
+        assert spec._support == ((slice(10, 20), full), (slice(20, 25), full), (slice(50, 80), full))
+
+    def test_1d_boxes_are_kept(self, grid_mid):
+        boxes = [(slice(90, 100),), (slice(10, 20),), (slice(15, 30),)]
+        spec = _supported(Spectrum(grid_mid, np.zeros(grid_mid.shape)), boxes)
+        assert spec._support == ((slice(10, 30),), (slice(90, 100),))
 
 
 def _witness_grid(request, name):
@@ -153,6 +164,7 @@ class TestBuilderSupports:
         on = np.zeros(grid.shape, dtype=bool)
         for box in spec._support:
             assert not on[box].any()  # disjoint
+            assert box[1:] == (slice(0, grid.N),) * (grid.n - 1)  # whole rows
             on[box] = True
         assert not spec.coeffs[~on].any()
         assert on.sum() < grid.N**grid.n  # the support is not the grid
