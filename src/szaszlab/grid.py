@@ -140,7 +140,8 @@ class Spectrum:
     outside which ``coeffs`` is exactly zero.  It is the whole grid, one
     box, except for the witness spectra the package builds, whose support
     is the union of their terms' rows (:func:`_supported`); the norms,
-    the weighted functional and the fidelity checks read only the support.
+    the weighted functional and the fidelity checks read only the support
+    and sum over its boxes' values packed flat.
     """
 
     grid: GridSpec
@@ -161,8 +162,8 @@ def _supported(spec: Spectrum, boxes) -> Spectrum:
     """``spec`` with the union of the rows of the centered ``boxes`` as its support; its coeffs must vanish off them.
 
     A box is widened to whole rows, the full grid along every axis but the
-    first, so each support box is one run of the grid in C order.  Empty
-    boxes are dropped, and overlapping row ranges are merged, in order.
+    first, so that overlapping row ranges can be merged, in order, into
+    disjoint boxes, and no bin is read twice.  Empty boxes are dropped.
     """
     rows = sorted((box[0].start, box[0].stop) for box in boxes if all(s.start < s.stop for s in box))
     merged = []

@@ -63,11 +63,10 @@ coefficients are exactly zero (``grid.Spectrum``): the whole grid for
 ``forward_ft``'s, the rows of the terms' boxes for a witness's.  The
 level pieces are the level blocks met with those boxes, the out-of-band
 mass takes |xi| from ``radial_xi`` on them, and the boundary check's
-window and coset coefficients come from them.  Every sum over them keeps the bits of the
-sum over the whole zero-padded array through one helper,
-:func:`_padded_sum`, which walks numpy's pairwise tree and takes exactly 0
-for a subtree that holds no run of the support (:func:`_layout` lays
-each box out as one run).
+window and coset coefficients come from them.  A sum over them is one
+``np.sum`` over their values packed flat (:func:`_packed`).  It differs
+from the sum over the whole zero-padded array only in how numpy's pairwise
+summation groups the terms, so at most in the last bits.
 
 Power sums, the Parseval sums at r = 2 included, are rescaled by their
 maximum only when the plain sum overflows or underflows, so no quasi-norm
@@ -79,7 +78,6 @@ assumes the triangle inequality.
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -96,7 +94,6 @@ from .grid import (
     _CHUNK,
     _natural_shell,
     _scale,
-    _whole,
     boundary_decay_ratio,
     forward_ft,
     inverse_ft,
@@ -160,99 +157,34 @@ def _in_range(total: float) -> bool:
     return isfinite(total) and total >= _TINY
 
 
-def _power_sum(a: np.ndarray, p: float, weight: float = 1.0, runs=None, size: int = 0) -> float:
+def _power_sum(a: np.ndarray, p: float, weight: float = 1.0) -> float:
     """(weight * sum(a**p))**(1/p) for a nonnegative array, with no spurious inf or 0.
 
     p = inf gives the maximum (0.0 for an empty array).  The plain sum is
     kept unless it is non-finite or below the smallest normal float; only
     then is it recomputed with ``a`` scaled by its maximum (Blue, ACM TOMS
     1978).  An in-range sum thus costs one pass and has the bits of the
-    plain formula.  With ``runs``, ``a`` holds the entries of those (start,
-    length) runs of a longer array of ``size`` entries that is zero
-    elsewhere (:func:`_layout`), and both sums have the bits of the sums
-    over the whole of it (:func:`_padded_sum`).
+    plain formula.
     """
     if isinf(p):
         return float(a.max()) if a.size else 0.0
-
-    def total(powered):
-        return (float(np.sum(powered)) if runs is None else _padded_sum(powered, runs, size)) * weight
-
     with np.errstate(over="ignore", under="ignore"):
-        plain = total(np.power(a, p))
+        plain = float(np.sum(np.power(a, p))) * weight
     if _in_range(plain):
         return plain ** (1.0 / p)
     peak = float(a.max()) if a.size else 0.0
     if not 0.0 < peak < np.inf:  # zero, inf or nan: the plain value is the answer
         return plain ** (1.0 / p)
-    return peak * total((a / peak) ** p) ** (1.0 / p)
+    return peak * (float(np.sum((a / peak) ** p)) * weight) ** (1.0 / p)
 
 
-#: longest leaf of numpy's pairwise sum
-_LEAF = 128
+def _packed(arrays) -> np.ndarray:
+    """The entries of ``arrays`` flattened one after another: a view of the one array if there is one.
 
-
-def _padded_sum(values: np.ndarray, runs: list, size: int) -> float:
-    """``np.sum``'s bits for the zero array of ``size`` entries holding ``values`` in its ``runs``.
-
-    ``runs`` are disjoint (start, length) runs in increasing order, and
-    ``values`` holds their entries one run after another (:func:`_layout`).
-    numpy sums pairwise (Higham, SIAM J. Sci. Comput. 1993): n > _LEAF
-    entries split into halves at n//2 - (n//2) % 8, and a leaf is summed in
-    a fixed order.  :func:`_subtree_sum` walks the same tree.
+    No arrays give an empty array.
     """
-    offsets = np.cumsum([0] + [length for _, length in runs]).tolist()
-    return _subtree_sum(values, [(s, n, at) for (s, n), at in zip(runs, offsets)], 0, size, 0, len(runs))
-
-
-def _subtree_sum(values: np.ndarray, runs: list, lo: int, n: int, first: int, last: int) -> float:
-    """The sum of entries [lo, lo + n) of :func:`_padded_sum`'s array; runs[first:last] are the runs meeting them.
-
-    A run is (start, length, offset of its entries in ``values``).  A
-    subtree inside one run, or a leaf, is summed by ``np.sum`` itself, and
-    a subtree that holds no run is 0.0, which is numpy's sum of its zeros.
-    """
-    if first == last:
-        return 0.0
-    start, length, at = runs[first]
-    if last - first == 1 and start <= lo and lo + n <= start + length:
-        return float(np.sum(values[at + lo - start : at + lo - start + n]))
-    if n <= _LEAF:
-        leaf = np.zeros(n)
-        for start, length, at in runs[first:last]:
-            a, b = max(start, lo), min(start + length, lo + n)
-            leaf[a - lo : b - lo] = values[at + a - start : at + b - start]
-        return float(np.sum(leaf))
-    half = n // 2 - (n // 2) % 8
-    split = bisect_left(runs, (lo + half,), first, last)  # the first run starting in the right half
-    straddles = split > first and runs[split - 1][0] + runs[split - 1][1] > lo + half
-    return _subtree_sum(values, runs, lo, half, first, split) + _subtree_sum(
-        values, runs, lo + half, n - half, split - straddles, last
-    )
-
-
-def _layout(blocks, container: tuple, hole: int | None = None) -> tuple:
-    """(values, runs, size): (centered box, values) blocks inside the centered box ``container``, flattened.
-
-    ``container`` in C order is an array of ``size`` entries.  Each block
-    spans ``container`` along every axis but the first, as a box met with a
-    support does (:func:`~szaszlab.grid._supported`), so its bins are one
-    (start, length) run of that array.  ``values`` holds the blocks' entries
-    one run after another, the runs in increasing order, as
-    :func:`_padded_sum` and :func:`_power_sum` take them.  With ``hole``,
-    that flat index is left out of the array, and the entries after it
-    move down one.
-    """
-    shape = tuple(s.stop - s.start for s in container)
-    row = prod(shape[1:])
-    pieces = [((box[0].start - container[0].start) * row, values.ravel()) for box, values in blocks]
-    pieces.sort(key=lambda piece: piece[0])
-    size = prod(shape)
-    if hole is not None:
-        pieces = [(s - (s > hole), np.delete(v, hole - s) if s <= hole < s + v.size else v) for s, v in pieces]
-        size -= 1
-    values = pieces[0][1] if len(pieces) == 1 else np.concatenate([v for _, v in pieces] or [np.zeros(0)])
-    return values, [(start, v.size) for start, v in pieces], size
+    arrays = [a.ravel() for a in arrays]
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays or [np.zeros(0)])
 
 
 def _usable_cpus() -> int:
@@ -504,29 +436,27 @@ def _prepared_spectrum(
     with no full-grid array.
     Neither path copies the spectrum: the k = 0 bin that the homogeneous
     norms discard lies outside every level mask, so it needs no zeroing.
-    The total and out-of-band spectral mass read only the spectrum's
-    support, with |xi| taken from ``radial_xi`` on its boxes, and have the
-    bits of sums over the whole grid (:func:`_padded_sum`).
+    The total and out-of-band spectral mass are sums over the spectrum's
+    support packed flat, with |xi| taken from ``radial_xi`` on its boxes.
     """
     if spec is None:
         spec = forward_ft(f) if isinstance(f, Field) else f
     g = spec.grid
-    band, whole = feasible_band(g), _whole(g)
-    modulus, runs, size = _layout([(box, np.abs(spec.coeffs[box])) for box in spec._support], whole)
-    total = _padded_sum(modulus, runs, size)
+    band = feasible_band(g)
+    modulus = np.abs(_packed(spec.coeffs[box] for box in spec._support))
+    total = float(np.sum(modulus))
     if total > 0.0:
-        r, _, _ = _layout([(box, radial_xi(g)[box]) for box in spec._support], whole)
-        covered = r <= band.cover_hi
+        r = _packed(radial_xi(g)[box] for box in spec._support)
+        leaked = r > band.cover_hi
         if params.homogeneous:
-            covered &= (r >= band.cover_lo) | (r == 0.0)  # the discarded k = 0 bin is not leaked mass
-        modulus[covered] = 0.0  # what is left lies outside the band's annuli
-        outside = _padded_sum(modulus, runs, size)
+            leaked |= (r < band.cover_lo) & (r != 0.0)  # the discarded k = 0 bin is not leaked mass
+        outside = float(np.sum(modulus[leaked]))
         if outside > OUT_OF_BAND_TOL * total:
             _warn_fidelity(
                 f"spectral mass {outside/total:.2e} of total lies outside the "
                 f"feasible band's annuli; the truncated norm misses it"
             )
-    modulus = covered = None  # freed before the boundary check's synthesis
+    modulus = None  # freed before the boundary check's synthesis
     ratio = boundary_decay_ratio(f) if isinstance(f, Field) else _boundary_ratio(spec)
     if ratio > BOUNDARY_TOL:
         _warn_fidelity(
@@ -584,24 +514,20 @@ def _piece_l2(spec: Spectrum, j: int | None) -> float:
     """||Q_j f||_2 (||S_0 f||_2 for j None) by Parseval on the piece's blocks, with no synthesis.
 
     Each block of the level is read only where it meets the spectrum's
-    support, and its energy sum |c_k|^2 has the bits of ``np.sum`` over the
-    whole block (:func:`_padded_sum`).  A nonempty piece's energy that
-    over- or underflows is redone by :func:`_power_sum` over its blocks one
-    after another.
+    support, and its energy sum |c_k|^2 is one ``np.sum`` over those bins
+    packed flat.  A nonempty piece's energy that over- or underflows is
+    redone by :func:`_power_sum` over its blocks one after another.
     """
-    g, blocks = spec.grid, []
-    for box, mult in _piece_blocks(g, j):
-        values, runs, size = _layout(_met(spec.coeffs, box, mult, spec._support), box)
-        blocks.append((np.abs(values), runs, size))
+    g = spec.grid
+    moduli = [
+        np.abs(_packed(values for _, values in _met(spec.coeffs, box, mult, spec._support)))
+        for box, mult in _piece_blocks(g, j)
+    ]
     with np.errstate(over="ignore", under="ignore"):
-        energy = sum(_padded_sum(a**2, runs, size) for a, runs, size in blocks)
-    if _in_range(energy) or not any(a.max(initial=0.0) for a, _, _ in blocks):
+        energy = sum(float(np.sum(a**2)) for a in moduli)
+    if _in_range(energy) or not any(a.max(initial=0.0) for a in moduli):
         return _parseval_l2(g, energy)
-    runs, offset = [], 0
-    for _, block_runs, size in blocks:
-        runs += [(start + offset, length) for start, length in block_runs]
-        offset += size
-    return _power_sum(np.concatenate([a for a, _, _ in blocks]), 2.0, 1.0, runs, offset) * _parseval_l2(g, 1.0)
+    return _power_sum(np.concatenate(moduli), 2.0) * _parseval_l2(g, 1.0)
 
 
 def _window(grid, piece: list) -> tuple | None:

@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from math import isinf
+from math import isfinite, isinf
 
 import numpy as np
 
 from .errors import ParameterError, _integer
-from .grid import Field, Spectrum, _whole, forward_ft, radial_xi
-from .spaces import SpaceParams, _layout, _norm, _power_sum
+from .grid import Field, Spectrum, forward_ft, radial_xi
+from .spaces import SpaceParams, _norm, _packed, _power_sum
 
 __all__ = [
     "SzaszQuery",
@@ -121,29 +121,27 @@ def weighted_lhs(g: Spectrum, theta: float, p: float, mode: str = "homogeneous")
     p = inf takes the supremum of the weighted modulus instead.
 
     Only the spectrum's support is read, and only its nonzero bins are
-    weighted; the sum has the bits of the one over the whole grid.
+    weighted and summed.
+
+    Raises:
+        ParameterError: "invalid exponent" when p <= 0 or theta is not finite.
     """
     if not p > 0:
         raise ParameterError(f"invalid exponent: p must be > 0, got {p}")
+    if not isfinite(theta):
+        raise ParameterError(f"invalid exponent: theta must be finite, got {theta}")
     if mode not in ("homogeneous", "inhomogeneous"):
         raise ParameterError(f"invalid params: unknown mode {mode!r}")
     grid = g.grid
+    c = _packed(g.coeffs[box] for box in g._support)
+    r = _packed(radial_xi(grid)[box] for box in g._support)
+    # the nonzero bins only: elsewhere the weight may overflow, and inf * 0
+    # would poison the sum with nan; homogeneous mode leaves out the k = 0
+    # bin, the only one at |xi| = 0
     homogeneous = mode == "homogeneous"
-
-    def weighted(box):
-        # the nonzero bins only: elsewhere the weight may overflow, and inf * 0
-        # would poison the sum with nan; homogeneous mode leaves out the k = 0
-        # bin, the only one at |xi| = 0
-        c, r = g.coeffs[box], radial_xi(grid)[box]
-        on = (c != 0) & (r > 0.0) if homogeneous else c != 0
-        out = np.zeros(c.shape)
-        out[on] = (r[on] if homogeneous else 1.0 + r[on]) ** theta * np.abs(c[on])
-        return out
-
-    # the array summed is the grid, without its k = 0 bin in homogeneous mode
-    zero = int(np.ravel_multi_index((grid.center,) * grid.n, grid.shape)) if homogeneous else None
-    values, runs, size = _layout([(box, weighted(box)) for box in g._support], _whole(grid), zero)
-    return _power_sum(values, p, grid.dxi**grid.n, runs, size)
+    on = (c != 0) & (r > 0.0) if homogeneous else c != 0
+    base = r[on] if homogeneous else 1.0 + r[on]
+    return _power_sum(base**theta * np.abs(c[on]), p, grid.dxi**grid.n)
 
 
 def _weak_conditions(query: SzaszQuery) -> tuple[bool, list]:

@@ -85,7 +85,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BandError, ExperimentAbort, ParameterError, _integer
-from .grid import Field, GridSpec, Spectrum, _supported, _whole, inverse_ft, radial_xi
+from .grid import Field, GridSpec, Spectrum, _supported, inverse_ft, radial_xi
 from .littlewood_paley import (
     KAPPA,
     SAFETY,
@@ -96,7 +96,7 @@ from .littlewood_paley import (
     feasible_band,
     lowpass_profile,
 )
-from .spaces import _layout, _padded_sum, _parseval_l2, _pieces_lr, space_norm
+from .spaces import _packed, _parseval_l2, _pieces_lr, space_norm
 from .szasz import SzaszQuery, _require_grid_dimension, weighted_lhs
 
 __all__ = [
@@ -158,14 +158,9 @@ class ExperimentRecord:
         return (self.size, self.space_norm, self.lhs, self.ratio)
 
 
-def _l2_norm(grid: GridSpec, blocks, container: tuple) -> float:
-    """L2 norm (Parseval) of the field whose spectrum is the (box, values) blocks, zero elsewhere in ``container``.
-
-    The sum has the bits of ``np.sum`` over the whole centered box
-    ``container`` (:func:`~szaszlab.spaces._padded_sum`).
-    """
-    values, runs, size = _layout(blocks, container)
-    norm = _parseval_l2(grid, _padded_sum(np.abs(values) ** 2, runs, size))
+def _l2_norm(grid: GridSpec, blocks) -> float:
+    """L2 norm (Parseval) of the field whose spectrum is the (box, values) blocks, zero elsewhere."""
+    norm = _parseval_l2(grid, float(np.sum(np.abs(_packed(values for _, values in blocks)) ** 2)))
     if norm <= 0.0:
         raise ParameterError("cannot normalize an empty spectrum")
     return norm
@@ -183,7 +178,7 @@ def _phi_hat_window(grid: GridSpec) -> tuple[tuple, np.ndarray]:
     if inside < 8:
         raise BandError(f"grid too coarse: only {inside} bins resolve |xi| <= 1/2")
     prof = lowpass_profile(3.0 * r).astype(np.complex128)
-    return box, prof / _l2_norm(grid, [(box, prof)], box)
+    return box, prof / _l2_norm(grid, [(box, prof)])
 
 
 def _psi_hat_profile(t: np.ndarray) -> np.ndarray:
@@ -204,7 +199,7 @@ def _psi_norm_constant(grid: GridSpec) -> float:
     inside = np.count_nonzero((r >= 0.75) & (r <= 1.25))
     if inside < 8:
         raise BandError(f"grid too coarse: only {inside} bins resolve the annulus C_0")
-    return 1.0 / _parseval_l2(grid, float(np.sum(prof**2)))
+    return 1.0 / _l2_norm(grid, [(box, prof)])
 
 
 def _spectrum(grid: GridSpec, terms) -> Spectrum:
@@ -455,7 +450,7 @@ def _random_spectrum(grid, seed: int, j_lo: int, j_hi: int) -> Spectrum:
     spec = _spectrum(grid, plateaus())
     blocks = [(box, spec.coeffs[box]) for box in spec._support]
     if any(values.any() for _, values in blocks):
-        norm = _l2_norm(grid, blocks, _whole(grid))
+        norm = _l2_norm(grid, blocks)
         for box, values in blocks:
             values /= norm
     return spec

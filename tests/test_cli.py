@@ -107,6 +107,15 @@ class TestExperimentCommand:
         assert code == 0
         assert out.read_text() == "size,space_norm,lhs,ratio\n"
 
+    def test_size_zero_row(self, capsys):
+        # a witness of no terms has norm 0 and functional 0, and their ratio is nan
+        code = run_cli(
+            ["experiment", "--kind", "modulated", "--sizes", "0", "--s", "0", "--p", "4",
+             "--q", "4", "--r", "2", "--n", "1", "--family", "B", "--grid", "mid-band"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == "size,space_norm,lhs,ratio\n0,0,0,nan\n"
+
     def test_super_nyquist_exit_3_partial_csv(self, tmp_path):
         out = tmp_path / "e.csv"
         code = run_cli(

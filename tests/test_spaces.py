@@ -142,10 +142,12 @@ class TestBesovNorm:
             besov_norm(f, SpaceParams(0.0, 2.0, 2.0, "B"))
 
     def test_out_of_band_mass_warns_from_spectrum(self, grid_mid):
-        coeffs = np.zeros(grid_mid.shape, dtype=complex)
-        coeffs[grid_mid.center + 1] = 1.0
-        with pytest.warns(ModelFidelityWarning, match="outside the feasible band"):
-            besov_norm(Spectrum(grid_mid, coeffs), SpaceParams(0.0, 2.0, 2.0, "B"))
+        # one bin below the lowest feasible annulus, one above the highest
+        for k in (1, int(feasible_band(grid_mid).cover_hi / grid_mid.dxi) + 1):
+            coeffs = np.zeros(grid_mid.shape, dtype=complex)
+            coeffs[grid_mid.center + k] = 1.0
+            with pytest.warns(ModelFidelityWarning, match="outside the feasible band"):
+                besov_norm(Spectrum(grid_mid, coeffs), SpaceParams(0.0, 2.0, 2.0, "B"))
 
     def test_boundary_mass_warns(self, grid_mid):
         f = plateau_field(grid_mid, 4)  # mollifier tails reach the boundary at this L

@@ -134,6 +134,12 @@ class TestWeightedLhs:
         with pytest.raises(ParameterError, match="invalid exponent"):
             weighted_lhs(s, 0.0, -2.0)
 
+    @pytest.mark.parametrize("theta", [np.nan, INF])
+    def test_non_finite_theta(self, grid_mid, theta):
+        s = forward_ft(plateau_field(grid_mid, 4))
+        with pytest.raises(ParameterError, match=f"invalid exponent: theta must be finite, got {theta}"):
+            weighted_lhs(s, theta, 2.0)
+
     @pytest.mark.parametrize("p, mode", [(2.0, "homogeneous"), (2.0, "inhomogeneous"), (INF, "homogeneous")])
     def test_weight_overflowing_on_empty_bins(self, grid_mid, p, mode):
         # |xi|^120 overflows for |xi| > 2^8.5, where this spectrum is exactly zero

@@ -327,6 +327,18 @@ class TestDivergenceExperiment:
         q = make_query("B", 0.0, 2.0, 4.0, 4.0)
         assert divergence_experiment("modulated", q, []) == []
 
+    @pytest.mark.parametrize("kind", ["modulated", "modulated_borderline", "dilated_low", "lowfreq_blowup"])
+    @pytest.mark.parametrize("family, r", [("B", 2.0), ("B", 1.5), ("F", 1.5)])
+    def test_size_zero_record_is_empty(self, kind, family, r):
+        # no terms: an empty support, read by the norms' Parseval and
+        # synthesis paths and by the weighted functional
+        q = make_query(family, 2.0, r, 3.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ModelFidelityWarning)
+            empty, full = divergence_experiment(kind, q, [0, 2], grid=GridSpec(1, 2**12, 2.0**7 * np.pi))
+        assert empty.to_row()[:3] == (0, 0.0, 0.0) and np.isnan(empty.ratio)
+        assert full.size == 2 and full.space_norm > 0.0 and full.lhs > 0.0
+
     def test_records_in_input_order(self, grid_hi_small):
         q = make_query("B", 0.0, 2.0, 4.0, 4.0)
         recs = divergence_experiment("modulated", q, [4, 2, 8], grid=grid_hi_small)
