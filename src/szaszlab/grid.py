@@ -55,8 +55,8 @@ BOUNDARY_TOL = 1e-12
 BOUNDARY_MARGIN = 0.05
 
 #: samples per block of a pass over a full-grid array (a chunk of a row, a
-#: tile of a narrow piece in the space norms): 1 MiB of complex samples,
-#: which stays in L2
+#: tile of cosets in the space norms unless one coset is longer): 1 MiB of
+#: complex samples, which stays in L2
 _CHUNK = 2**16
 
 
@@ -265,33 +265,20 @@ def boundary_decay_ratio(f: Field) -> float:
     this ratio is tiny (below ``BOUNDARY_TOL`` by convention).  Returns 0.0
     for the zero field.
     """
-    return _leak_ratio(f.values, np.roll(_natural_shell_1d(f.grid), f.grid.center))
+    shell = np.zeros(f.grid.N, dtype=bool)
+    shell[slice(*_shell_span(f.grid))] = True
+    return _leak_ratio(f.values, np.roll(shell, f.grid.center))
 
 
-def _natural_shell_1d(grid: GridSpec) -> np.ndarray:
-    """The boundary shell along one axis in natural sample order: the middle block of indices.
+def _shell_span(grid: GridSpec) -> tuple[int, int]:
+    """The boundary shell along one axis in natural sample order: indices start <= m < stop.
 
     Index m holds x = m dx (mod the box), so the samples within
-    BOUNDARY_MARGIN of the box side from the boundary are the indices
-    N/2 - margin <= m < N/2 + margin.
+    BOUNDARY_MARGIN of the box side from the boundary are the middle block
+    of indices N/2 - margin <= m < N/2 + margin.
     """
     margin = max(1, int(round(BOUNDARY_MARGIN * grid.N)))
-    shell = np.zeros(grid.N, dtype=bool)
-    shell[grid.center - margin : grid.center + margin] = True
-    return shell
-
-
-@lru_cache(maxsize=8)
-def _natural_shell(grid: GridSpec) -> np.ndarray:
-    """Read-only mask of the boundary shell over the whole grid in natural sample order."""
-    shell = _or_mask(_natural_shell_1d(grid), grid.n)
-    shell.setflags(write=False)
-    return shell
-
-
-def _or_mask(outside_1d: np.ndarray, n: int) -> np.ndarray:
-    """Where ``outside_1d`` holds along some axis of an n-D grid."""
-    return outside_1d if n == 1 else outside_1d[:, None] | outside_1d[None, :]
+    return grid.center - margin, grid.center + margin
 
 
 def _leak_ratio(values: np.ndarray, outside_1d: np.ndarray) -> float:
@@ -301,7 +288,7 @@ def _leak_ratio(values: np.ndarray, outside_1d: np.ndarray) -> float:
     """
     rows = max(1, _CHUNK * len(values) // values.size)
     peak = max(float(np.abs(values[i : i + rows]).max()) for i in range(0, len(values), rows))
-    outside = _or_mask(outside_1d, values.ndim)
+    outside = outside_1d if values.ndim == 1 else outside_1d[:, None] | outside_1d[None, :]
     if peak == 0.0 or not outside.any():
         return 0.0
     return float(np.max(np.abs(values[outside]))) / peak

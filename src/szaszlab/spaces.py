@@ -41,22 +41,26 @@ and a full stack goes through one multi-row inverse FFT in place
 Both give samples in natural order (x = m dx at index m mod N), and no
 result depends on sample order, so no ``fftshift`` copy is made.
 
-The rest is one pass over tiles of 2^16 samples on W threads
-(:func:`_chunk_pass`), the same for both kinds of piece.  Each thread
-walks a contiguous group of tiles and, for each tile, every piece of the
-batch in level order: it synthesizes the tile or scales the row's chunk
-by 1/dx^n in place, takes its modulus into one reused per-thread buffer,
-and keeps the tile's power sum (:func:`_lr_norms`), adds its terms into the
-F-norm's pointwise sum at the tile's positions (:func:`_accumulate`), or
-keeps its peak and boundary-shell maximum (:func:`_boundary_ratio`, which
-synthesizes a spectrum that is not narrow with :func:`inverse_ft`).  A
+The rest is one pass over tiles on W threads (:func:`_chunk_pass`), the
+same for both kinds of piece: 2^16 samples, or one coset when a window
+holds more bins.  Each thread walks a contiguous group of tiles and, for
+each tile, every piece of the batch in level order: it synthesizes the
+tile or scales the row's chunk by 1/dx^n in place, takes its modulus into
+one reused per-thread buffer, and keeps the tile's power sum
+(:func:`_lr_norms`), adds its terms into the F-norm's pointwise sum at the
+tile's positions (:func:`_accumulate`), or keeps its peak and
+boundary-shell maximum (:func:`_boundary_ratio`).  The boundary check
+reads a spectrum coset by coset whenever its window leaves P^n >= 2
+cosets on a grid of more than one tile, narrow or not, so a hi-band
+witness's check makes no full-grid array; only a window of the whole grid
+(P^n = 1) or a grid of one tile is synthesized by :func:`inverse_ft`.  A
 piece's tile sums are added pairwise in tile order (:func:`_tree_sum`),
 which for a full-grid row on the power-of-two lengths of every grid is bit
 for bit ``np.sum`` of the whole row, and each point of the F-sum sees its
 levels in level order, so no result depends on W.  The stack of W rows of
 16 N^n bytes is all the full-grid memory a Besov norm's pieces add (the
 F-norm adds its real pointwise sum, and the boundary check of a spectrum
-that is not narrow its field).
+whose window is the whole grid its field).
 
 A spectrum is read only on its support, the boxes off which its
 coefficients are exactly zero (``grid.Spectrum``): the whole grid for
@@ -92,7 +96,7 @@ from .grid import (
     Field,
     Spectrum,
     _CHUNK,
-    _natural_shell,
+    _shell_span,
     _scale,
     boundary_decay_ratio,
     forward_ft,
@@ -200,26 +204,26 @@ def _usable_cpus() -> int:
 _MIN_COSETS = 16
 
 
-def _chunk_pass(size: int, work) -> None:
-    """Call ``work(lo, hi, buf, tmp)`` for every chunk [lo, hi) of range(size), on W threads.
+def _chunk_pass(size: int, work, tile: int) -> None:
+    """Call ``work(lo, hi, buf, tmp)`` for every tile [lo, hi) of range(size), on W threads.
 
-    Chunks hold _CHUNK samples, and W = min(usable CPUs, chunks).  Each
-    thread walks one contiguous group of chunks in order with one real
-    buffer ``buf`` and one complex buffer ``tmp`` of a chunk's length,
-    reused for every chunk, and with over- and underflow ignored.  The
-    buffers are allocated here, so the threads allocate no chunk-sized
+    Tiles hold ``tile`` samples, and W = min(usable CPUs, tiles).  Each
+    thread walks one contiguous group of tiles in order with one real
+    buffer ``buf`` and one complex buffer ``tmp`` of a tile's length,
+    reused for every tile, and with over- and underflow ignored.  The
+    buffers are allocated here, so the threads allocate no tile-sized
     memory.  The threads are joined, and the first exception raised, before
     this returns.
     """
-    starts = range(0, size, _CHUNK)
+    starts = range(0, size, tile)
     width = min(_usable_cpus(), len(starts))
-    bufs = np.empty((width, min(size, _CHUNK)))
+    bufs = np.empty((width, min(size, tile)))
     tmps = np.empty(bufs.shape, dtype=np.complex128)
 
     def walk(group, buf, tmp):
         with np.errstate(over="ignore", under="ignore"):
             for lo in group:
-                hi = min(lo + _CHUNK, size)
+                hi = min(lo + tile, size)
                 work(lo, hi, buf[: hi - lo], tmp)
 
     groups = [starts[i * len(starts) // width : (i + 1) * len(starts) // width] for i in range(width)]
@@ -246,10 +250,15 @@ def _tree_sum(parts: list) -> float:
 class _Rows:
     """Samples in natural order, one full grid per row; tile [lo, hi) is that chunk of every row.
 
+    Tiles hold _CHUNK samples, so a row's tile sums add up by
+    :func:`_tree_sum` bit for bit to its ``np.sum``.
+
     ``prepare(chunk)``, when given, sets a row's chunk in place before its
     modulus is taken: the 1/dx^n of a synthesized row, or the 1/q-th power
     of the F-norm's pointwise sum.
     """
+
+    tile = _CHUNK
 
     def __init__(self, rows: np.ndarray, prepare=None):
         self.flat, self.prepare = rows.reshape(len(rows), -1), prepare
@@ -295,7 +304,7 @@ def _along(a: np.ndarray, axes: tuple, ndim: int) -> np.ndarray:
 
 
 class _Cosets:
-    """A narrow piece's samples, one tile of cosets at a time, by FFT pruning.
+    """A piece's samples, one tile of cosets at a time, by FFT pruning.
 
     The piece's coefficients c_k vanish outside a circular window
     k0 <= k < k0 + Q per axis, Q a power of two, and P = N / Q.  Along an
@@ -306,10 +315,11 @@ class _Cosets:
     one length-Q inverse FFT per coset b (Markel, IEEE Trans. Audio
     Electroacoust. 1971; Sorensen & Burrus, IEEE Trans. Signal Process.
     1993).  Every consumer takes |f|, so the unit phase w^(k0 m) is never
-    computed.  A tile is G = min(P^n, _CHUNK / Q^n) cosets, g_i per axis
-    taken from the last axis first: the blocks of cosets in C order are the
-    tiles [lo, hi) of range(N^n), one per chunk.  Its moduli are a
-    (Q_1, g_1, ..., Q_n, g_n) view, and ``at`` gives the same positions of
+    computed.  A tile is G = max(1, min(P^n, _CHUNK / Q^n)) cosets, g_i
+    per axis taken from the last axis first, so it holds ``tile`` = G Q^n
+    samples: _CHUNK, or one coset of Q^n > _CHUNK samples.  The blocks of
+    cosets in C order are the tiles [lo, hi) of range(N^n).  Its moduli are
+    a (Q_1, g_1, ..., Q_n, g_n) view, and ``at`` gives the same positions of
     a natural-order array, ``a.reshape(Q_1, P_1, ...)[:, b_1:b_1 + g_1, ...]``.
     No full-grid array is allocated.
     """
@@ -324,38 +334,62 @@ class _Cosets:
             _put_window(compact, box, values, grid.N, tuple(k0 for k0, _ in window))
         compact *= 1.0 / (prod(self.P) * grid.dx**n)
         self.compact = compact
-        cosets, g = min(prod(self.P), _CHUNK // prod(self.Q)), []
+        cosets, g = max(1, min(prod(self.P), _CHUNK // prod(self.Q))), []
         for p in reversed(self.P):
             g.insert(0, min(p, cosets))
             cosets //= g[0]
         self.g = tuple(g)
+        self.tile = prod(g) * prod(self.Q)
         self.blocks = tuple(p // size for p, size in zip(self.P, g))
-        # w^(k' beta) for the beta-th coset of a tile, on axes (i, n + i) of its (g, Q) layout;
-        # the table is symmetric in (beta, k'), so it is rotated along its longer side
+        # (i, w^(k' beta)) for the beta-th coset of a tile, on axes (i, n + i) of its (g, Q)
+        # layout, for each axis i along which a tile holds more than its first coset; the
+        # table is symmetric in (beta, k'), so it is rotated along its longer side
         self.twiddles = []
         for i, (size, q) in enumerate(zip(g, self.Q)):
+            if size == 1:
+                continue
             table = np.ones((min(size, q), max(size, q)), dtype=np.complex128)
             _rotate(table, 1, self.N, np.arange(len(table))[:, None, None])
-            self.twiddles.append(_along(table if size <= q else table.T.copy(), (i, n + i), 2 * n))
+            self.twiddles.append((i, _along(table if size <= q else table.T.copy(), (i, n + i), 2 * n)))
         self.order = tuple(axis for i in range(n) for axis in (n + i, i))
 
     def _first_cosets(self, lo: int) -> tuple:
-        return tuple(b * size for b, size in zip(np.unravel_index(lo // _CHUNK, self.blocks), self.g))
+        return tuple(b * size for b, size in zip(np.unravel_index(lo // self.tile, self.blocks), self.g))
 
     def moduli(self, lo: int, hi: int, buf: np.ndarray, tmp: np.ndarray):
-        """|samples| of tile [lo, hi), in ``buf``, synthesized in ``tmp`` with no chunk-sized allocation."""
+        """|samples| of tile [lo, hi), in ``buf``, synthesized in ``tmp`` with no tile-sized allocation."""
         n = len(self.Q)
         x = tmp.reshape(self.g + self.Q)
         first = x[(0,) * n]  # the tile's first coset b, whose tile twiddles are all 1
         first[...] = self.compact
         for axis, b in enumerate(self._first_cosets(lo)):
             _rotate(first, axis, self.N, b)
-        for i, twiddle in enumerate(self.twiddles):  # the cosets made so far, times beta_i = 1, 2, ...
+        for i, twiddle in self.twiddles:  # the cosets made so far, times beta_i = 1, 2, ...
             made = tuple(slice(None) if j < i else slice(0, 1) for j in range(n))
             new = tuple(slice(None) if j < i else slice(1, None) if j == i else slice(0, 1) for j in range(n))
             np.multiply(x[made], twiddle[new], out=x[new])
         x = _fft.ifftn(x, axes=tuple(range(n, 2 * n)), workers=1, overwrite_x=True)
         yield np.abs(x, out=buf.reshape(x.shape)).transpose(self.order)
+
+    def shell_max(self, a: np.ndarray, lo: int, span: tuple) -> float:
+        """Largest of tile [lo, hi)'s moduli ``a`` at a natural index start <= m < stop along some axis.
+
+        Along axis i the tile holds m = P_i r + b for its rows r and cosets
+        b, so coset b meets the span in the rows
+        ceil((start - b) / P_i) <= r < ceil((stop - b) / P_i): only the rows
+        some coset has there are read, with a mask of those rows alone.
+        """
+        start, stop = span
+        n, edge = len(self.Q), 0.0
+        for i, (b, size, p) in enumerate(zip(self._first_cosets(lo), self.g, self.P)):
+            cosets = b + np.arange(size)
+            first, last = -((cosets - start) // p), -((cosets - stop) // p)
+            top, bottom = int(first.min()), int(last.max())
+            view = a[(slice(None),) * (2 * i) + (slice(top, bottom),)]
+            rows = np.arange(top, bottom)[:, None]
+            inside = _along((rows >= first) & (rows < last), (2 * i, 2 * i + 1), 2 * n)
+            edge = max(edge, float(np.max(view, where=inside, initial=0.0)))
+        return edge
 
     def at(self, a: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """The tile's positions in a full-grid array in natural order, shaped like its moduli."""
@@ -371,7 +405,7 @@ def _lr_parts(source, count: int, r: float, divisors=None) -> np.ndarray:
     ``divisors`` holds one divisor per piece, 1 for all when None; a piece
     whose divisor is not positive and finite is skipped, its sums left 0.
     """
-    parts = np.zeros((count, -(-source.size // _CHUNK)))
+    parts = np.zeros((count, -(-source.size // source.tile)))
 
     def work(lo, hi, buf, tmp):
         for i, a in enumerate(source.moduli(lo, hi, buf, tmp)):
@@ -379,9 +413,9 @@ def _lr_parts(source, count: int, r: float, divisors=None) -> np.ndarray:
                 if not 0.0 < divisors[i] < np.inf:
                     continue
                 a /= divisors[i]
-            parts[i, lo // _CHUNK] = a.max() if isinf(r) else np.sum(np.power(a, r, out=a))
+            parts[i, lo // source.tile] = a.max() if isinf(r) else np.sum(np.power(a, r, out=a))
 
-    _chunk_pass(source.size, work)
+    _chunk_pass(source.size, work, source.tile)
     return parts
 
 
@@ -432,8 +466,8 @@ def _prepared_spectrum(
 
     A Field is transformed once, unless its spectrum is passed as ``spec``.
     A Spectrum is used as given, and its boundary check
-    (:func:`_boundary_ratio`) reads a narrow spectrum's field tile by tile
-    with no full-grid array.
+    (:func:`_boundary_ratio`) reads the field of a spectrum whose window
+    leaves two or more cosets tile by tile with no full-grid array.
     Neither path copies the spectrum: the k = 0 bin that the homogeneous
     norms discard lies outside every level mask, so it needs no zeroing.
     The total and out-of-band spectral mass are sums over the spectrum's
@@ -467,29 +501,34 @@ def _prepared_spectrum(
 
 
 def _boundary_ratio(spec: Spectrum) -> float:
-    """``boundary_decay_ratio(inverse_ft(spec))``, for a narrow spectrum with no full-grid array.
+    """``boundary_decay_ratio(inverse_ft(spec))``, with no full-grid array when its window leaves cosets.
 
-    The window (:func:`_window`) reads only the spectrum's support.  A
-    narrow spectrum (:func:`_narrow`) is synthesized coset by coset
-    (:class:`_Cosets`), and each tile keeps its peak and its largest
-    modulus in the boundary shell, which in natural sample order is the
-    middle block of indices per axis.  Any other spectrum is synthesized
-    on the full grid.
+    The window (:func:`_window`) reads only the spectrum's support.  When
+    it leaves P^n >= 2 cosets on a grid of more than one tile, the field
+    is synthesized coset by coset (:class:`_Cosets`), and each tile keeps
+    its peak and its largest modulus in the boundary shell, which in
+    natural sample order is the middle block of indices along some axis
+    (``grid._shell_span``; :meth:`_Cosets.shell_max`).  Any other spectrum
+    (P^n = 1, or a grid of one tile) is synthesized on the full grid; the
+    zero spectrum gives 0.0.
     """
     g = spec.grid
     blocks = [(box, spec.coeffs[box]) for box in spec._support]
     window = _window(g, blocks)
-    if window is None or not _narrow(g, window):
+    if window is None:
+        return 0.0
+    size = g.N**g.n
+    if size <= _CHUNK or size == prod(q for _, q in window):
         return boundary_decay_ratio(inverse_ft(spec))
-    source, shell = _Cosets(g, blocks, window), _natural_shell(g)
-    peaks, edges = np.zeros((2, -(-source.size // _CHUNK)))
+    source, span = _Cosets(g, blocks, window), _shell_span(g)
+    peaks, edges = np.zeros((2, size // source.tile))
 
     def work(lo, hi, buf, tmp):
         (a,) = source.moduli(lo, hi, buf, tmp)
-        peaks[lo // _CHUNK] = a.max()
-        edges[lo // _CHUNK] = np.max(a, where=source.at(shell, lo, hi), initial=0.0)
+        peaks[lo // source.tile] = a.max()
+        edges[lo // source.tile] = source.shell_max(a, lo, span)
 
-    _chunk_pass(source.size, work)
+    _chunk_pass(size, work, source.tile)
     peak = float(peaks.max())
     return 0.0 if peak == 0.0 else float(edges.max()) / peak
 
@@ -659,7 +698,7 @@ def _accumulate(source, keys: list, s: float, q: float, acc, peak=None) -> None:
             else:
                 out += np.power(a, q, out=a)
 
-    _chunk_pass(source.size, work)
+    _chunk_pass(source.size, work, source.tile)
 
 
 def besov_norm(f: Field | Spectrum, params: SpaceParams) -> float:

@@ -456,16 +456,21 @@ def _random_spectrum(grid, seed: int, j_lo: int, j_hi: int) -> Spectrum:
     return spec
 
 
+def _top_levels_spectrum(grid: GridSpec, spec: WitnessSpec) -> Spectrum:
+    """The random field on the K highest levels of the feasible band; K = 0 gives the empty spectrum."""
+    if spec.K == 0:
+        return _spectrum(grid, ())
+    j_max = feasible_band(grid).j_max
+    return _random_spectrum(grid, spec.seed, j_max - spec.K + 1, j_max)
+
+
 #: kind -> (default grid preset, exact-spectrum builder(grid, WitnessSpec)); a
 #: spec's K is the experiment size
 _WITNESSES = {
     "modulated": ("hi-band", lambda g, w: _modulated_spectrum(g, w, "linear")),
     "modulated_borderline": ("hi-band", lambda g, w: _modulated_spectrum(g, w, "inverse_root")),
     "dilated_low": ("lo-band", _dilated_spectrum),
-    "random_bandlimited": (
-        "lo-band",
-        lambda g, w: _random_spectrum(g, w.seed, feasible_band(g).j_max - w.K + 1, feasible_band(g).j_max),
-    ),
+    "random_bandlimited": ("lo-band", _top_levels_spectrum),
     "lowfreq_blowup": ("lo-band", lambda g, w: _blowup_spectrum(g, w.K, w.query.space.s, w.query.space.r)),
 }
 

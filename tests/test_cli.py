@@ -116,6 +116,16 @@ class TestExperimentCommand:
         assert code == 0
         assert capsys.readouterr().out == "size,space_norm,lhs,ratio\n0,0,0,nan\n"
 
+    def test_random_size_zero_row(self, capsys):
+        # a random field of no levels, then the size-2 field of its seed
+        code = run_cli(
+            ["experiment", "--kind", "random_bandlimited", "--sizes", "0,2", "--s", "0", "--p", "2",
+             "--q", "2", "--r", "2", "--n", "1", "--family", "B", "--grid", "mid-band"]
+        )
+        assert code == 0
+        header, first, second = capsys.readouterr().out.strip().split("\n")
+        assert first == "0,0,0,nan" and second.startswith("2,")
+
     def test_super_nyquist_exit_3_partial_csv(self, tmp_path):
         out = tmp_path / "e.csv"
         code = run_cli(

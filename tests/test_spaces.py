@@ -37,7 +37,7 @@ from szaszlab import (
     triebel_norm,
 )
 
-from szaszlab.grid import _scale, boundary_decay_ratio
+from szaszlab.grid import BOUNDARY_TOL, _scale, _shell_span, boundary_decay_ratio
 from szaszlab.littlewood_paley import apply_level_mask
 from szaszlab.witnesses import _blowup_spectrum, _random_spectrum
 
@@ -381,7 +381,7 @@ class TestBatchedSynthesis:
                 raise ValueError(f"chunk at {lo}")
 
         with pytest.raises(ValueError, match="chunk at"):
-            spaces_module._chunk_pass(2 * spaces_module._CHUNK, work)
+            spaces_module._chunk_pass(2 * spaces_module._CHUNK, work, spaces_module._CHUNK)
 
     @pytest.mark.parametrize("cpus", [1, 2, 4])
     def test_one_nonempty_level_fills_one_row(self, monkeypatch, grid_wide, cpus):
@@ -457,7 +457,7 @@ def _natural_moduli(source, grid):
     """|samples| of a source's only piece over the grid in natural order, put back tile by tile."""
     out = np.full(grid.shape, -1.0)
     size = grid.N**grid.n
-    chunk = min(size, spaces_module._CHUNK)
+    chunk = min(size, source.tile)
     buf, tmp = np.empty(chunk), np.empty(chunk, dtype=np.complex128)
     for lo in range(0, size, chunk):
         (a,) = source.moduli(lo, lo + chunk, buf, tmp)
@@ -468,17 +468,41 @@ def _natural_moduli(source, grid):
 
 
 def _window_spectrum(grid, starts, spans, seed=0):
-    """Random coefficients on the circular window starts_i <= k < starts_i + spans_i per axis."""
+    """Random coefficients on the circular window starts_i <= k < starts_i + spans_i per axis.
+
+    A span of more than _CHUNK bins is filled at every 4th bin from its
+    first, so that ``_window`` seeks its gaps rather than taking the whole axis.
+    """
     rng = np.random.default_rng(seed)
     coeffs = np.zeros(grid.shape, dtype=np.complex128)
-    index = np.ix_(*[(grid.center + k0 + np.arange(span)) % grid.N for k0, span in zip(starts, spans)])
+    index = np.ix_(*[
+        (grid.center + k0 + np.arange(0, span, 1 if span <= spaces_module._CHUNK else 4)) % grid.N
+        for k0, span in zip(starts, spans)
+    ])
     shape = coeffs[index].shape
     coeffs[index] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return Spectrum(grid, coeffs)
 
 
-#: (N, cosets P): P = 1 and 2 on one-tile grids, 16 and 4 over several tiles, and one bin (P = N)
-_COSET_CASES = [(2**12, 1), (2**16, 1), (2**16, 2), (2**18, 16), (2**18, 4), (2**18, 2**18), (2**16, 2**16)]
+#: (N, cosets P): P = 1 and 2 on one-tile grids, 16, 4 and 2 over several tiles (at P = 2 a
+#: tile is one coset of 2^17 samples), and one bin (P = N)
+_COSET_CASES = [
+    (2**12, 1), (2**16, 1), (2**16, 2), (2**18, 16), (2**18, 4), (2**18, 2), (2**18, 2**18), (2**16, 2**16)
+]
+
+#: (n, N, window spans, cosets P^n) of the boundary check: 1-D windows leaving 2, 4 and 8
+#: cosets (a tile of one coset of 2^17 or 2^16 samples, or of two), 2-D windows leaving 2
+#: and 8, and windows of the whole grid, which the full-grid path reads
+_BOUNDARY_CASES = [
+    (1, 2**18, (2**17,), 2),
+    (1, 2**18, (2**16,), 4),
+    (1, 2**18, (2**15,), 8),
+    (1, 2**19, (2**17,), 4),
+    (2, 512, (256, 512), 2),
+    (2, 512, (128, 256), 8),
+    (1, 2**18, (2**17 + 1,), 1),
+    (2, 512, (300, 512), 1),
+]
 
 
 class TestCosetSynthesis:
@@ -564,6 +588,67 @@ class TestCosetSynthesis:
                 warnings.simplefilter("always", ModelFidelityWarning)
                 besov_norm(x, SpaceParams(0.0, 1.5, 2.0, "B"))
         assert [str(w.message) for w in caught[Spectrum]] == [str(w.message) for w in caught[Field]]
+
+
+    @pytest.mark.parametrize(
+        "n, N, Q", [(1, 2**18, (2**17,)), (1, 2**18, (2**15,)), (1, 2**18, (32,)), (2, 512, (256, 512)),
+                    (2, 512, (128, 256)), (2, 512, (16, 32))],
+    )
+    def test_shell_max_reads_the_shell_positions(self, n, N, Q):
+        # spikes just outside the shell along each axis, lesser ones on its first and last
+        # indices: a tile's shell maximum is the full-grid shell mask's, read at the tile
+        grid = GridSpec(n, N, 32.0)
+        start, stop = _shell_span(grid)
+        values = np.random.default_rng(4).random(grid.shape)
+        mask = np.zeros(grid.shape, dtype=bool)
+        for axis in range(n):
+            along = np.moveaxis(values, axis, 0)
+            along[[start - 1, stop]] += 10.0
+            along[[start, stop - 1]] += 5.0
+            np.moveaxis(mask, axis, 0)[start:stop] = True
+        source = spaces_module._Cosets(grid, [], tuple((0, q) for q in Q))
+        for lo in range(0, N**n, source.tile):
+            a = source.at(values, lo, lo + source.tile)
+            want = np.max(a, where=source.at(mask, lo, lo + source.tile), initial=0.0)
+            assert source.shell_max(a, lo, (start, stop)) == want
+
+    @pytest.mark.parametrize("n, N, spans, cosets", _BOUNDARY_CASES)
+    def test_boundary_check_reads_the_cosets_of_a_wide_window(self, monkeypatch, n, N, spans, cosets):
+        grid = GridSpec(n, N, 32.0)
+        spec = _window_spectrum(grid, [N // 8 - span // 2 for span in spans], spans, seed=2)
+        window = spaces_module._window(grid, [((slice(0, N),) * n, spec.coeffs)])
+        assert N**n // np.prod([q for _, q in window]) == cosets
+        field = inverse_ft(spec)
+        want = boundary_decay_ratio(field)
+        assert want > BOUNDARY_TOL
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ModelFidelityWarning)
+            besov_norm(field, SpaceParams(0.0, 2.0, 2.0, "B"))
+        syntheses = []
+
+        def synthesis(x):
+            if cosets > 1:
+                raise AssertionError("a window leaving cosets is synthesized on the full grid")
+            syntheses.append(x)
+            return inverse_ft(x)
+
+        monkeypatch.setattr(spaces_module, "inverse_ft", synthesis)
+        got = {}
+        for width in (1, 2, 3):
+            _with_cpus(monkeypatch, width)
+            got[width] = spaces_module._boundary_ratio(spec)
+        assert got[1] == got[2] == got[3] == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert len(syntheses) == (3 if cosets == 1 else 0)
+        with warnings.catch_warnings(record=True) as checked:
+            warnings.simplefilter("always", ModelFidelityWarning)
+            besov_norm(spec, SpaceParams(0.0, 2.0, 2.0, "B"))
+        assert [str(w.message) for w in checked] == [str(w.message) for w in caught]
+        if cosets > 1:  # a tile is 2^16 samples, or one coset of more
+            source = spaces_module._Cosets(grid, [((slice(0, N),) * n, spec.coeffs)], window)
+            assert source.tile == max(spaces_module._CHUNK, np.prod(spans))
+            assert spaces_module._lr_norms(source, 1, 1.5, grid)[0] == pytest.approx(
+                lr_quasinorm(field, 1.5), rel=1e-12
+            )
 
 
 class TestChunkedRowPass:

@@ -251,7 +251,7 @@ def test_narrow_r2_record_makes_no_full_grid_array(monkeypatch):
     record = lambda: divergence_experiment("modulated", query, [4], grid=grid)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ModelFidelityWarning)
-        record()  # caches: the level blocks, the boundary shell
+        record()  # caches: the level blocks
         growth, start = [], [0]
 
         def close():

@@ -339,6 +339,13 @@ class TestDivergenceExperiment:
         assert empty.to_row()[:3] == (0, 0.0, 0.0) and np.isnan(empty.ratio)
         assert full.size == 2 and full.space_norm > 0.0 and full.lhs > 0.0
 
+    def test_random_size_zero_record_is_empty(self):
+        # no levels; the record of size 2 keeps the draws and bits it has alone
+        q = make_query("B", 0.0, 2.0, 2.0, 2.0)
+        empty, full = divergence_experiment("random_bandlimited", q, [0, 2], grid="mid-band", seed=5)
+        assert empty.to_row()[:3] == (0, 0.0, 0.0) and np.isnan(empty.ratio)
+        assert full == divergence_experiment("random_bandlimited", q, [2], grid="mid-band", seed=5)[0]
+
     def test_records_in_input_order(self, grid_hi_small):
         q = make_query("B", 0.0, 2.0, 4.0, 4.0)
         recs = divergence_experiment("modulated", q, [4, 2, 8], grid=grid_hi_small)
