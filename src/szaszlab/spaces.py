@@ -43,10 +43,11 @@ result depends on sample order, so no ``fftshift`` copy is made.
 
 The rest is one pass over tiles on W threads (:func:`_chunk_pass`), the
 same for both kinds of piece: 2^16 samples, or one coset when a window
-holds more bins.  Each thread walks a contiguous group of tiles and, for
-each tile, every piece of the batch in level order: it synthesizes the
-tile or scales the row's chunk by 1/dx^n in place, takes its modulus into
-one reused per-thread buffer, and keeps the tile's power sum
+holds more bins, which the calling thread walks alone.  Each thread walks
+a contiguous group of tiles and, for each tile, every piece of the batch
+in level order: it synthesizes the tile or scales the row's chunk by
+1/dx^n in place, takes its modulus into one reused per-thread buffer, and
+keeps the tile's power sum
 (:func:`_lr_norms`), adds its terms into the F-norm's pointwise sum at the
 tile's positions (:func:`_accumulate`), or keeps its peak and
 boundary-shell maximum (:func:`_boundary_ratio`).  The boundary check
@@ -214,9 +215,16 @@ def _chunk_pass(size: int, work, tile: int) -> None:
     buffers are allocated here, so the threads allocate no tile-sized
     memory.  The threads are joined, and the first exception raised, before
     this returns.
+
+    Tiles longer than _CHUNK (one coset of a wide window) are walked by the
+    calling thread alone, W = 1: the inverse FFT of such a tile allocates
+    scratch of the tile's length in the thread that runs it, and a worker
+    thread's freed scratch stays resident in that thread's malloc arena
+    after the pass, or in a new arena when the previous worker had not yet
+    exited, so the peak RSS of the process would move from run to run.
     """
     starts = range(0, size, tile)
-    width = min(_usable_cpus(), len(starts))
+    width = min(_usable_cpus(), len(starts)) if tile <= _CHUNK else 1
     bufs = np.empty((width, min(size, tile)))
     tmps = np.empty(bufs.shape, dtype=np.complex128)
 

@@ -383,6 +383,25 @@ class TestBatchedSynthesis:
         with pytest.raises(ValueError, match="chunk at"):
             spaces_module._chunk_pass(2 * spaces_module._CHUNK, work, spaces_module._CHUNK)
 
+    @pytest.mark.parametrize("chunks", [1, 2, 4])
+    def test_tiles_longer_than_a_chunk_stay_on_the_calling_thread(self, monkeypatch, chunks):
+        # a tile of one long coset makes tile-sized FFT scratch in the thread that runs it
+        _with_cpus(monkeypatch, 4)
+        tile = chunks * spaces_module._CHUNK
+        seen = {}
+
+        def work(lo, hi, buf, tmp):
+            seen[lo] = (threading.get_ident(), hi - lo, len(buf), len(tmp))
+
+        spaces_module._chunk_pass(4 * spaces_module._CHUNK, work, tile)
+        assert sorted(seen) == list(range(0, 4 * spaces_module._CHUNK, tile))
+        assert {v[1:] for v in seen.values()} == {(tile, tile, tile)}
+        threads = {v[0] for v in seen.values()}
+        if chunks > 1:
+            assert threads == {threading.get_ident()}
+        else:
+            assert len(threads) <= 4
+
     @pytest.mark.parametrize("cpus", [1, 2, 4])
     def test_one_nonempty_level_fills_one_row(self, monkeypatch, grid_wide, cpus):
         # level 4's plateau spans 2^17 bins of grid_wide: a wide piece
