@@ -16,10 +16,11 @@ that condition; ``low_frequency_mass`` measures the integral;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isnan
 
 import numpy as np
 
-from .errors import BandError, _integer
+from .errors import BandError, ParameterError, _integer
 from .grid import Field, Spectrum, forward_ft, inverse_ft, radial_xi
 from .littlewood_paley import _piece, _summed, feasible_band
 from .spaces import _norm
@@ -81,12 +82,15 @@ def low_frequency_mass(f: Field, R: float) -> float:
     """sum_{0 < |xi_k| <= R} |coeffs[k]| dxi^n, the k = 0 bin excluded.
 
     Raises:
+        ParameterError: when R is nan.
         BandError: "radius below resolution" when R <= dxi.
     """
     return _low_mass(forward_ft(f).coeffs, f.grid, R)
 
 
 def _low_mass(coeffs: np.ndarray, g, R: float) -> float:
+    if isnan(R):
+        raise ParameterError(f"invalid params: R must be a number, got {R}")
     if not R > g.dxi:
         raise BandError(f"radius below resolution: R={R} <= dxi={g.dxi}")
     r = radial_xi(g)
@@ -114,9 +118,10 @@ def realization_report(f: Field, query: SzaszQuery, M: int, R: float = 1.0) -> R
     norm takes the same spectrum.
 
     Raises:
-        ParameterError: when M is not an integer >= 0, or when ``query.n``
-            is not the field's dimension.
-        BandError: when no level of [-M, M] is resolvable on f's grid.
+        ParameterError: when M is not an integer >= 0, when R is nan, or
+            when ``query.n`` is not the field's dimension.
+        BandError: when no level of [-M, M] is resolvable on f's grid, or
+            when R <= dxi.
     """
     _require_grid_dimension(query, f.grid)
     M = _integer(M, "M")

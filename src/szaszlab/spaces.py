@@ -45,11 +45,11 @@ The rest is one pass over tiles on W threads (:func:`_chunk_pass`), the
 same for both kinds of piece: 2^16 samples, or one coset when a window
 holds more bins, which the calling thread walks alone.  Each thread walks
 a contiguous group of tiles and, for each tile, every piece of the batch
-in level order: it synthesizes the tile or scales the row's chunk by
-1/dx^n in place, takes its modulus into one reused per-thread buffer, and
-keeps the tile's power sum
-(:func:`_lr_norms`), adds its terms into the F-norm's pointwise sum at the
-tile's positions (:func:`_accumulate`), or keeps its peak and
+in level order: it synthesizes the tile or reads the row's chunk, takes
+its modulus (times 1/dx^n for a row) into one reused per-thread buffer,
+and keeps the tile's power sum (:func:`_lr_norms`), adds its terms into
+the F-norm's pointwise sum at the tile's positions (:func:`_accumulate`),
+whose final L_r sums its r/q-th powers, or keeps its peak and
 boundary-shell maximum (:func:`_boundary_ratio`).  The boundary check
 reads a spectrum coset by coset whenever its window leaves P^n >= 2
 cosets on a grid of more than one tile, narrow or not, so a hi-band
@@ -98,7 +98,6 @@ from .grid import (
     Spectrum,
     _CHUNK,
     _shell_span,
-    _scale,
     boundary_decay_ratio,
     forward_ft,
     inverse_ft,
@@ -192,6 +191,13 @@ def _packed(arrays) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays or [np.zeros(0)])
 
 
+def _finite(result: float, inputs: np.ndarray, what: str) -> float:
+    """``result``, unless it is not finite because ``inputs`` hold a nan or an infinity: then ParameterError."""
+    if not isfinite(result) and (bad := inputs.size - int(np.count_nonzero(np.isfinite(inputs)))):
+        raise ParameterError(f"non-finite input: {bad} of {inputs.size} {what} are nan or inf")
+    return result
+
+
 def _usable_cpus() -> int:
     """Number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -259,27 +265,24 @@ class _Rows:
     """Samples in natural order, one full grid per row; tile [lo, hi) is that chunk of every row.
 
     Tiles hold _CHUNK samples, so a row's tile sums add up by
-    :func:`_tree_sum` bit for bit to its ``np.sum``.
-
-    ``prepare(chunk)``, when given, sets a row's chunk in place before its
-    modulus is taken: the 1/dx^n of a synthesized row, or the 1/q-th power
-    of the F-norm's pointwise sum.
+    :func:`_tree_sum` bit for bit to its ``np.sum``.  The moduli are |v|
+    times the real ``factor`` (the 1/dx^n of a synthesized row); the rows
+    are only read.
     """
 
     tile = _CHUNK
 
-    def __init__(self, rows: np.ndarray, prepare=None):
-        self.flat, self.prepare = rows.reshape(len(rows), -1), prepare
-        self.size, self.prepared = self.flat.shape[1], set()
+    def __init__(self, rows: np.ndarray, factor: float = 1.0):
+        self.flat, self.factor = rows.reshape(len(rows), -1), factor
+        self.size = self.flat.shape[1]
 
     def moduli(self, lo: int, hi: int, buf: np.ndarray, tmp: np.ndarray):
-        """|samples| of tile [lo, hi) of each row in turn, in ``buf``; a tile is prepared once."""
-        fresh = self.prepare is not None and lo not in self.prepared
+        """``factor`` |samples| of tile [lo, hi) of each row in turn, in ``buf``."""
         for v in self.flat[:, lo:hi]:
-            if fresh:
-                self.prepare(v)
-            yield np.abs(v, out=buf)
-        self.prepared.add(lo)
+            a = np.abs(v, out=buf)
+            if self.factor != 1.0:
+                a *= self.factor
+            yield a
 
     def at(self, a: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """The tile's positions in a full-grid array in natural order, shaped like its moduli."""
@@ -427,21 +430,23 @@ def _lr_parts(source, count: int, r: float, divisors=None) -> np.ndarray:
     return parts
 
 
-def _lr_norms(source, count: int, r: float, grid) -> list:
-    """L_r quasi-norm on ``grid`` of each of the ``count`` pieces of a source, in one pass.
+def _lr_norms(source, count: int, r: float, grid, root: float | None = None) -> list:
+    """(sum |samples|^r dx^n)^(1/root) on ``grid`` of each of the ``count`` pieces of a source, in one pass.
 
-    A piece's power sum is its tile sums added by :func:`_tree_sum`, which
-    for full-grid rows is bit for bit the sum over the whole row.  Only
-    when some sums over- or underflow do two more passes, for all those
-    pieces at once, find their maxima and sum their powers scaled by them
-    (Blue 1978), as :func:`_power_sum` does.
+    ``root`` defaults to r, which gives the L_r quasi-norm.  A piece's power
+    sum is its tile sums added by :func:`_tree_sum`, which for full-grid
+    rows is bit for bit the sum over the whole row.  Only when some sums
+    over- or underflow do two more passes, for all those pieces at once,
+    find their maxima and sum their powers scaled by them (Blue 1978), as
+    :func:`_power_sum` does.
     """
     parts = _lr_parts(source, count, r)
     if isinf(r):
         return [float(part.max()) for part in parts]
+    root = r if root is None else root
     weight = grid.dx**grid.n
     totals = [_tree_sum(part.tolist()) * weight for part in parts]
-    norms = [total ** (1.0 / r) for total in totals]
+    norms = [total ** (1.0 / root) for total in totals]
     lost = [i for i, total in enumerate(totals) if not _in_range(total)]
     if lost:
         peaks = np.zeros(count)
@@ -449,7 +454,7 @@ def _lr_norms(source, count: int, r: float, grid) -> list:
         scaled = _lr_parts(source, count, r, peaks)
         for i in lost:
             if 0.0 < peaks[i] < np.inf:  # zero, inf or nan: the plain value is the answer
-                norms[i] = float(peaks[i]) * (_tree_sum(scaled[i].tolist()) * weight) ** (1.0 / r)
+                norms[i] = float(peaks[i]) ** (r / root) * (_tree_sum(scaled[i].tolist()) * weight) ** (1.0 / root)
     return norms
 
 
@@ -460,11 +465,12 @@ def lr_quasinorm(f: Field, r: float) -> float:
     would overflow or underflow.
 
     Raises:
-        ParameterError: "invalid exponent" for r <= 0.
+        ParameterError: "invalid exponent" for r <= 0, "non-finite input"
+            when f holds a nan or an infinity.
     """
     if not r > 0:
         raise ParameterError(f"invalid exponent: r must be > 0, got {r}")
-    return _lr_norms(_Rows(f.values[None]), 1, r, f.grid)[0]
+    return _finite(_lr_norms(_Rows(f.values[None]), 1, r, f.grid)[0], f.values, "samples")
 
 
 def _prepared_spectrum(
@@ -480,6 +486,8 @@ def _prepared_spectrum(
     norms discard lies outside every level mask, so it needs no zeroing.
     The total and out-of-band spectral mass are sums over the spectrum's
     support packed flat, with |xi| taken from ``radial_xi`` on its boxes.
+    A total that is not finite because the field or spectrum holds a nan or
+    an infinity raises ParameterError before any synthesis.
     """
     if spec is None:
         spec = forward_ft(f) if isinstance(f, Field) else f
@@ -487,6 +495,7 @@ def _prepared_spectrum(
     band = feasible_band(g)
     modulus = np.abs(_packed(spec.coeffs[box] for box in spec._support))
     total = float(np.sum(modulus))
+    _finite(total, *((f.values, "samples") if isinstance(f, Field) else (modulus, "coefficients")))
     if total > 0.0:
         r = _packed(radial_xi(g)[box] for box in spec._support)
         leaked = r > band.cover_hi
@@ -639,15 +648,15 @@ def _synthesized(grid, keys, blocks):
     takes the next free row of one stack of at most W = usable CPUs rows,
     in FFT-natural order, and the stack goes through one unscaled inverse
     FFT in place when it is full, before a narrow piece and at the end, so
-    the W transforms run on W cores (:class:`_Rows`, scaled by 1/dx^n chunk
-    by chunk).  Sources give samples in natural order, which no L_r sum
+    the W transforms run on W cores (:class:`_Rows`, whose moduli carry the
+    1/dx^n).  Sources give samples in natural order, which no L_r sum
     depends on; a batch is valid until the next is drawn.
     """
     rows, batch = None, []
 
     def flush():
         samples = _inverse_rows(rows[: len(batch)], axes=tuple(range(-grid.n, 0)))
-        yield batch[:], _Rows(samples, partial(_scale, factor=1.0 / grid.dx**grid.n))
+        yield batch[:], _Rows(samples, 1.0 / grid.dx**grid.n)
         rows[: len(batch)] = 0.0
         batch.clear()
 
@@ -719,7 +728,8 @@ def besov_norm(f: Field | Spectrum, params: SpaceParams) -> float:
     narrow ones coset by coset and the others W at a time on the full grid.
 
     Raises:
-        ParameterError: "invalid params" when params.family != "B".
+        ParameterError: "invalid params" when params.family != "B",
+            "non-finite input" when f holds a nan or an infinity.
     """
     if params.family != "B":
         raise ParameterError(f"invalid params: besov_norm needs family B, got {params.family}")
@@ -744,7 +754,8 @@ def triebel_norm(f: Field | Spectrum, params: SpaceParams) -> float:
     quadrature.  Requires r < inf.
 
     Raises:
-        ParameterError: "invalid params" when params.family != "F".
+        ParameterError: "invalid params" when params.family != "F",
+            "non-finite input" when f holds a nan or an infinity.
     """
     if params.family != "F":
         raise ParameterError(f"invalid params: triebel_norm needs family F, got {params.family}")
@@ -769,7 +780,7 @@ def _triebel(spec: Spectrum, band: BandLimits, params: SpaceParams) -> float:
         # there, so its value is below (pieces * tiny)^(1/q); keep the plain
         # norm when all such points together cannot move the L_r sum
         low = int(np.count_nonzero(acc < _TINY))
-        norm = _lr_norms(_Rows(acc[None], lambda v: np.power(v, 1.0 / q, out=v)), 1, r, g)[0]
+        norm = _lr_norms(_Rows(acc[None]), 1, r / q, g, root=r)[0]  # (sum acc^(r/q) dx^n)^(1/r)
         lost = (low * g.dx**g.n) ** (1.0 / r) * (len(keys) * _TINY) ** (1.0 / q)
         if lost <= _EPS ** (1.0 / r) * norm:
             return norm

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ParameterError, _integer
 from .grid import Field, Spectrum, forward_ft, radial_xi
-from .spaces import SpaceParams, _norm, _packed, _power_sum
+from .spaces import SpaceParams, _finite, _norm, _packed, _power_sum
 
 __all__ = [
     "SzaszQuery",
@@ -124,7 +124,8 @@ def weighted_lhs(g: Spectrum, theta: float, p: float, mode: str = "homogeneous")
     weighted and summed.
 
     Raises:
-        ParameterError: "invalid exponent" when p <= 0 or theta is not finite.
+        ParameterError: "invalid exponent" when p <= 0 or theta is not finite,
+            "non-finite input" when a coefficient is nan or inf.
     """
     if not p > 0:
         raise ParameterError(f"invalid exponent: p must be > 0, got {p}")
@@ -141,7 +142,7 @@ def weighted_lhs(g: Spectrum, theta: float, p: float, mode: str = "homogeneous")
     homogeneous = mode == "homogeneous"
     on = (c != 0) & (r > 0.0) if homogeneous else c != 0
     base = r[on] if homogeneous else 1.0 + r[on]
-    return _power_sum(base**theta * np.abs(c[on]), p, grid.dxi**grid.n)
+    return _finite(_power_sum(base**theta * np.abs(c[on]), p, grid.dxi**grid.n), c, "coefficients")
 
 
 def _weak_conditions(query: SzaszQuery) -> tuple[bool, list]:
@@ -212,7 +213,8 @@ def szasz_ratio(f: Field, query: SzaszQuery) -> float:
     """Empirical constant: weighted_lhs(F(f)) / space_norm(f) for one field.
 
     Raises:
-        ParameterError: when ``query.n`` is not the field's dimension.
+        ParameterError: when ``query.n`` is not the field's dimension, or
+            when f holds a nan or an infinity.
         ZeroDivisionError: "zero denominator" when the space norm underflows.
     """
     _require_grid_dimension(query, f.grid)

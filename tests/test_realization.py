@@ -83,6 +83,18 @@ class TestLowFrequencyMass:
         with pytest.raises(BandError, match="radius below resolution"):
             low_frequency_mass(f, 0.05)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda f: low_frequency_mass(f, float("nan")),
+            lambda f: realization_report(f, make_query("B", 0.5, 2.0, 2.0, 2.0), 2, R=float("nan")),
+        ],
+        ids=["low_frequency_mass", "realization_report"],
+    )
+    def test_nan_radius_is_a_parameter_error(self, grid_mid, call):
+        with pytest.raises(ParameterError, match="R must be a number, got nan"):
+            call(plateau_field(grid_mid, 4))
+
     def test_blowup_grows_while_norm_stalls(self, grid_wide):
         from szaszlab import besov_norm
 

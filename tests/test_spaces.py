@@ -35,6 +35,7 @@ from szaszlab import (
     space_norm,
     szasz_ratio,
     triebel_norm,
+    weighted_lhs,
 )
 
 from szaszlab.grid import BOUNDARY_TOL, _scale, _shell_span, boundary_decay_ratio
@@ -728,7 +729,25 @@ class TestOverflowSafePowerSums:
         rows = np.stack([1e3 * base, base, 1e-3 * base, 0.0 * base])
         want = [lr_quasinorm(Field(grid_wide, row), 200.0) for row in rows]
         assert want[0] > 0.0 and want[2] > 0.0 and want[3] == 0.0
-        assert spaces_module._lr_norms(spaces_module._Rows(rows), len(rows), 200.0, grid_wide) == want
+        before = rows.copy()
+        source = spaces_module._Rows(rows)
+        assert spaces_module._lr_norms(source, len(rows), 200.0, grid_wide) == want
+        # the rescaled re-walk read the same rows: a source is only read
+        assert rows.tobytes() == before.tobytes()
+        assert spaces_module._lr_norms(source, len(rows), 200.0, grid_wide) == want
+        scaled = spaces_module._lr_norms(spaces_module._Rows(rows, 0.5), len(rows), 200.0, grid_wide)
+        assert scaled == pytest.approx([0.5 * norm for norm in want], rel=1e-13, abs=0.0)
+        assert rows.tobytes() == before.tobytes()
+
+    def test_triebel_takes_its_root_on_the_power_sum(self, grid_mid):
+        # one plane wave: the pointwise sum is one level's constant 2^(jsq), and
+        # ||F||_r^q = (sum acc^(r/q) dx)^(q/r) far exceeds the float range at q = 400
+        f = Field(grid_mid, np.exp(3j * grid_mid.x_axis()))
+        params = SpaceParams(0.3, 1.5, 400.0, "F")
+        want = triebel_norm(f, SpaceParams(0.3, 1.5, np.inf, "F"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ModelFidelityWarning)
+            assert triebel_norm(f, params) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     @pytest.mark.parametrize("setting", ["homogeneous", "inhomogeneous"])
@@ -751,17 +770,70 @@ class TestOverflowSafePowerSums:
 
     @pytest.mark.parametrize("scale", [1e100, 1e-100])
     @pytest.mark.parametrize("q", [4.0, 400.0])
-    def test_triebel_is_homogeneous_far_from_unit_scale(self, grid_mid, scale, q):
-        spec = _random_spectrum(grid_mid, 1, 2, 8)
+    @pytest.mark.parametrize("grid_name,levels", [("grid_mid", (2, 8)), ("grid_wide", (-6, 3))], ids=["mid", "wide"])
+    def test_triebel_is_homogeneous_far_from_unit_scale(self, request, monkeypatch, grid_name, levels, scale, q):
+        # grid_wide's four tiles take the multi-tile final reduction and fallback on 1 to 3 threads
+        grid = request.getfixturevalue(grid_name)
+        spec = _random_spectrum(grid, 1, *levels)
         params = SpaceParams(0.3, 1.5, q, "F")
+        got = []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ModelFidelityWarning)
             unit = triebel_norm(spec, params)
             sup = triebel_norm(spec, SpaceParams(0.3, 1.5, np.inf, "F"))
-            got = triebel_norm(Spectrum(grid_mid, spec.coeffs * scale), params)
-        # pointwise, l_q of 10 levels lies between l_inf and 10^(1/q) l_inf
-        assert sup <= unit * (1 + 1e-12) and unit <= 10.0 ** (1.0 / q) * sup
-        assert got == pytest.approx(scale * unit, rel=1e-12, abs=0.0)
+            for width in (1, 2, 3):
+                _with_cpus(monkeypatch, width)
+                got.append(triebel_norm(Spectrum(grid, spec.coeffs * scale), params))
+        # pointwise, l_q of the band's levels lies between l_inf and levels^(1/q) l_inf
+        count = len(list(feasible_band(grid).levels()))
+        assert sup <= unit * (1 + 1e-12) and unit <= count ** (1.0 / q) * sup
+        assert got[0] == pytest.approx(scale * unit, rel=1e-12, abs=0.0)
+        assert got[1] == got[0] and got[2] == got[0]
+
+
+def _with_inf(spec: Spectrum) -> Spectrum:
+    """``spec`` with one of its nonzero coefficients set to inf."""
+    coeffs = spec.coeffs.copy()
+    coeffs.flat[np.flatnonzero(coeffs)[5]] = np.inf
+    return Spectrum(spec.grid, coeffs)
+
+
+def _with_nan(f: Field) -> Field:
+    """``f`` with one sample set to nan."""
+    values = f.values.copy()
+    values.flat[7] = np.nan
+    return Field(f.grid, values)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda spec, f: besov_norm(_with_inf(spec), SpaceParams(0.3, 2.0, 2.0)),
+            lambda spec, f: besov_norm(_with_inf(spec), SpaceParams(0.3, 1.5, 2.0)),
+            lambda spec, f: triebel_norm(_with_inf(spec), SpaceParams(0.3, 1.5, 2.0, "F")),
+            lambda spec, f: space_norm(_with_nan(f), SpaceParams(0.3, 1.5, 2.0)),
+            lambda spec, f: lr_quasinorm(_with_nan(f), 1.5),
+            lambda spec, f: weighted_lhs(_with_inf(spec), 0.5, 2.0),
+            lambda spec, f: szasz_ratio(_with_nan(f), SzaszQuery(SpaceParams(0.5, 1.5, 2.0), 2.0, 1)),
+        ],
+        ids=["besov_r2", "besov", "triebel", "field_norm", "lr_quasinorm", "weighted_lhs", "szasz_ratio"],
+    )
+    def test_nan_or_inf_raises_before_any_arithmetic_warning(self, grid_mid, call):
+        spec = _random_spectrum(grid_mid, 1, 2, 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.simplefilter("ignore", ModelFidelityWarning)
+            with pytest.raises(ParameterError, match="non-finite input: 1 of 16384"):
+                call(spec, inverse_ft(spec))
+
+    @pytest.mark.parametrize("params", [SpaceParams(0.3, 1.5, 2.0), SpaceParams(0.3, 1.5, 2.0, "F")], ids=str)
+    def test_finite_coefficients_whose_sum_overflows_keep_their_norm(self, grid_mid, params):
+        spec = _random_spectrum(grid_mid, 1, 2, 8)
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
+            warnings.simplefilter("ignore", ModelFidelityWarning)
+            got = space_norm(Spectrum(grid_mid, spec.coeffs * 1e306), params)
+            assert got == pytest.approx(space_norm(spec, params) * 1e306, rel=1e-12, abs=0.0)
 
 
 #: dilated_low with K = 1 on a 72-unit box: part of C_-1 lies below the
