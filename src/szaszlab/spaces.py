@@ -55,10 +55,9 @@ reads a spectrum coset by coset whenever its window leaves P^n >= 2
 cosets on a grid of more than one tile, narrow or not, so a hi-band
 witness's check makes no full-grid array; only a window of the whole grid
 (P^n = 1) or a grid of one tile is synthesized by :func:`inverse_ft`.  A
-piece's tile sums are added pairwise in tile order (:func:`_tree_sum`),
-which for a full-grid row on the power-of-two lengths of every grid is bit
-for bit ``np.sum`` of the whole row, and each point of the F-sum sees its
-levels in level order, so no result depends on W.  The stack of W rows of
+piece's tile sums are added exactly rounded by ``math.fsum``, and each
+point of the F-sum sees its levels in level order, so no result depends
+on W.  The stack of W rows of
 16 N^n bytes is all the full-grid memory a Besov norm's pieces add (the
 F-norm adds its real pointwise sum, and the boundary check of a spectrum
 whose window is the whole grid its field).
@@ -68,14 +67,18 @@ coefficients are exactly zero (``grid.Spectrum``): the whole grid for
 ``forward_ft``'s, the rows of the terms' boxes for a witness's.  The
 level pieces are the level blocks met with those boxes, the out-of-band
 mass takes |xi| from ``radial_xi`` on them, and the boundary check's
-window and coset coefficients come from them.  A sum over them is one
-``np.sum`` over their values packed flat (:func:`_packed`).  It differs
-from the sum over the whole zero-padded array only in how numpy's pairwise
-summation groups the terms, so at most in the last bits.
+window and coset coefficients come from them.  A sum over them runs over
+their values packed flat (:func:`_packed`).  It differs from the sum over
+the whole zero-padded array only in how the terms are grouped, so at most
+in the last bits.
 
-Power sums, the Parseval sums at r = 2 included, are rescaled by their
-maximum only when the plain sum overflows or underflows, so no quasi-norm
-silently returns inf or 0.
+Every power sum goes through :func:`_lr_norms`: a piece's, the F-norm's
+final L_r, and through :func:`_lr_norm` the in-memory ones (the Parseval
+sums at r = 2, the l_q sum over levels, ``lr_quasinorm`` and the weighted
+functional).  It rescales a sum by its maximum only when the plain sum
+overflows or underflows, and takes every root, raising ArithmeticError
+when a root leaves the float range, so no quasi-norm silently returns inf
+or 0.
 For r < 1 or q < 1 the same formulas produce quasi-norms; nothing here
 assumes the triangle inequality.
 """
@@ -86,7 +89,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from math import isfinite, isinf, prod, sqrt
+from math import fsum, isfinite, isinf, prod, sqrt
 
 import numpy as np
 import scipy.fft as _fft
@@ -103,7 +106,7 @@ from .grid import (
     inverse_ft,
     radial_xi,
 )
-from .littlewood_paley import BandLimits, _met, _piece, _piece_blocks, _put_window, feasible_band
+from .littlewood_paley import BandLimits, _piece, _put_window, feasible_band
 
 __all__ = ["SpaceParams", "lr_quasinorm", "besov_norm", "triebel_norm", "space_norm"]
 
@@ -156,32 +159,6 @@ class SpaceParams:
         return self.setting == "homogeneous"
 
 
-def _in_range(total: float) -> bool:
-    """Whether a plain power sum is finite and normal, so that no digits were lost."""
-    return isfinite(total) and total >= _TINY
-
-
-def _power_sum(a: np.ndarray, p: float, weight: float = 1.0) -> float:
-    """(weight * sum(a**p))**(1/p) for a nonnegative array, with no spurious inf or 0.
-
-    p = inf gives the maximum (0.0 for an empty array).  The plain sum is
-    kept unless it is non-finite or below the smallest normal float; only
-    then is it recomputed with ``a`` scaled by its maximum (Blue, ACM TOMS
-    1978).  An in-range sum thus costs one pass and has the bits of the
-    plain formula.
-    """
-    if isinf(p):
-        return float(a.max()) if a.size else 0.0
-    with np.errstate(over="ignore", under="ignore"):
-        plain = float(np.sum(np.power(a, p))) * weight
-    if _in_range(plain):
-        return plain ** (1.0 / p)
-    peak = float(a.max()) if a.size else 0.0
-    if not 0.0 < peak < np.inf:  # zero, inf or nan: the plain value is the answer
-        return plain ** (1.0 / p)
-    return peak * (float(np.sum((a / peak) ** p)) * weight) ** (1.0 / p)
-
-
 def _packed(arrays) -> np.ndarray:
     """The entries of ``arrays`` flattened one after another: a view of the one array if there is one.
 
@@ -214,7 +191,8 @@ _MIN_COSETS = 16
 def _chunk_pass(size: int, work, tile: int) -> None:
     """Call ``work(lo, hi, buf, tmp)`` for every tile [lo, hi) of range(size), on W threads.
 
-    Tiles hold ``tile`` samples, and W = min(usable CPUs, tiles).  Each
+    Tiles hold ``tile`` samples, and W = min(usable CPUs, tiles), at least
+    1, so an empty range makes one empty buffer and calls nothing.  Each
     thread walks one contiguous group of tiles in order with one real
     buffer ``buf`` and one complex buffer ``tmp`` of a tile's length,
     reused for every tile, and with over- and underflow ignored.  The
@@ -230,7 +208,7 @@ def _chunk_pass(size: int, work, tile: int) -> None:
     exited, so the peak RSS of the process would move from run to run.
     """
     starts = range(0, size, tile)
-    width = min(_usable_cpus(), len(starts)) if tile <= _CHUNK else 1
+    width = max(1, min(_usable_cpus(), len(starts))) if tile <= _CHUNK else 1
     bufs = np.empty((width, min(size, tile)))
     tmps = np.empty(bufs.shape, dtype=np.complex128)
 
@@ -248,26 +226,13 @@ def _chunk_pass(size: int, work, tile: int) -> None:
             future.result()
 
 
-def _tree_sum(parts: list) -> float:
-    """Chunk partial sums added pairwise, neighbours first, in chunk order.
-
-    numpy sums a power-of-two length by halving it down to 128-element
-    leaves (pairwise summation; Higham, SIAM J. Sci. Comput. 1993), so each
-    chunk is one subtree: on the power-of-two lengths of every grid this is
-    bit for bit ``np.sum`` of the whole array.
-    """
-    while len(parts) > 1:
-        parts = [a + b for a, b in zip(parts[::2], parts[1::2])] + parts[len(parts) & ~1 :]
-    return parts[0]
-
-
 class _Rows:
     """Samples in natural order, one full grid per row; tile [lo, hi) is that chunk of every row.
 
-    Tiles hold _CHUNK samples, so a row's tile sums add up by
-    :func:`_tree_sum` bit for bit to its ``np.sum``.  The moduli are |v|
-    times the real ``factor`` (the 1/dx^n of a synthesized row); the rows
-    are only read.
+    Tiles hold _CHUNK samples.  The moduli are |v| times the real
+    ``factor`` (the 1/dx^n of a synthesized row); the rows are only read.
+    A row may be any array, in-memory power sums included
+    (:func:`_lr_norm`).
     """
 
     tile = _CHUNK
@@ -430,32 +395,61 @@ def _lr_parts(source, count: int, r: float, divisors=None) -> np.ndarray:
     return parts
 
 
-def _lr_norms(source, count: int, r: float, grid, root: float | None = None) -> list:
-    """(sum |samples|^r dx^n)^(1/root) on ``grid`` of each of the ``count`` pieces of a source, in one pass.
+def _exact_sum(tile_sums: np.ndarray) -> float:
+    """``math.fsum`` of a piece's tile sums; inf when finite sums add up past the float range."""
+    try:
+        return fsum(tile_sums.tolist())
+    except OverflowError:  # fsum's "intermediate overflow": an overflowed sum, rescaled like one
+        return np.inf
 
-    ``root`` defaults to r, which gives the L_r quasi-norm.  A piece's power
-    sum is its tile sums added by :func:`_tree_sum`, which for full-grid
-    rows is bit for bit the sum over the whole row.  Only when some sums
-    over- or underflow do two more passes, for all those pieces at once,
-    find their maxima and sum their powers scaled by them (Blue 1978), as
-    :func:`_power_sum` does.
+
+def _lr_norms(source, count: int, r: float, weight: float, root: float | None = None) -> list:
+    """(weight * sum |samples|^r)^(1/root) of each of the ``count`` pieces of a source, in one pass.
+
+    ``root`` defaults to r, which with ``weight`` dx^n gives the L_r
+    quasi-norm; r = inf gives the maxima, and an empty source 0.0.  A
+    piece's power sum is its tile sums added exactly rounded by
+    ``math.fsum`` (Shewchuk, DCG 1997), so no sum depends on W; finite tile
+    sums adding up past the float range count as an overflow.  Only when
+    some sums over- or underflow does one more pass, for all those pieces
+    at once, find their maxima, and another sum the powers of those with a
+    positive, finite maximum scaled by it (Blue, ACM TOMS 1978); an
+    in-range sum keeps the bits of the plain formula.
+    Every root is taken here: a positive, finite power sum whose root
+    leaves the float range raises ArithmeticError, so no quasi-norm
+    silently returns inf or 0.
     """
     parts = _lr_parts(source, count, r)
     if isinf(r):
-        return [float(part.max()) for part in parts]
+        return [float(part.max(initial=0.0)) for part in parts]
     root = r if root is None else root
-    weight = grid.dx**grid.n
-    totals = [_tree_sum(part.tolist()) * weight for part in parts]
-    norms = [total ** (1.0 / root) for total in totals]
-    lost = [i for i, total in enumerate(totals) if not _in_range(total)]
+    totals = [_exact_sum(part) * weight for part in parts]
+    scales = [1.0] * count
+    lost = [i for i, total in enumerate(totals) if not _TINY <= total < np.inf]  # over- or underflowed, or nan
     if lost:
         peaks = np.zeros(count)
-        peaks[lost] = _lr_parts(source, count, np.inf)[lost].max(axis=1)
+        peaks[lost] = _lr_parts(source, count, np.inf)[lost].max(axis=1, initial=0.0)
+        lost = [i for i in lost if 0.0 < peaks[i] < np.inf]  # zero, inf or nan: the plain value is the answer
+    if lost:
         scaled = _lr_parts(source, count, r, peaks)
         for i in lost:
-            if 0.0 < peaks[i] < np.inf:  # zero, inf or nan: the plain value is the answer
-                norms[i] = float(peaks[i]) ** (r / root) * (_tree_sum(scaled[i].tolist()) * weight) ** (1.0 / root)
+            scales[i], totals[i] = float(peaks[i]), _exact_sum(scaled[i]) * weight
+    norms = []
+    for total, scale in zip(totals, scales):
+        try:
+            norm = scale ** (r / root) * total ** (1.0 / root)
+        except OverflowError:  # a Python float power beyond the float range
+            norm = np.inf
+        if 0.0 < total < np.inf and not 0.0 < norm < np.inf:
+            side = "falls below" if norm == 0.0 else "exceeds"
+            raise ArithmeticError(f"quasi-norm {side} the float range: a power sum to the power 1/{root!r}")
+        norms.append(norm)
     return norms
+
+
+def _lr_norm(a: np.ndarray, r: float, weight: float = 1.0, root: float | None = None) -> float:
+    """(weight * sum |a|^r)^(1/root) of an in-memory array by :func:`_lr_norms`; r = inf gives its maximum."""
+    return _lr_norms(_Rows(a[None]), 1, r, weight, root)[0]
 
 
 def lr_quasinorm(f: Field, r: float) -> float:
@@ -467,10 +461,11 @@ def lr_quasinorm(f: Field, r: float) -> float:
     Raises:
         ParameterError: "invalid exponent" for r <= 0, "non-finite input"
             when f holds a nan or an infinity.
+        ArithmeticError: "quasi-norm exceeds (falls below) the float range".
     """
     if not r > 0:
         raise ParameterError(f"invalid exponent: r must be > 0, got {r}")
-    return _finite(_lr_norms(_Rows(f.values[None]), 1, r, f.grid)[0], f.values, "samples")
+    return _finite(_lr_norm(f.values, r, f.grid.dx**f.grid.n), f.values, "samples")
 
 
 def _prepared_spectrum(
@@ -485,18 +480,22 @@ def _prepared_spectrum(
     Neither path copies the spectrum: the k = 0 bin that the homogeneous
     norms discard lies outside every level mask, so it needs no zeroing.
     The total and out-of-band spectral mass are sums over the spectrum's
-    support packed flat, with |xi| taken from ``radial_xi`` on its boxes.
-    A total that is not finite because the field or spectrum holds a nan or
-    an infinity raises ParameterError before any synthesis.
+    support packed flat, with |xi| taken from ``radial_xi`` on its boxes,
+    of the moduli divided by their peak, so their ratio does not depend on
+    scale and no sum overflows.  A peak that is not finite because the
+    field or spectrum holds a nan or an infinity raises ParameterError
+    before any synthesis.
     """
     if spec is None:
         spec = forward_ft(f) if isinstance(f, Field) else f
     g = spec.grid
     band = feasible_band(g)
     modulus = np.abs(_packed(spec.coeffs[box] for box in spec._support))
-    total = float(np.sum(modulus))
-    _finite(total, *((f.values, "samples") if isinstance(f, Field) else (modulus, "coefficients")))
-    if total > 0.0:
+    peak = float(modulus.max(initial=0.0))
+    _finite(peak, *((f.values, "samples") if isinstance(f, Field) else (modulus, "coefficients")))
+    if peak > 0.0:
+        modulus /= peak
+        total = float(np.sum(modulus))
         r = _packed(radial_xi(g)[box] for box in spec._support)
         leaked = r > band.cover_hi
         if params.homogeneous:
@@ -569,21 +568,13 @@ def _parseval_l2(grid, energy: float) -> float:
 def _piece_l2(spec: Spectrum, j: int | None) -> float:
     """||Q_j f||_2 (||S_0 f||_2 for j None) by Parseval on the piece's blocks, with no synthesis.
 
-    Each block of the level is read only where it meets the spectrum's
-    support, and its energy sum |c_k|^2 is one ``np.sum`` over those bins
-    packed flat.  A nonempty piece's energy that over- or underflows is
-    redone by :func:`_power_sum` over its blocks one after another.
+    The piece is read only where its blocks meet the spectrum's support,
+    and its Riemann sum, sum |c_k|^2 dxi^n / (2 pi)^n, is one
+    :func:`_lr_norm` over those bins packed flat.
     """
     g = spec.grid
-    moduli = [
-        np.abs(_packed(values for _, values in _met(spec.coeffs, box, mult, spec._support)))
-        for box, mult in _piece_blocks(g, j)
-    ]
-    with np.errstate(over="ignore", under="ignore"):
-        energy = sum(float(np.sum(a**2)) for a in moduli)
-    if _in_range(energy) or not any(a.max(initial=0.0) for a in moduli):
-        return _parseval_l2(g, energy)
-    return _power_sum(np.concatenate(moduli), 2.0) * _parseval_l2(g, 1.0)
+    values = _packed(values for _, values in _piece(spec.coeffs, g, j, spec._support))
+    return _lr_norm(values, 2.0, g.dxi**g.n / (2.0 * np.pi) ** g.n)
 
 
 def _window(grid, piece: list) -> tuple | None:
@@ -685,7 +676,7 @@ def _pieces_lr(grid, keys, blocks, r: float) -> dict:
     """{key: grid L_r quasi-norm of the piece ``blocks(key)``, 0.0 if empty}, in key order."""
     norms = dict.fromkeys(keys, 0.0)
     for batch, source in _synthesized(grid, keys, blocks):
-        norms.update(zip(batch, _lr_norms(source, len(batch), r, grid)))
+        norms.update(zip(batch, _lr_norms(source, len(batch), r, grid.dx**grid.n)))
     return norms
 
 
@@ -744,7 +735,7 @@ def _besov(spec: Spectrum, band: BandLimits, params: SpaceParams) -> float:
     else:
         norms = _pieces_lr(spec.grid, keys, _pieces_of(spec), params.r)
     summands = [x if j is None else 2.0 ** (j * params.s) * x for j, x in norms.items()]
-    return _power_sum(np.asarray(summands), params.q)
+    return _lr_norm(np.asarray(summands), params.q)
 
 
 def triebel_norm(f: Field | Spectrum, params: SpaceParams) -> float:
@@ -772,16 +763,16 @@ def _triebel(spec: Spectrum, band: BandLimits, params: SpaceParams) -> float:
             _accumulate(source, batch, params.s, exponent, acc, peak)
         return acc
 
-    acc = pointwise(q, np.zeros(g.shape))
+    acc, weight = pointwise(q, np.zeros(g.shape)), g.dx**g.n
     if isinf(q):
-        return _lr_norms(_Rows(acc[None]), 1, r, g)[0]
+        return _lr_norm(acc, r, weight)
     if acc.max() < np.inf:
         # a point whose power sum is below the normal range has all its terms
         # there, so its value is below (pieces * tiny)^(1/q); keep the plain
         # norm when all such points together cannot move the L_r sum
         low = int(np.count_nonzero(acc < _TINY))
-        norm = _lr_norms(_Rows(acc[None]), 1, r / q, g, root=r)[0]  # (sum acc^(r/q) dx^n)^(1/r)
-        lost = (low * g.dx**g.n) ** (1.0 / r) * (len(keys) * _TINY) ** (1.0 / q)
+        norm = _lr_norm(acc, r / q, weight, root=r)  # (sum acc^(r/q) dx^n)^(1/r)
+        lost = (low * weight) ** (1.0 / r) * (len(keys) * _TINY) ** (1.0 / q)
         if lost <= _EPS ** (1.0 / r) * norm:
             return norm
     # overflow, or underflow that matters: redo each point with its pieces
@@ -791,7 +782,7 @@ def _triebel(spec: Spectrum, band: BandLimits, params: SpaceParams) -> float:
     pointwise(q, acc, peak)
     np.power(acc, 1.0 / q, out=acc)
     acc *= peak
-    return _lr_norms(_Rows(acc[None]), 1, r, g)[0]
+    return _lr_norm(acc, r, weight)
 
 
 def space_norm(f: Field | Spectrum, params: SpaceParams) -> float:

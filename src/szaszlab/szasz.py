@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ParameterError, _integer
 from .grid import Field, Spectrum, forward_ft, radial_xi
-from .spaces import SpaceParams, _finite, _norm, _packed, _power_sum
+from .spaces import SpaceParams, _finite, _lr_norm, _norm, _packed
 
 __all__ = [
     "SzaszQuery",
@@ -126,6 +126,7 @@ def weighted_lhs(g: Spectrum, theta: float, p: float, mode: str = "homogeneous")
     Raises:
         ParameterError: "invalid exponent" when p <= 0 or theta is not finite,
             "non-finite input" when a coefficient is nan or inf.
+        ArithmeticError: "quasi-norm exceeds (falls below) the float range".
     """
     if not p > 0:
         raise ParameterError(f"invalid exponent: p must be > 0, got {p}")
@@ -142,7 +143,7 @@ def weighted_lhs(g: Spectrum, theta: float, p: float, mode: str = "homogeneous")
     homogeneous = mode == "homogeneous"
     on = (c != 0) & (r > 0.0) if homogeneous else c != 0
     base = r[on] if homogeneous else 1.0 + r[on]
-    return _finite(_power_sum(base**theta * np.abs(c[on]), p, grid.dxi**grid.n), c, "coefficients")
+    return _finite(_lr_norm(base**theta * np.abs(c[on]), p, grid.dxi**grid.n), c, "coefficients")
 
 
 def _weak_conditions(query: SzaszQuery) -> tuple[bool, list]:
@@ -215,7 +216,8 @@ def szasz_ratio(f: Field, query: SzaszQuery) -> float:
     Raises:
         ParameterError: when ``query.n`` is not the field's dimension, or
             when f holds a nan or an infinity.
-        ZeroDivisionError: "zero denominator" when the space norm underflows.
+        ZeroDivisionError: "zero denominator" when the space norm is 0.
+        ArithmeticError: "quasi-norm exceeds (falls below) the float range".
     """
     _require_grid_dimension(query, f.grid)
     spec = forward_ft(f)

@@ -521,9 +521,9 @@ def divergence_experiment(kind: str, query: SzaszQuery, sizes, grid=None, seed: 
     for size in sizes:
         try:
             records.append(_record(build(grid, WitnessSpec(kind, size, query, seed)), query, size))
-        except (BandError, ParameterError, ZeroDivisionError) as exc:
-            raise ExperimentAbort(f"size {size}: {exc}", records) from exc
         except OverflowError as exc:  # a Python float power 2.0 ** x, or a modulation weight
             reason = f"size {size}: a level weight or witness coefficient overflows a float: {exc}"
             raise ExperimentAbort(reason, records) from exc
+        except (BandError, ParameterError, ArithmeticError) as exc:  # a quasi-norm off the float range too
+            raise ExperimentAbort(f"size {size}: {exc}", records) from exc
     return records

@@ -152,6 +152,19 @@ class TestExperimentCommand:
         assert out == f"size,space_norm,lhs,ratio\n#error: {reason}\n"
         assert err == f"szaszlab experiment: {reason}\n"
 
+    @pytest.mark.filterwarnings("ignore::szaszlab.ModelFidelityWarning")
+    def test_quasi_norm_beyond_the_float_range_exit_3_with_trailer(self, capsys):
+        # s = 0 leaves every level weight 1; the l_q sum's 2000th power does not fit a float
+        code = run_cli(
+            ["experiment", "--kind", "random_bandlimited", "--sizes", "2", "--s", "0", "--p", "2",
+             "--q", "0.0005", "--r", "2", "--n", "1", "--family", "B", "--grid", "mid-band"]
+        )
+        reason = "size 2: quasi-norm exceeds the float range: a power sum to the power 1/0.0005"
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == f"size,space_norm,lhs,ratio\n#error: {reason}\n"
+        assert err == f"szaszlab experiment: {reason}\n"
+
     @pytest.mark.parametrize("kind", ["modulated", "modulated_borderline"])
     def test_overflowing_modulation_weight_exit_3_under_python_m(self, tmp_path, kind):
         argv = ["experiment", "--kind", kind, "--sizes", "2", "--s", "0", "--p", "1e-300",

@@ -1,5 +1,7 @@
 """Quasi-norm values, invariances and the dyadic scaling law."""
 
+import math
+import re
 import sys
 import threading
 import warnings
@@ -543,7 +545,7 @@ class TestCosetSynthesis:
         want = np.abs(np.fft.ifftshift(inverse_ft(spec).values))
         np.testing.assert_allclose(_natural_moduli(source, grid), want, rtol=0.0, atol=1e-12 * want.max())
         for r in (1.5, 2.0, np.inf):
-            got = spaces_module._lr_norms(source, 1, r, grid)[0]
+            got = spaces_module._lr_norms(source, 1, r, grid.dx**grid.n)[0]
             assert got == pytest.approx(lr_quasinorm(inverse_ft(spec), r), rel=1e-12)
 
     @pytest.mark.parametrize(
@@ -563,7 +565,7 @@ class TestCosetSynthesis:
         source = spaces_module._Cosets(grid, whole, window)
         want = np.abs(np.fft.ifftshift(inverse_ft(spec).values))
         np.testing.assert_allclose(_natural_moduli(source, grid), want, rtol=0.0, atol=1e-12 * want.max())
-        assert spaces_module._lr_norms(source, 1, 1.5, grid)[0] == pytest.approx(
+        assert spaces_module._lr_norms(source, 1, 1.5, grid.dx**grid.n)[0] == pytest.approx(
             lr_quasinorm(inverse_ft(spec), 1.5), rel=1e-12
         )
 
@@ -666,21 +668,22 @@ class TestCosetSynthesis:
         if cosets > 1:  # a tile is 2^16 samples, or one coset of more
             source = spaces_module._Cosets(grid, [((slice(0, N),) * n, spec.coeffs)], window)
             assert source.tile == max(spaces_module._CHUNK, np.prod(spans))
-            assert spaces_module._lr_norms(source, 1, 1.5, grid)[0] == pytest.approx(
+            assert spaces_module._lr_norms(source, 1, 1.5, grid.dx**grid.n)[0] == pytest.approx(
                 lr_quasinorm(field, 1.5), rel=1e-12
             )
 
 
 class TestChunkedRowPass:
-    # the numpy behaviour that keeps the chunked pass bit for bit the
-    # whole-row formulas
     @pytest.mark.parametrize("shape", [(2**10,), (2**16,), (2**20,), (64, 64), (256, 256), (1024, 512)])
-    def test_tree_of_chunk_sums_is_numpy_sum(self, shape):
+    def test_power_sum_is_fsum_of_the_tile_sums(self, monkeypatch, shape):
+        # r = 1, weight 1 and root 1 leave the total itself, whatever the thread count
         a = np.random.default_rng(7).random(shape) ** 7 * 1e3
         flat = a.reshape(-1)
         chunk = spaces_module._CHUNK
-        parts = [float(np.sum(flat[lo : lo + chunk])) for lo in range(0, flat.size, chunk)]
-        assert spaces_module._tree_sum(parts) == float(np.sum(a))
+        want = math.fsum(float(np.sum(flat[lo : lo + chunk])) for lo in range(0, flat.size, chunk))
+        for width in (1, 2, 3):
+            _with_cpus(monkeypatch, width)
+            assert spaces_module._lr_norms(spaces_module._Rows(a[None]), 1, 1.0, 1.0) == [want]
 
     @pytest.mark.parametrize("grid_name", ["grid_mid", "grid_wide", "grid_2d"])
     @pytest.mark.parametrize("scale", [1.0, 1e300, 1e-310])
@@ -700,7 +703,12 @@ class TestChunkedRowPass:
 class TestOverflowSafePowerSums:
     @pytest.mark.parametrize("a,want", [([0.5, 3.0, 2.0], 3.0), ([], 0.0)])
     def test_power_sum_at_infinity_is_the_maximum(self, a, want):
-        assert spaces_module._power_sum(np.asarray(a), np.inf, 7.0) == want
+        assert spaces_module._lr_norm(np.asarray(a), np.inf, 7.0) == want
+
+    @pytest.mark.parametrize("a", [[], [0.0, 0.0, 0.0]], ids=["empty", "zeros"])
+    @pytest.mark.parametrize("p", [0.5, 2.0, 200.0])
+    def test_power_sum_of_nothing_is_zero(self, a, p):
+        assert spaces_module._lr_norm(np.asarray(a), p, 7.0) == 0.0
 
     @pytest.mark.parametrize("peak", [1e3, 1e-3])
     def test_lr_at_large_r(self, grid_mid, peak):
@@ -731,13 +739,74 @@ class TestOverflowSafePowerSums:
         assert want[0] > 0.0 and want[2] > 0.0 and want[3] == 0.0
         before = rows.copy()
         source = spaces_module._Rows(rows)
-        assert spaces_module._lr_norms(source, len(rows), 200.0, grid_wide) == want
+        assert spaces_module._lr_norms(source, len(rows), 200.0, grid_wide.dx) == want
         # the rescaled re-walk read the same rows: a source is only read
         assert rows.tobytes() == before.tobytes()
-        assert spaces_module._lr_norms(source, len(rows), 200.0, grid_wide) == want
-        scaled = spaces_module._lr_norms(spaces_module._Rows(rows, 0.5), len(rows), 200.0, grid_wide)
+        assert spaces_module._lr_norms(source, len(rows), 200.0, grid_wide.dx) == want
+        scaled = spaces_module._lr_norms(spaces_module._Rows(rows, 0.5), len(rows), 200.0, grid_wide.dx)
         assert scaled == pytest.approx([0.5 * norm for norm in want], rel=1e-13, abs=0.0)
         assert rows.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_finite_tile_sums_adding_past_the_float_range_are_rescaled(self, monkeypatch, grid_wide, width):
+        # each of the four 2^16-sample tiles sums to about 1.05e308, together
+        # past the float range; the peak-scaled pass gives the value
+        _with_cpus(monkeypatch, width)
+        row = np.full(grid_wide.N, 4e151)
+        want = 4e151 * np.sqrt(grid_wide.L)
+        assert lr_quasinorm(Field(grid_wide, row), 2.0) == pytest.approx(want, rel=1e-15, abs=0.0)
+        rows = spaces_module._Rows(np.stack([row, np.ones(grid_wide.N)]))
+        got = spaces_module._lr_norms(rows, 2, 2.0, grid_wide.dx)
+        assert got == pytest.approx([want, np.sqrt(grid_wide.L)], rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    @pytest.mark.parametrize("r", [0.1, 0.5, 1.5, np.inf])
+    @pytest.mark.parametrize("name", ["lr_quasinorm", "besov_norm"])
+    def test_far_scales_give_a_value_or_the_float_range_message(self, grid_mid, name, r, scale):
+        # a norm homogeneous of degree 1 either scales, or its true value leaves the float range
+        norm = lr_quasinorm if name == "lr_quasinorm" else lambda f, r: besov_norm(f, SpaceParams(0.3, r, 2.0))
+        f = wave_packet(grid_mid, 4.0, 3.0)
+        f = Field(grid_mid, np.where(np.abs(f.values) > 1e-6, f.values, 0.0))  # no sample underflows at 1e-300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.simplefilter("ignore", ModelFidelityWarning)
+            unit = norm(f, r)
+            beyond = abs(np.log10(unit) + np.log10(scale)) > 307.0
+            try:
+                got = norm(Field(grid_mid, scale * f.values), r)
+            except ArithmeticError as exc:
+                assert type(exc) is ArithmeticError and beyond
+                assert re.fullmatch(r"quasi-norm (exceeds|falls below) the float range: .*", str(exc))
+            else:
+                assert not beyond and got / scale == pytest.approx(unit, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "grid, value, r, side",
+        [
+            (GridSpec(1, 2**14, 16.0 * np.pi), 1e300, 0.1, "exceeds"),
+            (GridSpec(1, 16, 1e-3), 1.0, 0.001, "falls below"),
+        ],
+        ids=["over", "under"],
+    )
+    def test_root_out_of_float_range_raises(self, grid, value, r, side):
+        # the power sums are in range; their roots are about 1e316 and 1e-3000
+        message = f"^quasi-norm {side} the float range: a power sum to the power 1/{r}$"
+        with pytest.raises(ArithmeticError, match=message):
+            lr_quasinorm(Field(grid, np.full(grid.N, value)), r)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_mass_beyond_the_float_range_warns_only_when_it_leaks(self, grid_mid):
+        # at 1e307 the moduli sum past the float range; the leaked fraction does not depend on scale
+        spec = _random_spectrum(grid_mid, 1, 2, 4)
+        leaking = spec.coeffs.copy()
+        leaking[grid_mid.center + 1] = np.abs(spec.coeffs).max()  # below the lowest annulus
+        params = SpaceParams(0.3, 2.0, 2.0)
+        for coeffs, leaks in ((spec.coeffs, False), (leaking, True)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ModelFidelityWarning)
+                got = besov_norm(Spectrum(grid_mid, coeffs * 1e307), params)
+            assert got / 1e307 == pytest.approx(besov_norm(Spectrum(grid_mid, coeffs), params), rel=1e-12, abs=0.0)
+            assert any("outside the feasible band" in str(w.message) for w in caught) == leaks
 
     def test_triebel_takes_its_root_on_the_power_sum(self, grid_mid):
         # one plane wave: the pointwise sum is one level's constant 2^(jsq), and

@@ -244,7 +244,8 @@ def test_narrow_r2_record_makes_no_full_grid_array(monkeypatch):
     The tracemalloc peak is taken stretch by stretch, from the memory held at
     each stretch's start; the boundary check's coset synthesis
     (``_Cosets`` and ``_chunk_pass``) works in tiles of _CHUNK samples
-    whatever the grid, and is left out.
+    whatever the grid, and is left out, as are the power sums' tile passes
+    over arrays of at most a level's bins.
     """
     grid = GridSpec(1, 2**18, 16.0 * np.pi)
     query = SzaszQuery(SpaceParams(0.0, 2.0, 4.0), 4.0, 1)
@@ -252,7 +253,7 @@ def test_narrow_r2_record_makes_no_full_grid_array(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ModelFidelityWarning)
         record()  # caches: the level blocks
-        growth, start = [], [0]
+        growth, start, builds = [], [0], []
 
         def close():
             growth.append(tracemalloc.get_traced_memory()[1] - start[0])
@@ -268,15 +269,20 @@ def test_narrow_r2_record_makes_no_full_grid_array(monkeypatch):
 
             return wrapped
 
+        def counted(*args):
+            builds.append(args)
+            return cosets(*args)
+
+        cosets = spaces_module._Cosets
         monkeypatch.setattr(spaces_module, "_chunk_pass", left_out(spaces_module._chunk_pass))
-        monkeypatch.setattr(spaces_module, "_Cosets", left_out(spaces_module._Cosets))
+        monkeypatch.setattr(spaces_module, "_Cosets", left_out(counted))
         tracemalloc.start()
         try:
             record()
             close()
         finally:
             tracemalloc.stop()
-    assert len(growth) == 3  # the boundary check was narrow
+    assert len(builds) == 1  # the boundary check was narrow
     spectrum = 16 * grid.N
     assert growth[0] >= spectrum
     assert max(growth[0] - spectrum, *growth[1:]) < grid.N // 4
