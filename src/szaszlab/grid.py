@@ -18,9 +18,10 @@ pieces use natural order instead, index m at x = m dx (mod L), which needs
 no shift copy; there the boundary shell of :func:`boundary_decay_ratio` is
 the middle block of indices along each axis.
 
-Dyadic dilations f(x / 2^m) and grid-aligned translations are provided as
-exact grid operations; they are the only dilations/translations that commute
-with the dyadic Littlewood-Paley ladder built on top of this module.
+Dyadic dilations f(x / 2^m) are one stride read, of the samples for m < 0
+and of the coefficients for m > 0, and translations move whole grid steps;
+they are the only dilations/translations that commute with the dyadic
+Littlewood-Paley ladder built on top of this module.
 """
 
 from __future__ import annotations
@@ -299,16 +300,17 @@ def _axis_indices(grid: GridSpec) -> np.ndarray:
 
 
 def dyadic_dilate(f: Field, m: int) -> Field:
-    """Samples of x -> f(x / 2^m) on the same grid.
+    """Samples of h(x) = f(x / 2^m) on the same grid: one stride read for either sign of m.
 
-    For m <= 0 the result is an exact spectral zoom (a stride read of the
-    periodic samples; the spectrum spreads to bins 2^|m| * k).  For m > 0 the
-    samples are obtained by trigonometric resampling of the band-limited
-    interpolant, so F(h f)(xi) = 2^(mn) F(f)(2^m xi) within tolerance, at the
-    cost of 2^m full-length inverse FFTs per axis, however large a
-    resolvable m is.  f must vanish outside the shrunk box
-    |x| < 0.95 L / 2^(m+1); when that box holds no sample but x = 0, only
-    the zero field (whose dilation is zero) is accepted.
+    For m < 0, h reads f's samples at stride 2^-m (its spectrum spreads to
+    bins 2^-m k); for m > 0, bin k of h reads 2^(mn) times f's bin 2^m k and
+    h is synthesized by :func:`inverse_ft`, so F(h)(xi_k) = 2^(mn) F(f)(2^m xi_k)
+    holds on the grid to roundoff, at one forward and one inverse transform.
+    A source entry off the grid reads 0, not the periodization; so does
+    f's Nyquist bin -N/2, which has no +N/2 partner, so a real f dilates to
+    a real h.  For m > 0 f must vanish outside the shrunk box
+    |x| < 0.95 L / 2^(m+1); a box holding no sample but x = 0 cannot
+    represent f, and only the zero field (whose dilation is zero) passes.
 
     Raises:
         ParameterError: when m is not an integer.
@@ -333,16 +335,7 @@ def dyadic_dilate(f: Field, m: int) -> Field:
             np.abs(_axis_indices(g)) >= g.N // (2 ** (1 - m)),
             f"spectrum at {{:.2e}} of peak beyond |xi| = xi_max / 2^{-m}",
         )
-        # stride read; source points outside the box read the function as 0,
-        # not its periodization
-        t = 2 ** (-m) * _axis_indices(g)
-        inside = np.abs(t) < g.N // 2
-        idx = np.where(inside, t + g.center, 0)
-        if g.n == 1:
-            vals = np.where(inside, f.values[idx], 0.0)
-        else:
-            vals = f.values[np.ix_(idx, idx)] * (inside[:, None] & inside[None, :])
-        return Field(g, vals)
+        return Field(g, _stride_read(f.values, g, 2 ** (-m)))
     # the support spreads by 2^m; f must vanish outside the shrunk box
     outside = np.abs(g.x_axis()) >= math.ldexp(0.95 * g.L, -(m + 1))
     _check_headroom(f.values, outside, f"field at {{:.2e}} of peak outside |x| = 0.95 L / 2^{m + 1}")
@@ -350,10 +343,19 @@ def dyadic_dilate(f: Field, m: int) -> Field:
         if not f.values.any():
             return Field(g, np.zeros(g.shape))
         raise BandError(f"dilation escapes grid: |x| < 0.95 L / 2^{m + 1} holds no sample but x = 0")
-    vals = f.values
-    for axis in range(g.n):
-        vals = _resample_axis(vals, g, m, axis)
-    return Field(g, vals)
+    coeffs = _stride_read(forward_ft(f).coeffs, g, 2**m)
+    _scale(coeffs, 2.0 ** (m * g.n))
+    return inverse_ft(Spectrum(g, coeffs))
+
+
+def _stride_read(a: np.ndarray, g: GridSpec, step: int) -> np.ndarray:
+    """The centered entries ``a[step k]`` at every centered index k; 0 where step k is not in (-N/2, N/2)."""
+    t = step * _axis_indices(g)
+    inside = np.abs(t) < g.N // 2
+    idx = np.where(inside, t + g.center, 0)
+    if g.n == 1:
+        return np.where(inside, a[idx], 0.0)
+    return a[np.ix_(idx, idx)] * (inside[:, None] & inside[None, :])
 
 
 def _check_headroom(values: np.ndarray, outside_1d: np.ndarray, message: str) -> None:
@@ -364,23 +366,6 @@ def _check_headroom(values: np.ndarray, outside_1d: np.ndarray, message: str) ->
     ratio = _leak_ratio(values, outside_1d)
     if ratio > 1e-12:
         raise BandError("dilation escapes grid: " + message.format(ratio))
-
-
-def _resample_axis(vals: np.ndarray, g: GridSpec, m: int, axis: int) -> np.ndarray:
-    """Evaluate the trigonometric interpolant at x / 2^m along one axis."""
-    step = 2**m
-    t = _axis_indices(g)
-    coarse = t // step + g.center
-    frac = t % step
-    xi = _fft.ifftshift(g.xi_axis())
-    spec = _fft.fft(_fft.ifftshift(np.moveaxis(vals, axis, -1), axes=-1), workers=-1)
-    out = np.empty_like(vals)
-    for b in range(step):
-        delta = b * g.dx / step
-        shifted = _fft.fftshift(_fft.ifft(spec * np.exp(1j * xi * delta), workers=-1), axes=-1)
-        sel = np.nonzero(frac == b)[0]
-        np.moveaxis(out, axis, -1)[..., sel] = shifted[..., coarse[sel]]
-    return out
 
 
 def grid_translate(f: Field, a) -> Field:

@@ -21,8 +21,9 @@ Every consumer reads and writes a spectral piece through this module:
 level j (of the low-pass piece S_0 for j None) in centered order, and the
 piece is exactly zero off them; ``_piece`` multiplies a spectrum by them,
 on their meets with the spectrum's support when it is given,
-``_summed`` adds blocks into a centered array (the level masks, sigma_0
-and every witness spectrum), ``_box`` gives the box holding a ball,
+``_summed`` adds blocks into a centered array (the level masks and every
+witness spectrum), ``_partial_sum`` multiplies by the telescoped sum of a
+run of levels (sigma_0), ``_box`` gives the box holding a ball,
 ``_one_sided`` the two runs of a 1-D annulus, and
 ``_put_window`` writes a block into a row in FFT-natural order or into the
 circular frequency window of a narrow piece.  Only this module knows how a
@@ -164,13 +165,14 @@ def feasible_band(grid: GridSpec) -> BandLimits:
 def _box(grid: GridSpec, radius: float) -> tuple:
     """Centered slices of the smallest box |k_i| <= h holding the ball |xi| <= radius.
 
-    h = floor(radius / dxi), and the box is clipped to the grid, so a ball
-    reaching the Nyquist frequency keeps the bin -N/2.  ``radial_xi(grid)[box]``
-    is |xi| on the box, a view of the cached array.  Every profile read
-    through a box vanishes on the sphere |xi| = radius, so a rounding of
-    radius / dxi that loses a bin there loses only a zero.
+    h is the largest integer with h dxi <= radius, also where radius / dxi
+    rounds below it, so the box holds every bin with ``radial_xi`` <= radius.
+    It is clipped to the grid, so a ball reaching the Nyquist frequency
+    keeps the bin -N/2.  ``radial_xi(grid)[box]`` is |xi| on the box, a view
+    of the cached array.
     """
-    c, h = grid.center, math.floor(radius / grid.dxi)
+    c, h = grid.center, math.floor(min(radius / grid.dxi, grid.N))
+    h += (h + 1) * grid.dxi <= radius
     return (slice(max(0, c - h), min(grid.N, c + h + 1)),) * grid.n
 
 
@@ -268,6 +270,15 @@ def _summed(out: np.ndarray, blocks) -> np.ndarray:
     for box, values in blocks:
         out[box] += values
     return out
+
+
+def _partial_sum(coeffs: np.ndarray, grid: GridSpec, j_lo: int, j_hi: int, box: tuple) -> np.ndarray:
+    """sum_{j_lo <= j <= j_hi} Q_j f's spectrum on a centered ``box``, from f's centered ``coeffs``.
+
+    The level multipliers telescope to one: phi(2^-j_hi t) - phi(2^(1 - j_lo) t).
+    """
+    t = radial_xi(grid)[box]
+    return coeffs[box] * (lowpass_profile(t / 2.0**j_hi) - lowpass_profile(t * 2.0 ** (1 - j_lo)))
 
 
 def apply_level_mask(coeffs: np.ndarray, grid: GridSpec, j: int) -> np.ndarray:

@@ -21,8 +21,8 @@ from math import isnan
 import numpy as np
 
 from .errors import BandError, ParameterError, _integer
-from .grid import Field, Spectrum, forward_ft, inverse_ft, radial_xi
-from .littlewood_paley import _piece, _summed, feasible_band
+from .grid import Field, Spectrum, _whole, forward_ft, inverse_ft, radial_xi
+from .littlewood_paley import _box, _partial_sum, feasible_band
 from .spaces import _norm
 from .szasz import SzaszQuery, _require_grid_dimension, translation_realization_gate
 
@@ -60,22 +60,16 @@ def sigma0_partial(f: Field, M: int) -> Field:
         ParameterError: when M is not an integer >= 0.
         BandError: when no level of [-M, M] is resolvable on f's grid.
     """
-    return inverse_ft(Spectrum(f.grid, _sigma0_coeffs(forward_ft(f), M)))
+    g = f.grid
+    return inverse_ft(Spectrum(g, _partial_sum(forward_ft(f).coeffs, g, *_sigma0_levels(g, M), _whole(g))))
 
 
-def _sigma0_coeffs(spec: Spectrum, M: int) -> np.ndarray:
-    """Spectrum of sigma_0(f, M) from the spectrum of f: the summed level masks."""
-    M = _integer(M, "M")
-    g = spec.grid
-    band = feasible_band(g)
-    j_lo = max(-M, band.j_min)
-    j_hi = min(M, band.j_max)
-    if j_lo > j_hi:
-        raise BandError(
-            f"levels [-{M}, {M}] miss the feasible band [{band.j_min}, {band.j_max}]"
-        )
-    levels = (block for j in range(j_lo, j_hi + 1) for block in _piece(spec.coeffs, g, j, spec._support))
-    return _summed(np.zeros(g.shape, dtype=np.complex128), levels)
+def _sigma0_levels(g, M: int) -> tuple[int, int]:
+    """The in-band levels (j_lo, j_hi) of [-M, M], which sigma_0(f, M) sums."""
+    M, band = _integer(M, "M"), feasible_band(g)
+    if max(-M, band.j_min) > min(M, band.j_max):
+        raise BandError(f"levels [-{M}, {M}] miss the feasible band [{band.j_min}, {band.j_max}]")
+    return max(-M, band.j_min), min(M, band.j_max)
 
 
 def low_frequency_mass(f: Field, R: float) -> float:
@@ -85,17 +79,20 @@ def low_frequency_mass(f: Field, R: float) -> float:
         ParameterError: when R is nan.
         BandError: "radius below resolution" when R <= dxi.
     """
-    return _low_mass(forward_ft(f).coeffs, f.grid, R)
+    return _low_mass(f.grid, R, forward_ft(f).coeffs)
 
 
-def _low_mass(coeffs: np.ndarray, g, R: float) -> float:
+def _low_mass(g, R: float, coeffs: np.ndarray, levels: tuple | None = None) -> float:
+    """The mass of f's centered ``coeffs`` (of sigma_0's for ``levels``), read on the box of |xi| <= R."""
     if isnan(R):
         raise ParameterError(f"invalid params: R must be a number, got {R}")
     if not R > g.dxi:
         raise BandError(f"radius below resolution: R={R} <= dxi={g.dxi}")
-    r = radial_xi(g)
+    box = _box(g, R)
+    r = radial_xi(g)[box]
     keep = (r > 0.0) & (r <= R)
-    return float(np.sum(np.abs(coeffs[keep])) * g.dxi**g.n)
+    values = coeffs[box] if levels is None else _partial_sum(coeffs, g, *levels, box)
+    return float(np.sum(np.abs(values[keep])) * g.dxi**g.n)
 
 
 def realization_feasible(query: SzaszQuery) -> bool:
@@ -113,9 +110,9 @@ def realization_feasible(query: SzaszQuery) -> bool:
 def realization_report(f: Field, query: SzaszQuery, M: int, R: float = 1.0) -> RealizationReport:
     """Evaluate the low-frequency mass of sigma_0(f, M) alongside the norm.
 
-    f is transformed once.  The mass is read from sigma_0's spectrum, the
-    summed level masks, rather than from a synthesized partial sum, and the
-    norm takes the same spectrum.
+    f is transformed once.  The mass is read from sigma_0's spectrum, one
+    multiplier on the box of |xi| <= R, rather than from a synthesized
+    partial sum, and the norm takes the same spectrum.
 
     Raises:
         ParameterError: when M is not an integer >= 0, when R is nan, or
@@ -125,10 +122,11 @@ def realization_report(f: Field, query: SzaszQuery, M: int, R: float = 1.0) -> R
     """
     _require_grid_dimension(query, f.grid)
     M = _integer(M, "M")
+    levels = _sigma0_levels(f.grid, M)
     spec = forward_ft(f)
     return RealizationReport(
         M=M,
-        low_mass=_low_mass(_sigma0_coeffs(spec, M), f.grid, R),
+        low_mass=_low_mass(f.grid, R, spec.coeffs, levels),
         besov=_norm(f, query.space, spec),
         feasible=realization_feasible(query),
     )

@@ -570,11 +570,12 @@ def _piece_l2(spec: Spectrum, j: int | None) -> float:
 
     The piece is read only where its blocks meet the spectrum's support,
     and its Riemann sum, sum |c_k|^2 dxi^n / (2 pi)^n, is one
-    :func:`_lr_norm` over those bins packed flat.
+    :func:`_lr_norm` over those bins packed flat; a piece with no bins
+    there is 0.0 with no pass.
     """
     g = spec.grid
     values = _packed(values for _, values in _piece(spec.coeffs, g, j, spec._support))
-    return _lr_norm(values, 2.0, g.dxi**g.n / (2.0 * np.pi) ** g.n)
+    return _lr_norm(values, 2.0, g.dxi**g.n / (2.0 * np.pi) ** g.n) if values.size else 0.0
 
 
 def _window(grid, piece: list) -> tuple | None:

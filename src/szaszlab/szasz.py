@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from math import isfinite, isinf
+from math import isfinite, isinf, ldexp
 
 import numpy as np
 
 from .errors import ParameterError, _integer
 from .grid import Field, Spectrum, forward_ft, radial_xi
-from .spaces import SpaceParams, _finite, _lr_norm, _norm, _packed
+from .spaces import _TINY, SpaceParams, _finite, _lr_norm, _norm, _packed
 
 __all__ = [
     "SzaszQuery",
@@ -121,7 +121,10 @@ def weighted_lhs(g: Spectrum, theta: float, p: float, mode: str = "homogeneous")
     p = inf takes the supremum of the weighted modulus instead.
 
     Only the spectrum's support is read, and only its nonzero bins are
-    weighted and summed.
+    weighted and summed (:func:`_weighted_terms`): a weight off the float
+    range loses no term, the terms are scaled by a power of two only when
+    their largest is not a normal float, and an in-range functional keeps
+    the bits of the plain formula.
 
     Raises:
         ParameterError: "invalid exponent" when p <= 0 or theta is not finite,
@@ -142,8 +145,45 @@ def weighted_lhs(g: Spectrum, theta: float, p: float, mode: str = "homogeneous")
     # bin, the only one at |xi| = 0
     homogeneous = mode == "homogeneous"
     on = (c != 0) & (r > 0.0) if homogeneous else c != 0
-    base = r[on] if homogeneous else 1.0 + r[on]
-    return _finite(_lr_norm(base**theta * np.abs(c[on]), p, grid.dxi**grid.n), c, "coefficients")
+    terms, shift = _weighted_terms(r[on] if homogeneous else 1.0 + r[on], theta, np.abs(c[on]))
+    norm = _finite(_lr_norm(terms, p, grid.dxi**grid.n), c, "coefficients")
+    try:
+        scaled = ldexp(norm, shift)
+    except OverflowError:
+        scaled = np.inf
+    if 0.0 < norm < np.inf and not 0.0 < scaled < np.inf:
+        side = "exceeds" if scaled else "falls below"
+        raise ArithmeticError(f"quasi-norm {side} the float range: the weighted functional")
+    return scaled
+
+
+def _weighted_terms(base: np.ndarray, theta: float, moduli: np.ndarray) -> tuple:
+    """(terms, shift): base^theta moduli = terms 2^shift; the plain products if they and the weights are normal.
+
+    Otherwise each term is a mantissa times 2^e, bit for bit the plain
+    product where it and its weight are normal; a weight off the normal
+    range is h^J, h = base^(theta/J) normal for the least power of two J,
+    squared log2 J times by frexp.  shift is the largest e when the
+    largest term is not normal.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        w = base**theta
+        terms = w * moduli
+        if terms.size == 0 or _TINY <= w.min() and w.max() < np.inf and _TINY <= terms.max() < np.inf:
+            return terms, 0
+        bad, J = ~((_TINY <= w) & (w < np.inf)), 1
+        while not ((_TINY <= w[bad]) & (w[bad] < np.inf)).all():
+            J *= 2
+            w[bad] = base[bad] ** (theta / J)
+        (m, e), (mc, ec) = np.frexp(w), np.frexp(moduli)
+        e = e.astype(float)  # exact to 2^53, and never wraps
+        for _ in range(J.bit_length() - 1):
+            m[bad], up = np.frexp(m[bad] ** 2)
+            e[bad] = 2 * e[bad] + up
+    e = np.clip(e + ec, -(2.0**60), 2.0**60)  # a term past 2^(+-2^60) is off the float range all the same
+    top = float(e.max())  # the largest term is in [2^(top - 2), 2^top)
+    shift = 0 if -1020 <= top <= 1024 else int(top)
+    return np.ldexp(m * mc, np.maximum(e - shift, -2200).astype(np.int64)), shift
 
 
 def _weak_conditions(query: SzaszQuery) -> tuple[bool, list]:

@@ -235,46 +235,54 @@ class TestDyadicDilate:
             dyadic_dilate(f, 2)
 
     @pytest.fixture
-    def ifft_calls(self, monkeypatch):
-        """The number of ``scipy.fft.ifft`` calls the grid module makes, as a one-item list."""
-        calls, ifft = [0], grid_module._fft.ifft
+    def transforms(self, monkeypatch):
+        """The names of the ``scipy.fft`` transforms the grid module calls, in order."""
+        calls = []
 
-        def counted(*args, **kwargs):
-            calls[0] += 1
-            return ifft(*args, **kwargs)
+        class Counted:
+            def __getattr__(self, name):
+                attr = getattr(scipy.fft, name)
+                if name.endswith(("shift", "freq", "fast_len", "workers", "backend")):
+                    return attr
 
-        monkeypatch.setattr(grid_module._fft, "ifft", counted)
+                def counted(*args, **kwargs):
+                    calls.append(name)
+                    return attr(*args, **kwargs)
+
+                return counted
+
+        monkeypatch.setattr(grid_module, "_fft", Counted())
         return calls
 
     @pytest.mark.parametrize(
         "m,msg", [(m, "holds no sample but x = 0") for m in (3, 12, 30, 63)] + [(10**20, "escapes grid: field at")]
     )
-    def test_box_holding_only_the_origin_raises_before_any_transform(self, ifft_calls, m, msg):
+    def test_box_holding_only_the_origin_raises_before_any_transform(self, transforms, m, msg):
         # on 16 points 0.95 L / 2^(m+1) <= dx from m = 3 on: a spike at x = 0
-        # passes the headroom check, and the resampling would cost 2^m
-        # transforms; at m = 10^20 the box holds no sample at all
+        # passes the headroom check, but a box holding x = 0 alone cannot
+        # represent the field; at m = 10^20 the box holds no sample at all
         g = GridSpec(1, 16, 1.0)
         f = Field(g, np.eye(16)[g.center])
         with pytest.raises(BandError, match=msg):
             dyadic_dilate(f, m)
-        assert ifft_calls == [0]
+        assert transforms == []
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_zero_field_dilates_to_zero_with_no_transform(self, ifft_calls, n):
+    def test_zero_field_dilates_to_zero_with_no_transform(self, transforms, n):
         g = GridSpec(n, 16, 1.0)
         d = dyadic_dilate(Field(g, np.zeros(g.shape)), 12)
         assert not d.values.any() and d.values.shape == g.shape
-        assert ifft_calls == [0]
+        assert transforms == []
 
     @pytest.mark.parametrize("m", [-4, -63, -64, -100, -(10**20)])
-    def test_zoom_past_the_grid_decided_without_the_power(self, ifft_calls, m):
+    def test_zoom_past_the_grid_decided_without_the_power(self, transforms, m):
         # on 16 points 2^-m >= N from m = -4 on: only the zero field stays on the grid
         g = GridSpec(1, 16, 1.0)
         d = dyadic_dilate(Field(g, np.zeros(16)), m)
         assert not d.values.any() and d.values.shape == g.shape
         with pytest.raises(BandError, match="dilation escapes grid: 2\\^-m >= N"):
             dyadic_dilate(Field(g, np.eye(16)[g.center]), m)
-        assert ifft_calls == [0]
+        assert transforms == []
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_largest_zoom_on_the_grid_is_unchanged(self, n):
@@ -285,11 +293,49 @@ class TestDyadicDilate:
         want[(g.center,) * n] = 2.0
         assert np.array_equal(d.values, want)
 
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_resolvable_m_costs_one_forward_and_one_inverse_transform(self, transforms, m):
+        # on 256 points the box |x| < 0.95 L / 2^6 still holds x = 0, +-dx, ...
+        g = GridSpec(1, 256, 1.0)
+        d = dyadic_dilate(Field(g, np.eye(256)[g.center]), m)
+        assert transforms == ["fftn", "ifftn"]
+        assert np.abs(d.values).max() > 0
+
     @pytest.mark.parametrize("m", [1, 2])
-    def test_resolvable_m_costs_two_to_the_m_transforms_per_axis(self, ifft_calls, m):
-        g = GridSpec(1, 16, 1.0)
-        dyadic_dilate(Field(g, np.eye(16)[g.center]), m)
-        assert ifft_calls == [2**m]
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_spectrum_is_the_stride_read_on_the_grid(self, n, m):
+        # a generic compact field: random samples on a few points around x = 0
+        g = GridSpec(n, 64, 8.0)
+        rng = np.random.default_rng(17 + 3 * n + m)
+        values = np.zeros(g.shape, dtype=complex)
+        near = (slice(g.center - 3, g.center + 4),) * n
+        values[near] = rng.standard_normal(values[near].shape) + 1j * rng.standard_normal(values[near].shape)
+        f = Field(g, values)
+        got = forward_ft(dyadic_dilate(f, m)).coeffs
+        # bin k reads f's bin 2^m k, 0 where that leaves the grid or is the Nyquist bin -N/2
+        k = 2**m * (np.arange(g.N) - g.center)
+        inside = np.abs(k) < g.N // 2
+        src = np.where(inside, k + g.center, 0)
+        keep = inside if n == 1 else inside[:, None] & inside[None, :]
+        want = np.where(keep, forward_ft(f).coeffs[np.ix_(*[src] * n)], 0.0) * 2.0 ** (m * n)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_real_field_dilates_to_a_real_field(self, n, m):
+        # a spike's spectrum fills every bin, the Nyquist bin -N/2 too; it is
+        # dropped, so the bins +-N/2^(m+1) of the dilation both read 0
+        g = GridSpec(n, 64, 8.0)
+        spike = np.zeros(g.shape)
+        spike[(g.center,) * n] = 1.0
+        d = dyadic_dilate(Field(g, spike), m)
+        assert np.max(np.abs(d.values.imag)) <= 1e-15 * np.max(np.abs(d.values.real))
+        edge = g.N // 2 ** (m + 1)
+        coeffs = forward_ft(d).coeffs
+        row = coeffs if n == 1 else coeffs[g.center]
+        peak = np.max(np.abs(row))
+        assert abs(row[g.center - edge]) <= 1e-15 * peak and abs(row[g.center + edge]) <= 1e-15 * peak
+        assert abs(row[g.center + edge - 1]) == pytest.approx(peak, rel=1e-13)
 
     @pytest.mark.parametrize("m", [1.5, -0.5, "1", None])
     def test_m_must_be_an_integer(self, grid_1d, m):

@@ -17,7 +17,7 @@ from szaszlab import (
     lp_project,
     radial_xi,
 )
-from szaszlab.littlewood_paley import _piece_blocks, _put_window, apply_level_mask
+from szaszlab.littlewood_paley import _box, _partial_sum, _piece_blocks, _put_window, apply_level_mask
 
 from conftest import plateau_field, wave_packet
 
@@ -247,6 +247,30 @@ class TestPieceBlocks:
     def test_lowpass_blocks_rebuild_the_profile(self, block_grid):
         want = lowpass_profile(radial_xi(block_grid))
         assert np.array_equal(_embedded(block_grid, None), want)
+
+    @pytest.mark.parametrize("k", [1, 11, 15, 22, 30, 44, 60, 88])
+    @pytest.mark.parametrize("grid_name", ["grid_1d", "grid_2d"])
+    def test_box_holds_every_bin_within_the_radius(self, request, grid_name, k):
+        # on these grids (k dxi) / dxi rounds below k for k = 11, 15, 22, ...
+        grid = request.getfixturevalue(grid_name)
+        radius = k * grid.dxi
+        box = _box(grid, radius)
+        assert box == (slice(grid.center - k, grid.center + k + 1),) * grid.n
+        off = np.ones(grid.shape, dtype=bool)
+        off[box] = False
+        assert not (off & (radial_xi(grid) <= radius)).any()
+
+    def test_partial_sum_is_the_sum_of_its_levels(self, block_grid):
+        band = feasible_band(block_grid)
+        rng = np.random.default_rng(6)
+        coeffs = rng.standard_normal(block_grid.shape) + 1j * rng.standard_normal(block_grid.shape)
+        lo, hi = band.j_min, band.j_max
+        for j_lo, j_hi in {(lo, hi), (lo, lo), (hi, hi), ((lo + hi) // 2, hi)}:
+            want = sum(apply_level_mask(coeffs, block_grid, j) for j in range(j_lo, j_hi + 1))
+            box = _box(block_grid, 1.5 * 2.0**j_hi)
+            got = np.zeros(block_grid.shape, dtype=np.complex128)
+            got[box] = _partial_sum(coeffs, block_grid, j_lo, j_hi, box)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(coeffs))
 
     def test_natural_writer_is_ifftshift_of_centered_embedding(self, block_grid):
         rng = np.random.default_rng(4)

@@ -12,10 +12,12 @@ from szaszlab import (
     WitnessSpec,
     classify,
     dilated_witness,
+    forward_ft,
     grid_translate,
     low_frequency_mass,
     lowfreq_blowup_witness,
     lp_project,
+    radial_xi,
     random_bandlimited,
     realization_feasible,
     realization_report,
@@ -23,7 +25,7 @@ from szaszlab import (
     space_norm,
 )
 
-from conftest import plateau_field
+from conftest import plateau_field, wave_packet
 
 
 def make_query(family, s, r, p, q, n=1):
@@ -82,6 +84,16 @@ class TestLowFrequencyMass:
         f = plateau_field(grid_mid, 4)
         with pytest.raises(BandError, match="radius below resolution"):
             low_frequency_mass(f, 0.05)
+
+    @pytest.mark.parametrize("k", [11, 15, 22, 30])
+    def test_radius_on_a_bin_keeps_that_bin(self, grid_1d, k):
+        # (k dxi) / dxi rounds below k here, and the bins at |xi| = R count
+        f = wave_packet(grid_1d, 2.0, 1.0)
+        R = k * grid_1d.dxi
+        r, coeffs = radial_xi(grid_1d), forward_ft(f).coeffs
+        want = float(np.sum(np.abs(coeffs[(r > 0.0) & (r <= R)])) * grid_1d.dxi)
+        assert low_frequency_mass(f, R) == want
+        assert low_frequency_mass(f, R) > low_frequency_mass(f, R - grid_1d.dxi / 2)
 
     @pytest.mark.parametrize(
         "call",

@@ -175,6 +175,25 @@ class TestBesovNorm:
         inhom = besov_norm(f, SpaceParams(0.5, 2.0, 2.0, "B", setting="inhomogeneous"))
         assert inhom == pytest.approx(hom, rel=1e-12)
 
+    def test_empty_parseval_pieces_make_no_pass(self, monkeypatch):
+        # hi-band's modulated witness fills few of its 17 levels: of the 116
+        # row passes its r = 2 Besov records made when every piece was
+        # walked, 62 were the plain and peak walks of empty pieces
+        passes, chunk_pass = [], spaces_module._chunk_pass
+        monkeypatch.setattr(spaces_module, "_chunk_pass", lambda *args: passes.append(1) or chunk_pass(*args))
+        query = SzaszQuery(SpaceParams(0.0, 2.0, 4.0, "B"), 4.0, 1)
+        records = divergence_experiment("modulated", query, [2, 4, 8, 16], grid="hi-band")
+        assert len(passes) == 54
+
+        def walked(spec, j):  # every piece walked, an empty one too
+            g = spec.grid
+            values = spaces_module._packed(v for _, v in spaces_module._piece(spec.coeffs, g, j, spec._support))
+            return spaces_module._lr_norm(values, 2.0, g.dxi**g.n / (2.0 * np.pi) ** g.n)
+
+        monkeypatch.setattr(spaces_module, "_piece_l2", walked)
+        assert divergence_experiment("modulated", query, [2, 4, 8, 16], grid="hi-band") == records
+        assert len(passes) == 54 + 116
+
 
 class TestTriebelNorm:
     def test_zero_field(self, grid_mid):

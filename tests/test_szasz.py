@@ -1,5 +1,7 @@
 """Exponent arithmetic, the weighted functional, and the exact classifier."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from szaszlab import (
     weighted_lhs,
 )
 
+from szaszlab.spaces import _lr_norm
 from szaszlab.witnesses import _random_spectrum
 
 from conftest import plateau_field, wave_packet
@@ -158,6 +161,41 @@ class TestWeightedLhs:
         small = weighted_lhs(Spectrum(grid_mid, s.coeffs * 1e-200), 60.0, 8.0)
         assert np.isfinite(got)
         assert got == pytest.approx(1e200 * small, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("mode", ["homogeneous", "inhomogeneous"])
+    @pytest.mark.parametrize(
+        "theta, side",
+        [(130.0, "exceeds"), (200.0, "exceeds"), (400.0, "exceeds"), (1e300, "exceeds")]
+        + [(-1000.0, "falls below"), (-1e300, "falls below")],
+    )
+    def test_functional_out_of_float_range_raises(self, grid_mid, theta, side, mode):
+        # mid-band's random spectrum on levels 2-8 reaches |xi| = 256, whose
+        # 130th power overflows; at theta = -1000 every weight underflows, and
+        # at +-1e300 a weight's exponent leaves the float range too
+        s = _random_spectrum(grid_mid, 1, 2, 8)
+        with pytest.raises(ArithmeticError, match=f"quasi-norm {side} the float range"):
+            weighted_lhs(s, theta, 2.0, mode)
+
+    @pytest.mark.parametrize("mode", ["homogeneous", "inhomogeneous"])
+    @pytest.mark.parametrize("theta", [-400.0, 100.0])
+    def test_in_range_functional_is_the_plain_formula_bit_for_bit(self, grid_mid, theta, mode):
+        # at theta = -400 the weights of the bins above |xi| = 6 underflow,
+        # but the functional stays in range
+        s = _random_spectrum(grid_mid, 1, 2, 8)
+        on = (s.coeffs != 0) & (radial_xi(grid_mid) > 0.0)
+        base = radial_xi(grid_mid)[on] if mode == "homogeneous" else 1.0 + radial_xi(grid_mid)[on]
+        with np.errstate(under="ignore"):
+            plain = _lr_norm(base**theta * np.abs(s.coeffs[on]), 2.0, grid_mid.dxi)
+        assert 0.0 < plain < np.inf
+        assert weighted_lhs(s, theta, 2.0, mode) == plain
+
+    @pytest.mark.parametrize("p", [0.5, 2.0, INF])
+    def test_weight_overflowing_under_an_in_range_term(self, grid_mid, p):
+        # 256^130 = 2^1040 overflows, but 1e-300 * 2^1040 is about 1e13
+        coeffs = np.zeros(grid_mid.shape, dtype=complex)
+        coeffs[grid_mid.center + 2048] = 1e-300  # xi = 256
+        got = weighted_lhs(Spectrum(grid_mid, coeffs), 130.0, p)
+        assert got == pytest.approx(math.ldexp(1e-300, 1040) * grid_mid.dxi ** (1.0 / p), rel=1e-15, abs=0.0)
 
 
 class TestClassify:
