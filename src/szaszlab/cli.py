@@ -14,8 +14,10 @@ byte-identical files.  CSV comment lines start with '#'.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
+import re
 import sys
 import warnings
 from contextlib import contextmanager
@@ -36,6 +38,22 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return format(x, ".17g")
     return str(x)
+
+
+def _cell(fmt: str, name: str, value) -> str:
+    """One field of a record: its CSV text, or its JSON member '"name": value' (a float as its 17-digit text)."""
+    text = _fmt(value)
+    if fmt == "csv":
+        return text
+    return f"{json.dumps(name)}: {json.dumps(text if isinstance(value, float) else value)}"
+
+
+def _cells(fmt: str, header, row) -> tuple:
+    return tuple(_cell(fmt, name, value) for name, value in zip(header, row))
+
+
+#: what int() reads: a signed run of digits, single underscores between them, blanks around
+_INTEGER_LITERAL = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 
 
 def _parse_extended(text: str, name: str) -> float:
@@ -67,12 +85,23 @@ def _parse_list(text: str, name: str) -> list:
 
 
 def _parse_dimensions(text: str) -> list:
-    out = []
-    for value in _parse_list(text, "n"):
-        if not value.is_integer():
+    """The --n list: an integer literal read exactly, any other number (2.0, 1e3) through float, integral."""
+    values = []
+    for part in text.split(",") if text.strip() else []:
+        if not _INTEGER_LITERAL.fullmatch(part):
+            values.append(_parse_extended(part, "n"))
+            continue
+        try:
+            values.append(int(part))
+        except ValueError:  # more digits than int() converts
+            digits = sum(c.isdigit() for c in part)
+            raise ParameterError(
+                f"invalid params: n does not fit a float, got an integer of {digits} digits"
+            ) from None
+    for value in values:
+        if isinstance(value, float) and not value.is_integer():
             raise ParameterError(f"n: must be an integer, got {_fmt(value)}")
-        out.append(int(value))
-    return out
+    return [int(value) for value in values]
 
 
 def _build_query(s, p, q, r, n, family, setting) -> SzaszQuery:
@@ -83,6 +112,7 @@ def _build_query(s, p, q, r, n, family, setting) -> SzaszQuery:
 def _emit(path, fmt: str, header, rows, error: str | None = None) -> None:
     """Write records to ``path`` ('-' or None: stdout) as CSV or JSON lines.
 
+    Each row holds its record's fields rendered in ``fmt`` by :func:`_cell`.
     A CSV has a header line and ends with a '#error: ...' comment when
     ``error`` is given; JSON has one object per row (floats in 17-digit text)
     and then an {"error": ...} object.
@@ -91,17 +121,14 @@ def _emit(path, fmt: str, header, rows, error: str | None = None) -> None:
         ParameterError: when ``path`` cannot be opened for writing.
     """
     if fmt == "json":
-        lines = [
-            json.dumps({k: _fmt(v) if isinstance(v, float) else v for k, v in zip(header, row)})
-            for row in rows
-        ]
+        lines = ["{" + ", ".join(row) + "}" for row in rows]
         if error is not None:
             lines.append(json.dumps({"error": error}))
     else:
-        lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+        lines = [",".join(header)] + [",".join(row) for row in rows]
         if error is not None:
             lines.append(f"#error: {error}")
-    text = "".join(line + "\n" for line in lines)
+    text = "\n".join(lines + [""])
     if path in (None, "-"):
         sys.stdout.write(text)
         return
@@ -125,7 +152,8 @@ def _cmd_classify(args) -> int:
         **classify(query).to_record(),
         "realization_feasible": realization_feasible(query),
     }
-    _emit(args.out, args.format, list(record), [tuple(record.values())])
+    header = list(record)
+    _emit(args.out, args.format, header, [_cells(args.format, header, record.values())])
     return 0
 
 
@@ -164,26 +192,50 @@ def _cmd_experiment(args) -> int:
     except ExperimentAbort as exc:
         records, error = exc.records, exc.reason
     header = ("size", "space_norm", "lhs", "ratio")
-    _emit(args.out, args.format, header, [rec.to_row() for rec in records], error)
+    _emit(args.out, args.format, header, [_cells(args.format, header, rec.to_row()) for rec in records], error)
     if error is not None:
         print(f"szaszlab experiment: {error}", file=sys.stderr)
         return _INFEASIBLE_EXIT
     return 0
 
 
+_SWEEP_HEADER = ("s", "p", "q", "r", "n", "family", "theta", "weak", "strong")
+
+
+def _sweep_rows(axes, fmt: str, setting: str) -> list:
+    """The records of the (s, p, q, r, n, family) product of ``axes``, each field rendered by :func:`_cell`.
+
+    Each row is one :func:`classify` call.  A row's space is built once per
+    distinct (s, q, r, family), at the first row that needs it, so the rows
+    are checked in product order and a bad list fails with the message of
+    its first rejected row.  A list value's text is made once, and theta's
+    (set by s, p, r and n alone) once per (s, p, r, n).  Texts are kept by
+    list position, never by value: -0.0 == 0.0 and True == 1.
+    """
+    s, p, q, r, n, families = axes
+    ts, tp, tq, tr, tn, tf = ([_cell(fmt, name, x) for x in axis] for name, axis in zip(_SWEEP_HEADER, axes))
+    tw, tst = ([_cell(fmt, name, x) for x in (False, True)] for name in _SWEEP_HEADER[7:])
+    spaces, thetas, rows = {}, {}, []
+    for i, j, k, l, m, f in itertools.product(*(range(len(axis)) for axis in axes)):
+        space = spaces.get((i, k, l, f))
+        if space is None:
+            space = spaces[i, k, l, f] = SpaceParams(s=s[i], r=r[l], q=q[k], family=families[f], setting=setting)
+        res = classify(SzaszQuery(space, p[j], n[m]))
+        theta = thetas.get((i, j, l, m))
+        if theta is None:
+            theta = thetas[i, j, l, m] = _cell(fmt, "theta", res.theta)
+        rows.append((ts[i], tp[j], tq[k], tr[l], tn[m], tf[f], theta, tw[res.weak], tst[res.strong]))
+    return rows
+
+
 def _cmd_sweep(args) -> int:
-    lists = [_parse_list(getattr(args, name), name) for name in ("s", "p", "q", "r")]
-    n_list = _parse_dimensions(args.n)
-    family_list = [f.strip() for f in args.family.split(",") if f.strip()]
-    for fam in family_list:
+    axes = [_parse_list(getattr(args, name), name) for name in ("s", "p", "q", "r")]
+    axes.append(_parse_dimensions(args.n))
+    axes.append([f.strip() for f in args.family.split(",") if f.strip()])
+    for fam in axes[-1]:
         if fam not in ("B", "F"):
             raise ParameterError(f"family: must be B or F, got {fam!r}")
-    rows = []
-    for s, p, q, r, n, fam in itertools.product(*lists, n_list, family_list):
-        res = classify(_build_query(s, p, q, r, n, fam, args.setting))
-        rows.append((s, p, q, r, n, fam, res.theta, res.weak, res.strong))
-    header = ("s", "p", "q", "r", "n", "family", "theta", "weak", "strong")
-    _emit(args.out, args.format, header, rows)
+    _emit(args.out, args.format, _SWEEP_HEADER, _sweep_rows(axes, args.format, args.setting))
     return 0
 
 
@@ -238,8 +290,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParameterError as exc:

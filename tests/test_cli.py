@@ -1,7 +1,9 @@
 """Command-line contract: records, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -16,8 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import szaszlab
-from szaszlab import ModelFidelityWarning, SpaceParams, SzaszQuery, classify, divergence_experiment
-from szaszlab.cli import _fidelity_warnings_to_stderr, main
+from szaszlab import ModelFidelityWarning, ParameterError, SpaceParams, SzaszQuery, classify, divergence_experiment
+from szaszlab.cli import _build_query, _fidelity_warnings_to_stderr, _fmt, _parse_dimensions, _parse_list, main
 
 
 def run_cli(argv):
@@ -332,6 +334,37 @@ class TestSweepCommand:
             b'"theta": "1.3333333333333335", "weak": false, "strong": false}\n'
         )
 
+    def test_integer_n_is_read_exactly(self, capsys):
+        # through float, 10^23 would print as 99999999999999991611392
+        assert run_cli(["sweep", "--s", "0", "--p", "2", "--q", "2", "--r", "2",
+                        "--n", "100000000000000000000000,2.0,1e3", "--family", "B"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [row[4] for row in rows] == ["100000000000000000000000", "2", "1000"]
+        assert run_cli(["classify", "--s", "0", "--p", "2", "--q", "2", "--r", "2",
+                        "--n", "100000000000000000000000", "--family", "B"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split(",")[:7] == rows[0][:6] + ["homogeneous"]
+        # past int()'s limit on digits, still an integer, not the float inf
+        assert run_cli(["sweep", "--s", "0", "--p", "2", "--q", "2", "--r", "2",
+                        "--n", "1" * 5000, "--family", "B"]) == 2
+        assert "n does not fit a float, got an integer of 5000 digits" in capsys.readouterr().err
+
+    def test_pool_bytes(self, capsys):
+        # the bench's classify-sweep pool in one call: 12 * 10 * 9 * 8 * 3 * 2 rows
+        pool = {
+            "s": ["-1", "0", "0.5", "0.8", "1", "1.5", "1.6", "2", "2.4", "3", "4", "6"],
+            "p": ["0.5", "1", "1.5", "2", "3", "4", "5", "6", "11", "inf"],
+            "q": ["0.5", "1", "2", "3", "5", "6", "7", "11", "inf"],
+            "r": ["0.5", "1", "1.1", "1.2", "1.25", "1.5", "2", "3"],
+        }
+        argv = ["sweep"] + [f"--{name}=" + ",".join(values) for name, values in pool.items()]
+        assert run_cli(argv + ["--n", "1,2,3", "--family", "B,F", "--out", "-"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert out.count(b"\n") == 1 + 51840
+        assert len(out) == 2462820
+        assert hashlib.sha256(out).hexdigest() == (
+            "75151f3fc11b483d686a6f821882e13d2fe314066e7f8d4f961f0a033a3cf9d7"
+        )
+
     @pytest.mark.parametrize("n", ["inf", "1.7", "1,2.5"])
     def test_non_integer_n_exit_2(self, tmp_path, capsys, n):
         out = tmp_path / "s.csv"
@@ -411,3 +444,51 @@ def test_classify_never_raises_on_number_like_values(values, family):
 @example({"s": "0", "p": "2", "q": "2", "r": "2", "n": _HUGE_N}, "B")
 def test_sweep_never_raises_on_number_like_lists(values, family):
     assert _exit_code(["sweep", *_query_argv(values), "--family", family]) in (0, 2, 3)
+
+
+def _run(argv) -> tuple:
+    """(exit code, stdout, stderr) of main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _sweep_row_by_row(values: dict, family: str, fmt: str) -> tuple:
+    """(exit code, stdout, stderr) of a sweep that builds, classifies and writes every row on its own."""
+    header = ("s", "p", "q", "r", "n", "family", "theta", "weak", "strong")
+    try:
+        lists = [_parse_list(values[name], name) for name in ("s", "p", "q", "r")]
+        lists.append(_parse_dimensions(values["n"]))
+        rows = []
+        for s, p, q, r, n, fam in itertools.product(*lists, family.split(",")):
+            res = classify(_build_query(s, p, q, r, n, fam, "homogeneous"))
+            rows.append((s, p, q, r, n, fam, res.theta, res.weak, res.strong))
+    except ParameterError as exc:
+        return 2, "", f"szaszlab sweep: {exc}\n"
+    if fmt == "json":
+        lines = [json.dumps({k: _fmt(v) if isinstance(v, float) else v for k, v in zip(header, row)})
+                 for row in rows]
+    else:
+        lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    return 0, "".join(line + "\n" for line in lines), ""
+
+
+@_PROPERTY
+@given(
+    st.fixed_dictionaries(
+        {name: st.lists(_NUMBERS, max_size=3).map(",".join) for name in ("s", "p", "q", "r", "n")}
+    ),
+    st.sampled_from(["B", "F", "B,F", "F,B"]),
+    st.sampled_from(["csv", "json"]),
+)
+# several rejected values: the first rejected row in product order gives the message
+@example({"s": "0", "p": "-1", "q": "2", "r": "2,-1", "n": "1"}, "B", "csv")
+@example({"s": "0,inf", "p": "2,-1", "q": "2,-0", "r": "1,-1", "n": "1,0"}, "B,F", "json")
+@example({"s": "1,inf", "p": "2", "q": "2", "r": "2,inf", "n": "1"}, "B,F", "json")
+# signed zeros and a 1 beside True: texts kept by position, not by value
+@example({"s": "-0,0,-0", "p": "1,inf", "q": "1", "r": "1,2", "n": "1,2"}, "B,F", "json")
+@example({"s": "0,-0", "p": "2", "q": "1", "r": "1", "n": "1"}, "F", "csv")
+def test_sweep_matches_a_row_by_row_sweep(values, family, fmt):
+    argv = ["sweep", *_query_argv(values), "--family", family, "--format", fmt]
+    assert _run(argv) == _sweep_row_by_row(values, family, fmt)
