@@ -120,10 +120,14 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class Field:
-    """Complex samples of a function on a :class:`GridSpec`."""
+    """Complex samples of a function on a :class:`GridSpec`.
+
+    A witness field also carries its exact spectrum, which :func:`forward_ft` returns; both are read-only.
+    """
 
     grid: GridSpec
     values: np.ndarray
+    _spectrum: Spectrum | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "values", _on_grid(self.grid, self.values, "field"))
@@ -206,8 +210,11 @@ def forward_ft(f: Field) -> Spectrum:
     """Discrete approximation of F(f)(xi) = integral f(x) exp(-i x.xi) dx.
 
     Computed as (L/N)^n * sum_i f(x_i) exp(-i x_i . xi_k) via an FFT with
-    centered index bookkeeping.
+    centered index bookkeeping; a field that carries its exact spectrum
+    (a witness's, see :class:`Field`) returns that spectrum, untransformed.
     """
+    if f._spectrum is not None:
+        return f._spectrum
     g = f.grid
     return Spectrum(g, _centered(_fft.fftn, f.values, g.dx**g.n))
 

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import BandError, ParameterError, _integer
 from .grid import Field, Spectrum, _whole, forward_ft, inverse_ft, radial_xi
 from .littlewood_paley import _box, _partial_sum, feasible_band
-from .spaces import _norm
+from .spaces import _finite, _norm
 from .szasz import SzaszQuery, _require_grid_dimension, translation_realization_gate
 
 __all__ = [
@@ -76,14 +76,16 @@ def low_frequency_mass(f: Field, R: float) -> float:
     """sum_{0 < |xi_k| <= R} |coeffs[k]| dxi^n, the k = 0 bin excluded.
 
     Raises:
-        ParameterError: when R is nan.
+        ParameterError: when R is nan, or "non-finite input" when f holds a
+            nan or an infinity.
         BandError: "radius below resolution" when R <= dxi.
     """
-    return _low_mass(f.grid, R, forward_ft(f).coeffs)
+    return _low_mass(f, R, forward_ft(f).coeffs)
 
 
-def _low_mass(g, R: float, coeffs: np.ndarray, levels: tuple | None = None) -> float:
+def _low_mass(f: Field, R: float, coeffs: np.ndarray, levels: tuple | None = None) -> float:
     """The mass of f's centered ``coeffs`` (of sigma_0's for ``levels``), read on the box of |xi| <= R."""
+    g = f.grid
     if isnan(R):
         raise ParameterError(f"invalid params: R must be a number, got {R}")
     if not R > g.dxi:
@@ -91,8 +93,9 @@ def _low_mass(g, R: float, coeffs: np.ndarray, levels: tuple | None = None) -> f
     box = _box(g, R)
     r = radial_xi(g)[box]
     keep = (r > 0.0) & (r <= R)
-    values = coeffs[box] if levels is None else _partial_sum(coeffs, g, *levels, box)
-    return float(np.sum(np.abs(values[keep])) * g.dxi**g.n)
+    with np.errstate(invalid="ignore"):  # inf times a zero of sigma_0's multiplier
+        values = coeffs[box] if levels is None else _partial_sum(coeffs, g, *levels, box)
+    return _finite(float(np.sum(np.abs(values[keep])) * g.dxi**g.n), f.values, "samples")
 
 
 def realization_feasible(query: SzaszQuery) -> bool:
@@ -110,13 +113,14 @@ def realization_feasible(query: SzaszQuery) -> bool:
 def realization_report(f: Field, query: SzaszQuery, M: int, R: float = 1.0) -> RealizationReport:
     """Evaluate the low-frequency mass of sigma_0(f, M) alongside the norm.
 
-    f is transformed once.  The mass is read from sigma_0's spectrum, one
-    multiplier on the box of |xi| <= R, rather than from a synthesized
-    partial sum, and the norm takes the same spectrum.
+    The mass is read from sigma_0's spectrum, one multiplier on the box
+    of |xi| <= R, rather than from a synthesized partial sum, and the norm
+    takes the same spectrum, ``forward_ft(f)``: a witness field's exact one.
 
     Raises:
-        ParameterError: when M is not an integer >= 0, when R is nan, or
-            when ``query.n`` is not the field's dimension.
+        ParameterError: when M is not an integer >= 0, when R is nan, when
+            ``query.n`` is not the field's dimension, or "non-finite input"
+            when f holds a nan or an infinity.
         BandError: when no level of [-M, M] is resolvable on f's grid, or
             when R <= dxi.
     """
@@ -126,7 +130,7 @@ def realization_report(f: Field, query: SzaszQuery, M: int, R: float = 1.0) -> R
     spec = forward_ft(f)
     return RealizationReport(
         M=M,
-        low_mass=_low_mass(f.grid, R, spec.coeffs, levels),
+        low_mass=_low_mass(f, R, spec.coeffs, levels),
         besov=_norm(f, query.space, spec),
         feasible=realization_feasible(query),
     )

@@ -473,7 +473,7 @@ def _prepared_spectrum(
 ) -> tuple[Spectrum, BandLimits]:
     """Spectrum of f plus the model-fidelity validations shared by norms.
 
-    A Field is transformed once, unless its spectrum is passed as ``spec``.
+    A Field's spectrum is ``forward_ft(f)``, unless it is passed as ``spec``.
     A Spectrum is used as given, and its boundary check
     (:func:`_boundary_ratio`) reads the field of a spectrum whose window
     leaves two or more cosets tile by tile with no full-grid array.

@@ -63,7 +63,8 @@ support (``littlewood_paley._box``): phi on |xi| <= 1/2, psi's dilation into
 C_(-k) on |xi| <= 5/4 * 2^-k, and a random plateau on its two one-sided
 runs 3/4 * 2^j < |xi| < 2^j in 1-D (``littlewood_paley._one_sided``) and on
 |xi| <= 2^j in 2-D.  One registry maps each witness kind to its default
-preset and spectrum builder.
+preset and spectrum builder.  A public builder's Field carries that spectrum
+(:func:`_field`), so ``forward_ft`` of it, in ``realization_report`` too, is exact.
 
 Every builder hands its terms, (centered box, values) pairs, to
 ``_spectrum``, which sums them with ``littlewood_paley._summed`` and
@@ -96,7 +97,7 @@ from .littlewood_paley import (
     feasible_band,
     lowpass_profile,
 )
-from .spaces import _packed, _parseval_l2, _pieces_lr, space_norm
+from .spaces import SpaceParams, _packed, _parseval_l2, _pieces_lr, space_norm
 from .szasz import SzaszQuery, _require_grid_dimension, weighted_lhs
 
 __all__ = [
@@ -217,6 +218,15 @@ def _spectrum(grid: GridSpec, terms) -> Spectrum:
     return _supported(Spectrum(grid, _summed(np.zeros(grid.shape, dtype=np.complex128), kept())), boxes)
 
 
+def _field(spec: Spectrum) -> Field:
+    """``inverse_ft(spec)`` carrying ``spec`` for ``forward_ft``; both arrays read-only, so they cannot drift apart."""
+    f = inverse_ft(spec)
+    f.values.setflags(write=False)
+    spec.coeffs.setflags(write=False)
+    object.__setattr__(f, "_spectrum", spec)
+    return f
+
+
 def _real_part(grid: GridSpec, box: tuple, values: np.ndarray) -> Field:
     """Real part of the field whose spectrum is ``values`` on the centered ``box`` and 0 off it."""
     return Field(grid, inverse_ft(_spectrum(grid, [(box, values)])).values.real.astype(np.complex128))
@@ -259,7 +269,7 @@ def modulated_witness(grid, spec: WitnessSpec, weights: str = "linear") -> Field
     Raises:
         BandError: "K exceeds band" when C_K would cross the Nyquist margin.
     """
-    return inverse_ft(_modulated_spectrum(grid, spec, weights))
+    return _field(_modulated_spectrum(grid, spec, weights))
 
 
 def _modulated_spectrum(grid, spec: WitnessSpec, weights: str) -> Spectrum:
@@ -297,7 +307,7 @@ def dilated_witness(grid, spec: WitnessSpec) -> Field:
     Raises:
         BandError: "K exceeds low band" when C_(-K) is not resolvable.
     """
-    return inverse_ft(_dilated_spectrum(grid, spec))
+    return _field(_dilated_spectrum(grid, spec))
 
 
 def _dilated_spectrum(grid, spec: WitnessSpec) -> Spectrum:
@@ -330,10 +340,11 @@ def lowfreq_blowup_witness(grid, M: int, s: float, r: float) -> Field:
     no translation-commuting realization exists.
 
     Raises:
-        ParameterError: when s <= n/r, or M is not an integer >= 0.
+        ParameterError: when s is not finite, r is not > 0, s <= n/r, or M
+            is not an integer >= 0.
         BandError: "M exceeds low band" when C_(-M) is not resolvable.
     """
-    return inverse_ft(_blowup_spectrum(grid, M, s, r))
+    return _field(_blowup_spectrum(grid, M, s, r))
 
 
 @lru_cache(maxsize=16)
@@ -363,6 +374,7 @@ def _check_low_band(grid: GridSpec, K: int, name: str) -> None:
 
 def _blowup_spectrum(grid, M: int, s: float, r: float) -> Spectrum:
     """Exact spectrum of :func:`lowfreq_blowup_witness`."""
+    SpaceParams(s, r, 1.0)  # ParameterError unless s is finite and r > 0, in the norms' words
     grid = resolve_grid(grid)
     M = _integer(M, "M")
     n_over_r = grid.n / r
@@ -388,7 +400,7 @@ def random_bandlimited(grid, seed: int, j_lo: int, j_hi: int) -> Field:
     Raises:
         BandError: when [j_lo, j_hi] is not inside the feasible band.
     """
-    return inverse_ft(_random_spectrum(grid, seed, j_lo, j_hi))
+    return _field(_random_spectrum(grid, seed, j_lo, j_hi))
 
 
 def _plateau(grid: GridSpec, j: int) -> tuple:

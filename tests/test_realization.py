@@ -107,6 +107,21 @@ class TestLowFrequencyMass:
         with pytest.raises(ParameterError, match="R must be a number, got nan"):
             call(plateau_field(grid_mid, 4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda f: low_frequency_mass(f, 8.0),
+            lambda f: realization_report(f, make_query("B", 0.5, 2.0, 2.0, 2.0), 2, R=8.0),
+        ],
+        ids=["low_frequency_mass", "realization_report"],
+    )
+    def test_non_finite_field_is_a_parameter_error(self, grid_mid, call, bad):
+        values = plateau_field(grid_mid, 2).values.copy()
+        values[7] = bad
+        with pytest.raises(ParameterError, match="non-finite input: 1 of 16384 samples are nan or inf"):
+            call(Field(grid_mid, values))
+
     def test_blowup_grows_while_norm_stalls(self, grid_wide):
         from szaszlab import besov_norm
 

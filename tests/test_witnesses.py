@@ -36,7 +36,7 @@ from szaszlab import (
 )
 import szaszlab.spaces as spaces_module
 import szaszlab.witnesses as witnesses_module
-from szaszlab.realization import low_frequency_mass
+from szaszlab.realization import low_frequency_mass, realization_report
 from szaszlab.littlewood_paley import _mollifier_step
 from szaszlab.witnesses import (
     _blowup_spectrum,
@@ -198,6 +198,18 @@ class TestLowfreqBlowup:
     def test_requires_supercritical_smoothness(self, grid_wide):
         with pytest.raises(ParameterError, match="s > n/r"):
             lowfreq_blowup_witness(grid_wide, 3, 0.0, 2.0)
+
+    @pytest.mark.parametrize(
+        "s, r, match",
+        [(2.0, 0, "r must be > 0, got 0"), (2.0, -1, "r must be > 0, got -1"), (np.inf, 1.5, "s must be finite, got inf")],
+    )
+    def test_bad_exponents_raise_before_any_build(self, monkeypatch, grid_wide, s, r, match):
+        def no_build(*args):
+            raise AssertionError("a term was built")
+
+        monkeypatch.setattr(witnesses_module, "_psi_term", no_build)
+        with pytest.raises(ParameterError, match=f"invalid params: {match}"):
+            lowfreq_blowup_witness(grid_wide, 3, s, r)
 
     def test_mass_grows_geometrically(self, grid_wide):
         masses = [
@@ -479,7 +491,8 @@ class TestSpectrumNativeRecords:
         grid = request.getfixturevalue(grid_name)
         recs = divergence_experiment(kind, query, sizes, grid=grid, seed=7)
         for rec, size in zip(recs, sizes):
-            f = _public_witness(kind, query, size, grid, 7)
+            w = _public_witness(kind, query, size, grid, 7)
+            f = Field(w.grid, w.values)  # a plain field: the field path transforms it
             norm = space_norm(f, query.space)
             lhs = weighted_lhs(forward_ft(f), query.theta, query.p, query.space.setting)
             assert rec.space_norm == pytest.approx(norm, rel=1e-10)
@@ -497,6 +510,94 @@ class TestSpectrumNativeRecords:
             want += a_k * np.roll(phi, int(round(2.0**k / grid.dxi)), axis=0)
         got = _modulated_spectrum(grid, WitnessSpec("modulated", K, q), "linear").coeffs
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+#: kind -> (grid fixture, query, size, radius R of the low-frequency mass)
+_CARRIERS = {
+    "modulated": ("grid_hi_small", make_query("B", 0.0, 2.0, 4.0, 4.0), 6, 5.0),
+    "dilated_low": ("grid_wide", make_query("B", 0.0, 2.0, 1.0, 2.0), 5, 1.0),
+    "lowfreq_blowup": ("grid_wide", make_query("B", 2.0, 1.5, 3.0, 1.0), 6, 1.0),
+    "random_bandlimited": ("grid_wide", make_query("B", 0.0, 2.0, 1.0, 2.0), 6, 1.0),
+}
+
+
+def _carrier(request, kind):
+    """(the Field a public builder returns, the registry's exact spectrum of the same witness, R)."""
+    grid_name, query, size, R = _CARRIERS[kind]
+    grid = request.getfixturevalue(grid_name)
+    _, build = witnesses_module._witness(kind)
+    return _public_witness(kind, query, size, grid, 3), build(grid, WitnessSpec(kind, size, query, 3)), R
+
+
+class TestWitnessFieldSpectrum:
+    """A public builder's Field carries its exact spectrum, and every consumer agrees with the plain field.
+
+    The plain ``Field(w.grid, w.values)`` is transformed, so FFT roundoff
+    fills the levels the witness does not reach; at s = 2 their weights
+    2^(2j) lift that to 1.5e-11 relative in the blowup report's norm here
+    (9.75e-11 at M = 8 on lo-band), so the comparisons hold to rtol 1e-10,
+    golden.json's tolerance.
+    """
+
+    RTOL = 1e-10
+
+    @pytest.mark.parametrize("kind", list(_CARRIERS))
+    def test_forward_ft_returns_the_builders_spectrum(self, request, kind):
+        w, spec, _ = _carrier(request, kind)
+        got = forward_ft(w)
+        assert got is forward_ft(w)
+        assert got.coeffs.tobytes() == spec.coeffs.tobytes()
+        assert got._support == spec._support != Spectrum(spec.grid, spec.coeffs)._support  # not the whole grid
+        assert w.values.tobytes() == inverse_ft(spec).values.tobytes()
+
+    @pytest.mark.parametrize("kind", list(_CARRIERS))
+    def test_both_arrays_are_read_only(self, request, kind):
+        w, _, _ = _carrier(request, kind)
+        with pytest.raises(ValueError, match="read-only"):
+            w.values[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            forward_ft(w).coeffs[0] = 1.0
+
+    def test_a_plain_field_carries_no_spectrum(self, grid_wide):
+        w = lowfreq_blowup_witness(grid_wide, 3, 2.0, 1.5)
+        plain = Field(w.grid, w.values)
+        assert plain._spectrum is None
+        got = forward_ft(plain)
+        assert got is not forward_ft(plain) and got._support == ((slice(0, grid_wide.N),),)
+        assert got.coeffs.flags.writeable
+
+    @pytest.mark.parametrize("kind", list(_CARRIERS))
+    def test_consumers_match_the_plain_field(self, request, kind):
+        w, _, R = _carrier(request, kind)
+        plain = Field(w.grid, w.values)
+        for family in "BF":
+            for r in (1.5, 2.0):
+                params = SpaceParams(0.5, r, 2.0, family)
+                assert space_norm(w, params) == pytest.approx(space_norm(plain, params), rel=self.RTOL)
+        assert low_frequency_mass(w, R) == pytest.approx(low_frequency_mass(plain, R), rel=self.RTOL)
+        q = make_query("B", 2.0, 1.5, 3.0, 1.0)
+        got, want = realization_report(w, q, 6, R), realization_report(plain, q, 6, R)
+        assert got.low_mass == pytest.approx(want.low_mass, rel=self.RTOL)
+        assert got.besov == pytest.approx(want.besov, rel=self.RTOL)
+
+    def test_blowup_report_synthesizes_only_the_levels_the_witness_reaches(self, monkeypatch, grid_wide):
+        M, q = 4, make_query("B", 2.0, 1.5, 3.0, 1.0)
+        w = lowfreq_blowup_witness(grid_wide, M, 2.0, 1.5)
+        keys = []
+        real = spaces_module._synthesized
+
+        def spy(grid, wanted, blocks):
+            for batch, source in real(grid, wanted, blocks):
+                keys.extend(batch)
+                yield batch, source
+
+        monkeypatch.setattr(spaces_module, "_synthesized", spy)
+        realization_report(w, q, M)
+        # term k fills C_(-k), which meets the pieces of levels -k and 1 - k
+        assert keys == list(range(-M, 1))
+        keys.clear()
+        realization_report(Field(w.grid, w.values), q, M)
+        assert keys == list(feasible_band(grid_wide).levels())
 
 
 def _unit(grid, prof):
