@@ -228,29 +228,25 @@ def inverse_ft(s: Spectrum) -> Field:
 def _centered(transform, a: np.ndarray, factor: float) -> np.ndarray:
     """``fftshift(transform(ifftshift(a))) * factor`` of a C-contiguous complex ``a``: both transforms.
 
-    The one full-grid array it makes is the ``ifftshift`` copy, so ``a`` is
-    left unchanged; the transform, the ``fftshift`` and the scaling run in
-    place on the copy.
+    A shift by N/2 on one side of a DFT is the sign (-1)^k on the other, and
+    N/2 is even on every grid (N >= 16), so this is the plain transform
+    between two sign flips of the entries whose index sum is odd.  The one
+    full-grid array it makes is the copy of ``a``, which is left unchanged;
+    the flips, the transform and the scaling run in place on the copy.
     """
-    v = transform(_fft.ifftshift(a), workers=-1, overwrite_x=True)
-    _swap_halves(v)
+    v = a.copy()
+    _flip_odd(v)
+    v = transform(v, workers=-1, overwrite_x=True)
+    _flip_odd(v)
     _scale(v, factor)
     return v
 
 
-def _swap_halves(v: np.ndarray) -> None:
-    """``fftshift`` in place for even lengths: each axis's two halves swapped, a block at a time."""
+def _flip_odd(v: np.ndarray) -> None:
+    """Negate in place the entries of ``v`` whose index sum is odd: one strided pass per axis."""
     for axis in range(v.ndim):
-        a = np.moveaxis(v, axis, 0)
-        half = len(a) // 2
-        rows = min(half, max(1, _CHUNK * len(a) // a.size))
-        buf = np.empty((rows,) + a.shape[1:], dtype=v.dtype)
-        for lo in range(0, half, rows):
-            low, high = a[lo : lo + rows], a[half + lo : half + lo + rows]
-            tmp = buf[: len(low)]
-            tmp[...] = low
-            low[...] = high
-            high[...] = tmp
+        odd = v[(slice(None),) * axis + (slice(1, None, 2),)]
+        np.negative(odd, out=odd)
 
 
 def _scale(v: np.ndarray, factor: float) -> None:

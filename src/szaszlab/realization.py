@@ -23,7 +23,7 @@ import numpy as np
 from .errors import BandError, ParameterError, _integer
 from .grid import Field, Spectrum, _whole, forward_ft, inverse_ft, radial_xi
 from .littlewood_paley import _box, _partial_sum, feasible_band
-from .spaces import _finite, _norm
+from .spaces import _finite, _lr_norm, _norm
 from .szasz import SzaszQuery, _require_grid_dimension, translation_realization_gate
 
 __all__ = [
@@ -95,7 +95,7 @@ def _low_mass(f: Field, R: float, coeffs: np.ndarray, levels: tuple | None = Non
     keep = (r > 0.0) & (r <= R)
     with np.errstate(invalid="ignore"):  # inf times a zero of sigma_0's multiplier
         values = coeffs[box] if levels is None else _partial_sum(coeffs, g, *levels, box)
-    return _finite(float(np.sum(np.abs(values[keep])) * g.dxi**g.n), f.values, "samples")
+    return _finite(_lr_norm(values[keep], 1.0, g.dxi**g.n), f.values, "samples")
 
 
 def realization_feasible(query: SzaszQuery) -> bool:

@@ -169,9 +169,11 @@ def _packed(arrays) -> np.ndarray:
 
 
 def _finite(result: float, inputs: np.ndarray, what: str) -> float:
-    """``result``, unless it is not finite because ``inputs`` hold a nan or an infinity: then ParameterError."""
-    if not isfinite(result) and (bad := inputs.size - int(np.count_nonzero(np.isfinite(inputs)))):
-        raise ParameterError(f"non-finite input: {bad} of {inputs.size} {what} are nan or inf")
+    """``result`` if finite; else ParameterError if ``inputs`` hold a nan or an infinity, ArithmeticError if not."""
+    if not isfinite(result):
+        if bad := inputs.size - int(np.count_nonzero(np.isfinite(inputs))):
+            raise ParameterError(f"non-finite input: {bad} of {inputs.size} {what} are nan or inf")
+        raise ArithmeticError(f"value exceeds the float range: a transform or sum of finite {what} gives {result}")
     return result
 
 

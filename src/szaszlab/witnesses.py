@@ -372,14 +372,20 @@ def _check_low_band(grid: GridSpec, K: int, name: str) -> None:
         )
 
 
+def _blowup_regime(grid: GridSpec, s: float, r: float) -> float:
+    """n/r, after ParameterError unless s > n/r, the only regime of :func:`lowfreq_blowup_witness`."""
+    n_over_r = grid.n / r
+    if not s > n_over_r:
+        raise ParameterError(f"invalid params: needs s > n/r, got s={s}, n/r={n_over_r}")
+    return n_over_r
+
+
 def _blowup_spectrum(grid, M: int, s: float, r: float) -> Spectrum:
     """Exact spectrum of :func:`lowfreq_blowup_witness`."""
     SpaceParams(s, r, 1.0)  # ParameterError unless s is finite and r > 0, in the norms' words
     grid = resolve_grid(grid)
     M = _integer(M, "M")
-    n_over_r = grid.n / r
-    if not s > n_over_r:
-        raise ParameterError(f"invalid params: needs s > n/r, got s={s}, n/r={n_over_r}")
+    n_over_r = _blowup_regime(grid, s, r)
     _check_low_band(grid, M, "M")
     terms = {k: _psi_term(grid, k) for k in range(1, M + 1)}
     return _spectrum(grid, (
@@ -521,12 +527,15 @@ def divergence_experiment(kind: str, query: SzaszQuery, sizes, grid=None, seed: 
 
     Raises:
         ParameterError: for an unknown kind or grid preset, a size or seed
-            that is not an integer >= 0, or when ``query.n`` is not the
-            grid's dimension; before any record is computed.
+            that is not an integer >= 0, when ``query.n`` is not the
+            grid's dimension, or for ``lowfreq_blowup`` when s <= n/r;
+            before any record is computed.
     """
     preset, build = _witness(kind)
     grid = resolve_grid(grid if grid is not None else preset)
     _require_grid_dimension(query, grid)
+    if kind == "lowfreq_blowup":
+        _blowup_regime(grid, query.space.s, query.space.r)
     seed = _integer(seed, "seed")
     sizes = [_integer(size, "size") for size in sizes]
     records: list[ExperimentRecord] = []

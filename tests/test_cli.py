@@ -193,6 +193,17 @@ class TestExperimentCommand:
         assert not out.exists()
         assert "n=3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sizes", ["2", ""])
+    def test_blowup_below_its_regime_exit_2_empty_stdout(self, capsys, sizes):
+        code = run_cli(
+            ["experiment", "--kind", "lowfreq_blowup", "--sizes", sizes, "--s", "0.1", "--p", "2",
+             "--q", "2", "--r", "1.5", "--n", "1", "--family", "B", "--grid", "mid-band"]
+        )
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("szaszlab experiment: invalid params: needs s > n/r") and err.count("\n") == 1
+
     def test_bad_kind_exit_2_no_file(self, tmp_path, capsys):
         out = tmp_path / "e.csv"
         code = run_cli(

@@ -126,10 +126,10 @@ class TestInverseFT:
         mods = np.abs(f.values)
         assert np.max(mods) - np.min(mods) < 1e-12 * np.max(mods)
 
-    @pytest.mark.parametrize("shape", [(16,), (2**18,), (16, 16), (512, 512)])
+    @pytest.mark.parametrize("shape", [(16,), (2**18,), (2**20,), (2**21,), (16, 16), (512, 512), (1024, 1024)])
     def test_is_the_shifted_transform_bit_for_bit(self, shape):
-        # both directions: the transform, the shifts (a block at a time) and
-        # the scaling run in place on one copy, on one tile and on several
+        # both directions: the copy, the two checkerboard sign flips, the
+        # transform and the scaling, against the shifts of the definition
         grid = GridSpec(len(shape), shape[0], 10.0)
         rng = np.random.default_rng(0)
         a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -139,6 +139,25 @@ class TestInverseFT:
         want = scipy.fft.fftshift(scipy.fft.fftn(scipy.fft.ifftshift(a))) * grid.dx**grid.n
         assert forward_ft(Field(grid, a)).coeffs.tobytes() == want.tobytes()
         assert a.tobytes() == kept.tobytes()  # neither transform writes its input
+
+    @pytest.mark.parametrize("shape", [(16,), (2**18,), (16, 16), (512, 512)])
+    @pytest.mark.parametrize("kind", ["zero", "sparse", "subnormal", "real"])
+    def test_is_the_shifted_transform_value_for_value(self, shape, kind):
+        # exact zeros and subnormals: a sign flip may change the sign of a zero,
+        # so the values are equal, not the bytes
+        grid = GridSpec(len(shape), shape[0], 10.0)
+        rng = np.random.default_rng(1)
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        a = {
+            "zero": np.zeros(shape, dtype=complex),
+            "sparse": a * (rng.random(shape) < 0.01),
+            "subnormal": a * 1e-310,
+            "real": a.real + 0j,
+        }[kind]
+        want = scipy.fft.fftshift(scipy.fft.ifftn(scipy.fft.ifftshift(a))) / grid.dx**grid.n
+        assert np.array_equal(inverse_ft(Spectrum(grid, a)).values, want)
+        want = scipy.fft.fftshift(scipy.fft.fftn(scipy.fft.ifftshift(a))) * grid.dx**grid.n
+        assert np.array_equal(forward_ft(Field(grid, a)).coeffs, want)
 
 
 class TestMemoryLayout:

@@ -29,10 +29,12 @@ from szaszlab import (
     forward_ft,
     grid_translate,
     inverse_ft,
+    low_frequency_mass,
     lowpass_profile,
     lp_project,
     lr_quasinorm,
     radial_xi,
+    random_bandlimited,
     realization_report,
     space_norm,
     szasz_ratio,
@@ -922,6 +924,28 @@ class TestNonFiniteInput:
             warnings.simplefilter("ignore", ModelFidelityWarning)
             got = space_norm(Spectrum(grid_mid, spec.coeffs * 1e306), params)
             assert got == pytest.approx(space_norm(spec, params) * 1e306, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda f: besov_norm(f, SpaceParams(0.0, 2.0, 2.0)),
+            lambda f: triebel_norm(f, SpaceParams(0.0, 2.0, 2.0, "F")),
+            lambda f: realization_report(f, SzaszQuery(SpaceParams(0.0, 2.0, 2.0), 2.0, 1), 3).low_mass,
+            lambda f: low_frequency_mass(f, 8.0),
+            lambda f: szasz_ratio(f, SzaszQuery(SpaceParams(0.0, 2.0, 2.0), 2.0, 1)),
+        ],
+        ids=["besov", "triebel", "realization_report", "low_frequency_mass", "szasz_ratio"],
+    )
+    def test_finite_samples_whose_transform_overflows_raise(self, grid_mid, call):
+        # the samples are finite, their transform is not: no silent nan or inf
+        values = random_bandlimited(grid_mid, 1, 2, 4).values
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.simplefilter("ignore", ModelFidelityWarning)
+            assert 0.0 < call(Field(grid_mid, 1e305 * values)) < np.inf
+            for scale in (1e306, 1e307):
+                with pytest.raises(ArithmeticError, match="float range: a transform or sum of finite samples"):
+                    call(Field(grid_mid, scale * values))
 
 
 #: dilated_low with K = 1 on a 72-unit box: part of C_-1 lies below the

@@ -442,6 +442,16 @@ class TestDivergenceExperiment:
         with pytest.raises(ParameterError, match=match):
             divergence_experiment(kind, q, sizes, grid=grid_mid, seed=seed)
 
+    @pytest.mark.parametrize("sizes", [[2], []])
+    def test_blowup_below_its_regime_raises_before_any_record(self, monkeypatch, sizes):
+        # s <= n/r does not depend on the size: a bad input, not an abort
+        import szaszlab.witnesses as witnesses_module
+
+        monkeypatch.setattr(witnesses_module, "_record", None)  # any record would fail loudly
+        q = make_query("B", 0.1, 1.5, 2.0, 2.0)
+        with pytest.raises(ParameterError, match=r"needs s > n/r, got s=0.1, n/r=0.666"):
+            divergence_experiment("lowfreq_blowup", q, sizes, grid="mid-band")
+
     def test_dimension_mismatch(self, grid_hi_small):
         q = make_query("B", 0.0, 2.0, 4.0, 4.0, n=3)
         with pytest.raises(ParameterError, match="n=3"):
