@@ -22,7 +22,7 @@ import sys
 import warnings
 from contextlib import contextmanager
 
-from .errors import BandError, ExperimentAbort, ModelFidelityWarning, ParameterError
+from .errors import BandError, ExperimentAbort, ModelFidelityWarning, ParameterError, _integer
 from .spaces import SpaceParams
 from .szasz import SzaszQuery, classify
 from .realization import realization_feasible
@@ -56,57 +56,47 @@ def _cells(fmt: str, header, row) -> tuple:
 _INTEGER_LITERAL = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 
 
-def _parse_extended(text: str, name: str) -> float:
+def _parse_number(text: str, name: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise ParameterError(f"{name}: cannot parse {text!r} as a number") from None
+
+
+def _parse_extended(text: str, name: str) -> float:
+    """An exponent s, p, q or r: float's reading, 'inf' too, nan refused."""
+    value = _parse_number(text, name)
     if value != value:
         raise ParameterError(f"{name}: nan is not a valid exponent")
     return value
 
 
-def _parse_sizes(text: str) -> list:
-    if text.strip() == "":
-        return []
-    out = []
-    for part in text.split(","):
-        try:
-            out.append(int(part))
-        except ValueError:
-            raise ParameterError(f"sizes: cannot parse {part!r} as an integer") from None
-    return out
+def _parse_integer(text: str, name: str) -> int:
+    """An n, size or seed: an integer literal read exactly, any other number (2.0, 1e3) by float, then _integer."""
+    if not _INTEGER_LITERAL.fullmatch(text):
+        return _integer(_parse_number(text, name), name, None)
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        digits = sum(c.isdigit() for c in text)
+        limit = "does not fit a float" if name == "n" else "is too long to read"
+        raise ParameterError(f"invalid params: {name} {limit}, got an integer of {digits} digits") from None
 
 
-def _parse_list(text: str, name: str) -> list:
-    if text.strip() == "":
-        return []
-    return [_parse_extended(part, name) for part in text.split(",")]
-
-
-def _parse_dimensions(text: str) -> list:
-    """The --n list: an integer literal read exactly, any other number (2.0, 1e3) through float, integral."""
-    values = []
-    for part in text.split(",") if text.strip() else []:
-        if not _INTEGER_LITERAL.fullmatch(part):
-            values.append(_parse_extended(part, "n"))
-            continue
-        try:
-            values.append(int(part))
-        except ValueError:  # more digits than int() converts
-            digits = sum(c.isdigit() for c in part)
-            raise ParameterError(
-                f"invalid params: n does not fit a float, got an integer of {digits} digits"
-            ) from None
-    for value in values:
-        if isinstance(value, float) and not value.is_integer():
-            raise ParameterError(f"n: must be an integer, got {_fmt(value)}")
-    return [int(value) for value in values]
+def _parse_list(text: str, name: str, read=_parse_extended) -> list:
+    """The comma list ``text``, each item read by ``read``; blank text is the empty list."""
+    return [read(part, name) for part in text.split(",")] if text.strip() else []
 
 
 def _build_query(s, p, q, r, n, family, setting) -> SzaszQuery:
     space = SpaceParams(s=s, r=r, q=q, family=family, setting=setting)
     return SzaszQuery(space=space, p=p, n=n)
+
+
+def _query(args) -> SzaszQuery:
+    """The query of a classify or experiment command line; the library judges every value read."""
+    s, p, q, r = (_parse_extended(getattr(args, name), name) for name in "spqr")
+    return _build_query(s, p, q, r, _parse_integer(args.n, "n"), args.family, args.setting)
 
 
 def _emit(path, fmt: str, header, rows, error: str | None = None) -> None:
@@ -140,15 +130,16 @@ def _emit(path, fmt: str, header, rows, error: str | None = None) -> None:
 
 
 def _cmd_classify(args) -> int:
-    query = _build_query(args.s, args.p, args.q, args.r, args.n, args.family, args.setting)
+    query = _query(args)
+    space = query.space
     record = {
-        "s": args.s,
-        "p": args.p,
-        "q": args.q,
-        "r": args.r,
-        "n": args.n,
-        "family": args.family,
-        "setting": args.setting,
+        "s": space.s,
+        "p": query.p,
+        "q": space.q,
+        "r": space.r,
+        "n": query.n,
+        "family": space.family,
+        "setting": space.setting,
         **classify(query).to_record(),
         "realization_feasible": realization_feasible(query),
     }
@@ -183,12 +174,13 @@ def _fidelity_warnings_to_stderr(command: str):
 
 
 def _cmd_experiment(args) -> int:
-    query = _build_query(args.s, args.p, args.q, args.r, args.n, args.family, args.setting)
-    sizes = _parse_sizes(args.sizes)
+    query = _query(args)
+    sizes = _parse_list(args.sizes, "size", _parse_integer)
+    seed = _parse_integer(args.seed, "seed")
     error = None
     try:
         with _fidelity_warnings_to_stderr("experiment"):
-            records = divergence_experiment(args.kind, query, sizes, grid=args.grid, seed=args.seed)
+            records = divergence_experiment(args.kind, query, sizes, grid=args.grid, seed=seed)
     except ExperimentAbort as exc:
         records, error = exc.records, exc.reason
     header = ("size", "space_norm", "lhs", "ratio")
@@ -229,33 +221,22 @@ def _sweep_rows(axes, fmt: str, setting: str) -> list:
 
 
 def _cmd_sweep(args) -> int:
-    axes = [_parse_list(getattr(args, name), name) for name in ("s", "p", "q", "r")]
-    axes.append(_parse_dimensions(args.n))
+    axes = [_parse_list(getattr(args, name), name) for name in "spqr"]
+    axes.append(_parse_list(args.n, "n", _parse_integer))
     axes.append([f.strip() for f in args.family.split(",") if f.strip()])
-    for fam in axes[-1]:
-        if fam not in ("B", "F"):
-            raise ParameterError(f"family: must be B or F, got {fam!r}")
     _emit(args.out, args.format, _SWEEP_HEADER, _sweep_rows(axes, args.format, args.setting))
     return 0
 
 
-def _add_query_flags(parser, as_list: bool) -> None:
-    kw = {"type": str} if as_list else {"type": lambda t: _parse_extended(t, "exponent")}
-    parser.add_argument("--s", required=True, **kw, help="smoothness (comma list for sweep)")
-    parser.add_argument("--p", required=True, **kw, help="Fourier-side exponent, 'inf' allowed")
-    parser.add_argument("--q", required=True, **kw, help="summability exponent, 'inf' allowed")
-    parser.add_argument("--r", required=True, **kw, help="integrability exponent, 'inf' allowed")
-    if as_list:
-        parser.add_argument("--n", required=True, type=str, help="dimension(s)")
-        parser.add_argument("--family", required=True, type=str, help="B, F or B,F")
-    else:
-        parser.add_argument("--n", required=True, type=int, help="dimension")
-        parser.add_argument("--family", required=True, choices=("B", "F"))
-    parser.add_argument(
-        "--setting",
-        choices=("homogeneous", "inhomogeneous"),
-        default="homogeneous",
-    )
+def _add_query_flags(parser) -> None:
+    """The query's flags, taken as text (a comma list for sweep but --setting) and read by the command."""
+    parser.add_argument("--s", required=True, help="smoothness")
+    parser.add_argument("--p", required=True, help="Fourier-side exponent, 'inf' allowed")
+    parser.add_argument("--q", required=True, help="summability exponent, 'inf' allowed")
+    parser.add_argument("--r", required=True, help="integrability exponent, 'inf' allowed")
+    parser.add_argument("--n", required=True, help="dimension")
+    parser.add_argument("--family", required=True, help="B or F")
+    parser.add_argument("--setting", default="homogeneous", help="homogeneous or inhomogeneous")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,23 +248,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_cls = sub.add_parser("classify", help="weak/strong verdict for one parameter system")
-    _add_query_flags(p_cls, as_list=False)
+    _add_query_flags(p_cls)
     p_cls.add_argument("--out", default=None, help="output path ('-' or omitted: stdout)")
     p_cls.add_argument("--format", choices=("csv", "json"), default="csv")
     p_cls.set_defaults(func=_cmd_classify)
 
     p_exp = sub.add_parser("experiment", help="divergence/boundedness run over witness sizes")
-    _add_query_flags(p_exp, as_list=False)
+    _add_query_flags(p_exp)
     p_exp.add_argument("--kind", required=True, help=f"one of {WITNESS_KINDS}")
     p_exp.add_argument("--sizes", required=True, help="comma list of sizes, may be empty")
-    p_exp.add_argument("--seed", type=int, default=0)
+    p_exp.add_argument("--seed", default="0")
     p_exp.add_argument("--grid", default=None, help=f"grid preset {sorted(GRID_PRESETS)}")
     p_exp.add_argument("--out", default=None, help="output path ('-' or omitted: stdout)")
     p_exp.add_argument("--format", choices=("csv", "json"), default="csv")
     p_exp.set_defaults(func=_cmd_experiment)
 
-    p_sw = sub.add_parser("sweep", help="classify a cartesian product of parameter lists")
-    _add_query_flags(p_sw, as_list=True)
+    p_sw = sub.add_parser("sweep", help="classify the product of comma lists (each query flag but --setting)")
+    _add_query_flags(p_sw)
     p_sw.add_argument("--out", default=None, help="output path ('-' or omitted: stdout)")
     p_sw.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sw.set_defaults(func=_cmd_sweep)

@@ -1,4 +1,4 @@
-"""Exception and warning types, the fidelity-warning emitter and the integer-argument check."""
+"""Exception and warning types, the fidelity-warning emitter, the integer-argument check and named powers of two."""
 
 import math
 import os
@@ -57,6 +57,14 @@ def _integer(value, name: str, least: int | None = 0) -> int:
         pass
     bound = "" if least is None else f" >= {least}"
     raise ParameterError(f"invalid params: {name} must be an integer{bound}, got {_shown(value)}")
+
+
+def _power_of_two(k: int, x: float, what: str) -> float:
+    """2.0 ** (k * x); OverflowError naming ``what`` and its power when that exceeds the float range."""
+    try:
+        return 2.0 ** (k * x)
+    except OverflowError:
+        raise OverflowError(f"{what} 2^({k} * {x!r})") from None
 
 
 def _shown(value) -> str:

@@ -212,11 +212,34 @@ def forward_ft(f: Field) -> Spectrum:
     Computed as (L/N)^n * sum_i f(x_i) exp(-i x_i . xi_k) via an FFT with
     centered index bookkeeping; a field that carries its exact spectrum
     (a witness's, see :class:`Field`) returns that spectrum, untransformed.
+
+    Raises:
+        ArithmeticError: when the samples are finite and a coefficient is
+            not; samples holding a nan or an infinity transform as they are.
     """
     if f._spectrum is not None:
         return f._spectrum
     g = f.grid
-    return Spectrum(g, _centered(_fft.fftn, f.values, g.dx**g.n))
+    coeffs = _centered(_fft.fftn, f.values, g.dx**g.n)
+    if not np.isfinite(coeffs.view(np.float64)).all() and np.isfinite(f.values).all():
+        _finite(coeffs, f.values, "samples")  # finite samples: raises ArithmeticError
+    return Spectrum(g, coeffs)
+
+
+def _finite(result, inputs: np.ndarray, what: str):
+    """``result``, a number or an array, if finite.
+
+    Else ParameterError if ``inputs`` hold a nan or an infinity, and
+    ArithmeticError if they do not: a transform or sum left the float range.
+    """
+    if not np.isfinite(result).all():
+        if bad := inputs.size - int(np.count_nonzero(np.isfinite(inputs))):
+            raise ParameterError(f"non-finite input: {bad} of {inputs.size} {what} are nan or inf")
+        if np.ndim(result):
+            bad = result.size - int(np.count_nonzero(np.isfinite(result)))
+            result = f"{bad} of {result.size} values nan or inf"
+        raise ArithmeticError(f"value exceeds the float range: a transform or sum of finite {what} gives {result}")
+    return result
 
 
 def inverse_ft(s: Spectrum) -> Field:

@@ -21,9 +21,9 @@ from math import isnan
 import numpy as np
 
 from .errors import BandError, ParameterError, _integer
-from .grid import Field, Spectrum, _whole, forward_ft, inverse_ft, radial_xi
+from .grid import Field, Spectrum, _finite, _whole, forward_ft, inverse_ft, radial_xi
 from .littlewood_paley import _box, _partial_sum, feasible_band
-from .spaces import _finite, _lr_norm, _norm
+from .spaces import _lr_norm, _norm
 from .szasz import SzaszQuery, _require_grid_dimension, translation_realization_gate
 
 __all__ = [

@@ -94,12 +94,13 @@ from math import fsum, isfinite, isinf, prod, sqrt
 import numpy as np
 import scipy.fft as _fft
 
-from .errors import ParameterError, _warn_fidelity
+from .errors import ParameterError, _power_of_two, _warn_fidelity
 from .grid import (
     BOUNDARY_TOL,
     Field,
     Spectrum,
     _CHUNK,
+    _finite,
     _shell_span,
     boundary_decay_ratio,
     forward_ft,
@@ -166,15 +167,6 @@ def _packed(arrays) -> np.ndarray:
     """
     arrays = [a.ravel() for a in arrays]
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays or [np.zeros(0)])
-
-
-def _finite(result: float, inputs: np.ndarray, what: str) -> float:
-    """``result`` if finite; else ParameterError if ``inputs`` hold a nan or an infinity, ArithmeticError if not."""
-    if not isfinite(result):
-        if bad := inputs.size - int(np.count_nonzero(np.isfinite(inputs))):
-            raise ParameterError(f"non-finite input: {bad} of {inputs.size} {what} are nan or inf")
-        raise ArithmeticError(f"value exceeds the float range: a transform or sum of finite {what} gives {result}")
-    return result
 
 
 def _usable_cpus() -> int:
@@ -486,7 +478,7 @@ def _prepared_spectrum(
     of the moduli divided by their peak, so their ratio does not depend on
     scale and no sum overflows.  A peak that is not finite because the
     field or spectrum holds a nan or an infinity raises ParameterError
-    before any synthesis.
+    before any synthesis, and one of finite inputs ArithmeticError.
     """
     if spec is None:
         spec = forward_ft(f) if isinstance(f, Field) else f
@@ -494,7 +486,10 @@ def _prepared_spectrum(
     band = feasible_band(g)
     modulus = np.abs(_packed(spec.coeffs[box] for box in spec._support))
     peak = float(modulus.max(initial=0.0))
-    _finite(peak, *((f.values, "samples") if isinstance(f, Field) else (modulus, "coefficients")))
+    if not isfinite(peak):  # judge the inputs, not their moduli: |1.7e308 (1 + i)| is inf
+        if isinstance(f, Field):
+            _finite(peak, f.values, "samples")
+        _finite(peak, _packed(spec.coeffs[box] for box in spec._support), "coefficients")
     if peak > 0.0:
         modulus /= peak
         total = float(np.sum(modulus))
@@ -694,7 +689,7 @@ def _accumulate(source, keys: list, s: float, q: float, acc, peak=None) -> None:
     positions of ``acc``, so a point sees its levels in order whatever the
     batch width.
     """
-    gains = [1.0 if j is None else 2.0 ** (j * s) for j in keys]
+    gains = [1.0 if j is None else _power_of_two(j, s, "level weight") for j in keys]
 
     def work(lo, hi, buf, tmp):
         out = source.at(acc, lo, hi)
@@ -737,7 +732,9 @@ def _besov(spec: Spectrum, band: BandLimits, params: SpaceParams) -> float:
         norms = {j: _piece_l2(spec, j) for j in keys}
     else:
         norms = _pieces_lr(spec.grid, keys, _pieces_of(spec), params.r)
-    summands = [x if j is None else 2.0 ** (j * params.s) * x for j, x in norms.items()]
+    # an empty level's summand is its 0.0, with no weight to overflow
+    summands = [x if j is None or x == 0.0 else _power_of_two(j, params.s, "level weight") * x
+                for j, x in norms.items()]
     return _lr_norm(np.asarray(summands), params.q)
 
 

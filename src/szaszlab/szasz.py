@@ -36,8 +36,8 @@ from math import isfinite, isinf, ldexp
 import numpy as np
 
 from .errors import ParameterError, _integer
-from .grid import Field, Spectrum, forward_ft, radial_xi
-from .spaces import _TINY, SpaceParams, _finite, _lr_norm, _norm, _packed
+from .grid import Field, Spectrum, _finite, forward_ft, radial_xi
+from .spaces import _TINY, SpaceParams, _lr_norm, _norm, _packed
 
 __all__ = [
     "SzaszQuery",

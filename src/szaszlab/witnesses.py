@@ -85,7 +85,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BandError, ExperimentAbort, ParameterError, _integer
+from .errors import BandError, ExperimentAbort, ParameterError, _integer, _power_of_two
 from .grid import Field, GridSpec, Spectrum, _supported, inverse_ft, radial_xi
 from .littlewood_paley import (
     KAPPA,
@@ -255,6 +255,9 @@ def _modulation_weights(kind: str, K: int, theta: float, p: float) -> np.ndarray
         weights = amp * 2.0 ** (-k * theta)
     if not np.isfinite(weights).all():
         raise OverflowError(f"modulation weight 2^(-k theta) at theta = {theta!r}")
+    if not (weights > 0.0).all():  # a weight below the smallest float: its term would silently vanish
+        k = int(np.argmin(weights > 0.0)) + 1
+        raise ArithmeticError(f"modulation weight a_{k} ~ 2^(-{k} * {theta!r}) underflows to 0")
     return weights
 
 
@@ -268,6 +271,9 @@ def modulated_witness(grid, spec: WitnessSpec, weights: str = "linear") -> Field
 
     Raises:
         BandError: "K exceeds band" when C_K would cross the Nyquist margin.
+        OverflowError: when a weight a_k exceeds the float range.
+        ArithmeticError: when a weight a_k underflows to 0, so its term
+            would vanish.
     """
     return _field(_modulated_spectrum(grid, spec, weights))
 
@@ -281,7 +287,7 @@ def _modulated_spectrum(grid, spec: WitnessSpec, weights: str) -> Spectrum:
     """
     grid = resolve_grid(grid)
     K = spec.K
-    if K > 0 and 1.25 * 2.0**K > SAFETY * grid.xi_max:
+    if K > 0 and 1.25 * 2.0 ** min(K, 1023) > SAFETY * grid.xi_max:  # 2.0**K overflows past 1023
         raise BandError(
             f"K exceeds band: annulus C_{K} needs 5/4*2^K <= {SAFETY} * xi_max"
         )
@@ -323,7 +329,7 @@ def _dilated_spectrum(grid, spec: WitnessSpec) -> Spectrum:
 
     def terms():
         for k in range(1, K + 1):
-            c_k = k ** (-1.0 / q.p) * 2.0 ** (k * (q.space.s - n / q.space.r))
+            c_k = k ** (-1.0 / q.p) * _power_of_two(k, q.space.s - n / q.space.r, "witness coefficient")
             box, prof = _psi_term(grid, k)
             yield box, (c_k * 2.0 ** (k * n) * unit) * prof
 
@@ -389,7 +395,7 @@ def _blowup_spectrum(grid, M: int, s: float, r: float) -> Spectrum:
     _check_low_band(grid, M, "M")
     terms = {k: _psi_term(grid, k) for k in range(1, M + 1)}
     return _spectrum(grid, (
-        (box, 2.0 ** (-k * (s - n_over_r) / 2.0) * 2.0 ** (k * s) / norm_r * prof)
+        (box, 2.0 ** (-k * (s - n_over_r) / 2.0) * _power_of_two(k, s, "witness coefficient") / norm_r * prof)
         for (k, (box, prof)), norm_r in zip(terms.items(), _term_norms(grid, terms, r))
     ))
 

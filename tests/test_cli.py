@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import szaszlab
 from szaszlab import ModelFidelityWarning, ParameterError, SpaceParams, SzaszQuery, classify, divergence_experiment
-from szaszlab.cli import _build_query, _fidelity_warnings_to_stderr, _fmt, _parse_dimensions, _parse_list, main
+from szaszlab.cli import _build_query, _fidelity_warnings_to_stderr, _fmt, _parse_integer, _parse_list, main
 
 
 def run_cli(argv):
@@ -147,12 +147,40 @@ class TestExperimentCommand:
             ["experiment", "--kind", "modulated", "--sizes", "2", "--s", "2000", "--p", "4",
              "--q", "4", "--r", "2", "--n", "1", "--family", "B", "--grid", "mid-band"]
         )
-        reason = ("size 2: a level weight or witness coefficient overflows a float: "
-                  "(34, 'Numerical result out of range')")
+        reason = "size 2: modulation weight a_1 ~ 2^(-1 * 2000.25) underflows to 0"
         out, err = capsys.readouterr()
         assert code == 3
         assert out == f"size,space_norm,lhs,ratio\n#error: {reason}\n"
         assert err == f"szaszlab experiment: {reason}\n"
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["--kind", "dilated_low", "--sizes", "1", "--s", "1e308", "--grid", "lo-band"],
+             "witness coefficient 2^(1 * 1e+308)"),
+            (["--kind", "modulated", "--sizes", "2000", "--s", "0", "--grid", "lo-band"],
+             "K exceeds band: annulus C_2000"),
+            (["--kind", "random_bandlimited", "--sizes", "2", "--s", "2000", "--grid", "mid-band"],
+             "overflows a float: level weight 2^(8 * 2000.0)"),
+        ],
+        ids=["dilated_low", "modulated_K", "level_weight"],
+    )
+    @pytest.mark.filterwarnings("ignore::szaszlab.ModelFidelityWarning")
+    def test_overflow_names_its_quantity(self, argv, named):
+        code, out, err = _run(["experiment", *argv, "--p", "2", "--q", "2", "--r", "2", "--n", "1", "--family", "B"])
+        assert code == 3
+        assert named in err and err.count("\n") == 1
+        assert "(34," not in out + err
+
+    def test_empty_levels_weigh_nothing(self, capsys):
+        # the size-0 witness is empty; at s = 300 its levels' weights 2^(300 j) leave the float range
+        code = run_cli(
+            ["experiment", "--kind", "modulated", "--sizes", "0,1", "--s", "300", "--p", "2", "--q", "2",
+             "--r", "2", "--n", "1", "--family", "B", "--grid", "mid-band"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.splitlines()[1] == "0,0,0,nan" and out.splitlines()[2].startswith("1,")
 
     @pytest.mark.filterwarnings("ignore::szaszlab.ModelFidelityWarning")
     def test_quasi_norm_beyond_the_float_range_exit_3_with_trailer(self, capsys):
@@ -384,7 +412,70 @@ class TestSweepCommand:
              "--family", "B", "--out", str(out)]
         ) == 2
         assert not out.exists()
-        assert "n: must be an integer" in capsys.readouterr().err
+        assert "n must be an integer, got" in capsys.readouterr().err
+
+
+_CLASSIFY = ["classify", "--s", "0", "--p", "2", "--q", "2", "--r", "2", "--n", "1", "--family", "B"]
+_EXPERIMENT = ["experiment", "--kind", "random_bandlimited", "--sizes", "0,2", "--seed", "5", "--grid", "mid-band",
+               "--s", "0", "--p", "2", "--q", "2", "--r", "2", "--n", "1", "--family", "B"]
+_SWEEP = ["sweep", "--s", "0,1", "--p", "2", "--q", "2", "--r", "2", "--n", "1", "--family", "B,F"]
+
+
+def _with(argv: list, values: dict) -> list:
+    """``argv`` with each flag of ``values`` set to its value, appended if absent."""
+    argv = list(argv)
+    for flag, value in values.items():
+        if flag in argv:
+            argv[argv.index(flag) + 1] = value
+        else:
+            argv += [flag, value]
+    return argv
+
+
+class TestReading:
+    """One reader per value kind for every subcommand; the library judges what it reads."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "argv, spelled, code",
+        [
+            (_CLASSIFY, {"--n": "2.0"}, 0),
+            (_CLASSIFY, {"--n": "1e3"}, 0),
+            (_EXPERIMENT, {"--n": "1.0", "--sizes": "0,2.0", "--seed": "5.0"}, 0),
+            (_EXPERIMENT, {"--n": "1e3"}, 2),  # the grid is 1-dimensional
+            (_SWEEP, {"--n": "2.0,1e3"}, 0),
+        ],
+        ids=["classify_n", "classify_n_exponent", "experiment", "experiment_n_exponent", "sweep_n"],
+    )
+    def test_integral_floats_read_as_integers(self, fmt, argv, spelled, code):
+        as_integers = {flag: ",".join(str(int(float(v))) for v in text.split(",")) for flag, text in spelled.items()}
+        got = _run(_with(argv, spelled) + ["--format", fmt])
+        assert got == _run(_with(argv, as_integers) + ["--format", fmt])
+        assert got[0] == code
+
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [(argv, flag, value)
+         for argv in (_CLASSIFY, _EXPERIMENT, _SWEEP)
+         for flag, value in [("--s", "abc"), ("--s", "nan"), ("--n", "1.5"), ("--family", "X"),
+                             ("--setting", "x"), ("--sizes", "2.5"), ("--seed", "-1")]
+         if flag in argv or flag == "--setting"],
+        ids=lambda v: v[0] if isinstance(v, list) else str(v),
+    )
+    def test_rejected_value_exit_2_one_line(self, argv, flag, value):
+        command = argv[0]
+        code, out, err = _run(_with(argv, {flag: value}))  # argparse's SystemExit would fail here
+        assert code == 2 and out == ""
+        assert err.startswith(f"szaszlab {command}: ") and err.count("\n") == 1
+        assert "usage:" not in err and "<lambda>" not in err
+
+    @pytest.mark.parametrize("flag", ["--sizes", "--seed"])
+    def test_overlong_literal_names_its_limit(self, flag):
+        # past int()'s limit on digits; a size or seed never has to fit a float
+        code, out, err = _run(_with(_EXPERIMENT, {flag: "1" * 5000}))
+        assert code == 2 and out == ""
+        name = flag[2:].rstrip("s")
+        assert err == f"szaszlab experiment: invalid params: {name} is too long to read, got an integer of 5000 digits\n"
 
 
 _ARGS = {
@@ -420,12 +511,9 @@ _HUGE_N = "1" * 401
 
 
 def _exit_code(argv) -> int:
-    """main(argv)'s return value, or the code of argparse's SystemExit; stdout and stderr are dropped."""
+    """main(argv)'s return value; stdout and stderr are dropped, and argparse's SystemExit fails the test."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            return main(argv)
-        except SystemExit as exc:
-            return exc.code
+        return main(argv)
 
 
 def _query_argv(values: dict) -> list:
@@ -442,6 +530,7 @@ _PROPERTY = settings(max_examples=150, deadline=None, database=None, derandomize
 )
 @example({"s": "0", "p": "2", "q": "2", "r": "2", "n": _HUGE_N}, "B")
 def test_classify_never_raises_on_number_like_values(values, family):
+    # every value is judged by the command, none by argparse
     assert _exit_code(["classify", *_query_argv(values), "--family", family]) in (0, 2, 3)
 
 
@@ -470,7 +559,7 @@ def _sweep_row_by_row(values: dict, family: str, fmt: str) -> tuple:
     header = ("s", "p", "q", "r", "n", "family", "theta", "weak", "strong")
     try:
         lists = [_parse_list(values[name], name) for name in ("s", "p", "q", "r")]
-        lists.append(_parse_dimensions(values["n"]))
+        lists.append(_parse_list(values["n"], "n", _parse_integer))
         rows = []
         for s, p, q, r, n, fam in itertools.product(*lists, family.split(",")):
             res = classify(_build_query(s, p, q, r, n, fam, "homogeneous"))

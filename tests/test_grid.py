@@ -15,8 +15,11 @@ from szaszlab import (
     forward_ft,
     grid_translate,
     inverse_ft,
+    lp_project,
+    random_bandlimited,
 )
 import szaszlab.grid as grid_module
+from szaszlab.realization import sigma0_partial
 from szaszlab.grid import BOUNDARY_MARGIN
 
 from conftest import wave_packet
@@ -97,6 +100,33 @@ class TestForwardFT:
         f = Field(grid_2d, rng.standard_normal(grid_2d.shape))
         back = inverse_ft(forward_ft(f))
         assert np.max(np.abs(back.values - f.values)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "profile, call",
+        [
+            ("random", lambda f: forward_ft(f).coeffs),
+            ("random", lambda f: lp_project(f, 3).values),
+            ("random", lambda f: sigma0_partial(f, 3).values),
+            ("gaussian", lambda f: forward_ft(f).coeffs),
+            ("gaussian", lambda f: dyadic_dilate(f, 1).values),
+        ],
+        ids=["forward_ft", "lp_project", "sigma0_partial", "forward_ft_gaussian", "dyadic_dilate"],
+    )
+    def test_finite_samples_whose_transform_overflows_raise(self, grid_mid, profile, call):
+        # the unscaled DFT of samples near 1e306 leaves the float range
+        if profile == "random":
+            values = random_bandlimited(grid_mid, 1, 2, 4).values
+        else:
+            values = np.exp(-((grid_mid.x_axis() / 2) ** 2)).astype(complex)
+        assert np.isfinite(call(Field(grid_mid, 1e305 * values))).all()
+        for scale in (1e306, 1e307):
+            with pytest.raises(ArithmeticError, match="float range: a transform or sum of finite samples"):
+                call(Field(grid_mid, scale * values))
+
+    def test_non_finite_samples_transform_as_they_are(self, grid_mid):
+        values = np.zeros(grid_mid.shape, dtype=complex)
+        values[5] = np.nan
+        assert np.isnan(forward_ft(Field(grid_mid, values)).coeffs).all()
 
 
 class TestInverseFT:

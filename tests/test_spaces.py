@@ -118,6 +118,14 @@ class TestBesovNorm:
         with pytest.raises(ParameterError, match="invalid params"):
             besov_norm(f, SpaceParams(0.0, 2.0, 2.0, "F"))
 
+    @pytest.mark.parametrize("s", [100.0, 120.0, 150.0, 200.0, 250.0])
+    def test_empty_levels_weigh_nothing(self, grid_mid, s):
+        # levels 0-1 and 5-9 are exactly empty: their weights 2^(js) may leave
+        # the float range, their summands are 0; at r = q = 2, B equals F
+        spec = _random_spectrum(grid_mid, 1, 2, 4)
+        got = besov_norm(spec, SpaceParams(s, 2.0, 2.0))
+        assert got == pytest.approx(triebel_norm(spec, SpaceParams(s, 2.0, 2.0, "F")), rel=1e-12, abs=0.0)
+
     def test_absolute_homogeneity(self, grid_mid):
         f = plateau_field(grid_mid, 5)
         p = SpaceParams(0.25, 1.5, 2.5, "B")
@@ -946,6 +954,19 @@ class TestNonFiniteInput:
             for scale in (1e306, 1e307):
                 with pytest.raises(ArithmeticError, match="float range: a transform or sum of finite samples"):
                     call(Field(grid_mid, scale * values))
+
+    def test_finite_coefficients_whose_modulus_overflows_raise(self, grid_mid):
+        # both coefficients are finite, |1.7e308 (1 + i)| is not
+        coeffs = np.zeros(grid_mid.shape, dtype=complex)
+        coeffs[9000], coeffs[9100] = 1.0, 1.7e308 * (1 + 1j)
+        spec = Spectrum(grid_mid, coeffs)
+        for call in (lambda s: besov_norm(s, SpaceParams(0.0, 2.0, 2.0)), lambda s: weighted_lhs(s, 0.5, 2.0)):
+            with pytest.raises(ArithmeticError, match="float range") as caught:
+                call(spec)
+            assert not isinstance(caught.value, ParameterError)
+        coeffs[9200] = np.nan
+        with pytest.raises(ParameterError, match="non-finite input: 1 of 16384 coefficients"):
+            besov_norm(Spectrum(grid_mid, coeffs), SpaceParams(0.0, 2.0, 2.0))
 
 
 #: dilated_low with K = 1 on a 72-unit box: part of C_-1 lies below the
