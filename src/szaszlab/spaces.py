@@ -62,6 +62,15 @@ on W.  The stack of W rows of
 F-norm adds its real pointwise sum, and the boundary check of a spectrum
 whose window is the whole grid its field).
 
+At even q, |Q_j f|^q is a trigonometric polynomial of about q Q
+frequencies per axis for a window of Q bins, so the F-norm's pointwise sum
+is first built as one small spectrum and synthesized once, its pass
+bounding the roundoff from the FFT's forward-error bound
+(:func:`_even_q_norm`).  Only a norm certified to _SPECTRAL_TOL relative is
+kept; otherwise (a window too wide for its small grid, a value off the
+float range, a field decaying until roundoff swamps S^(r/q)) the pointwise
+path runs.
+
 A spectrum is read only on its support, the boxes off which its
 coefficients are exactly zero (``grid.Spectrum``): the whole grid for
 ``forward_ft``'s, the rows of the terms' boxes for a witness's.  The
@@ -120,6 +129,12 @@ _TINY = float(np.finfo(float).tiny)
 
 #: unit roundoff of a float
 _EPS = float(np.finfo(float).eps) / 2.0
+
+#: unit roundoff of a long double (a float's where they are the same)
+_EPS_L = float(np.finfo(np.longdouble).eps) / 2.0
+
+#: largest certified relative error of the even-q F-norm's one synthesis
+_SPECTRAL_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -742,7 +757,8 @@ def triebel_norm(f: Field | Spectrum, params: SpaceParams) -> float:
     """Lizorkin-Triebel quasi-norm of a sampled field, given as a Field or its Spectrum.
 
     The l_q sum over levels is taken pointwise on the grid before the L_r
-    quadrature.  Requires r < inf.
+    quadrature; at even q it is synthesized once from its spectrum when
+    that is certified to 1e-11 relative.  Requires r < inf.
 
     Raises:
         ParameterError: "invalid params" when params.family != "F",
@@ -753,10 +769,85 @@ def triebel_norm(f: Field | Spectrum, params: SpaceParams) -> float:
     return _norm(f, params)
 
 
+def _even_q_norm(spec: Spectrum, keys: list, params: SpaceParams) -> float | None:
+    """The F-norm at even q from one synthesis of its pointwise sum S; None unless certified.
+
+    Piece j's window of Q bins per axis (:func:`_window`) makes |Q_j f|^q a
+    polynomial of q (Q - 1) + 1 frequencies per axis, given by a long-double
+    FFT of its samples on M >= that many points per axis; times w_j =
+    (2^(js) / (N dx)^n)^q (2^(js) = 1 for S_0) they add into one centred
+    block T.  The pass over T's synthesis S~ sums S~^rho, rho = r / q, and
+    the largest |S~^rho - t^rho| for t in [S~ - d, S~ + d] clipped at 0,
+    where, to first order in the unit roundoffs u and u_L of double and
+    long double, with l_j = log2(M_j^n) and C_j = sum |c_k| over piece j,
+
+        d = (7 log2(N^n) + 80 n) u sum |T_l| + sum_j M_j^(n/2) (q + 2) (7 l_j + 20) u_L w_j C_j^q
+
+    bounds |S~ - S|.  An FFT errs by at most 7 u per radix-2 stage times the
+    sum of moduli of its inputs (Higham's eta, twiddles within u; Accuracy
+    and Stability of Numerical Algorithms, 2002, Sec. 24.1): a small-grid
+    sample by 7 l_j u_L C_j, its q-th power by q (7 l_j + 2) u_L C_j^q, and
+    by Higham's normwise bound the M_j^n coefficients by (q + 1)(7 l_j + 2)
+    u_L C_j^q in 2-norm; w_j and the sum into T fit in the rest of the 20.
+    The synthesis errs by 7 log2(N^n) u in its FFT, 76 u per axis in the
+    coset twiddles (two factors per rotation, each phase off by up to 4 pi u)
+    and 4 u per axis in T's rounding to double, the scalings and the moduli.
+    Only M <= N with M^n <= 2^16 is taken, and the norm only if nothing left
+    the float range and its relative error bound, with (130 + log2 tile) u
+    for the powers and tile sums, is at most _SPECTRAL_TOL.
+    """
+    g, q, r = spec.grid, params.q, params.r
+    side = min(g.N, 1 << (_CHUNK.bit_length() - 1) // g.n)  # the most M per axis: side^n <= 2^16
+    if q % 2 or q > side:  # q inf too
+        return None
+    parts, volume, slack = [], np.longdouble(g.N * g.dx) ** g.n, 0.0
+    with np.errstate(all="ignore"):
+        for key in keys:
+            piece = _pieces_of(spec)(key)
+            if (window := _window(g, piece)) is None:  # an empty level, unweighted
+                continue
+            M = tuple(1 << (int(q) * (Q - 1)).bit_length() for _, Q in window)
+            if max(M) > side:
+                return None
+            c = np.zeros(M, dtype=np.clongdouble)
+            for box, values in piece:
+                _put_window(c, box, values, g.N, tuple(k0 for k0, _ in window))
+            w = ((1.0 if key is None else _power_of_two(key, params.s, "level weight")) / volume) ** q
+            a = _fft.fftshift(_fft.fftn(np.abs(_fft.ifftn(c, norm="forward")) ** q, norm="forward"))
+            parts.append((M, w * a))
+            slack += sqrt(prod(M)) * (q + 2) * (7 * np.log2(prod(M)) + 20) * _EPS_L * w * np.sum(np.abs(c)) ** q
+        T = np.zeros(tuple(map(max, zip(*(M for M, _ in parts)))), dtype=np.clongdouble)
+        for M, a in parts:
+            T[tuple(slice(t // 2 - m // 2, t // 2 - m // 2 + m) for t, m in zip(T.shape, M))] += a
+        T = (T * volume).astype(np.complex128)  # the centred coefficients of S (N dx)^n
+        spread = float((7 * np.log2(g.N**g.n) + 80 * g.n) * _EPS * np.sum(np.abs(T)) / volume)
+        if not _TINY <= spread <= (delta := float(spread + slack)) < np.inf:
+            return None
+        box = tuple(slice(g.center - t // 2, g.center - t // 2 + t) for t in T.shape)
+        for _, source in _synthesized(g, [None], lambda _: [(box, T)]):
+            sums, bounds = np.zeros((2, -(-source.size // source.tile)))
+
+            def work(lo, hi, buf, tmp):
+                for _ in source.moduli(lo, hi, buf, tmp):  # S~ in buf
+                    end = np.add(buf, delta if r > q else -delta, out=tmp.view(np.float64)[: hi - lo])
+                    np.power(np.maximum(end, 0.0, out=end), r / q, out=end)
+                    sums[lo // source.tile] = np.sum(np.power(buf, r / q, out=buf))
+                    bounds[lo // source.tile] = abs(np.sum(np.subtract(buf, end, out=end)))
+
+            _chunk_pass(source.size, work, source.tile)
+        total = _exact_sum(sums) * g.dx**g.n
+        e = min(1.0, np.float64(_exact_sum(bounds)) * g.dx**g.n / total + (130 + np.log2(source.tile)) * _EPS)
+        norm = np.float64(total) ** (1.0 / r)
+        certified = max((1.0 + e) ** (1.0 / r) - 1.0, 1.0 - (1.0 - e) ** (1.0 / r)) <= _SPECTRAL_TOL
+    return float(norm) if certified and _TINY <= total < np.inf and 0.0 < norm < np.inf else None
+
+
 def _triebel(spec: Spectrum, band: BandLimits, params: SpaceParams) -> float:
     g = spec.grid
     q, r = params.q, params.r
     keys = _norm_levels(params, band) + ([] if params.homogeneous else [None])
+    if (norm := _even_q_norm(spec, keys, params)) is not None:
+        return norm
 
     def pointwise(exponent, acc, peak=None):
         for batch, source in _synthesized(g, keys, _pieces_of(spec)):
