@@ -292,20 +292,22 @@ def boundary_decay_ratio(f: Field) -> float:
     this ratio is tiny (below ``BOUNDARY_TOL`` by convention).  Returns 0.0
     for the zero field.
     """
-    shell = np.zeros(f.grid.N, dtype=bool)
-    shell[slice(*_shell_span(f.grid))] = True
-    return _leak_ratio(f.values, np.roll(shell, f.grid.center))
+    return _leak_ratio(f.values, np.roll(_shell(f.grid), f.grid.center))
 
 
-def _shell_span(grid: GridSpec) -> tuple[int, int]:
-    """The boundary shell along one axis in natural sample order: indices start <= m < stop.
+@lru_cache(maxsize=8)
+def _shell(grid: GridSpec) -> np.ndarray:
+    """The boundary shell along one axis in natural sample order, a read-only boolean vector.
 
     Index m holds x = m dx (mod the box), so the samples within
     BOUNDARY_MARGIN of the box side from the boundary are the middle block
     of indices N/2 - margin <= m < N/2 + margin.
     """
     margin = max(1, int(round(BOUNDARY_MARGIN * grid.N)))
-    return grid.center - margin, grid.center + margin
+    shell = np.zeros(grid.N, dtype=bool)
+    shell[grid.center - margin : grid.center + margin] = True
+    shell.setflags(write=False)
+    return shell
 
 
 def _leak_ratio(values: np.ndarray, outside_1d: np.ndarray) -> float:

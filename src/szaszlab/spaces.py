@@ -50,17 +50,21 @@ its modulus (times 1/dx^n for a row) into one reused per-thread buffer,
 and keeps the tile's power sum (:func:`_lr_norms`), adds its terms into
 the F-norm's pointwise sum at the tile's positions (:func:`_accumulate`),
 whose final L_r sums its r/q-th powers, or keeps its peak and
-boundary-shell maximum (:func:`_boundary_ratio`).  The boundary check
-reads a spectrum coset by coset whenever its window leaves P^n >= 2
-cosets on a grid of more than one tile, narrow or not, so a hi-band
-witness's check makes no full-grid array; only a window of the whole grid
-(P^n = 1) or a grid of one tile is synthesized by :func:`inverse_ft`.  A
+boundary-shell maximum (:func:`_boundary_ratio`).  A source's ``at`` maps
+a tile to its positions in any natural-order full-grid array, which both
+the pointwise sum and the boundary shell (``grid._shell``) are read
+through.  The boundary check reads a spectrum coset by coset whenever its
+window leaves P^n >= 2 cosets on a grid of more than one tile, narrow or
+not, so a hi-band witness's check synthesizes no full-grid field; only a
+window of the whole grid (P^n = 1) or a grid of one tile is synthesized by
+:func:`inverse_ft`.  A
 piece's tile sums are added exactly rounded by ``math.fsum``, and each
 point of the F-sum sees its levels in level order, so no result depends
 on W.  The stack of W rows of
 16 N^n bytes is all the full-grid memory a Besov norm's pieces add (the
-F-norm adds its real pointwise sum, and the boundary check of a spectrum
-whose window is the whole grid its field).
+F-norm adds its real pointwise sum, the boundary check of a spectrum
+whose window is the whole grid its field, and a 2-D coset check its shell
+mask of N^n bytes).
 
 At even q, |Q_j f|^q is a trigonometric polynomial of about q Q
 frequencies per axis for a window of Q bins, so the F-norm's pointwise sum
@@ -110,7 +114,8 @@ from .grid import (
     Spectrum,
     _CHUNK,
     _finite,
-    _shell_span,
+    _flip_odd,
+    _shell,
     boundary_decay_ratio,
     forward_ft,
     inverse_ft,
@@ -192,8 +197,9 @@ def _usable_cpus() -> int:
 
 
 #: fewest cosets P^n of a narrow piece: at fewer, one full-grid transform
-#: of a wide row measured faster per piece than the coset tiles (2 CPUs,
-#: grids of 2^17 to 2^21 points)
+#: of a wide row measured faster per piece than the coset tiles (2 CPUs).
+#: It binds only on grids of 2^17 to 2^19 points: on 2^20 and more, a
+#: window of Q^n <= 2^16 bins leaves at least 16 cosets
 _MIN_COSETS = 16
 
 
@@ -305,8 +311,9 @@ class _Cosets:
     samples: _CHUNK, or one coset of Q^n > _CHUNK samples.  The blocks of
     cosets in C order are the tiles [lo, hi) of range(N^n).  Its moduli are
     a (Q_1, g_1, ..., Q_n, g_n) view, and ``at`` gives the same positions of
-    a natural-order array, ``a.reshape(Q_1, P_1, ...)[:, b_1:b_1 + g_1, ...]``.
-    No full-grid array is allocated.
+    a natural-order array, ``a.reshape(Q_1, P_1, ...)[:, b_1:b_1 + g_1, ...]``,
+    as :class:`_Rows` does: ``tile``, ``size``, ``moduli`` and ``at`` are
+    all a tile pass reads.  No full-grid array is allocated.
     """
 
     def __init__(self, grid, piece: list, window: tuple):
@@ -355,26 +362,6 @@ class _Cosets:
             np.multiply(x[made], twiddle[new], out=x[new])
         x = _fft.ifftn(x, axes=tuple(range(n, 2 * n)), workers=1, overwrite_x=True)
         yield np.abs(x, out=buf.reshape(x.shape)).transpose(self.order)
-
-    def shell_max(self, a: np.ndarray, lo: int, span: tuple) -> float:
-        """Largest of tile [lo, hi)'s moduli ``a`` at a natural index start <= m < stop along some axis.
-
-        Along axis i the tile holds m = P_i r + b for its rows r and cosets
-        b, so coset b meets the span in the rows
-        ceil((start - b) / P_i) <= r < ceil((stop - b) / P_i): only the rows
-        some coset has there are read, with a mask of those rows alone.
-        """
-        start, stop = span
-        n, edge = len(self.Q), 0.0
-        for i, (b, size, p) in enumerate(zip(self._first_cosets(lo), self.g, self.P)):
-            cosets = b + np.arange(size)
-            first, last = -((cosets - start) // p), -((cosets - stop) // p)
-            top, bottom = int(first.min()), int(last.max())
-            view = a[(slice(None),) * (2 * i) + (slice(top, bottom),)]
-            rows = np.arange(top, bottom)[:, None]
-            inside = _along((rows >= first) & (rows < last), (2 * i, 2 * i + 1), 2 * n)
-            edge = max(edge, float(np.max(view, where=inside, initial=0.0)))
-        return edge
 
     def at(self, a: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """The tile's positions in a full-grid array in natural order, shaped like its moduli."""
@@ -534,11 +521,11 @@ def _boundary_ratio(spec: Spectrum) -> float:
     The window (:func:`_window`) reads only the spectrum's support.  When
     it leaves P^n >= 2 cosets on a grid of more than one tile, the field
     is synthesized coset by coset (:class:`_Cosets`), and each tile keeps
-    its peak and its largest modulus in the boundary shell, which in
-    natural sample order is the middle block of indices along some axis
-    (``grid._shell_span``; :meth:`_Cosets.shell_max`).  Any other spectrum
-    (P^n = 1, or a grid of one tile) is synthesized on the full grid; the
-    zero spectrum gives 0.0.
+    its peak and its largest modulus in the boundary shell, read at the
+    tile's positions (``at``) of the natural-order shell mask: the vector
+    ``grid._shell`` in 1-D, the union of its two axes' in 2-D.  Any other
+    spectrum (P^n = 1, or a grid of one tile) is synthesized on the full
+    grid; the zero spectrum gives 0.0.
     """
     g = spec.grid
     blocks = [(box, spec.coeffs[box]) for box in spec._support]
@@ -548,13 +535,15 @@ def _boundary_ratio(spec: Spectrum) -> float:
     size = g.N**g.n
     if size <= _CHUNK or size == prod(q for _, q in window):
         return boundary_decay_ratio(inverse_ft(spec))
-    source, span = _Cosets(g, blocks, window), _shell_span(g)
+    source, shell = _Cosets(g, blocks, window), _shell(g)
+    if g.n == 2:
+        shell = shell[:, None] | shell[None, :]
     peaks, edges = np.zeros((2, size // source.tile))
 
     def work(lo, hi, buf, tmp):
         (a,) = source.moduli(lo, hi, buf, tmp)
         peaks[lo // source.tile] = a.max()
-        edges[lo // source.tile] = source.shell_max(a, lo, span)
+        edges[lo // source.tile] = np.max(a, where=source.at(shell, lo, hi), initial=0.0)
 
     _chunk_pass(size, work, source.tile)
     peak = float(peaks.max())
@@ -813,8 +802,9 @@ def _even_q_norm(spec: Spectrum, keys: list, params: SpaceParams) -> float | Non
             for box, values in piece:
                 _put_window(c, box, values, g.N, tuple(k0 for k0, _ in window))
             w = ((1.0 if key is None else _power_of_two(key, params.s, "level weight")) / volume) ** q
-            a = _fft.fftshift(_fft.fftn(np.abs(_fft.ifftn(c, norm="forward")) ** q, norm="forward"))
-            parts.append((M, w * a))
+            a = np.abs(_fft.ifftn(c, norm="forward")) ** q
+            _flip_odd(a)  # M is 1 or even along each axis, so the spectrum comes out centred
+            parts.append((M, w * _fft.fftn(a, norm="forward")))
             slack += sqrt(prod(M)) * (q + 2) * (7 * np.log2(prod(M)) + 20) * _EPS_L * w * np.sum(np.abs(c)) ** q
         T = np.zeros(tuple(map(max, zip(*(M for M, _ in parts)))), dtype=np.clongdouble)
         for M, a in parts:

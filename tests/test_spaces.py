@@ -43,7 +43,7 @@ from szaszlab import (
     weighted_lhs,
 )
 
-from szaszlab.grid import BOUNDARY_TOL, _scale, _shell_span, boundary_decay_ratio
+from szaszlab.grid import BOUNDARY_MARGIN, BOUNDARY_TOL, _scale, _shell, boundary_decay_ratio
 from szaszlab.littlewood_paley import apply_level_mask
 from szaszlab.witnesses import _blowup_spectrum, _random_spectrum
 
@@ -646,23 +646,34 @@ class TestCosetSynthesis:
         "n, N, Q", [(1, 2**18, (2**17,)), (1, 2**18, (2**15,)), (1, 2**18, (32,)), (2, 512, (256, 512)),
                     (2, 512, (128, 256)), (2, 512, (16, 32))],
     )
-    def test_shell_max_reads_the_shell_positions(self, n, N, Q):
-        # spikes just outside the shell along each axis, lesser ones on its first and last
-        # indices: a tile's shell maximum is the full-grid shell mask's, read at the tile
+    def test_boundary_check_reads_the_shell_positions(self, monkeypatch, n, N, Q):
+        # the shell found from the sample coordinates: the margin's samples nearest each side of
+        # the box; the cosets' moduli replaced by known values, with spikes just outside the
+        # shell along each axis and a lesser one on its first or last index
         grid = GridSpec(n, N, 32.0)
-        start, stop = _shell_span(grid)
-        values = np.random.default_rng(4).random(grid.shape)
-        mask = np.zeros(grid.shape, dtype=bool)
+        x, edge = grid.x_axis(), max(1, round(BOUNDARY_MARGIN * N)) * grid.dx
+        near = np.fft.ifftshift((x < -grid.L / 2 + edge) | (x >= grid.L / 2 - edge))  # natural order
+        start, stop = np.flatnonzero(near)[[0, -1]] + (0, 1)
+        assert np.array_equal(_shell(grid), near) and not _shell(grid).flags.writeable
+        assert _shell(GridSpec(n, N, 32.0)) is _shell(grid)
+        shell = near if n == 1 else near[:, None] | near[None, :]
+        spec = _window_spectrum(grid, [0] * n, Q, seed=3)
+        assert tuple(q for _, q in spaces_module._window(grid, [((slice(0, N),) * n, spec.coeffs)])) == Q
+
+        class Known(spaces_module._Cosets):
+            def moduli(self, lo, hi, buf, tmp):
+                yield self.at(values, lo, hi)
+
+        monkeypatch.setattr(spaces_module, "_Cosets", Known)
         for axis in range(n):
-            along = np.moveaxis(values, axis, 0)
-            along[[start - 1, stop]] += 10.0
-            along[[start, stop - 1]] += 5.0
-            np.moveaxis(mask, axis, 0)[start:stop] = True
-        source = spaces_module._Cosets(grid, [], tuple((0, q) for q in Q))
-        for lo in range(0, N**n, source.tile):
-            a = source.at(values, lo, lo + source.tile)
-            want = np.max(a, where=source.at(mask, lo, lo + source.tile), initial=0.0)
-            assert source.shell_max(a, lo, (start, stop)) == want
+            for inside in (start, stop - 1):
+                values = np.random.default_rng(4).random(grid.shape)
+                for i in range(n):
+                    np.moveaxis(values, i, 0)[([start - 1, stop],) + (0,) * (n - 1)] += 10.0
+                np.moveaxis(values, axis, 0)[(inside,) + (0,) * (n - 1)] += 5.0
+                want = np.max(values[shell]) / np.max(values)
+                assert 0.3 < want < 0.6
+                assert spaces_module._boundary_ratio(spec) == want
 
     @pytest.mark.parametrize("n, N, spans, cosets", _BOUNDARY_CASES)
     def test_boundary_check_reads_the_cosets_of_a_wide_window(self, monkeypatch, n, N, spans, cosets):
