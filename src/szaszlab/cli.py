@@ -223,7 +223,7 @@ def _sweep_rows(axes, fmt: str, setting: str) -> list:
 def _cmd_sweep(args) -> int:
     axes = [_parse_list(getattr(args, name), name) for name in "spqr"]
     axes.append(_parse_list(args.n, "n", _parse_integer))
-    axes.append([f.strip() for f in args.family.split(",") if f.strip()])
+    axes.append(_parse_list(args.family, "family", lambda text, name: text.strip()))
     _emit(args.out, args.format, _SWEEP_HEADER, _sweep_rows(axes, args.format, args.setting))
     return 0
 

@@ -36,21 +36,22 @@ Any other piece takes the next free row of one stack of at most W complex
 full-grid rows, W being the usable CPUs (``os.sched_getaffinity``, else
 ``os.cpu_count()``), in FFT-natural order (frequency k at index k mod N),
 and a full stack goes through one multi-row inverse FFT in place
-(``_inverse_rows``), which pocketfft spreads over the cores
-(:class:`_Rows`).  The stack is allocated at the first wide piece.
-Both give samples in natural order (x = m dx at index m mod N), and no
+(``_inverse_rows``), which pocketfft spreads over the cores; each of its
+rows is then read as a source of its own (:class:`_Rows`).  The stack is
+allocated at the first wide piece.  Every source holds one piece, and
+both kinds give samples in natural order (x = m dx at index m mod N); no
 result depends on sample order, so no ``fftshift`` copy is made.
 
-The rest is one pass over tiles on W threads (:func:`_chunk_pass`), the
-same for both kinds of piece: 2^16 samples, or one coset when a window
-holds more bins, which the calling thread walks alone.  Each thread walks
-a contiguous group of tiles and, for each tile, every piece of the batch
-in level order: it synthesizes the tile or reads the row's chunk, takes
-its modulus (times 1/dx^n for a row) into one reused per-thread buffer,
-and keeps the tile's power sum (:func:`_lr_norms`), adds its terms into
-the F-norm's pointwise sum at the tile's positions (:func:`_accumulate`),
-whose final L_r sums its r/q-th powers, or keeps its peak and
-boundary-shell maximum (:func:`_boundary_ratio`).  A source's ``at`` maps
+The rest is one pass over a piece's tiles on W threads
+(:func:`_chunk_pass`), the same for both kinds of source: 2^16 samples,
+or one coset when a window holds more bins, which the calling thread
+walks alone.  Each thread walks a contiguous group of tiles and, for each
+tile, synthesizes it or reads the row's chunk, takes its modulus (times
+1/dx^n for a row) into one reused per-thread buffer, and keeps the tile's
+power sum (:func:`_lr_norms`), adds its terms into the F-norm's pointwise
+sum at the tile's positions (:func:`_accumulate`), whose final L_r sums
+its r/q-th powers, or keeps its peak and boundary-shell maximum
+(:func:`_boundary_ratio`).  A source's ``at`` maps
 a tile to its positions in any natural-order full-grid array, which both
 the pointwise sum and the boundary shell (``grid._shell``) are read
 through.  The boundary check reads a spectrum coset by coset whenever its
@@ -60,11 +61,11 @@ window of the whole grid (P^n = 1) or a grid of one tile is synthesized by
 :func:`inverse_ft`.  A
 piece's tile sums are added exactly rounded by ``math.fsum``, and each
 point of the F-sum sees its levels in level order, so no result depends
-on W.  The stack of W rows of
-16 N^n bytes is all the full-grid memory a Besov norm's pieces add (the
-F-norm adds its real pointwise sum, the boundary check of a spectrum
-whose window is the whole grid its field, and a 2-D coset check its shell
-mask of N^n bytes).
+on W.  The stack of W rows of 16 N^n bytes, which its row sources only
+view, is all the full-grid memory a Besov norm's pieces add (the F-norm
+adds its real pointwise sum, the boundary check of a spectrum whose
+window is the whole grid its field, and a 2-D coset check its shell mask
+of N^n bytes).
 
 At even q, |Q_j f|^q is a trigonometric polynomial of about q Q
 frequencies per axis for a window of Q bins, so the F-norm's pointwise sum
@@ -242,27 +243,25 @@ def _chunk_pass(size: int, work, tile: int) -> None:
 
 
 class _Rows:
-    """Samples in natural order, one full grid per row; tile [lo, hi) is that chunk of every row.
+    """A piece's samples in natural order over the full grid; tile [lo, hi) is that chunk of them.
 
     Tiles hold _CHUNK samples.  The moduli are |v| times the real
-    ``factor`` (the 1/dx^n of a synthesized row); the rows are only read.
-    A row may be any array, in-memory power sums included
-    (:func:`_lr_norm`).
+    ``factor`` (the 1/dx^n of a synthesized row); the row is only read.
+    It may be any array, in-memory power sums included (:func:`_lr_norm`).
     """
 
     tile = _CHUNK
 
-    def __init__(self, rows: np.ndarray, factor: float = 1.0):
-        self.flat, self.factor = rows.reshape(len(rows), -1), factor
-        self.size = self.flat.shape[1]
+    def __init__(self, row: np.ndarray, factor: float = 1.0):
+        self.flat, self.factor = row.reshape(-1), factor
+        self.size = self.flat.size
 
-    def moduli(self, lo: int, hi: int, buf: np.ndarray, tmp: np.ndarray):
-        """``factor`` |samples| of tile [lo, hi) of each row in turn, in ``buf``."""
-        for v in self.flat[:, lo:hi]:
-            a = np.abs(v, out=buf)
-            if self.factor != 1.0:
-                a *= self.factor
-            yield a
+    def moduli(self, lo: int, hi: int, buf: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+        """``factor`` |samples| of tile [lo, hi), in ``buf``."""
+        a = np.abs(self.flat[lo:hi], out=buf)
+        if self.factor != 1.0:
+            a *= self.factor
+        return a
 
     def at(self, a: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """The tile's positions in a full-grid array in natural order, shaped like its moduli."""
@@ -348,7 +347,7 @@ class _Cosets:
     def _first_cosets(self, lo: int) -> tuple:
         return tuple(b * size for b, size in zip(np.unravel_index(lo // self.tile, self.blocks), self.g))
 
-    def moduli(self, lo: int, hi: int, buf: np.ndarray, tmp: np.ndarray):
+    def moduli(self, lo: int, hi: int, buf: np.ndarray, tmp: np.ndarray) -> np.ndarray:
         """|samples| of tile [lo, hi), in ``buf``, synthesized in ``tmp`` with no tile-sized allocation."""
         n = len(self.Q)
         x = tmp.reshape(self.g + self.Q)
@@ -361,7 +360,7 @@ class _Cosets:
             new = tuple(slice(None) if j < i else slice(1, None) if j == i else slice(0, 1) for j in range(n))
             np.multiply(x[made], twiddle[new], out=x[new])
         x = _fft.ifftn(x, axes=tuple(range(n, 2 * n)), workers=1, overwrite_x=True)
-        yield np.abs(x, out=buf.reshape(x.shape)).transpose(self.order)
+        return np.abs(x, out=buf.reshape(x.shape)).transpose(self.order)
 
     def at(self, a: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """The tile's positions in a full-grid array in natural order, shaped like its moduli."""
@@ -371,21 +370,15 @@ class _Cosets:
         )]
 
 
-def _lr_parts(source, count: int, r: float, divisors=None) -> np.ndarray:
-    """(count, tiles) sums of the r-th powers of |samples| / divisor (maxima at r = inf), tile by tile.
-
-    ``divisors`` holds one divisor per piece, 1 for all when None; a piece
-    whose divisor is not positive and finite is skipped, its sums left 0.
-    """
-    parts = np.zeros((count, -(-source.size // source.tile)))
+def _lr_parts(source, r: float, divisor=None) -> np.ndarray:
+    """Sums of the r-th powers of |samples| / divisor (maxima at r = inf), tile by tile; no divisor is 1."""
+    parts = np.zeros(-(-source.size // source.tile))
 
     def work(lo, hi, buf, tmp):
-        for i, a in enumerate(source.moduli(lo, hi, buf, tmp)):
-            if divisors is not None:
-                if not 0.0 < divisors[i] < np.inf:
-                    continue
-                a /= divisors[i]
-            parts[i, lo // source.tile] = a.max() if isinf(r) else np.sum(np.power(a, r, out=a))
+        a = source.moduli(lo, hi, buf, tmp)
+        if divisor is not None:
+            a /= divisor
+        parts[lo // source.tile] = a.max() if isinf(r) else np.sum(np.power(a, r, out=a))
 
     _chunk_pass(source.size, work, source.tile)
     return parts
@@ -399,53 +392,43 @@ def _exact_sum(tile_sums: np.ndarray) -> float:
         return np.inf
 
 
-def _lr_norms(source, count: int, r: float, weight: float, root: float | None = None) -> list:
-    """(weight * sum |samples|^r)^(1/root) of each of the ``count`` pieces of a source, in one pass.
+def _lr_norms(source, r: float, weight: float, root: float | None = None) -> float:
+    """(weight * sum |samples|^r)^(1/root) of a source's piece, in one pass.
 
     ``root`` defaults to r, which with ``weight`` dx^n gives the L_r
-    quasi-norm; r = inf gives the maxima, and an empty source 0.0.  A
-    piece's power sum is its tile sums added exactly rounded by
-    ``math.fsum`` (Shewchuk, DCG 1997), so no sum depends on W; finite tile
-    sums adding up past the float range count as an overflow.  Only when
-    some sums over- or underflow does one more pass, for all those pieces
-    at once, find their maxima, and another sum the powers of those with a
-    positive, finite maximum scaled by it (Blue, ACM TOMS 1978); an
-    in-range sum keeps the bits of the plain formula.
+    quasi-norm; r = inf gives the maximum, and an empty source 0.0.  The
+    power sum is the tile sums added exactly rounded by ``math.fsum``
+    (Shewchuk, DCG 1997), so no sum depends on W; finite tile sums adding
+    up past the float range count as an overflow.  Only when the sum over-
+    or underflows does one more pass find the maximum, and, when that is
+    positive and finite, another sum the powers scaled by it (Blue, ACM
+    TOMS 1978); an in-range sum keeps the bits of the plain formula.
     Every root is taken here: a positive, finite power sum whose root
     leaves the float range raises ArithmeticError, so no quasi-norm
     silently returns inf or 0.
     """
-    parts = _lr_parts(source, count, r)
+    parts = _lr_parts(source, r)
     if isinf(r):
-        return [float(part.max(initial=0.0)) for part in parts]
+        return float(parts.max(initial=0.0))
     root = r if root is None else root
-    totals = [_exact_sum(part) * weight for part in parts]
-    scales = [1.0] * count
-    lost = [i for i, total in enumerate(totals) if not _TINY <= total < np.inf]  # over- or underflowed, or nan
-    if lost:
-        peaks = np.zeros(count)
-        peaks[lost] = _lr_parts(source, count, np.inf)[lost].max(axis=1, initial=0.0)
-        lost = [i for i in lost if 0.0 < peaks[i] < np.inf]  # zero, inf or nan: the plain value is the answer
-    if lost:
-        scaled = _lr_parts(source, count, r, peaks)
-        for i in lost:
-            scales[i], totals[i] = float(peaks[i]), _exact_sum(scaled[i]) * weight
-    norms = []
-    for total, scale in zip(totals, scales):
-        try:
-            norm = scale ** (r / root) * total ** (1.0 / root)
-        except OverflowError:  # a Python float power beyond the float range
-            norm = np.inf
-        if 0.0 < total < np.inf and not 0.0 < norm < np.inf:
-            side = "falls below" if norm == 0.0 else "exceeds"
-            raise ArithmeticError(f"quasi-norm {side} the float range: a power sum to the power 1/{root!r}")
-        norms.append(norm)
-    return norms
+    total, scale = _exact_sum(parts) * weight, 1.0
+    if not _TINY <= total < np.inf:  # over- or underflowed, or nan
+        peak = float(_lr_parts(source, np.inf).max(initial=0.0))
+        if 0.0 < peak < np.inf:  # zero, inf or nan: the plain value is the answer
+            scale, total = peak, _exact_sum(_lr_parts(source, r, peak)) * weight
+    try:
+        norm = scale ** (r / root) * total ** (1.0 / root)
+    except OverflowError:  # a Python float power beyond the float range
+        norm = np.inf
+    if 0.0 < total < np.inf and not 0.0 < norm < np.inf:
+        side = "falls below" if norm == 0.0 else "exceeds"
+        raise ArithmeticError(f"quasi-norm {side} the float range: a power sum to the power 1/{root!r}")
+    return norm
 
 
 def _lr_norm(a: np.ndarray, r: float, weight: float = 1.0, root: float | None = None) -> float:
     """(weight * sum |a|^r)^(1/root) of an in-memory array by :func:`_lr_norms`; r = inf gives its maximum."""
-    return _lr_norms(_Rows(a[None]), 1, r, weight, root)[0]
+    return _lr_norms(_Rows(a), r, weight, root)
 
 
 def lr_quasinorm(f: Field, r: float) -> float:
@@ -541,7 +524,7 @@ def _boundary_ratio(spec: Spectrum) -> float:
     peaks, edges = np.zeros((2, size // source.tile))
 
     def work(lo, hi, buf, tmp):
-        (a,) = source.moduli(lo, hi, buf, tmp)
+        a = source.moduli(lo, hi, buf, tmp)
         peaks[lo // source.tile] = a.max()
         edges[lo // source.tile] = np.max(a, where=source.at(shell, lo, hi), initial=0.0)
 
@@ -632,26 +615,28 @@ _inverse_rows = partial(_fft.ifftn, workers=-1, overwrite_x=True)
 
 
 def _synthesized(grid, keys, blocks):
-    """Batches (keys, source) of the nonempty pieces in the list ``keys``, in order.
+    """(key, source) of each nonempty piece in the list ``keys``, in order.
 
     ``blocks(key)`` is a piece's spectrum as (centered box, values) blocks,
     zero off the boxes, and :func:`_window` finds the frequencies it
-    occupies.  A narrow piece (:func:`_narrow`) is a batch of its own,
-    read by FFT pruning coset by coset (:class:`_Cosets`).  Any other piece
-    takes the next free row of one stack of at most W = usable CPUs rows,
-    in FFT-natural order, and the stack goes through one unscaled inverse
-    FFT in place when it is full, before a narrow piece and at the end, so
-    the W transforms run on W cores (:class:`_Rows`, whose moduli carry the
-    1/dx^n).  Sources give samples in natural order, which no L_r sum
-    depends on; a batch is valid until the next is drawn.
+    occupies.  A narrow piece (:func:`_narrow`) is read by FFT pruning
+    coset by coset (:class:`_Cosets`).  Any other piece takes the next free
+    row of one stack of at most W = usable CPUs rows, in FFT-natural order,
+    and the stack goes through one unscaled inverse FFT in place when it is
+    full, before a narrow piece and at the end, so the W transforms run on
+    W cores; then each transformed row is a source of its own, a view of
+    the stack (:class:`_Rows`, whose moduli carry the 1/dx^n), and the
+    stack is zeroed after the last.  Sources give samples in natural order,
+    which no L_r sum depends on; a source is valid until the next is drawn.
     """
-    rows, batch = None, []
+    rows, stacked = None, []
 
     def flush():
-        samples = _inverse_rows(rows[: len(batch)], axes=tuple(range(-grid.n, 0)))
-        yield batch[:], _Rows(samples, 1.0 / grid.dx**grid.n)
-        rows[: len(batch)] = 0.0
-        batch.clear()
+        samples = _inverse_rows(rows[: len(stacked)], axes=tuple(range(-grid.n, 0)))
+        for key, row in zip(stacked, samples):
+            yield key, _Rows(row, 1.0 / grid.dx**grid.n)
+        rows[: len(stacked)] = 0.0
+        stacked.clear()
 
     for i, key in enumerate(keys):
         piece = blocks(key)
@@ -663,50 +648,49 @@ def _synthesized(grid, keys, blocks):
             if rows is None:
                 rows = np.zeros((min(_usable_cpus(), len(keys) - i),) + grid.shape, dtype=np.complex128)
             for box, values in piece:
-                _put_window(rows[len(batch)], box, values, grid.N, (0,) * grid.n)
-            batch.append(key)
+                _put_window(rows[len(stacked)], box, values, grid.N, (0,) * grid.n)
+            stacked.append(key)
         piece = values = None  # a piece's blocks (16 MB on hi-band) must not outlive its write
         if narrow:
-            if batch:
+            if stacked:
                 yield from flush()
-            yield [key], source
-        if batch and (len(batch) == len(rows) or i == len(keys) - 1):
+            yield key, source
+        if stacked and (len(stacked) == len(rows) or i == len(keys) - 1):
             yield from flush()
 
 
 def _pieces_lr(grid, keys, blocks, r: float) -> dict:
     """{key: grid L_r quasi-norm of the piece ``blocks(key)``, 0.0 if empty}, in key order."""
     norms = dict.fromkeys(keys, 0.0)
-    for batch, source in _synthesized(grid, keys, blocks):
-        norms.update(zip(batch, _lr_norms(source, len(batch), r, grid.dx**grid.n)))
+    for key, source in _synthesized(grid, keys, blocks):
+        norms[key] = _lr_norms(source, r, grid.dx**grid.n)
     return norms
 
 
-def _accumulate(source, keys: list, s: float, q: float, acc, peak=None) -> None:
-    """Add (2^(js) |Q_j f|)^q of each piece of a source into ``acc``, in key order, on W threads.
+def _accumulate(source, key, s: float, q: float, acc, peak=None) -> None:
+    """Add (2^(js) |Q_j f|)^q of the source's piece, level j = ``key``, into ``acc``, on W threads.
 
-    ``keys`` name the source's pieces (|S_0 f| for key None carries no
-    factor); q = inf takes the pointwise maximum instead of the sum.  With
-    ``peak``, each scaled modulus is divided by ``peak`` where that is
-    positive before its power is taken.  Each tile takes every piece's
-    moduli into the thread's buffer in turn and adds them into the tile's
-    positions of ``acc``, so a point sees its levels in order whatever the
-    batch width.
+    |S_0 f|, key None, carries no factor; q = inf takes the pointwise
+    maximum instead of the sum.  With ``peak``, each scaled modulus is
+    divided by ``peak`` where that is positive before its power is taken.
+    Each tile takes the moduli into the thread's buffer and adds them into
+    the tile's positions of ``acc``; called in key order, a point sees its
+    levels in order whatever W.
     """
-    gains = [1.0 if j is None else _power_of_two(j, s, "level weight") for j in keys]
+    gain = 1.0 if key is None else _power_of_two(key, s, "level weight")
 
     def work(lo, hi, buf, tmp):
+        a = source.moduli(lo, hi, buf, tmp)
+        if gain != 1.0:  # s = 0 or S_0: the product would change no bit
+            a *= gain
+        if peak is not None:
+            top = source.at(peak, lo, hi)
+            np.divide(a, top, out=a, where=top > 0.0)
         out = source.at(acc, lo, hi)
-        top = None if peak is None else source.at(peak, lo, hi)
-        for gain, a in zip(gains, source.moduli(lo, hi, buf, tmp)):
-            if gain != 1.0:  # s = 0 or S_0: the product would change no bit
-                a *= gain
-            if top is not None:
-                np.divide(a, top, out=a, where=top > 0.0)
-            if isinf(q):
-                np.maximum(out, a, out=out)
-            else:
-                out += np.power(a, q, out=a)
+        if isinf(q):
+            np.maximum(out, a, out=out)
+        else:
+            out += np.power(a, q, out=a)
 
     _chunk_pass(source.size, work, source.tile)
 
@@ -718,7 +702,7 @@ def besov_norm(f: Field | Spectrum, params: SpaceParams) -> float:
     k = 0 bin discarded.  Inhomogeneous: ||S_0 f||_r joins the l_q sum with
     the levels j >= 1.  At r = 2 each piece's norm comes from Parseval on
     its spectral window; every other r synthesizes the nonempty pieces,
-    narrow ones coset by coset and the others W at a time on the full grid.
+    narrow ones coset by coset and the others on the full grid, W per FFT.
 
     Raises:
         ParameterError: "invalid params" when params.family != "B",
@@ -818,11 +802,11 @@ def _even_q_norm(spec: Spectrum, keys: list, params: SpaceParams) -> float | Non
             sums, bounds = np.zeros((2, -(-source.size // source.tile)))
 
             def work(lo, hi, buf, tmp):
-                for _ in source.moduli(lo, hi, buf, tmp):  # S~ in buf
-                    end = np.add(buf, delta if r > q else -delta, out=tmp.view(np.float64)[: hi - lo])
-                    np.power(np.maximum(end, 0.0, out=end), r / q, out=end)
-                    sums[lo // source.tile] = np.sum(np.power(buf, r / q, out=buf))
-                    bounds[lo // source.tile] = abs(np.sum(np.subtract(buf, end, out=end)))
+                source.moduli(lo, hi, buf, tmp)  # S~ in buf
+                end = np.add(buf, delta if r > q else -delta, out=tmp.view(np.float64)[: hi - lo])
+                np.power(np.maximum(end, 0.0, out=end), r / q, out=end)
+                sums[lo // source.tile] = np.sum(np.power(buf, r / q, out=buf))
+                bounds[lo // source.tile] = abs(np.sum(np.subtract(buf, end, out=end)))
 
             _chunk_pass(source.size, work, source.tile)
         total = _exact_sum(sums) * g.dx**g.n
@@ -840,8 +824,8 @@ def _triebel(spec: Spectrum, band: BandLimits, params: SpaceParams) -> float:
         return norm
 
     def pointwise(exponent, acc, peak=None):
-        for batch, source in _synthesized(g, keys, _pieces_of(spec)):
-            _accumulate(source, batch, params.s, exponent, acc, peak)
+        for key, source in _synthesized(g, keys, _pieces_of(spec)):
+            _accumulate(source, key, params.s, exponent, acc, peak)
         return acc
 
     acc, weight = pointwise(q, np.zeros(g.shape)), g.dx**g.n

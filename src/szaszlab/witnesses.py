@@ -362,8 +362,8 @@ def _term_norm_table(grid: GridSpec, r: float) -> dict:
 def _term_norms(grid: GridSpec, terms: dict, r: float) -> list:
     """Grid L_r norm of each term (k -> (box, profile)) of :func:`_blowup_spectrum`, in order.
 
-    A norm depends only on (grid, k, r), so each is synthesized once, with
-    the terms a build misses synthesized W at a time.
+    A norm depends only on (grid, k, r), so each is synthesized once: the
+    terms a build misses go to ``_pieces_lr`` together, W to one FFT call.
     """
     table = _term_norm_table(grid, r)
     table.update(_pieces_lr(grid, [k for k in terms if k not in table], lambda k: [terms[k]], r))

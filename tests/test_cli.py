@@ -469,6 +469,15 @@ class TestReading:
         assert err.startswith(f"szaszlab {command}: ") and err.count("\n") == 1
         assert "usage:" not in err and "<lambda>" not in err
 
+    @pytest.mark.parametrize("flag, value", [("--s", "0,,1"), ("--family", "B,,F"), ("--family", "B, ")])
+    def test_blank_sweep_item_exit_2_one_line(self, flag, value):
+        # a blank item is a value like any other: family's items are judged as s's are
+        code, out, err = _run(_with(_SWEEP, {flag: value}))
+        assert code == 2 and out == ""
+        assert err.startswith("szaszlab sweep: ") and err.count("\n") == 1
+        assert _run(_with(_SWEEP, {"--family": " B , F "})) == _run(_SWEEP)
+        assert _run(_with(_SWEEP, {"--family": " "})) == (0, "s,p,q,r,n,family,theta,weak,strong\n", "")
+
     @pytest.mark.parametrize("flag", ["--sizes", "--seed"])
     def test_overlong_literal_names_its_limit(self, flag):
         # past int()'s limit on digits; a size or seed never has to fit a float

@@ -361,7 +361,7 @@ class TestBatchedSynthesis:
     @pytest.mark.filterwarnings("ignore::szaszlab.ModelFidelityWarning")
     def test_bitwise_independent_of_batch_width(self, monkeypatch, grid_mid, grid_wide, params):
         # seven exactly nonempty levels, or eight pieces with S_0: every
-        # width below leaves a partial last batch for one of the inputs;
+        # width below leaves a partial last stack for one of the inputs;
         # a grid_wide row is four chunks, split unevenly over three threads
         # and a modulated witness's narrow pieces, four tiles each on a 2^18-point grid
         spec = _random_spectrum(grid_mid, 5, 2, 8)
@@ -454,6 +454,31 @@ class TestBatchedSynthesis:
             triebel_norm(spec, SpaceParams(0.0, 1.5, 2.0, "F"))
         assert widths == [1, 1]  # per norm, the level; the wide field's boundary check is inverse_ft's
 
+    def test_one_source_per_nonempty_piece_in_key_order(self, monkeypatch, grid_wide):
+        # levels 2-4 are wide on grid_wide, -1 narrow, -5 and -9 exactly empty: at 3 CPUs the
+        # stack is flushed part full before the narrow piece and at the end, at 2 full then at
+        # the end; every row is a source of its own, read as it is at one CPU
+        spec = _random_spectrum(grid_wide, 5, -2, 4)
+        keys = [2, 3, -1, -5, 4, -9]
+        real, flushed, got = spaces_module._inverse_rows, [], {}
+
+        def counting(rows, axes):
+            flushed.append(rows.shape[0])
+            return real(rows, axes=axes)
+
+        monkeypatch.setattr(spaces_module, "_inverse_rows", counting)
+        for width in (1, 2, 3):
+            _with_cpus(monkeypatch, width)
+            flushed.clear()
+            got[width] = [
+                (key, type(source).__name__, _natural_moduli(source, grid_wide).tobytes())
+                for key, source in spaces_module._synthesized(grid_wide, keys, spaces_module._pieces_of(spec))
+            ]
+            assert flushed == {1: [1, 1, 1], 2: [2, 1], 3: [2, 1]}[width]
+        assert [key for key, _, _ in got[1]] == [2, 3, -1, 4]
+        assert [kind for _, kind, _ in got[1]] == ["_Rows", "_Rows", "_Cosets", "_Rows"]
+        assert got[1] == got[2] == got[3]
+
     @pytest.mark.parametrize("side", [-1.0, 1.0])
     @pytest.mark.filterwarnings("ignore::szaszlab.ModelFidelityWarning")
     def test_one_sided_level_is_not_empty(self, grid_mid, side):
@@ -482,9 +507,9 @@ class TestBatchedSynthesis:
         spec = forward_ft(_broadband_field(grid))
         keys = list(feasible_band(grid).levels()) + [None]
         kinds = []
-        batches = spaces_module._synthesized(grid, keys, spaces_module._pieces_of(spec))
-        for (batch, source), j in zip(batches, keys, strict=True):
-            assert batch == [j]
+        sources = spaces_module._synthesized(grid, keys, spaces_module._pieces_of(spec))
+        for (key, source), j in zip(sources, keys, strict=True):
+            assert key == j
             if j is None:
                 centered = spec.coeffs * lowpass_profile(radial_xi(grid))
             else:
@@ -506,13 +531,13 @@ class TestBatchedSynthesis:
 
 
 def _natural_moduli(source, grid):
-    """|samples| of a source's only piece over the grid in natural order, put back tile by tile."""
+    """|samples| of a source's piece over the grid in natural order, put back tile by tile."""
     out = np.full(grid.shape, -1.0)
     size = grid.N**grid.n
     chunk = min(size, source.tile)
     buf, tmp = np.empty(chunk), np.empty(chunk, dtype=np.complex128)
     for lo in range(0, size, chunk):
-        (a,) = source.moduli(lo, lo + chunk, buf, tmp)
+        a = source.moduli(lo, lo + chunk, buf, tmp)
         view = source.at(out, lo, lo + chunk)
         assert np.all(view == -1.0)  # tiles cover disjoint positions
         view[...] = a
@@ -575,7 +600,7 @@ class TestCosetSynthesis:
         want = np.abs(np.fft.ifftshift(inverse_ft(spec).values))
         np.testing.assert_allclose(_natural_moduli(source, grid), want, rtol=0.0, atol=1e-12 * want.max())
         for r in (1.5, 2.0, np.inf):
-            got = spaces_module._lr_norms(source, 1, r, grid.dx**grid.n)[0]
+            got = spaces_module._lr_norms(source, r, grid.dx**grid.n)
             assert got == pytest.approx(lr_quasinorm(inverse_ft(spec), r), rel=1e-12)
 
     @pytest.mark.parametrize(
@@ -595,7 +620,7 @@ class TestCosetSynthesis:
         source = spaces_module._Cosets(grid, whole, window)
         want = np.abs(np.fft.ifftshift(inverse_ft(spec).values))
         np.testing.assert_allclose(_natural_moduli(source, grid), want, rtol=0.0, atol=1e-12 * want.max())
-        assert spaces_module._lr_norms(source, 1, 1.5, grid.dx**grid.n)[0] == pytest.approx(
+        assert spaces_module._lr_norms(source, 1.5, grid.dx**grid.n) == pytest.approx(
             lr_quasinorm(inverse_ft(spec), 1.5), rel=1e-12
         )
 
@@ -662,7 +687,7 @@ class TestCosetSynthesis:
 
         class Known(spaces_module._Cosets):
             def moduli(self, lo, hi, buf, tmp):
-                yield self.at(values, lo, hi)
+                return self.at(values, lo, hi)
 
         monkeypatch.setattr(spaces_module, "_Cosets", Known)
         for axis in range(n):
@@ -709,7 +734,7 @@ class TestCosetSynthesis:
         if cosets > 1:  # a tile is 2^16 samples, or one coset of more
             source = spaces_module._Cosets(grid, [((slice(0, N),) * n, spec.coeffs)], window)
             assert source.tile == max(spaces_module._CHUNK, np.prod(spans))
-            assert spaces_module._lr_norms(source, 1, 1.5, grid.dx**grid.n)[0] == pytest.approx(
+            assert spaces_module._lr_norms(source, 1.5, grid.dx**grid.n) == pytest.approx(
                 lr_quasinorm(field, 1.5), rel=1e-12
             )
 
@@ -724,7 +749,7 @@ class TestChunkedRowPass:
         want = math.fsum(float(np.sum(flat[lo : lo + chunk])) for lo in range(0, flat.size, chunk))
         for width in (1, 2, 3):
             _with_cpus(monkeypatch, width)
-            assert spaces_module._lr_norms(spaces_module._Rows(a[None]), 1, 1.0, 1.0) == [want]
+            assert spaces_module._lr_norms(spaces_module._Rows(a), 1.0, 1.0) == want
 
     @pytest.mark.parametrize("grid_name", ["grid_mid", "grid_wide", "grid_2d"])
     @pytest.mark.parametrize("scale", [1.0, 1e300, 1e-310])
@@ -772,19 +797,20 @@ class TestOverflowSafePowerSums:
 
     def test_rows_leaving_range_in_one_batch_keep_their_own_norms(self, monkeypatch, grid_wide):
         # at r = 200 the rows' power sums overflow, stay in range, underflow
-        # and vanish: each row's norm is bit for bit the one it has alone
+        # and vanish: each row of one stack, read as its own source, has bit
+        # for bit the norm it has alone
         _with_cpus(monkeypatch, 2)
         base = np.exp(-((grid_wide.x_axis() / 100.0) ** 2)).astype(np.complex128)
         rows = np.stack([1e3 * base, base, 1e-3 * base, 0.0 * base])
         want = [lr_quasinorm(Field(grid_wide, row), 200.0) for row in rows]
         assert want[0] > 0.0 and want[2] > 0.0 and want[3] == 0.0
         before = rows.copy()
-        source = spaces_module._Rows(rows)
-        assert spaces_module._lr_norms(source, len(rows), 200.0, grid_wide.dx) == want
+        sources = [spaces_module._Rows(row) for row in rows]
+        assert [spaces_module._lr_norms(source, 200.0, grid_wide.dx) for source in sources] == want
         # the rescaled re-walk read the same rows: a source is only read
         assert rows.tobytes() == before.tobytes()
-        assert spaces_module._lr_norms(source, len(rows), 200.0, grid_wide.dx) == want
-        scaled = spaces_module._lr_norms(spaces_module._Rows(rows, 0.5), len(rows), 200.0, grid_wide.dx)
+        assert [spaces_module._lr_norms(source, 200.0, grid_wide.dx) for source in sources] == want
+        scaled = [spaces_module._lr_norms(spaces_module._Rows(row, 0.5), 200.0, grid_wide.dx) for row in rows]
         assert scaled == pytest.approx([0.5 * norm for norm in want], rel=1e-13, abs=0.0)
         assert rows.tobytes() == before.tobytes()
 
@@ -796,8 +822,8 @@ class TestOverflowSafePowerSums:
         row = np.full(grid_wide.N, 4e151)
         want = 4e151 * np.sqrt(grid_wide.L)
         assert lr_quasinorm(Field(grid_wide, row), 2.0) == pytest.approx(want, rel=1e-15, abs=0.0)
-        rows = spaces_module._Rows(np.stack([row, np.ones(grid_wide.N)]))
-        got = spaces_module._lr_norms(rows, 2, 2.0, grid_wide.dx)
+        rows = (row, np.ones(grid_wide.N))
+        got = [spaces_module._lr_norms(spaces_module._Rows(a), 2.0, grid_wide.dx) for a in rows]
         assert got == pytest.approx([want, np.sqrt(grid_wide.L)], rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("scale", [1e300, 1e-300])
@@ -944,21 +970,21 @@ class TestEvenQSpectralSum:
         assert got == pytest.approx(_pointwise(monkeypatch, spec, params), rel=1e-12, abs=0.0)
 
     def test_one_synthesis_per_accepted_norm(self, monkeypatch):
-        # hi-band's two borderline records: one batch for the sum, not one per level
-        batches, synthesized = [], spaces_module._synthesized
+        # hi-band's two borderline records: one source for the sum, not one per level
+        keys, synthesized = [], spaces_module._synthesized
 
         def counted(*args):
-            for batch in synthesized(*args):
-                batches.append(batch[0])
-                yield batch
+            for key, source in synthesized(*args):
+                keys.append(key)
+                yield key, source
 
         monkeypatch.setattr(spaces_module, "_synthesized", counted)
         params = SpaceParams(0.0, 2.0, 4.0, "F")
         for size in (4, 16):
             spec = _borderline(GridSpec(1, 2**21, 16.0 * np.pi), size, params)
-            batches.clear()
+            keys.clear()
             triebel_norm(spec, params)
-            assert batches == [[None]]
+            assert keys == [None]
 
     @pytest.mark.parametrize(
         "spec, params",

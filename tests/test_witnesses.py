@@ -239,20 +239,20 @@ class TestLowfreqBlowup:
 
     def test_second_build_synthesizes_only_new_terms(self, monkeypatch, grid_wide):
         _term_norm_table.cache_clear()
-        widths = []
+        synthesized = []
         real = spaces_module._synthesized
 
         def counting(grid, keys, blocks):
-            for batch, source in real(grid, keys, blocks):
-                widths.append(len(batch))
-                yield batch, source
+            for key, source in real(grid, keys, blocks):
+                synthesized.append(key)
+                yield key, source
 
         monkeypatch.setattr(spaces_module, "_synthesized", counting)
         counts = []
         for M, r in [(3, 1.5), (5, 1.5), (5, 1.5), (2, np.inf)]:
-            before = sum(widths)
+            before = len(synthesized)
             warm = _blowup_spectrum(grid_wide, M, 2.0, r).coeffs
-            counts.append(sum(widths) - before)
+            counts.append(len(synthesized) - before)
         assert counts == [3, 2, 0, 2]
         _term_norm_table.cache_clear()
         assert _blowup_spectrum(grid_wide, 2, 2.0, np.inf).coeffs.tobytes() == warm.tobytes()
@@ -600,9 +600,9 @@ class TestWitnessFieldSpectrum:
         real = spaces_module._synthesized
 
         def spy(grid, wanted, blocks):
-            for batch, source in real(grid, wanted, blocks):
-                keys.extend(batch)
-                yield batch, source
+            for key, source in real(grid, wanted, blocks):
+                keys.append(key)
+                yield key, source
 
         monkeypatch.setattr(spaces_module, "_synthesized", spy)
         realization_report(w, q, M)
