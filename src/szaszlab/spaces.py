@@ -26,12 +26,12 @@ Every other piece, and every witness term, is synthesized by
 and alone decides whether it is empty and how to read it
 (:func:`_pieces_lr` gives their L_r norms).  It finds the circular
 frequency window of a piece's nonzero bins (:func:`_window`).  A narrow
-piece, whose window's Q^n bins fit one tile of 2^16 samples while the grid
-does not and leave P^n >= 16 cosets (:func:`_narrow`), is read by FFT
-pruning (:class:`_Cosets`): with P = N / Q, the samples m = P a + b of
-coset b are one length-Q inverse FFT of the window's coefficients times
-twiddles, so a tile of 2^16 samples is a batch of short transforms and no
-full-grid array is made.  On hi-band every level of a witness is narrow.
+piece, whose window's Q^n bins fit one tile of 2^16 samples on a grid of
+more than one tile, is read by FFT pruning (:class:`_Cosets`): with
+P = N / Q, the samples m = P a + b of coset b are one length-Q inverse
+FFT of the window's coefficients times twiddles, so a tile of 2^16
+samples is a batch of short transforms and no full-grid array is made.
+On hi-band every level of a witness is narrow.
 Any other piece takes the next free row of one stack of at most W complex
 full-grid rows, W being the usable CPUs (``os.sched_getaffinity``, else
 ``os.cpu_count()``), in FFT-natural order (frequency k at index k mod N),
@@ -195,13 +195,6 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-#: fewest cosets P^n of a narrow piece: at fewer, one full-grid transform
-#: of a wide row measured faster per piece than the coset tiles (2 CPUs).
-#: It binds only on grids of 2^17 to 2^19 points: on 2^20 and more, a
-#: window of Q^n <= 2^16 bins leaves at least 16 cosets
-_MIN_COSETS = 16
 
 
 def _chunk_pass(size: int, work, tile: int) -> None:
@@ -598,17 +591,6 @@ def _window(grid, piece: list) -> tuple | None:
     return tuple(window)
 
 
-def _narrow(grid, window: tuple) -> bool:
-    """Whether a piece in this window is read by FFT pruning rather than on the full grid.
-
-    It is when its Q^n bins fit one tile while the grid does not, and they
-    leave at least _MIN_COSETS cosets (P^n = N^n / Q^n).  Below either
-    bound the full-grid inverse FFT measured faster.
-    """
-    size, bins = grid.N**grid.n, prod(q for _, q in window)
-    return bins <= _CHUNK < size and size // bins >= _MIN_COSETS
-
-
 #: the one batched inverse FFT of a stack of wide rows: in place where scipy
 #: can, and pocketfft spreads the rows over the cores
 _inverse_rows = partial(_fft.ifftn, workers=-1, overwrite_x=True)
@@ -619,7 +601,8 @@ def _synthesized(grid, keys, blocks):
 
     ``blocks(key)`` is a piece's spectrum as (centered box, values) blocks,
     zero off the boxes, and :func:`_window` finds the frequencies it
-    occupies.  A narrow piece (:func:`_narrow`) is read by FFT pruning
+    occupies.  A narrow piece, whose window's Q^n bins fit one tile of
+    _CHUNK samples on a grid of more than one tile, is read by FFT pruning
     coset by coset (:class:`_Cosets`).  Any other piece takes the next free
     row of one stack of at most W = usable CPUs rows, in FFT-natural order,
     and the stack goes through one unscaled inverse FFT in place when it is
@@ -641,7 +624,7 @@ def _synthesized(grid, keys, blocks):
     for i, key in enumerate(keys):
         piece = blocks(key)
         window = _window(grid, piece)
-        narrow = window is not None and _narrow(grid, window)
+        narrow = window is not None and prod(q for _, q in window) <= _CHUNK < grid.N**grid.n
         if narrow:
             source = _Cosets(grid, piece, window)
         elif window is not None:

@@ -5,11 +5,12 @@ the spectral domain so that supports are exact on the grid:
 
 * ``modulated_witness``: partial sums sum_k a_k e^(i nu_k x_1) phi(x) with
   nu_k the grid-rounded frequency 2^k and phi a smooth low-pass bump, so
-  term k occupies the annulus C_k = {3/4 * 2^k <= |xi| <= 5/4 * 2^k}.  With
-  weights a_k = k 2^(-k theta) the space norm converges while the weighted
-  Fourier functional grows, refuting the inequality when p > r'; with
-  a_k = k^(-1/p) 2^(-k theta) the growth is harmonic, refuting the F-case
-  boundary p = r' < q.
+  term k occupies the annulus C_k = {3/4 * 2^k <= |xi| <= 5/4 * 2^k}.  The
+  witness kind picks the weights.  With a_k = k 2^(-k theta)
+  (``modulated``) the space norm converges while the weighted Fourier
+  functional grows, refuting the inequality when p > r'; with
+  a_k = k^(-1/p) 2^(-k theta) (``modulated_borderline``) the growth is
+  harmonic, refuting the F-case boundary p = r' < q.
 * ``dilated_witness``: low-frequency dilations of an annulus bump psi with
   coefficients k^(-1/p) 2^(k(s - n/r)), putting term k inside C_(-k) with
   space-norm summand k^(-1/p) and weighted-functional contribution k^(-1)
@@ -244,13 +245,11 @@ def annulus_psi(grid: GridSpec) -> Field:
 
 
 def _modulation_weights(kind: str, K: int, theta: float, p: float) -> np.ndarray:
+    """a_1..a_K of a witness kind: k 2^(-k theta) (modulated) or k^(-1/p) 2^(-k theta) (modulated_borderline)."""
+    if kind not in ("modulated", "modulated_borderline"):
+        raise ParameterError(f"invalid params: modulated_witness builds a modulated kind, got {kind!r}")
     k = np.arange(1, K + 1, dtype=float)
-    if kind == "linear":
-        amp = k
-    elif kind == "inverse_root":
-        amp = k ** (-1.0 / p)
-    else:
-        raise ParameterError(f"invalid params: unknown weights {kind!r}")
+    amp = k if kind == "modulated" else k ** (-1.0 / p)
     with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf is nan
         weights = amp * 2.0 ** (-k * theta)
     if not np.isfinite(weights).all():
@@ -261,24 +260,25 @@ def _modulation_weights(kind: str, K: int, theta: float, p: float) -> np.ndarray
     return weights
 
 
-def modulated_witness(grid, spec: WitnessSpec, weights: str = "linear") -> Field:
+def modulated_witness(grid, spec: WitnessSpec) -> Field:
     """Partial sum sum_{k=1..K} a_k e^(i nu_k x_1) phi(x).
 
     nu_k is 2^k rounded to the nearest grid frequency, so term k's spectrum
-    sits exactly inside the annulus C_k.  ``weights`` chooses
-    a_k = k 2^(-k theta) ("linear") or a_k = k^(-1/p) 2^(-k theta)
-    ("inverse_root"), with theta the Szasz exponent of ``spec.query``.
+    sits exactly inside the annulus C_k.  ``spec.kind`` picks the weights:
+    a_k = k 2^(-k theta) for ``modulated``, a_k = k^(-1/p) 2^(-k theta) for
+    ``modulated_borderline``, with theta the Szasz exponent of ``spec.query``.
 
     Raises:
+        ParameterError: for a spec of any other kind, at K = 0 too.
         BandError: "K exceeds band" when C_K would cross the Nyquist margin.
         OverflowError: when a weight a_k exceeds the float range.
         ArithmeticError: when a weight a_k underflows to 0, so its term
             would vanish.
     """
-    return _field(_modulated_spectrum(grid, spec, weights))
+    return _field(_modulated_spectrum(grid, spec))
 
 
-def _modulated_spectrum(grid, spec: WitnessSpec, weights: str) -> Spectrum:
+def _modulated_spectrum(grid, spec: WitnessSpec) -> Spectrum:
     """Exact spectrum of :func:`modulated_witness`.
 
     Term k adds a_k times phi on its box, moved up by nu_k along the first
@@ -291,10 +291,10 @@ def _modulated_spectrum(grid, spec: WitnessSpec, weights: str) -> Spectrum:
         raise BandError(
             f"K exceeds band: annulus C_{K} needs 5/4*2^K <= {SAFETY} * xi_max"
         )
+    amps = _modulation_weights(spec.kind, K, spec.query.theta, spec.query.p)
     if K == 0:
         return _spectrum(grid, [])
     box, phi = _phi_hat_window(grid)
-    amps = _modulation_weights(weights, K, spec.query.theta, spec.query.p)
     shifts = [int(round(2.0**k / grid.dxi)) for k in range(1, K + 1)]
     return _spectrum(grid, (
         ((slice(box[0].start + shift, box[0].stop + shift),) + box[1:], amp * phi)
@@ -311,6 +311,7 @@ def dilated_witness(grid, spec: WitnessSpec) -> Field:
     k^(-1).
 
     Raises:
+        ParameterError: for a spec of any kind but ``dilated_low``, at K = 0 too.
         BandError: "K exceeds low band" when C_(-K) is not resolvable.
     """
     return _field(_dilated_spectrum(grid, spec))
@@ -318,6 +319,8 @@ def dilated_witness(grid, spec: WitnessSpec) -> Field:
 
 def _dilated_spectrum(grid, spec: WitnessSpec) -> Spectrum:
     """Exact spectrum of :func:`dilated_witness`."""
+    if spec.kind != "dilated_low":
+        raise ParameterError(f"invalid params: dilated_witness builds dilated_low, got {spec.kind!r}")
     grid = resolve_grid(grid)
     K = spec.K
     _check_low_band(grid, K, "K")
@@ -491,8 +494,8 @@ def _top_levels_spectrum(grid: GridSpec, spec: WitnessSpec) -> Spectrum:
 #: kind -> (default grid preset, exact-spectrum builder(grid, WitnessSpec)); a
 #: spec's K is the experiment size
 _WITNESSES = {
-    "modulated": ("hi-band", lambda g, w: _modulated_spectrum(g, w, "linear")),
-    "modulated_borderline": ("hi-band", lambda g, w: _modulated_spectrum(g, w, "inverse_root")),
+    "modulated": ("hi-band", _modulated_spectrum),
+    "modulated_borderline": ("hi-band", _modulated_spectrum),
     "dilated_low": ("lo-band", _dilated_spectrum),
     "random_bandlimited": ("lo-band", _top_levels_spectrum),
     "lowfreq_blowup": ("lo-band", lambda g, w: _blowup_spectrum(g, w.K, w.query.space.s, w.query.space.r)),

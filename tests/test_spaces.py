@@ -368,7 +368,7 @@ class TestBatchedSynthesis:
         wide = inverse_ft(_random_spectrum(grid_wide, 5, -6, 2))
         hi = GridSpec(1, 2**18, 16.0 * np.pi)
         query = SzaszQuery(SpaceParams(params.s, params.r, params.q, params.family), 4.0, 1)
-        modulated = witnesses_module._modulated_spectrum(hi, WitnessSpec("modulated", 6, query), "linear")
+        modulated = witnesses_module._modulated_spectrum(hi, WitnessSpec("modulated", 6, query))
         inputs = (spec, inverse_ft(spec), wide, modulated)
         got = {}
         for width in (1, 2, 3):
@@ -455,11 +455,13 @@ class TestBatchedSynthesis:
         assert widths == [1, 1]  # per norm, the level; the wide field's boundary check is inverse_ft's
 
     def test_one_source_per_nonempty_piece_in_key_order(self, monkeypatch, grid_wide):
-        # levels 2-4 are wide on grid_wide, -1 narrow, -5 and -9 exactly empty: at 3 CPUs the
-        # stack is flushed part full before the narrow piece and at the end, at 2 full then at
-        # the end; every row is a source of its own, read as it is at one CPU
-        spec = _random_spectrum(grid_wide, 5, -2, 4)
-        keys = [2, 3, -1, -5, 4, -9]
+        # keys (field, level) of three seeded fields: level 4 is wide on grid_wide (2^17 bins),
+        # -1 narrow, -5 and -9 exactly empty: at 3 CPUs the stack is flushed part full before
+        # the narrow piece and at the end, at 2 full then at the end; every row is a source of
+        # its own, read as it is at one CPU
+        specs = [_random_spectrum(grid_wide, seed, -2, 4) for seed in (5, 6, 7)]
+        keys = [(0, 4), (1, 4), (0, -1), (0, -5), (2, 4), (0, -9)]
+        blocks = lambda key: spaces_module._pieces_of(specs[key[0]])(key[1])
         real, flushed, got = spaces_module._inverse_rows, [], {}
 
         def counting(rows, axes):
@@ -472,10 +474,10 @@ class TestBatchedSynthesis:
             flushed.clear()
             got[width] = [
                 (key, type(source).__name__, _natural_moduli(source, grid_wide).tobytes())
-                for key, source in spaces_module._synthesized(grid_wide, keys, spaces_module._pieces_of(spec))
+                for key, source in spaces_module._synthesized(grid_wide, keys, blocks)
             ]
             assert flushed == {1: [1, 1, 1], 2: [2, 1], 3: [2, 1]}[width]
-        assert [key for key, _, _ in got[1]] == [2, 3, -1, 4]
+        assert [key for key, _, _ in got[1]] == [(0, 4), (1, 4), (0, -1), (2, 4)]
         assert [kind for _, kind, _ in got[1]] == ["_Rows", "_Rows", "_Cosets", "_Rows"]
         assert got[1] == got[2] == got[3]
 
@@ -624,6 +626,20 @@ class TestCosetSynthesis:
             lr_quasinorm(inverse_ft(spec), 1.5), rel=1e-12
         )
 
+    @pytest.mark.parametrize("n, N, spans", [(1, 2**19, (2**16,)), (2, 512, (256, 256))])
+    def test_window_of_one_tile_is_read_by_cosets(self, monkeypatch, n, N, spans):
+        # Q^n = 2^16 bins leave only P^n = 8 or 4 cosets, yet they fit one tile of a larger grid
+        grid = GridSpec(n, N, 32.0)
+        spec = _window_spectrum(grid, [-(span // 2) for span in spans], spans, seed=5)
+        whole = [((slice(0, N),) * n, spec.coeffs)]
+        want = {r: lr_quasinorm(inverse_ft(spec), r) for r in (1.5, np.inf)}
+        for width in (1, 2, 3):
+            _with_cpus(monkeypatch, width)
+            [(_, source)] = spaces_module._synthesized(grid, ["f"], lambda _: whole)
+            assert isinstance(source, spaces_module._Cosets) and np.prod(source.Q) == spaces_module._CHUNK
+            for r in want:
+                assert spaces_module._lr_norms(source, r, grid.dx**n) == pytest.approx(want[r], rel=1e-12)
+
     def test_empty_piece_is_skipped(self, grid_wide):
         zeros = [((slice(10, 20),), np.zeros(10, dtype=np.complex128))]
         assert spaces_module._window(grid_wide, zeros) is None
@@ -634,7 +650,7 @@ class TestCosetSynthesis:
     @pytest.mark.parametrize("setting", ["homogeneous", "inhomogeneous"])
     @pytest.mark.filterwarnings("ignore::szaszlab.ModelFidelityWarning")
     def test_narrow_and_wide_levels_match_the_reference(self, grid_wide, family, setting):
-        # levels -9..0 and S_0 of a field on grid_wide are narrow, 1 to 4 wide
+        # levels -9..3 and S_0 of a field on grid_wide are narrow, 4 wide
         f = inverse_ft(_random_spectrum(grid_wide, 4, -9, 4))
         params = SpaceParams(0.2, 1.5, 2.0, family, setting)
         ref = _synthesized_besov if family == "B" else _synthesized_triebel
@@ -643,7 +659,8 @@ class TestCosetSynthesis:
     @pytest.mark.parametrize("grid_name", ["grid_mid", "grid_wide", "grid_2d", "grid_2d_512"])
     @pytest.mark.parametrize("build", ["random", "modulated", "zero"])
     def test_spectrum_boundary_ratio_is_the_fields(self, request, grid_name, build):
-        grid = GridSpec(2, 512, 32.0) if grid_name == "grid_2d_512" else request.getfixturevalue(grid_name)
+        # on grid_2d_512, band [0, 4], the random field's level-4 plateau spans 285 bins per axis
+        grid = GridSpec(2, 512, 56.0) if grid_name == "grid_2d_512" else request.getfixturevalue(grid_name)
         if build == "zero":
             spec = Spectrum(grid, np.zeros(grid.shape))
         elif build == "random":
@@ -653,10 +670,12 @@ class TestCosetSynthesis:
             coeffs = np.zeros(grid.shape, dtype=np.complex128)
             coeffs[(slice(grid.center + grid.N // 8 - 4, grid.center + grid.N // 8 + 5),) * grid.n] = 1.0
             spec = Spectrum(grid, coeffs)
-        # the bump is read coset by coset on grids of more than one tile
-        window = spaces_module._window(grid, [((slice(0, grid.N),) * grid.n, spec.coeffs)])
-        narrow = window is not None and spaces_module._narrow(grid, window)
-        assert narrow == (build == "modulated" and grid.N**grid.n > spaces_module._CHUNK)
+        # the bump is read coset by coset on grids of more than one tile, a random field's
+        # window of more than one tile on the full grid
+        whole = [((slice(0, grid.N),) * grid.n, spec.coeffs)]
+        kinds = [type(source).__name__ for _, source in spaces_module._synthesized(grid, [0], lambda _: whole)]
+        narrow = build == "modulated" and grid.N**grid.n > spaces_module._CHUNK
+        assert kinds == ([] if build == "zero" else ["_Cosets"] if narrow else ["_Rows"])
         want = boundary_decay_ratio(inverse_ft(spec))
         assert spaces_module._boundary_ratio(spec) == pytest.approx(want, rel=1e-12, abs=0.0)
         caught = {}
@@ -930,7 +949,7 @@ class TestOverflowSafePowerSums:
 def _borderline(grid, size: int, params: SpaceParams) -> Spectrum:
     """The modulated_borderline witness spectrum of K = size for F params, p = 2."""
     query = SzaszQuery(params, 2.0, grid.n)
-    return witnesses_module._modulated_spectrum(grid, WitnessSpec("modulated_borderline", size, query), "inverse_root")
+    return witnesses_module._modulated_spectrum(grid, WitnessSpec("modulated_borderline", size, query))
 
 
 def _pointwise(monkeypatch, spec, params) -> float:

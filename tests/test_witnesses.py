@@ -482,10 +482,8 @@ def _public_witness(kind, query, size, grid, seed):
         return random_bandlimited(grid, seed, j_hi - size + 1, j_hi)
     if kind == "lowfreq_blowup":
         return lowfreq_blowup_witness(grid, size, query.space.s, query.space.r)
-    if kind == "dilated_low":
-        return dilated_witness(grid, WitnessSpec(kind, size, query))
-    weights = "linear" if kind == "modulated" else "inverse_root"
-    return modulated_witness(grid, WitnessSpec(kind, size, query), weights)
+    builder = dilated_witness if kind == "dilated_low" else modulated_witness
+    return builder(grid, WitnessSpec(kind, size, query))
 
 
 class TestSpectrumNativeRecords:
@@ -521,13 +519,34 @@ class TestSpectrumNativeRecords:
         for k in range(1, K + 1):
             a_k = k * 2.0 ** (-k * q.theta)
             want += a_k * np.roll(phi, int(round(2.0**k / grid.dxi)), axis=0)
-        got = _modulated_spectrum(grid, WitnessSpec("modulated", K, q), "linear").coeffs
+        got = _modulated_spectrum(grid, WitnessSpec("modulated", K, q)).coeffs
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+#: the witness kinds each public builder builds
+_BUILDER_KINDS = {modulated_witness: ("modulated", "modulated_borderline"), dilated_witness: ("dilated_low",)}
+
+
+@pytest.mark.parametrize(
+    "builder, kind",
+    [
+        pytest.param(b, kind, id=f"{b.__name__}-{kind}")
+        for b, kinds in _BUILDER_KINDS.items()
+        for kind in witnesses_module.WITNESS_KINDS
+        if kind not in kinds
+    ],
+)
+@pytest.mark.parametrize("K", [0, 2])
+def test_builder_refuses_a_kind_it_does_not_build(grid_wide, builder, kind, K):
+    spec = WitnessSpec(kind, K, make_query("B", 0.0, 2.0, 4.0, 4.0))
+    with pytest.raises(ParameterError, match=f"builds .*got {kind!r}"):
+        builder(grid_wide, spec)
 
 
 #: kind -> (grid fixture, query, size, radius R of the low-frequency mass)
 _CARRIERS = {
     "modulated": ("grid_hi_small", make_query("B", 0.0, 2.0, 4.0, 4.0), 6, 5.0),
+    "modulated_borderline": ("grid_hi_small", make_query("F", 0.0, 2.0, 2.0, 4.0), 6, 5.0),
     "dilated_low": ("grid_wide", make_query("B", 0.0, 2.0, 1.0, 2.0), 5, 1.0),
     "lowfreq_blowup": ("grid_wide", make_query("B", 2.0, 1.5, 3.0, 1.0), 6, 1.0),
     "random_bandlimited": ("grid_wide", make_query("B", 0.0, 2.0, 1.0, 2.0), 6, 1.0),
