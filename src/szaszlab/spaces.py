@@ -45,21 +45,23 @@ result depends on sample order, so no ``fftshift`` copy is made.
 The rest is one pass over a piece's tiles on W threads
 (:func:`_chunk_pass`), the same for both kinds of source: 2^16 samples,
 or one coset when a window holds more bins, which the calling thread
-walks alone.  Each thread walks a contiguous group of tiles and, for each
-tile, synthesizes it or reads the row's chunk, takes its modulus (times
-1/dx^n for a row) into one reused per-thread buffer, and keeps the tile's
-power sum (:func:`_lr_norms`), adds its terms into the F-norm's pointwise
-sum at the tile's positions (:func:`_accumulate`), whose final L_r sums
-its r/q-th powers, or keeps its peak and boundary-shell maximum
-(:func:`_boundary_ratio`).  A source's ``at`` maps
-a tile to its positions in any natural-order full-grid array, which both
-the pointwise sum and the boundary shell (``grid._shell``) are read
-through.  The boundary check reads a spectrum coset by coset whenever its
-window leaves P^n >= 2 cosets on a grid of more than one tile, narrow or
-not, so a hi-band witness's check synthesizes no full-grid field; only a
-window of the whole grid (P^n = 1) or a grid of one tile is synthesized by
-:func:`inverse_ft`.  A
-piece's tile sums are added exactly rounded by ``math.fsum``, and each
+walks alone.  It alone cuts a source into tiles.  Each thread walks a
+contiguous group of tiles; each tile is synthesized, or read from the
+row, as moduli (times 1/dx^n for a row) in one reused per-thread buffer
+and handed to the consumer's reduction, whose results come back in tile
+order: the tile's power sum or maximum (:func:`_lr_norms`), its peak and
+boundary-shell maximum (:func:`_boundary_ratio`), its power sum and
+roundoff bound (:func:`_even_q_norm`), or nothing once its terms are
+added into the F-norm's pointwise sum at the tile's positions
+(:func:`_accumulate`), whose final L_r sums its r/q-th powers.  A
+source's ``at`` maps a tile to its positions in any natural-order
+full-grid array, which both the pointwise sum and the boundary shell
+(``grid._shell``) are read through.  The boundary check reads a
+spectrum coset by coset whenever its window leaves P^n >= 2 cosets on a
+grid of more than one tile, narrow or not, so a hi-band witness's check
+synthesizes no full-grid field; only a window of the whole grid (P^n = 1)
+or a grid of one tile is synthesized by :func:`inverse_ft`.  A piece's
+tile sums are added exactly rounded by ``math.fsum``, and each
 point of the F-sum sees its levels in level order, so no result depends
 on W.  The stack of W rows of 16 N^n bytes, which its row sources only
 view, is all the full-grid memory a Besov norm's pieces add (the F-norm
@@ -92,7 +94,10 @@ sums at r = 2, the l_q sum over levels, ``lr_quasinorm`` and the weighted
 functional).  It rescales a sum by its maximum only when the plain sum
 overflows or underflows, and takes every root, raising ArithmeticError
 when a root leaves the float range, so no quasi-norm silently returns inf
-or 0.
+or 0.  The witness builders' own L_2 sums of their bounded profiles
+(``witnesses._l2_norm`` and the per-level mass of ``_random_spectrum``)
+are the exception: they are plain ``np.sum(np.abs(.)**2)``, whose terms
+cannot leave the float range.
 For r < 1 or q < 1 the same formulas produce quasi-norms; nothing here
 assumes the triangle inequality.
 """
@@ -197,17 +202,18 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _chunk_pass(size: int, work, tile: int) -> None:
-    """Call ``work(lo, hi, buf, tmp)`` for every tile [lo, hi) of range(size), on W threads.
+def _chunk_pass(source, work) -> list:
+    """``work(a, lo, hi, tmp)`` of every tile [lo, hi) of ``source``, in tile order, on W threads.
 
-    Tiles hold ``tile`` samples, and W = min(usable CPUs, tiles), at least
-    1, so an empty range makes one empty buffer and calls nothing.  Each
-    thread walks one contiguous group of tiles in order with one real
-    buffer ``buf`` and one complex buffer ``tmp`` of a tile's length,
-    reused for every tile, and with over- and underflow ignored.  The
-    buffers are allocated here, so the threads allocate no tile-sized
-    memory.  The threads are joined, and the first exception raised, before
-    this returns.
+    ``a`` is the tile's moduli, ``source.moduli(lo, hi, buf, tmp)``; ``work``
+    may overwrite it and the complex buffer ``tmp``.  Tiles hold
+    ``source.tile`` of the ``source.size`` samples, and W = min(usable
+    CPUs, tiles), at least 1, so an empty source gives [].  Each thread
+    walks one contiguous group of tiles in order with one real buffer
+    ``buf`` and one ``tmp`` of a tile's length, reused for every tile, and
+    with over- and underflow ignored, so the threads allocate no
+    tile-sized memory.  The threads are joined, and the first exception
+    raised, before this returns.
 
     Tiles longer than _CHUNK (one coset of a wide window) are walked by the
     calling thread alone, W = 1: the inverse FFT of such a tile allocates
@@ -216,23 +222,23 @@ def _chunk_pass(size: int, work, tile: int) -> None:
     after the pass, or in a new arena when the previous worker had not yet
     exited, so the peak RSS of the process would move from run to run.
     """
-    starts = range(0, size, tile)
-    width = max(1, min(_usable_cpus(), len(starts))) if tile <= _CHUNK else 1
+    size, tile = source.size, source.tile
+    tiles = [(lo, min(lo + tile, size)) for lo in range(0, size, tile)]
+    width = max(1, min(_usable_cpus(), len(tiles))) if tile <= _CHUNK else 1
     bufs = np.empty((width, min(size, tile)))
     tmps = np.empty(bufs.shape, dtype=np.complex128)
 
     def walk(group, buf, tmp):
         with np.errstate(over="ignore", under="ignore"):
-            for lo in group:
-                hi = min(lo + tile, size)
-                work(lo, hi, buf[: hi - lo], tmp)
+            return [work(source.moduli(lo, hi, buf[: hi - lo], tmp), lo, hi, tmp) for lo, hi in group]
 
-    groups = [starts[i * len(starts) // width : (i + 1) * len(starts) // width] for i in range(width)]
+    groups = [tiles[i * len(tiles) // width : (i + 1) * len(tiles) // width] for i in range(width)]
     with ThreadPoolExecutor(max(1, width - 1)) as pool:  # starts no thread when width is 1
         rest = [pool.submit(walk, *args) for args in zip(groups[1:], bufs[1:], tmps[1:])]
-        walk(groups[0], bufs[0], tmps[0])
+        results = walk(groups[0], bufs[0], tmps[0])
         for future in rest:
-            future.result()
+            results += future.result()
+    return results
 
 
 class _Rows:
@@ -365,16 +371,13 @@ class _Cosets:
 
 def _lr_parts(source, r: float, divisor=None) -> np.ndarray:
     """Sums of the r-th powers of |samples| / divisor (maxima at r = inf), tile by tile; no divisor is 1."""
-    parts = np.zeros(-(-source.size // source.tile))
 
-    def work(lo, hi, buf, tmp):
-        a = source.moduli(lo, hi, buf, tmp)
+    def work(a, lo, hi, tmp):
         if divisor is not None:
             a /= divisor
-        parts[lo // source.tile] = a.max() if isinf(r) else np.sum(np.power(a, r, out=a))
+        return a.max() if isinf(r) else np.sum(np.power(a, r, out=a))
 
-    _chunk_pass(source.size, work, source.tile)
-    return parts
+    return np.array(_chunk_pass(source, work))
 
 
 def _exact_sum(tile_sums: np.ndarray) -> float:
@@ -514,16 +517,12 @@ def _boundary_ratio(spec: Spectrum) -> float:
     source, shell = _Cosets(g, blocks, window), _shell(g)
     if g.n == 2:
         shell = shell[:, None] | shell[None, :]
-    peaks, edges = np.zeros((2, size // source.tile))
 
-    def work(lo, hi, buf, tmp):
-        a = source.moduli(lo, hi, buf, tmp)
-        peaks[lo // source.tile] = a.max()
-        edges[lo // source.tile] = np.max(a, where=source.at(shell, lo, hi), initial=0.0)
+    def work(a, lo, hi, tmp):
+        return a.max(), np.max(a, where=source.at(shell, lo, hi), initial=0.0)
 
-    _chunk_pass(size, work, source.tile)
-    peak = float(peaks.max())
-    return 0.0 if peak == 0.0 else float(edges.max()) / peak
+    peak, edge = map(float, np.max(_chunk_pass(source, work), axis=0))
+    return 0.0 if peak == 0.0 else edge / peak
 
 
 def _pieces_of(spec: Spectrum):
@@ -662,8 +661,7 @@ def _accumulate(source, key, s: float, q: float, acc, peak=None) -> None:
     """
     gain = 1.0 if key is None else _power_of_two(key, s, "level weight")
 
-    def work(lo, hi, buf, tmp):
-        a = source.moduli(lo, hi, buf, tmp)
+    def work(a, lo, hi, tmp):
         if gain != 1.0:  # s = 0 or S_0: the product would change no bit
             a *= gain
         if peak is not None:
@@ -675,7 +673,7 @@ def _accumulate(source, key, s: float, q: float, acc, peak=None) -> None:
         else:
             out += np.power(a, q, out=a)
 
-    _chunk_pass(source.size, work, source.tile)
+    _chunk_pass(source, work)
 
 
 def besov_norm(f: Field | Spectrum, params: SpaceParams) -> float:
@@ -781,17 +779,15 @@ def _even_q_norm(spec: Spectrum, keys: list, params: SpaceParams) -> float | Non
         if not _TINY <= spread <= (delta := float(spread + slack)) < np.inf:
             return None
         box = tuple(slice(g.center - t // 2, g.center - t // 2 + t) for t in T.shape)
+
+        def work(a, lo, hi, tmp):  # a is S~
+            end = np.add(a, delta if r > q else -delta, out=tmp.view(np.float64)[: hi - lo].reshape(a.shape))
+            np.power(np.maximum(end, 0.0, out=end), r / q, out=end)
+            np.power(a, r / q, out=a)
+            return np.sum(a), abs(np.sum(np.subtract(a, end, out=a)))
+
         for _, source in _synthesized(g, [None], lambda _: [(box, T)]):
-            sums, bounds = np.zeros((2, -(-source.size // source.tile)))
-
-            def work(lo, hi, buf, tmp):
-                source.moduli(lo, hi, buf, tmp)  # S~ in buf
-                end = np.add(buf, delta if r > q else -delta, out=tmp.view(np.float64)[: hi - lo])
-                np.power(np.maximum(end, 0.0, out=end), r / q, out=end)
-                sums[lo // source.tile] = np.sum(np.power(buf, r / q, out=buf))
-                bounds[lo // source.tile] = abs(np.sum(np.subtract(buf, end, out=end)))
-
-            _chunk_pass(source.size, work, source.tile)
+            sums, bounds = np.array(_chunk_pass(source, work)).T
         total = _exact_sum(sums) * g.dx**g.n
         e = min(1.0, np.float64(_exact_sum(bounds)) * g.dx**g.n / total + (130 + np.log2(source.tile)) * _EPS)
         norm = np.float64(total) ** (1.0 / r)

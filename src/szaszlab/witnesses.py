@@ -74,8 +74,9 @@ merged, as the spectrum's support (``grid._supported``): a modulated
 record holds 7-112 nonzero bins of 2^21, and the norms, ``weighted_lhs``
 and the fidelity checks read only those boxes.  The
 blowup witness scales each term by its grid L_r norm, taken from the space
-norms' own path, ``spaces._pieces_lr``, and kept in one small table per
-(grid, r) for the life of the process.
+norms' own path, ``spaces._pieces_lr``, one term at a time, and cached
+by what it depends on, (grid, k, r), in one bounded cache for the life of
+the process.
 """
 
 from __future__ import annotations
@@ -356,21 +357,10 @@ def lowfreq_blowup_witness(grid, M: int, s: float, r: float) -> Field:
     return _field(_blowup_spectrum(grid, M, s, r))
 
 
-@lru_cache(maxsize=16)
-def _term_norm_table(grid: GridSpec, r: float) -> dict:
-    """k -> grid L_r norm of psi's dilation into C_(-k), for at most the resolvable k (11 on lo-band)."""
-    return {}
-
-
-def _term_norms(grid: GridSpec, terms: dict, r: float) -> list:
-    """Grid L_r norm of each term (k -> (box, profile)) of :func:`_blowup_spectrum`, in order.
-
-    A norm depends only on (grid, k, r), so each is synthesized once: the
-    terms a build misses go to ``_pieces_lr`` together, W to one FFT call.
-    """
-    table = _term_norm_table(grid, r)
-    table.update(_pieces_lr(grid, [k for k in terms if k not in table], lambda k: [terms[k]], r))
-    return [table[k] for k in terms]
+@lru_cache(maxsize=256)  # sixteen (grid, r) pairs of lo-band's 11 resolvable terms
+def _term_norm(grid: GridSpec, k: int, r: float) -> float:
+    """Grid L_r norm of psi's dilation into C_(-k), the k-th term of :func:`_blowup_spectrum`."""
+    return _pieces_lr(grid, [k], lambda k: [_psi_term(grid, k)], r)[k]
 
 
 def _check_low_band(grid: GridSpec, K: int, name: str) -> None:
@@ -399,7 +389,7 @@ def _blowup_spectrum(grid, M: int, s: float, r: float) -> Spectrum:
     terms = {k: _psi_term(grid, k) for k in range(1, M + 1)}
     return _spectrum(grid, (
         (box, 2.0 ** (-k * (s - n_over_r) / 2.0) * _power_of_two(k, s, "witness coefficient") / norm_r * prof)
-        for (k, (box, prof)), norm_r in zip(terms.items(), _term_norms(grid, terms, r))
+        for (k, (box, prof)), norm_r in zip(terms.items(), [_term_norm(grid, k, r) for k in terms])
     ))
 
 

@@ -347,6 +347,21 @@ def _with_cpus(monkeypatch, width):
     monkeypatch.setattr(spaces_module, "_usable_cpus", lambda: width)
 
 
+class _Tiles:
+    """A stand-in tile source of ``size`` samples in tiles of ``tile``, all of modulus 1.
+
+    ``seen`` maps each tile's lo to (thread, tile length, buffer lengths) of its ``moduli`` call.
+    """
+
+    def __init__(self, size, tile):
+        self.size, self.tile, self.seen = size, tile, {}
+
+    def moduli(self, lo, hi, buf, tmp):
+        self.seen[lo] = (threading.get_ident(), hi - lo, len(buf), len(tmp))
+        buf[...] = 1.0
+        return buf
+
+
 class TestBatchedSynthesis:
     @pytest.mark.parametrize("grid_name", ["grid_mid", "grid_2d"])
     @pytest.mark.parametrize("params", _BATCHED_PARAMS, ids=str)
@@ -373,7 +388,7 @@ class TestBatchedSynthesis:
         got = {}
         for width in (1, 2, 3):
             _with_cpus(monkeypatch, width)
-            witnesses_module._term_norm_table.cache_clear()
+            witnesses_module._term_norm.cache_clear()
             got[width] = [space_norm(x, params) for x in inputs] + [
                 lr_quasinorm(wide, params.r),
                 _blowup_spectrum(grid_wide, 3, 2.0, params.r).coeffs.tobytes(),
@@ -409,31 +424,45 @@ class TestBatchedSynthesis:
     def test_chunk_pass_raises_a_worker_error(self, monkeypatch):
         _with_cpus(monkeypatch, 2)
 
-        def work(lo, hi, buf, tmp):
+        def work(a, lo, hi, tmp):
             if lo > 0:
                 raise ValueError(f"chunk at {lo}")
 
         with pytest.raises(ValueError, match="chunk at"):
-            spaces_module._chunk_pass(2 * spaces_module._CHUNK, work, spaces_module._CHUNK)
+            spaces_module._chunk_pass(_Tiles(2 * spaces_module._CHUNK, spaces_module._CHUNK), work)
 
     @pytest.mark.parametrize("chunks", [1, 2, 4])
     def test_tiles_longer_than_a_chunk_stay_on_the_calling_thread(self, monkeypatch, chunks):
         # a tile of one long coset makes tile-sized FFT scratch in the thread that runs it
         _with_cpus(monkeypatch, 4)
         tile = chunks * spaces_module._CHUNK
-        seen = {}
-
-        def work(lo, hi, buf, tmp):
-            seen[lo] = (threading.get_ident(), hi - lo, len(buf), len(tmp))
-
-        spaces_module._chunk_pass(4 * spaces_module._CHUNK, work, tile)
-        assert sorted(seen) == list(range(0, 4 * spaces_module._CHUNK, tile))
-        assert {v[1:] for v in seen.values()} == {(tile, tile, tile)}
-        threads = {v[0] for v in seen.values()}
+        source = _Tiles(4 * spaces_module._CHUNK, tile)
+        spaces_module._chunk_pass(source, lambda a, lo, hi, tmp: None)
+        assert sorted(source.seen) == list(range(0, 4 * spaces_module._CHUNK, tile))
+        assert {v[1:] for v in source.seen.values()} == {(tile, tile, tile)}
+        threads = {v[0] for v in source.seen.values()}
         if chunks > 1:
             assert threads == {threading.get_ident()}
         else:
             assert len(threads) <= 4
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_chunk_pass_gives_results_in_tile_order(self, monkeypatch, width):
+        # six row tiles, the last one short, and eight coset tiles of a
+        # 16-bin window on 2^19 points: more tiles than threads, split unevenly
+        _with_cpus(monkeypatch, width)
+        rows = spaces_module._Rows(np.random.default_rng(0).standard_normal(5 * spaces_module._CHUNK + 7))
+        grid = GridSpec(1, 2**19, 2.0**13 * np.pi)
+        whole = [((slice(0, grid.N),), _window_spectrum(grid, [-8], [16]).coeffs)]
+        cosets = spaces_module._Cosets(grid, whole, spaces_module._window(grid, whole))
+        for source, tiles in ((rows, 6), (cosets, 8)):
+            buf, tmp = np.empty(source.tile), np.empty(source.tile, dtype=np.complex128)
+            want = []
+            for lo in range(0, source.size, source.tile):
+                hi = min(lo + source.tile, source.size)
+                want.append((lo, hi, float(np.sum(source.moduli(lo, hi, buf[: hi - lo], tmp)))))
+            got = spaces_module._chunk_pass(source, lambda a, lo, hi, tmp: (lo, hi, float(np.sum(a))))
+            assert len(want) == tiles and got == want
 
     @pytest.mark.parametrize("cpus", [1, 2, 4])
     def test_one_nonempty_level_fills_one_row(self, monkeypatch, grid_wide, cpus):

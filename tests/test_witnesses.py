@@ -44,7 +44,7 @@ from szaszlab.witnesses import (
     _modulated_spectrum,
     _psi_hat_profile,
     _random_spectrum,
-    _term_norm_table,
+    _term_norm,
 )
 
 
@@ -238,7 +238,7 @@ class TestLowfreqBlowup:
             lowfreq_blowup_witness(grid_wide, M, 2.0, 1.5)
 
     def test_second_build_synthesizes_only_new_terms(self, monkeypatch, grid_wide):
-        _term_norm_table.cache_clear()
+        _term_norm.cache_clear()
         synthesized = []
         real = spaces_module._synthesized
 
@@ -254,20 +254,21 @@ class TestLowfreqBlowup:
             warm = _blowup_spectrum(grid_wide, M, 2.0, r).coeffs
             counts.append(len(synthesized) - before)
         assert counts == [3, 2, 0, 2]
-        _term_norm_table.cache_clear()
+        _term_norm.cache_clear()
         assert _blowup_spectrum(grid_wide, 2, 2.0, np.inf).coeffs.tobytes() == warm.tobytes()
 
-    def test_term_norm_cache_is_bounded(self, grid_wide):
-        _term_norm_table.cache_clear()
+    def test_term_norm_cache_is_bounded(self, grid_mid, grid_wide):
+        _term_norm.cache_clear()
         cold = _blowup_spectrum(grid_wide, 5, 2.0, 1.5).coeffs
-        assert list(_term_norm_table(grid_wide, 1.5)) == [1, 2, 3, 4, 5]
-        # builds at as many other r as the cache holds tables evict (grid_wide, 1.5)
-        tables = _term_norm_table.cache_info().maxsize
-        for i in range(tables):
-            _blowup_spectrum(grid_wide, 1, 2.0, 1.0 + i / 64)
-        assert _term_norm_table.cache_info().currsize == tables
-        assert _term_norm_table(grid_wide, 1.5) == {}
+        assert _term_norm.cache_info().currsize == 5
+        # as many other terms as the cache holds evict the five of (grid_wide, 1.5)
+        terms = _term_norm.cache_info().maxsize
+        for i in range(terms):
+            _term_norm(grid_mid, 1, 1.0 + i / 1024)
+        assert _term_norm.cache_info().currsize == terms
+        misses = _term_norm.cache_info().misses
         got = _blowup_spectrum(grid_wide, 5, 2.0, 1.5).coeffs
+        assert _term_norm.cache_info().misses == misses + 5
         assert got.tobytes() == cold.tobytes()
 
     @pytest.mark.parametrize("r", [1.5, np.inf])
