@@ -22,6 +22,10 @@ Dyadic dilations f(x / 2^m) are one stride read, of the samples for m < 0
 and of the coefficients for m > 0, and translations move whole grid steps;
 they are the only dilations/translations that commute with the dyadic
 Littlewood-Paley ladder built on top of this module.
+
+``_fft`` is the package's one FFT binding, which every transform calls, the
+space norms' too: unset at import, the first transform binds it to
+``scipy.fft``, so classifying loads no FFT library.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft as _fft
 
 from .errors import BandError, ParameterError, _integer, _shown
 
@@ -220,7 +223,7 @@ def forward_ft(f: Field) -> Spectrum:
     if f._spectrum is not None:
         return f._spectrum
     g = f.grid
-    coeffs = _centered(_fft.fftn, f.values, g.dx**g.n)
+    coeffs = _centered(_transforms().fftn, f.values, g.dx**g.n)
     if not np.isfinite(coeffs.view(np.float64)).all() and np.isfinite(f.values).all():
         _finite(coeffs, f.values, "samples")  # finite samples: raises ArithmeticError
     return Spectrum(g, coeffs)
@@ -245,7 +248,19 @@ def _finite(result, inputs: np.ndarray, what: str):
 def inverse_ft(s: Spectrum) -> Field:
     """Exact discrete inverse of :func:`forward_ft` (identity up to roundoff)."""
     g = s.grid
-    return Field(g, _centered(_fft.ifftn, s.coeffs, 1.0 / g.dx**g.n))
+    return Field(g, _centered(_transforms().ifftn, s.coeffs, 1.0 / g.dx**g.n))
+
+
+_fft = None  # scipy.fft once _transforms() has run
+
+
+def _transforms():
+    """``_fft``, bound by the first call; threads calling first together wait on the import lock for one import."""
+    global _fft
+    if _fft is None:
+        import scipy.fft
+        _fft = scipy.fft
+    return _fft
 
 
 def _centered(transform, a: np.ndarray, factor: float) -> np.ndarray:

@@ -111,7 +111,6 @@ from functools import partial
 from math import fsum, isfinite, isinf, prod, sqrt
 
 import numpy as np
-import scipy.fft as _fft
 
 from .errors import ParameterError, _power_of_two, _warn_fidelity
 from .grid import (
@@ -122,6 +121,7 @@ from .grid import (
     _finite,
     _flip_odd,
     _shell,
+    _transforms,
     boundary_decay_ratio,
     forward_ft,
     inverse_ft,
@@ -358,7 +358,7 @@ class _Cosets:
             made = tuple(slice(None) if j < i else slice(0, 1) for j in range(n))
             new = tuple(slice(None) if j < i else slice(1, None) if j == i else slice(0, 1) for j in range(n))
             np.multiply(x[made], twiddle[new], out=x[new])
-        x = _fft.ifftn(x, axes=tuple(range(n, 2 * n)), workers=1, overwrite_x=True)
+        x = _transforms().ifftn(x, axes=tuple(range(n, 2 * n)), workers=1, overwrite_x=True)
         return np.abs(x, out=buf.reshape(x.shape)).transpose(self.order)
 
     def at(self, a: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -590,9 +590,9 @@ def _window(grid, piece: list) -> tuple | None:
     return tuple(window)
 
 
-#: the one batched inverse FFT of a stack of wide rows: in place where scipy
-#: can, and pocketfft spreads the rows over the cores
-_inverse_rows = partial(_fft.ifftn, workers=-1, overwrite_x=True)
+def _inverse_rows(x: np.ndarray, axes: tuple) -> np.ndarray:
+    """The one batched inverse FFT of a stack of wide rows: in place where scipy can, over the cores."""
+    return _transforms().ifftn(x, axes=axes, workers=-1, overwrite_x=True)
 
 
 def _synthesized(grid, keys, blocks):
@@ -767,9 +767,9 @@ def _even_q_norm(spec: Spectrum, keys: list, params: SpaceParams) -> float | Non
             for box, values in piece:
                 _put_window(c, box, values, g.N, tuple(k0 for k0, _ in window))
             w = ((1.0 if key is None else _power_of_two(key, params.s, "level weight")) / volume) ** q
-            a = np.abs(_fft.ifftn(c, norm="forward")) ** q
+            a = np.abs(_transforms().ifftn(c, norm="forward")) ** q
             _flip_odd(a)  # M is 1 or even along each axis, so the spectrum comes out centred
-            parts.append((M, w * _fft.fftn(a, norm="forward")))
+            parts.append((M, w * _transforms().fftn(a, norm="forward")))
             slack += sqrt(prod(M)) * (q + 2) * (7 * np.log2(prod(M)) + 20) * _EPS_L * w * np.sum(np.abs(c)) ** q
         T = np.zeros(tuple(map(max, zip(*(M for M, _ in parts)))), dtype=np.clongdouble)
         for M, a in parts:

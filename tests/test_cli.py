@@ -555,6 +555,26 @@ def test_sweep_never_raises_on_number_like_lists(values, family):
     assert _exit_code(["sweep", *_query_argv(values), "--family", family]) in (0, 2, 3)
 
 
+def test_classify_and_sweep_load_no_fft_library(tmp_path):
+    # neither command transforms anything; the first transform, of a plain sample field, loads it
+    script = """
+import sys
+import numpy as np
+import szaszlab
+from szaszlab.cli import main
+assert main(["classify", "--s", "0", "--p", "2", "--q", "2", "--r", "2", "--n", "1", "--family", "B"]) == 0
+assert main(["sweep", "--s", "0,1", "--p", "2,inf", "--q", "2", "--r", "1.5", "--n", "1,2", "--family", "B,F"]) == 0
+loaded = "scipy.fft" in sys.modules
+szaszlab.forward_ft(szaszlab.Field(szaszlab.GridSpec(1, 16, 1.0), np.arange(16.0)))
+print(loaded, "scipy.fft" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(szaszlab.__file__).parents[1])] + sys.path))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 2 + 17 + 1  # the two records and the flags
+    assert proc.stdout.splitlines()[-1] == "False True"
+
+
 def _run(argv) -> tuple:
     """(exit code, stdout, stderr) of main(argv)."""
     out, err = io.StringIO(), io.StringIO()

@@ -9,7 +9,9 @@ from szaszlab import (
     Field,
     GridSpec,
     ParameterError,
+    SpaceParams,
     Spectrum,
+    besov_norm,
     boundary_decay_ratio,
     dyadic_dilate,
     forward_ft,
@@ -17,10 +19,12 @@ from szaszlab import (
     inverse_ft,
     lp_project,
     random_bandlimited,
+    triebel_norm,
 )
 import szaszlab.grid as grid_module
 from szaszlab.realization import sigma0_partial
 from szaszlab.grid import BOUNDARY_MARGIN
+from szaszlab.witnesses import _random_spectrum
 
 from conftest import wave_packet
 
@@ -209,6 +213,27 @@ class TestMemoryLayout:
         assert Field(grid_2d, a).values is a and Spectrum(grid_2d, a).coeffs is a
 
 
+@pytest.fixture
+def transforms(monkeypatch):
+    """The names of the ``scipy.fft`` transforms called through ``grid._fft``, in order."""
+    calls = []
+
+    class Counted:
+        def __getattr__(self, name):
+            attr = getattr(scipy.fft, name)
+            if name.endswith(("shift", "freq", "fast_len", "workers", "backend")):
+                return attr
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return attr(*args, **kwargs)
+
+            return counted
+
+    monkeypatch.setattr(grid_module, "_fft", Counted())
+    return calls
+
+
 class TestDyadicDilate:
     def test_identity(self, grid_1d):
         x = grid_1d.x_axis()
@@ -282,26 +307,6 @@ class TestDyadicDilate:
         msg = r"dilation escapes grid: field at \S+ of peak outside \|x\| = 0\.95 L / 2\^3$"
         with pytest.raises(BandError, match=msg):
             dyadic_dilate(f, 2)
-
-    @pytest.fixture
-    def transforms(self, monkeypatch):
-        """The names of the ``scipy.fft`` transforms the grid module calls, in order."""
-        calls = []
-
-        class Counted:
-            def __getattr__(self, name):
-                attr = getattr(scipy.fft, name)
-                if name.endswith(("shift", "freq", "fast_len", "workers", "backend")):
-                    return attr
-
-                def counted(*args, **kwargs):
-                    calls.append(name)
-                    return attr(*args, **kwargs)
-
-                return counted
-
-        monkeypatch.setattr(grid_module, "_fft", Counted())
-        return calls
 
     @pytest.mark.parametrize(
         "m,msg", [(m, "holds no sample but x = 0") for m in (3, 12, 30, 63)] + [(10**20, "escapes grid: field at")]
@@ -392,6 +397,19 @@ class TestDyadicDilate:
         f = Field(grid_1d, np.exp(-(x**2) / 2))
         with pytest.raises(ParameterError, match="m must be an integer"):
             dyadic_dilate(f, m)
+
+
+class TestOneFFTBinding:
+    def test_space_norms_transform_through_the_grid_binding(self, transforms, grid_wide):
+        # levels -9..3 of grid_wide are narrow, read coset by coset over several tiles, and
+        # level 4 is wide, one row of the batched inverse FFT; the F-norm at q = 2 adds the
+        # even-q route's small-grid ifftn/fftn pairs: no transform bypasses grid._fft
+        spec = _random_spectrum(grid_wide, 4, -9, 4)
+        besov_norm(spec, SpaceParams(0.2, 1.5, 2.0, "B"))
+        assert set(transforms) == {"ifftn"}
+        transforms.clear()
+        triebel_norm(spec, SpaceParams(0.2, 1.5, 2.0, "F"))
+        assert set(transforms) == {"ifftn", "fftn"}
 
 
 class TestGridTranslate:

@@ -1,11 +1,14 @@
 """Quasi-norm values, invariances and the dyadic scaling law."""
 
 import math
+import os
 import re
+import subprocess
 import sys
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -463,6 +466,32 @@ class TestBatchedSynthesis:
                 want.append((lo, hi, float(np.sum(source.moduli(lo, hi, buf[: hi - lo], tmp)))))
             got = spaces_module._chunk_pass(source, lambda a, lo, hi, tmp: (lo, hi, float(np.sum(a))))
             assert len(want) == tiles and got == want
+
+    def test_first_transform_on_two_threads_binds_one_library(self, monkeypatch, grid_wide, tmp_path):
+        # in a fresh process the first transform is a narrow level's 4 tiles of cosets on
+        # W = 2 threads, the calling one and a worker, which find grid._fft unset together
+        script = """
+import sys, threading
+import numpy as np
+import szaszlab.spaces as spaces
+from szaszlab import GridSpec, SpaceParams, besov_norm
+from szaszlab.witnesses import _random_spectrum
+spaces._usable_cpus = lambda: 2
+threads, moduli = set(), spaces._Cosets.moduli
+spaces._Cosets.moduli = lambda self, *args: threads.add(threading.get_ident()) or moduli(self, *args)
+spec = _random_spectrum(GridSpec(1, 2**18, 2.0**12 * 2.0 * np.pi), 4, 0, 0)
+assert "scipy.fft" not in sys.modules
+value = besov_norm(spec, SpaceParams(0.2, 1.5, 2.0, "B"))
+assert len(threads) >= 2, threads  # the calling thread and a worker per pass
+print(value.hex())
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(spaces_module.__file__).parents[1])] + sys.path))
+        _with_cpus(monkeypatch, 2)
+        want = besov_norm(_random_spectrum(grid_wide, 4, 0, 0), SpaceParams(0.2, 1.5, 2.0, "B")).hex()
+        for _ in range(3):
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == want
 
     @pytest.mark.parametrize("cpus", [1, 2, 4])
     def test_one_nonempty_level_fills_one_row(self, monkeypatch, grid_wide, cpus):
