@@ -25,14 +25,16 @@ Littlewood-Paley ladder built on top of this module.
 
 ``_fft`` is the package's one FFT binding, which every transform calls, the
 space norms' too: unset at import, the first transform binds it to
-``scipy.fft``, so classifying loads no FFT library.
+``numpy.fft``, so classifying loads no FFT library.  Its 1-D transforms
+make the n-D ones (``_fftn``, ``_ifftn``, :func:`_real_fftn`), one
+axis at a time in the order given, in place, with pocketfft's n-D bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -223,7 +225,7 @@ def forward_ft(f: Field) -> Spectrum:
     if f._spectrum is not None:
         return f._spectrum
     g = f.grid
-    coeffs = _centered(_transforms().fftn, f.values, g.dx**g.n)
+    coeffs = _centered(_fftn, f.values, g.dx**g.n)
     if not np.isfinite(coeffs.view(np.float64)).all() and np.isfinite(f.values).all():
         _finite(coeffs, f.values, "samples")  # finite samples: raises ArithmeticError
     return Spectrum(g, coeffs)
@@ -248,19 +250,83 @@ def _finite(result, inputs: np.ndarray, what: str):
 def inverse_ft(s: Spectrum) -> Field:
     """Exact discrete inverse of :func:`forward_ft` (identity up to roundoff)."""
     g = s.grid
-    return Field(g, _centered(_transforms().ifftn, s.coeffs, 1.0 / g.dx**g.n))
+    return Field(g, _centered(_ifftn, s.coeffs, 1.0 / g.dx**g.n))
 
 
-_fft = None  # scipy.fft once _transforms() has run
+_fft = None  # numpy.fft once _transforms() has run
 
 
 def _transforms():
     """``_fft``, bound by the first call; threads calling first together wait on the import lock for one import."""
     global _fft
     if _fft is None:
-        import scipy.fft
-        _fft = scipy.fft
+        import numpy.fft
+        _fft = numpy.fft
     return _fft
+
+
+def _per_axis(name: str, x: np.ndarray, axes=None, norm=None) -> np.ndarray:
+    """``x`` transformed in place by the 1-D ``_fft.<name>`` along each of ``axes`` (all if None), in the order given.
+
+    That order and the scaling give pocketfft's n-D bits: its n-D transform
+    scales by the whole norm factor at the end of its first axis, while
+    numpy's 1-D transforms would each scale by their own, which rounds
+    differently where values are subnormal.  So with two or more axes the
+    first runs unscaled and is then scaled by the whole factor, a power of
+    two on every grid, and the rest run unscaled.  (numpy's own ``ifftn``
+    runs the axes last first, which does not give pocketfft's bits.)  No
+    floating-point warning is raised; callers judge the values.
+    """
+    transform = getattr(_transforms(), name)
+    first, *rest = range(x.ndim) if axes is None else axes
+    plain = "forward" if name == "ifft" else "backward"  # numpy's norm that leaves ``name`` unscaled
+    with np.errstate(all="ignore"):
+        transform(x, axis=first, norm=plain if rest else norm, out=x)
+        if rest and (norm == "forward") != (name == "ifft"):  # a scaled direction
+            _scale(x, 1.0 / math.prod(x.shape[axis] for axis in (first, *rest)))
+        for axis in rest:
+            transform(x, axis=axis, norm=plain, out=x)
+    return x
+
+
+# scipy.fft's fftn(x, axes, norm) and ifftn(x, axes, norm) bit for bit, in place in a complex x
+_fftn = partial(_per_axis, "fft")
+_ifftn = partial(_per_axis, "ifft")
+
+
+def _real_fftn(a: np.ndarray) -> np.ndarray:
+    """``scipy.fft.fftn(a, norm="forward")`` of a real ``a`` bit for bit, by pocketfft's real-input route.
+
+    That is an ``rfft`` along the last axis scaled by 1/a.size, the other
+    axes transformed in place, and the upper half of the last axis filled
+    from the lower: pocketfft walks the lower half's entries P in C order
+    and writes conj(its current value at P) at -P.  Only where both P and
+    -P lie in the lower half (the last axis's index 0 and, for an even
+    length, its middle) does that write land on a computed entry; there
+    the walk leaves conj(computed at -P) at every P it reaches after -P,
+    P = -P included, and the computed value elsewhere.
+    """
+    fft, rest, M = _transforms(), tuple(range(a.ndim - 1)), a.shape[-1]
+    with np.errstate(all="ignore"):
+        half = fft.rfft(a, norm="backward" if rest else "forward")
+    if rest:
+        _scale(half, 1.0 / a.size)
+        _fftn(half, rest)
+    out = np.empty(a.shape, dtype=half.dtype)
+    out[..., : M // 2 + 1] = half
+    out[..., M // 2 + 1 :] = np.conj(_mirrored(half[..., M - M // 2 - 1 : 0 : -1], rest))
+    cols = [0] if M % 2 else [0, M // 2]
+    order = np.arange(math.prod(a.shape[:-1])).reshape(a.shape[:-1])
+    later = order >= _mirrored(order, rest)
+    out[..., cols] = np.where(later[..., None], np.conj(_mirrored(half[..., cols], rest)), half[..., cols])
+    return out
+
+
+def _mirrored(x: np.ndarray, axes) -> np.ndarray:
+    """``x`` at index -i mod its length along each of ``axes``."""
+    for axis in axes:
+        x = np.roll(np.flip(x, axis), 1, axis)
+    return x
 
 
 def _centered(transform, a: np.ndarray, factor: float) -> np.ndarray:
@@ -274,7 +340,7 @@ def _centered(transform, a: np.ndarray, factor: float) -> np.ndarray:
     """
     v = a.copy()
     _flip_odd(v)
-    v = transform(v, workers=-1, overwrite_x=True)
+    transform(v)
     _flip_odd(v)
     _scale(v, factor)
     return v
@@ -288,7 +354,7 @@ def _flip_odd(v: np.ndarray) -> None:
 
 
 def _scale(v: np.ndarray, factor: float) -> None:
-    """Multiply C-contiguous complex samples by a real ``factor`` in place, both parts alike.
+    """Multiply C-contiguous complex samples, double or long double, by a real ``factor`` in place, both parts alike.
 
     numpy divides a complex by a real d (Smith's algorithm with a zero
     imaginary part) as both parts times 1/d, so with ``factor`` 1/d this is
@@ -296,7 +362,7 @@ def _scale(v: np.ndarray, factor: float) -> None:
     complex division; and it is ``v * factor`` bit for bit except for the
     sign of an exact zero part, which it keeps.
     """
-    parts = v.view(np.float64)
+    parts = v.view(v.real.dtype)
     np.multiply(parts, factor, out=parts)
 
 

@@ -35,10 +35,10 @@ On hi-band every level of a witness is narrow.
 Any other piece takes the next free row of one stack of at most W complex
 full-grid rows, W being the usable CPUs (``os.sched_getaffinity``, else
 ``os.cpu_count()``), in FFT-natural order (frequency k at index k mod N),
-and a full stack goes through one multi-row inverse FFT in place
-(``_inverse_rows``), which pocketfft spreads over the cores; each of its
-rows is then read as a source of its own (:class:`_Rows`).  The stack is
-allocated at the first wide piece.  Every source holds one piece, and
+and the rows of a full stack go through their inverse FFTs in place, one
+row per thread (``_inverse_rows``); each of its rows is then read as a
+source of its own (:class:`_Rows`).  The stack is allocated at the first
+wide piece.  Every source holds one piece, and
 both kinds give samples in natural order (x = m dx at index m mod N); no
 result depends on sample order, so no ``fftshift`` copy is made.
 
@@ -120,8 +120,9 @@ from .grid import (
     _CHUNK,
     _finite,
     _flip_odd,
+    _ifftn,
+    _real_fftn,
     _shell,
-    _transforms,
     boundary_decay_ratio,
     forward_ft,
     inverse_ft,
@@ -358,7 +359,7 @@ class _Cosets:
             made = tuple(slice(None) if j < i else slice(0, 1) for j in range(n))
             new = tuple(slice(None) if j < i else slice(1, None) if j == i else slice(0, 1) for j in range(n))
             np.multiply(x[made], twiddle[new], out=x[new])
-        x = _transforms().ifftn(x, axes=tuple(range(n, 2 * n)), workers=1, overwrite_x=True)
+        x = _ifftn(x, tuple(range(n, 2 * n)))
         return np.abs(x, out=buf.reshape(x.shape)).transpose(self.order)
 
     def at(self, a: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -591,8 +592,17 @@ def _window(grid, piece: list) -> tuple | None:
 
 
 def _inverse_rows(x: np.ndarray, axes: tuple) -> np.ndarray:
-    """The one batched inverse FFT of a stack of wide rows: in place where scipy can, over the cores."""
-    return _transforms().ifftn(x, axes=axes, workers=-1, overwrite_x=True)
+    """The inverse FFT along ``axes``, counted from the end, of each row of a stack of wide rows, in place.
+
+    Each row runs on a thread of its own; numpy's transforms release the
+    GIL, so the W rows run on W cores.
+    """
+    with ThreadPoolExecutor(max(1, len(x) - 1)) as pool:  # starts no thread for one row
+        rest = [pool.submit(_ifftn, row, axes) for row in x[1:]]
+        _ifftn(x[0], axes)
+        for future in rest:
+            future.result()
+    return x
 
 
 def _synthesized(grid, keys, blocks):
@@ -604,11 +614,11 @@ def _synthesized(grid, keys, blocks):
     _CHUNK samples on a grid of more than one tile, is read by FFT pruning
     coset by coset (:class:`_Cosets`).  Any other piece takes the next free
     row of one stack of at most W = usable CPUs rows, in FFT-natural order,
-    and the stack goes through one unscaled inverse FFT in place when it is
-    full, before a narrow piece and at the end, so the W transforms run on
-    W cores; then each transformed row is a source of its own, a view of
-    the stack (:class:`_Rows`, whose moduli carry the 1/dx^n), and the
-    stack is zeroed after the last.  Sources give samples in natural order,
+    and the stack's rows go through their inverse FFTs in place, one row per
+    thread, when it is full, before a narrow piece and at the end, so the W
+    transforms run on W cores; then each transformed row is a source of its
+    own, a view of the stack (:class:`_Rows`, whose moduli carry the
+    1/dx^n), and the stack is zeroed after the last.  Sources give samples in natural order,
     which no L_r sum depends on; a source is valid until the next is drawn.
     """
     rows, stacked = None, []
@@ -767,10 +777,10 @@ def _even_q_norm(spec: Spectrum, keys: list, params: SpaceParams) -> float | Non
             for box, values in piece:
                 _put_window(c, box, values, g.N, tuple(k0 for k0, _ in window))
             w = ((1.0 if key is None else _power_of_two(key, params.s, "level weight")) / volume) ** q
-            a = np.abs(_transforms().ifftn(c, norm="forward")) ** q
-            _flip_odd(a)  # M is 1 or even along each axis, so the spectrum comes out centred
-            parts.append((M, w * _transforms().fftn(a, norm="forward")))
             slack += sqrt(prod(M)) * (q + 2) * (7 * np.log2(prod(M)) + 20) * _EPS_L * w * np.sum(np.abs(c)) ** q
+            a = np.abs(_ifftn(c, norm="forward")) ** q  # c is transformed in place
+            _flip_odd(a)  # M is 1 or even along each axis, so the spectrum comes out centred
+            parts.append((M, w * _real_fftn(a)))
         T = np.zeros(tuple(map(max, zip(*(M for M, _ in parts)))), dtype=np.clongdouble)
         for M, a in parts:
             T[tuple(slice(t // 2 - m // 2, t // 2 - m // 2 + m) for t, m in zip(T.shape, M))] += a

@@ -409,12 +409,16 @@ def random_bandlimited(grid, seed: int, j_lo: int, j_hi: int) -> Field:
 
 
 def _plateau(grid: GridSpec, j: int) -> tuple:
-    """(t, place): |xi| / 2^j on the bins of level j's plateau 3/4 < |xi| / 2^j < 1, in centered order.
+    """(t, whole, place): |xi| / 2^j on level j's plateau 3/4 < |xi| / 2^j < 1, and its layout.
 
-    ``place(values)``, given one value per bin in the order of ``t``, gives
-    them as (centered box, values) terms.  In 1-D the plateau is its two
-    one-sided runs, laid out as ``_one_sided`` lays out a level; otherwise
-    it is the box holding the ball |xi| <= 2^j, zero off the plateau.
+    ``whole(values)``, given one value per entry of ``t``, gives one per bin
+    of the plateau in centered order, and ``place`` gives those as
+    (centered box, values) terms.  In 1-D the plateau is its two one-sided
+    runs, laid out as ``_one_sided`` lays out a level; ``t`` covers the
+    positive run alone, and ``whole`` mirrors it onto the negative run,
+    whose bins hold the same |xi| in reverse.  Otherwise the plateau is the
+    box holding the ball |xi| <= 2^j, zero off the plateau, and ``t`` and
+    ``whole`` cover all of its bins.
     """
     scale = 2.0**j
     if grid.n == 1:
@@ -424,8 +428,11 @@ def _plateau(grid: GridSpec, j: int) -> tuple:
         inside = (t > 0.75) & (t < 1.0)  # one run, as t grows with k
         first, t = int(np.argmax(inside)), t[inside]
         pos, neg = _one_sided(grid, k_lo + first, k_lo + first + t.size - 1)
-        # the mirror's bins hold the same |xi|, in reverse
-        return np.concatenate([t[::-1], t]), lambda values: [(neg, values[: t.size]), (pos, values[t.size :])]
+        return (
+            t,
+            lambda values: np.concatenate([values[::-1], values]),
+            lambda values: [(neg, values[: t.size]), (pos, values[t.size :])],
+        )
     box = _box(grid, scale)
     t = radial_xi(grid)[box] / scale
     plateau = (t > 0.75) & (t < 1.0)
@@ -435,7 +442,7 @@ def _plateau(grid: GridSpec, j: int) -> tuple:
         out[plateau] = values
         return [(box, out)]
 
-    return t[plateau], place
+    return t[plateau], lambda values: values, place
 
 
 def _random_spectrum(grid, seed: int, j_lo: int, j_hi: int) -> Spectrum:
@@ -452,14 +459,14 @@ def _random_spectrum(grid, seed: int, j_lo: int, j_hi: int) -> Spectrum:
 
     def plateaus():
         for j in range(j_lo, j_hi + 1):
-            t, place = _plateau(grid, j)
+            t, whole, place = _plateau(grid, j)
             window = _mollifier_step(16.0 * (t - 0.75)) * _mollifier_step(16.0 * (1.0 - t))
             u = (t - 0.75) * 4.0
             coeff = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
             modulation = np.zeros(window.shape, dtype=np.complex128)
             for d in range(n_modes):
                 modulation += coeff[d] / (1.0 + d) * np.exp(2j * np.pi * d * u)
-            level = window * modulation
+            level = whole(window * modulation)  # the mass sums the whole plateau, in its order
             mass = np.sum(np.abs(level) ** 2) * grid.dxi**grid.n
             if mass > 0.0:
                 yield from place(level / np.sqrt(mass))

@@ -556,7 +556,7 @@ def test_sweep_never_raises_on_number_like_lists(values, family):
 
 
 def test_classify_and_sweep_load_no_fft_library(tmp_path):
-    # neither command transforms anything; the first transform, of a plain sample field, loads it
+    # neither command transforms anything; the first transform, of a plain sample field, loads numpy's FFT
     script = """
 import sys
 import numpy as np
@@ -564,15 +564,64 @@ import szaszlab
 from szaszlab.cli import main
 assert main(["classify", "--s", "0", "--p", "2", "--q", "2", "--r", "2", "--n", "1", "--family", "B"]) == 0
 assert main(["sweep", "--s", "0,1", "--p", "2,inf", "--q", "2", "--r", "1.5", "--n", "1,2", "--family", "B,F"]) == 0
-loaded = "scipy.fft" in sys.modules
+loaded = "numpy.fft" in sys.modules
 szaszlab.forward_ft(szaszlab.Field(szaszlab.GridSpec(1, 16, 1.0), np.arange(16.0)))
-print(loaded, "scipy.fft" in sys.modules)
+print(loaded, "numpy.fft" in sys.modules, any(name.split(".")[0] == "scipy" for name in sys.modules))
 """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(szaszlab.__file__).parents[1])] + sys.path))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.splitlines()) == 2 + 17 + 1  # the two records and the flags
-    assert proc.stdout.splitlines()[-1] == "False True"
+    assert proc.stdout.splitlines()[-1] == "False True False"
+
+
+_NO_SCIPY = """
+import importlib.abc
+import sys
+
+
+class Refused(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"refused: {name}")
+
+
+if sys.argv[1] == "refused":
+    sys.meta_path.insert(0, Refused())
+from szaszlab import SpaceParams, SzaszQuery, random_bandlimited, realization_report
+from szaszlab.cli import main
+
+query = ["--s", "0", "--p", "4", "--q", "4", "--r", "2", "--n", "1", "--family", "B"]
+assert main(["classify", *query]) == 0
+assert main(["sweep", "--s", "0,1", "--p", "2,inf", "--q", "2", "--r", "1.5", "--n", "1,2", "--family", "B,F"]) == 0
+print("numpy.fft" in sys.modules)
+assert main(["experiment", "--kind", "modulated", "--sizes", "0,2", "--seed", "0", *query, "--grid", "mid-band"]) == 0
+f = random_bandlimited("mid-band", 3, 0, 5)
+print(realization_report(f, SzaszQuery(SpaceParams(0.0, 1.5, 2.0, "B"), 2.0, 1), 2, R=2.0).to_record())
+print("numpy.fft" in sys.modules, sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+if sys.argv[1] == "refused":
+    try:
+        import scipy
+    except ImportError:
+        pass
+    else:
+        raise SystemExit("scipy was not refused")
+"""
+
+
+def test_numeric_runs_need_no_scipy(tmp_path):
+    # with every scipy import refused, the commands and a realization report give an
+    # unrestricted run's bytes; numpy's FFT is loaded by the experiment, not before
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(szaszlab.__file__).parents[1])] + sys.path))
+    out = {}
+    for mode in ("refused", "allowed"):
+        proc = subprocess.run([sys.executable, "-c", _NO_SCIPY, mode], capture_output=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr.decode()
+        out[mode] = proc.stdout
+    assert out["refused"] == out["allowed"]
+    lines = out["refused"].decode().splitlines()
+    assert lines[2 + 17] == "False"  # after the classify and sweep records
+    assert lines[-1] == "True []"
 
 
 def _run(argv) -> tuple:

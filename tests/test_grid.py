@@ -215,14 +215,12 @@ class TestMemoryLayout:
 
 @pytest.fixture
 def transforms(monkeypatch):
-    """The names of the ``scipy.fft`` transforms called through ``grid._fft``, in order."""
+    """The names of the 1-D ``numpy.fft`` transforms called through ``grid._fft``, one per axis, in order."""
     calls = []
 
     class Counted:
         def __getattr__(self, name):
-            attr = getattr(scipy.fft, name)
-            if name.endswith(("shift", "freq", "fast_len", "workers", "backend")):
-                return attr
+            attr = getattr(np.fft, name)
 
             def counted(*args, **kwargs):
                 calls.append(name)
@@ -352,7 +350,7 @@ class TestDyadicDilate:
         # on 256 points the box |x| < 0.95 L / 2^6 still holds x = 0, +-dx, ...
         g = GridSpec(1, 256, 1.0)
         d = dyadic_dilate(Field(g, np.eye(256)[g.center]), m)
-        assert transforms == ["fftn", "ifftn"]
+        assert transforms == ["fft", "ifft"]
         assert np.abs(d.values).max() > 0
 
     @pytest.mark.parametrize("m", [1, 2])
@@ -402,14 +400,58 @@ class TestDyadicDilate:
 class TestOneFFTBinding:
     def test_space_norms_transform_through_the_grid_binding(self, transforms, grid_wide):
         # levels -9..3 of grid_wide are narrow, read coset by coset over several tiles, and
-        # level 4 is wide, one row of the batched inverse FFT; the F-norm at q = 2 adds the
-        # even-q route's small-grid ifftn/fftn pairs: no transform bypasses grid._fft
+        # level 4 is wide, one row of the stack of wide rows; the F-norm at q = 2 adds the
+        # even-q route's small-grid ifft/rfft pairs: no transform bypasses grid._fft
         spec = _random_spectrum(grid_wide, 4, -9, 4)
         besov_norm(spec, SpaceParams(0.2, 1.5, 2.0, "B"))
-        assert set(transforms) == {"ifftn"}
+        assert set(transforms) == {"ifft"}
         transforms.clear()
         triebel_norm(spec, SpaceParams(0.2, 1.5, 2.0, "F"))
-        assert set(transforms) == {"ifftn", "fftn"}
+        assert set(transforms) == {"ifft", "rfft"}
+
+    def test_two_dimensional_transforms_run_one_axis_at_a_time(self, transforms, grid_2d):
+        # the first axis first, as pocketfft's n-D transforms run them
+        a = np.random.default_rng(2).standard_normal(grid_2d.shape)
+        inverse_ft(Spectrum(grid_2d, a))
+        grid_module._real_fftn(np.abs(a).astype(np.longdouble))
+        assert transforms == ["ifft", "ifft", "rfft", "fft"]
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble])
+    @pytest.mark.parametrize(
+        "shape, axes",
+        [((16,), None), ((2**18,), None), ((16, 16), None), ((64, 32), None), ((512, 512), None),
+         ((3, 256), (1,)), ((3, 64, 32), (1, 2)), ((2, 64, 64), (-2, -1)), ((4, 8, 16, 16), (2, 3))],
+    )
+    @pytest.mark.parametrize("norm", [None, "forward"])
+    @pytest.mark.parametrize("magnitude", [1.0, 1e-310])
+    def test_n_dimensional_transforms_are_scipys_bit_for_bit(self, dtype, shape, axes, norm, magnitude):
+        # the values and the signs of zeros, subnormal ones included: the whole norm
+        # factor is applied after the first axis, as pocketfft does; complex values are
+        # compared by value, since a long double's padding bytes are undefined
+        rng = np.random.default_rng(3)
+        a = ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * magnitude).astype(dtype)
+        for mine, reference in ((grid_module._ifftn, scipy.fft.ifftn), (grid_module._fftn, scipy.fft.fftn)):
+            x = a.copy()
+            got = mine(x, axes, norm)
+            assert got is x  # in place
+            _assert_same_bits(got, reference(a, axes=axes, norm=norm))
+
+    @pytest.mark.parametrize(
+        "shape", [(1,), (2,), (16,), (1024,), (1, 1), (2, 1), (16, 1), (1, 16), (2, 2), (4, 2), (16, 32), (256, 256)]
+    )
+    def test_real_input_transform_is_scipys_bit_for_bit(self, shape):
+        # the even-q route's |.|^q: pocketfft's real-input route, its conjugate fill included
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            a = np.abs(rng.standard_normal(shape)).astype(np.longdouble) ** 4
+            _assert_same_bits(grid_module._real_fftn(a), scipy.fft.fftn(a, norm="forward"))
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    for part in ("real", "imag"):
+        g, w = getattr(got, part), getattr(want, part)
+        assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
 
 
 class TestGridTranslate:

@@ -1,5 +1,6 @@
 """Quasi-norm values, invariances and the dyadic scaling law."""
 
+import hashlib
 import math
 import os
 import re
@@ -8,10 +9,12 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import szaszlab.spaces as spaces_module
 import szaszlab.witnesses as witnesses_module
@@ -480,7 +483,7 @@ spaces._usable_cpus = lambda: 2
 threads, moduli = set(), spaces._Cosets.moduli
 spaces._Cosets.moduli = lambda self, *args: threads.add(threading.get_ident()) or moduli(self, *args)
 spec = _random_spectrum(GridSpec(1, 2**18, 2.0**12 * 2.0 * np.pi), 4, 0, 0)
-assert "scipy.fft" not in sys.modules
+assert "numpy.fft" not in sys.modules
 value = besov_norm(spec, SpaceParams(0.2, 1.5, 2.0, "B"))
 assert len(threads) >= 2, threads  # the calling thread and a worker per pass
 print(value.hex())
@@ -1252,3 +1255,80 @@ class TestStridedInput:
         assert space_norm(Spectrum(g, strided), params) == space_norm(
             Spectrum(g, np.ascontiguousarray(strided)), params
         )
+
+
+def _scipy_transforms(monkeypatch):
+    """spaces' transforms replaced by scipy.fft's n-D ones, in place where spaces' callers need it."""
+
+    def ifftn(x, axes=None, norm=None):
+        x[...] = scipy.fft.ifftn(x, axes=axes, norm=norm)
+        return x
+
+    monkeypatch.setattr(spaces_module, "_ifftn", ifftn)
+    monkeypatch.setattr(spaces_module, "_real_fftn", lambda a: scipy.fft.fftn(a, norm="forward"))
+
+
+def _coset_source(n, N, spans):
+    grid = GridSpec(n, N, 32.0)
+    spec = _window_spectrum(grid, [-(span // 2) for span in spans], spans, seed=7)
+    whole = [((slice(0, N),) * n, spec.coeffs)]
+    return grid, spaces_module._Cosets(grid, whole, spaces_module._window(grid, whole))
+
+
+class TestNumpyTransforms:
+    # numpy's 1-D transforms, one axis at a time, against scipy.fft's n-D ones: the same bits
+
+    @pytest.mark.parametrize(
+        "n, N, spans, tile",
+        [(1, 2**18, (16,), 2**16), (2, 512, (32, 64), 2**16), (1, 2**19, (2**17,), 2**17)],
+        ids=["1-D", "2-D", "giant tile"],
+    )
+    def test_coset_tiles_are_scipys_bit_for_bit(self, monkeypatch, n, N, spans, tile):
+        grid, source = _coset_source(n, N, spans)
+        assert source.tile == tile
+        got = _natural_moduli(source, grid)
+        _scipy_transforms(monkeypatch)
+        assert got.tobytes() == _natural_moduli(source, grid).tobytes()
+
+    @pytest.mark.parametrize("shape", [(2**18,), (256, 256)])
+    def test_wide_rows_are_scipys_bit_for_bit_at_every_width(self, shape):
+        rng = np.random.default_rng(8)
+        stack = rng.standard_normal((3,) + shape) + 1j * rng.standard_normal((3,) + shape)
+        axes = tuple(range(-len(shape), 0))
+        want = scipy.fft.ifftn(stack, axes=axes)
+        for width in (1, 2, 3):
+            rows = stack[:width].copy()
+            assert spaces_module._inverse_rows(rows, axes) is rows
+            assert rows.tobytes() == want[:width].tobytes()
+
+    @pytest.mark.parametrize(
+        "n, N, params",
+        [(1, 2**14, SpaceParams(0.0, 2.0, 4.0, "F")), (1, 2**14, SpaceParams(0.3, 1.5, 2.0, "F", "inhomogeneous")),
+         (2, 512, SpaceParams(0.3, 1.5, 2.0, "F"))],
+        ids=str,
+    )
+    def test_even_q_route_is_scipys_bit_for_bit(self, monkeypatch, n, N, params):
+        spec = _borderline(GridSpec(n, N, 16.0 * np.pi), 3, params)
+        got = _route(spec, params)
+        _scipy_transforms(monkeypatch)
+        assert got is not None and got == _route(spec, params)
+
+    def test_tile_passes_on_threads_at_once(self, monkeypatch):
+        # passes of four window lengths, a giant tile among them, each on W = 3 threads, three
+        # passes at a time: numpy's plan cache is shared by every thread, and no tile's bits move
+        sources = [_coset_source(1, 2**18, (span,))[1] for span in (16, 256, 4096)] + [_coset_source(1, 2**19, (2**17,))[1]]
+
+        def work(a, lo, hi, tmp):
+            return hashlib.sha256(a.tobytes()).digest()
+
+        _with_cpus(monkeypatch, 1)
+        want = [spaces_module._chunk_pass(source, work) for source in sources]
+        _with_cpus(monkeypatch, 3)
+
+        def run(k):  # every source twice, starting at the k-th
+            order = [(i + k) % len(sources) for i in range(2 * len(sources))]
+            return [(j, spaces_module._chunk_pass(sources[j], work)) for j in order]
+
+        with ThreadPoolExecutor(3) as pool:
+            runs = list(pool.map(run, range(3)))
+        assert all(result == want[j] for passes in runs for j, result in passes)
