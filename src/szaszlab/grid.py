@@ -23,18 +23,16 @@ and of the coefficients for m > 0, and translations move whole grid steps;
 they are the only dilations/translations that commute with the dyadic
 Littlewood-Paley ladder built on top of this module.
 
-``_fft`` is the package's one FFT binding, which every transform calls, the
-space norms' too: unset at import, the first transform binds it to
-``numpy.fft``, so classifying loads no FFT library.  Its 1-D transforms
-make the n-D ones (``_fftn``, ``_ifftn``, :func:`_real_fftn`), one
-axis at a time in the order given, in place, with pocketfft's n-D bits.
+Every transform, the space norms' too, is ``numpy.fft``'s n-D one in place
+(``_fftn``, ``_ifftn``).  ``import numpy`` does not load ``numpy.fft``, so
+classifying loads no FFT library; the first transform loads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -253,80 +251,16 @@ def inverse_ft(s: Spectrum) -> Field:
     return Field(g, _centered(_ifftn, s.coeffs, 1.0 / g.dx**g.n))
 
 
-_fft = None  # numpy.fft once _transforms() has run
-
-
-def _transforms():
-    """``_fft``, bound by the first call; threads calling first together wait on the import lock for one import."""
-    global _fft
-    if _fft is None:
-        import numpy.fft
-        _fft = numpy.fft
-    return _fft
-
-
-def _per_axis(name: str, x: np.ndarray, axes=None, norm=None) -> np.ndarray:
-    """``x`` transformed in place by the 1-D ``_fft.<name>`` along each of ``axes`` (all if None), in the order given.
-
-    That order and the scaling give pocketfft's n-D bits: its n-D transform
-    scales by the whole norm factor at the end of its first axis, while
-    numpy's 1-D transforms would each scale by their own, which rounds
-    differently where values are subnormal.  So with two or more axes the
-    first runs unscaled and is then scaled by the whole factor, a power of
-    two on every grid, and the rest run unscaled.  (numpy's own ``ifftn``
-    runs the axes last first, which does not give pocketfft's bits.)  No
-    floating-point warning is raised; callers judge the values.
-    """
-    transform = getattr(_transforms(), name)
-    first, *rest = range(x.ndim) if axes is None else axes
-    plain = "forward" if name == "ifft" else "backward"  # numpy's norm that leaves ``name`` unscaled
+def _fftn(x: np.ndarray, axes=None, norm=None) -> np.ndarray:
+    """``numpy.fft.fftn(x, axes=axes, norm=norm)`` in place in a complex ``x``; no floating-point warning is raised."""
     with np.errstate(all="ignore"):
-        transform(x, axis=first, norm=plain if rest else norm, out=x)
-        if rest and (norm == "forward") != (name == "ifft"):  # a scaled direction
-            _scale(x, 1.0 / math.prod(x.shape[axis] for axis in (first, *rest)))
-        for axis in rest:
-            transform(x, axis=axis, norm=plain, out=x)
-    return x
+        return np.fft.fftn(x, axes=axes, norm=norm, out=x)
 
 
-# scipy.fft's fftn(x, axes, norm) and ifftn(x, axes, norm) bit for bit, in place in a complex x
-_fftn = partial(_per_axis, "fft")
-_ifftn = partial(_per_axis, "ifft")
-
-
-def _real_fftn(a: np.ndarray) -> np.ndarray:
-    """``scipy.fft.fftn(a, norm="forward")`` of a real ``a`` bit for bit, by pocketfft's real-input route.
-
-    That is an ``rfft`` along the last axis scaled by 1/a.size, the other
-    axes transformed in place, and the upper half of the last axis filled
-    from the lower: pocketfft walks the lower half's entries P in C order
-    and writes conj(its current value at P) at -P.  Only where both P and
-    -P lie in the lower half (the last axis's index 0 and, for an even
-    length, its middle) does that write land on a computed entry; there
-    the walk leaves conj(computed at -P) at every P it reaches after -P,
-    P = -P included, and the computed value elsewhere.
-    """
-    fft, rest, M = _transforms(), tuple(range(a.ndim - 1)), a.shape[-1]
+def _ifftn(x: np.ndarray, axes=None, norm=None) -> np.ndarray:
+    """``numpy.fft.ifftn(x, axes=axes, norm=norm)`` in place in a complex ``x``; no floating-point warning is raised."""
     with np.errstate(all="ignore"):
-        half = fft.rfft(a, norm="backward" if rest else "forward")
-    if rest:
-        _scale(half, 1.0 / a.size)
-        _fftn(half, rest)
-    out = np.empty(a.shape, dtype=half.dtype)
-    out[..., : M // 2 + 1] = half
-    out[..., M // 2 + 1 :] = np.conj(_mirrored(half[..., M - M // 2 - 1 : 0 : -1], rest))
-    cols = [0] if M % 2 else [0, M // 2]
-    order = np.arange(math.prod(a.shape[:-1])).reshape(a.shape[:-1])
-    later = order >= _mirrored(order, rest)
-    out[..., cols] = np.where(later[..., None], np.conj(_mirrored(half[..., cols], rest)), half[..., cols])
-    return out
-
-
-def _mirrored(x: np.ndarray, axes) -> np.ndarray:
-    """``x`` at index -i mod its length along each of ``axes``."""
-    for axis in axes:
-        x = np.roll(np.flip(x, axis), 1, axis)
-    return x
+        return np.fft.ifftn(x, axes=axes, norm=norm, out=x)
 
 
 def _centered(transform, a: np.ndarray, factor: float) -> np.ndarray:
@@ -354,7 +288,7 @@ def _flip_odd(v: np.ndarray) -> None:
 
 
 def _scale(v: np.ndarray, factor: float) -> None:
-    """Multiply C-contiguous complex samples, double or long double, by a real ``factor`` in place, both parts alike.
+    """Multiply C-contiguous complex samples by a real ``factor`` in place, both parts alike.
 
     numpy divides a complex by a real d (Smith's algorithm with a zero
     imaginary part) as both parts times 1/d, so with ``factor`` 1/d this is
@@ -486,11 +420,14 @@ def grid_translate(f: Field, a) -> Field:
 
     Raises:
         ParameterError: for an offset of the wrong shape, or one that is not
-            a finite number of grid steps (nan, inf).
+            a finite number of grid steps (nan, inf, not a real number).
         BandError: for offsets that do not land on the grid.
     """
     g = f.grid
-    a = np.atleast_1d(np.asarray(a, dtype=float))
+    try:
+        a = np.atleast_1d(np.asarray(a, dtype=float))
+    except (TypeError, ValueError):
+        raise ParameterError(f"offset must be a finite number of grid steps, got {a!r}") from None
     if a.shape != (g.n,):
         raise ParameterError(
             f"offset must have {g.n} component(s), got shape {a.shape}"

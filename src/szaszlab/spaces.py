@@ -118,10 +118,10 @@ from .grid import (
     Field,
     Spectrum,
     _CHUNK,
+    _fftn,
     _finite,
     _flip_odd,
     _ifftn,
-    _real_fftn,
     _shell,
     boundary_decay_ratio,
     forward_ft,
@@ -780,7 +780,7 @@ def _even_q_norm(spec: Spectrum, keys: list, params: SpaceParams) -> float | Non
             slack += sqrt(prod(M)) * (q + 2) * (7 * np.log2(prod(M)) + 20) * _EPS_L * w * np.sum(np.abs(c)) ** q
             a = np.abs(_ifftn(c, norm="forward")) ** q  # c is transformed in place
             _flip_odd(a)  # M is 1 or even along each axis, so the spectrum comes out centred
-            parts.append((M, w * _real_fftn(a)))
+            parts.append((M, w * _fftn(a.astype(np.clongdouble), norm="forward")))
         T = np.zeros(tuple(map(max, zip(*(M for M, _ in parts)))), dtype=np.clongdouble)
         for M, a in parts:
             T[tuple(slice(t // 2 - m // 2, t // 2 - m // 2 + m) for t, m in zip(T.shape, M))] += a

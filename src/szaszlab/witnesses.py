@@ -128,7 +128,7 @@ def resolve_grid(grid) -> GridSpec:
         return grid
     try:
         return GRID_PRESETS[grid]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ParameterError(
             f"unknown grid preset {grid!r}; known: {sorted(GRID_PRESETS)}"
         ) from None

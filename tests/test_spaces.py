@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.fft
 
 import szaszlab.spaces as spaces_module
 import szaszlab.witnesses as witnesses_module
@@ -472,7 +471,7 @@ class TestBatchedSynthesis:
 
     def test_first_transform_on_two_threads_binds_one_library(self, monkeypatch, grid_wide, tmp_path):
         # in a fresh process the first transform is a narrow level's 4 tiles of cosets on
-        # W = 2 threads, the calling one and a worker, which find grid._fft unset together
+        # W = 2 threads, the calling one and a worker, which find numpy.fft not yet loaded together
         script = """
 import sys, threading
 import numpy as np
@@ -1257,17 +1256,6 @@ class TestStridedInput:
         )
 
 
-def _scipy_transforms(monkeypatch):
-    """spaces' transforms replaced by scipy.fft's n-D ones, in place where spaces' callers need it."""
-
-    def ifftn(x, axes=None, norm=None):
-        x[...] = scipy.fft.ifftn(x, axes=axes, norm=norm)
-        return x
-
-    monkeypatch.setattr(spaces_module, "_ifftn", ifftn)
-    monkeypatch.setattr(spaces_module, "_real_fftn", lambda a: scipy.fft.fftn(a, norm="forward"))
-
-
 def _coset_source(n, N, spans):
     grid = GridSpec(n, N, 32.0)
     spec = _window_spectrum(grid, [-(span // 2) for span in spans], spans, seed=7)
@@ -1276,42 +1264,16 @@ def _coset_source(n, N, spans):
 
 
 class TestNumpyTransforms:
-    # numpy's 1-D transforms, one axis at a time, against scipy.fft's n-D ones: the same bits
-
-    @pytest.mark.parametrize(
-        "n, N, spans, tile",
-        [(1, 2**18, (16,), 2**16), (2, 512, (32, 64), 2**16), (1, 2**19, (2**17,), 2**17)],
-        ids=["1-D", "2-D", "giant tile"],
-    )
-    def test_coset_tiles_are_scipys_bit_for_bit(self, monkeypatch, n, N, spans, tile):
-        grid, source = _coset_source(n, N, spans)
-        assert source.tile == tile
-        got = _natural_moduli(source, grid)
-        _scipy_transforms(monkeypatch)
-        assert got.tobytes() == _natural_moduli(source, grid).tobytes()
-
     @pytest.mark.parametrize("shape", [(2**18,), (256, 256)])
-    def test_wide_rows_are_scipys_bit_for_bit_at_every_width(self, shape):
+    def test_wide_rows_are_numpys_bit_for_bit_at_every_width(self, shape):
         rng = np.random.default_rng(8)
         stack = rng.standard_normal((3,) + shape) + 1j * rng.standard_normal((3,) + shape)
         axes = tuple(range(-len(shape), 0))
-        want = scipy.fft.ifftn(stack, axes=axes)
+        want = np.fft.ifftn(stack, axes=axes)
         for width in (1, 2, 3):
             rows = stack[:width].copy()
             assert spaces_module._inverse_rows(rows, axes) is rows
             assert rows.tobytes() == want[:width].tobytes()
-
-    @pytest.mark.parametrize(
-        "n, N, params",
-        [(1, 2**14, SpaceParams(0.0, 2.0, 4.0, "F")), (1, 2**14, SpaceParams(0.3, 1.5, 2.0, "F", "inhomogeneous")),
-         (2, 512, SpaceParams(0.3, 1.5, 2.0, "F"))],
-        ids=str,
-    )
-    def test_even_q_route_is_scipys_bit_for_bit(self, monkeypatch, n, N, params):
-        spec = _borderline(GridSpec(n, N, 16.0 * np.pi), 3, params)
-        got = _route(spec, params)
-        _scipy_transforms(monkeypatch)
-        assert got is not None and got == _route(spec, params)
 
     def test_tile_passes_on_threads_at_once(self, monkeypatch):
         # passes of four window lengths, a giant tile among them, each on W = 3 threads, three

@@ -433,6 +433,12 @@ class TestDivergenceExperiment:
         with pytest.raises(ParameterError, match="witness kind 'mystery'; known: .*'lowfreq_blowup'"):
             divergence_experiment("mystery", q, [2])
 
+    @pytest.mark.parametrize("grid", ["mystery", [1]])
+    def test_unknown_grid_preset(self, grid):
+        q = make_query("B", 0.0, 2.0, 2.0, 2.0)
+        with pytest.raises(ParameterError, match="unknown grid preset .*; known: .*'mid-band'"):
+            divergence_experiment("modulated", q, [2], grid=grid)
+
     @pytest.mark.parametrize("kind", ["modulated", "random_bandlimited"])
     @pytest.mark.parametrize(
         "sizes, seed, match",
