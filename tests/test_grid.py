@@ -425,6 +425,32 @@ class TestOneFFTBinding:
                 want = reference(a, axes=axes, norm=norm)
             _assert_same_bits(got, want)
 
+    @pytest.mark.parametrize(
+        "shape", [(1,), (2,), (16,), (1024,), (1, 1), (2, 1), (16, 1), (1, 16), (2, 2), (4, 2), (16, 32), (256, 256)]
+    )
+    def test_real_input_transform_keeps_long_double_precision(self, shape):
+        # the even-q route's |.|^q, transformed as a complex long double, against the DFT by
+        # matrices in long double, inside the Higham-type bound its certificate charges;
+        # a transform in double would miss the bound by about eps(double) / eps(long double)
+        rng = np.random.default_rng(4)
+        eps = np.finfo(np.longdouble).eps
+        for _ in range(3):
+            a = np.abs(rng.standard_normal(shape)).astype(np.longdouble) ** 4
+            got = grid_module._fftn(a.astype(np.clongdouble), norm="forward")
+            want = a.astype(np.clongdouble)
+            for axis, m in enumerate(shape):
+                want = np.moveaxis(np.moveaxis(want, axis, -1) @ _dft_matrix(m), -1, axis)
+            want /= a.size
+            bound = (7 * np.log2(a.size) + 20) * eps * np.sum(a) / a.size
+            assert got.dtype == np.clongdouble and np.max(np.abs(got - want)) <= bound
+
+
+def _dft_matrix(m):
+    """The m x m forward DFT matrix in long double, exp(-2 pi i j k / m), its angles reduced mod m."""
+    jk = np.outer(np.arange(m), np.arange(m)) % m
+    angle = -8 * np.arctan(np.longdouble(1)) * jk.astype(np.longdouble) / m
+    return np.cos(angle) + 1j * np.sin(angle)
+
 
 def _assert_same_bits(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape

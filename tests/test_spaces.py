@@ -1256,6 +1256,20 @@ class TestStridedInput:
         )
 
 
+def _out_of_place_transforms(monkeypatch):
+    """spaces' in-place transforms replaced by numpy's out-of-place ones, copied back where spaces' callers need it."""
+
+    def out_of_place(transform):
+        def replaced(x, axes=None, norm=None):
+            x[...] = transform(x, axes=axes, norm=norm)
+            return x
+
+        return replaced
+
+    monkeypatch.setattr(spaces_module, "_ifftn", out_of_place(np.fft.ifftn))
+    monkeypatch.setattr(spaces_module, "_fftn", out_of_place(np.fft.fftn))
+
+
 def _coset_source(n, N, spans):
     grid = GridSpec(n, N, 32.0)
     spec = _window_spectrum(grid, [-(span // 2) for span in spans], spans, seed=7)
@@ -1264,6 +1278,20 @@ def _coset_source(n, N, spans):
 
 
 class TestNumpyTransforms:
+    # numpy's n-D transforms, in place, against the same transforms out of place: the same bits
+
+    @pytest.mark.parametrize(
+        "n, N, spans, tile",
+        [(1, 2**18, (16,), 2**16), (2, 512, (32, 64), 2**16), (1, 2**19, (2**17,), 2**17)],
+        ids=["1-D", "2-D", "giant tile"],
+    )
+    def test_coset_tiles_are_out_of_place_numpys_bit_for_bit(self, monkeypatch, n, N, spans, tile):
+        grid, source = _coset_source(n, N, spans)
+        assert source.tile == tile
+        got = _natural_moduli(source, grid)
+        _out_of_place_transforms(monkeypatch)
+        assert got.tobytes() == _natural_moduli(source, grid).tobytes()
+
     @pytest.mark.parametrize("shape", [(2**18,), (256, 256)])
     def test_wide_rows_are_numpys_bit_for_bit_at_every_width(self, shape):
         rng = np.random.default_rng(8)
@@ -1274,6 +1302,18 @@ class TestNumpyTransforms:
             rows = stack[:width].copy()
             assert spaces_module._inverse_rows(rows, axes) is rows
             assert rows.tobytes() == want[:width].tobytes()
+
+    @pytest.mark.parametrize(
+        "n, N, params",
+        [(1, 2**14, SpaceParams(0.0, 2.0, 4.0, "F")), (1, 2**14, SpaceParams(0.3, 1.5, 2.0, "F", "inhomogeneous")),
+         (2, 512, SpaceParams(0.3, 1.5, 2.0, "F"))],
+        ids=str,
+    )
+    def test_even_q_route_is_out_of_place_numpys_bit_for_bit(self, monkeypatch, n, N, params):
+        spec = _borderline(GridSpec(n, N, 16.0 * np.pi), 3, params)
+        got = _route(spec, params)
+        _out_of_place_transforms(monkeypatch)
+        assert got is not None and got == _route(spec, params)
 
     def test_tile_passes_on_threads_at_once(self, monkeypatch):
         # passes of four window lengths, a giant tile among them, each on W = 3 threads, three
