@@ -23,8 +23,9 @@ and of the coefficients for m > 0, and translations move whole grid steps;
 they are the only dilations/translations that commute with the dyadic
 Littlewood-Paley ladder built on top of this module.
 
-Every transform, the space norms' too, is ``numpy.fft``'s n-D one in place
-(``_fftn``, ``_ifftn``).  ``import numpy`` does not load ``numpy.fft``, so
+Every transform is ``numpy.fft``'s n-D one in place (``_fftn``, ``_ifftn``),
+or on a 1-D grid of more than _CHUNK points a four-step of its batched short
+ones (:func:`_four_step`).  ``import numpy`` does not load ``numpy.fft``, so
 classifying loads no FFT library; the first transform loads it.
 """
 
@@ -62,6 +63,9 @@ BOUNDARY_MARGIN = 0.05
 #: tile of cosets in the space norms unless one coset is longer): 1 MiB of
 #: complex samples, which stays in L2
 _CHUNK = 2**16
+
+#: points of the short transforms that make up a long 1-D one (:func:`_four_step`)
+_STEP = 64
 
 
 @dataclass(frozen=True)
@@ -270,14 +274,60 @@ def _centered(transform, a: np.ndarray, factor: float) -> np.ndarray:
     N/2 is even on every grid (N >= 16), so this is the plain transform
     between two sign flips of the entries whose index sum is odd.  The one
     full-grid array it makes is the copy of ``a``, which is left unchanged;
-    the flips, the transform and the scaling run in place on the copy.
+    the flips, the transform and the scaling run in place on the copy.  A
+    long 1-D ``a`` goes through :func:`_four_step` on a copy written
+    transposed, (S, N / S) with S = _STEP, so the samples come out in natural
+    order; index S k2 + k1 of ``a`` is in row k1: its odd entries, odd rows.
     """
-    v = a.copy()
-    _flip_odd(v)
-    transform(v)
+    if _is_long(a):
+        v = a.reshape(-1, _STEP).T.copy()
+        np.negative(v[1::2], out=v[1::2])
+        v = _four_step(transform, v, 1).reshape(-1)
+    else:
+        v = a.copy()
+        _flip_odd(v)
+        transform(v)
     _flip_odd(v)
     _scale(v, factor)
     return v
+
+
+def _is_long(a: np.ndarray) -> bool:
+    """Whether ``a`` is a 1-D array of more than _CHUNK points, which is transformed by :func:`_four_step`."""
+    return a.ndim == 1 and a.size > _CHUNK
+
+
+def _four_step(transform, x: np.ndarray, axis: int) -> np.ndarray:
+    """The 1-D DFT of N = P S points, S = _STEP, by ``transform`` (``_fftn`` or ``_ifftn``), in place in a 2-D ``x``.
+
+    Input index S k2 + k1 is at k2 along ``axis`` (length P) and k1 along
+    the other, output index P a + b at b and a.  S transforms of P points,
+    the twiddles w^(+-k1 b), w = exp(2 pi i / N), by :func:`_rotate`, and P
+    transforms of S points (Bailey, J. Supercomputing 4, 1990) are batched
+    numpy calls that need no scratch of N points; no warning is raised.
+    """
+    transform(x, axes=(axis,))
+    k1 = np.arange(_STEP).reshape((-1,) + (1, 1) * axis)  # varies along the other axis
+    with np.errstate(all="ignore"):
+        _rotate(x, axis, x.size, k1 if transform is _ifftn else -k1)
+    return transform(x, axes=(1 - axis,))
+
+
+def _rotate(x: np.ndarray, axis: int, N: int, b) -> None:
+    """x *= w^(b k), w = exp(2 pi i / N), at index k along ``axis``, in place.
+
+    The length along ``axis`` is a power of two, and ``b`` is an integer
+    or integer array broadcasting against x with ``axis`` split in two.
+    Each root is the product w^(b h s) w^(b l) of two roots, k = h s + l, s
+    about sqrt(length), with exponents reduced exactly by ``fmod`` N (so -b
+    gives the conjugate roots), so a b costs 2 sqrt(length) exponentials.
+    """
+    q = x.shape[axis]
+    s = 1 << (q.bit_length() - 1) // 2
+    split = x.reshape(x.shape[:axis] + (q // s, s) + x.shape[axis + 1 :])
+    rest = (1,) * (x.ndim - axis - 1)
+    for k in (np.arange(0, q, s).reshape((-1, 1) + rest), np.arange(s).reshape((1, -1) + rest)):
+        split *= np.exp((2j * np.pi / N) * np.fmod(b * k, N))
 
 
 def _flip_odd(v: np.ndarray) -> None:

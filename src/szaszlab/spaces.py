@@ -36,11 +36,11 @@ Any other piece takes the next free row of one stack of at most W complex
 full-grid rows, W being the usable CPUs (``os.sched_getaffinity``, else
 ``os.cpu_count()``), in FFT-natural order (frequency k at index k mod N),
 and the rows of a full stack go through their inverse FFTs in place, one
-row per thread (``_inverse_rows``); each of its rows is then read as a
-source of its own (:class:`_Rows`).  The stack is allocated at the first
-wide piece.  Every source holds one piece, and
-both kinds give samples in natural order (x = m dx at index m mod N); no
-result depends on sample order, so no ``fftshift`` copy is made.
+row per thread (``_inverse_rows``, a long 1-D row by ``grid._four_step``);
+each of its rows is then read as a source of its own (:class:`_Rows`).  The
+stack is allocated at the first wide piece.  Every source holds one piece,
+and ``at`` maps its tiles to natural order (x = m dx at index m mod N),
+a long 1-D row's from coset order: no result needs an ``fftshift`` copy.
 
 The rest is one pass over a piece's tiles on W threads
 (:func:`_chunk_pass`), the same for both kinds of source: 2^16 samples,
@@ -118,10 +118,14 @@ from .grid import (
     Field,
     Spectrum,
     _CHUNK,
+    _STEP,
     _fftn,
     _finite,
     _flip_odd,
+    _four_step,
     _ifftn,
+    _is_long,
+    _rotate,
     _shell,
     boundary_decay_ratio,
     forward_ft,
@@ -243,17 +247,20 @@ def _chunk_pass(source, work) -> list:
 
 
 class _Rows:
-    """A piece's samples in natural order over the full grid; tile [lo, hi) is that chunk of them.
+    """A piece's samples over the full grid; tile [lo, hi) is that chunk of the row.
 
     Tiles hold _CHUNK samples.  The moduli are |v| times the real
     ``factor`` (the 1/dx^n of a synthesized row); the row is only read.
-    It may be any array, in-memory power sums included (:func:`_lr_norm`).
+    It may be any array, in-memory power sums included (:func:`_lr_norm`),
+    or with ``cosets`` a long 1-D row in ``grid._four_step``'s coset order,
+    sample P a + b at index b S + a (S = _STEP): a tile's moduli are then an
+    S by (hi - lo) / S view, and ``at`` its columns of an (S, P) natural view.
     """
 
     tile = _CHUNK
 
-    def __init__(self, row: np.ndarray, factor: float = 1.0):
-        self.flat, self.factor = row.reshape(-1), factor
+    def __init__(self, row: np.ndarray, factor: float = 1.0, cosets: bool = False):
+        self.flat, self.factor, self.cosets = row.reshape(-1), factor, cosets
         self.size = self.flat.size
 
     def moduli(self, lo: int, hi: int, buf: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -261,28 +268,11 @@ class _Rows:
         a = np.abs(self.flat[lo:hi], out=buf)
         if self.factor != 1.0:
             a *= self.factor
-        return a
+        return a.reshape(-1, _STEP).T if self.cosets else a
 
     def at(self, a: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """The tile's positions in a full-grid array in natural order, shaped like its moduli."""
-        return a.reshape(-1)[lo:hi]
-
-
-def _rotate(x: np.ndarray, axis: int, N: int, b) -> None:
-    """x *= w^(b k), w = exp(2 pi i / N), at index k along ``axis``, in place.
-
-    The length along ``axis`` is a power of two, and ``b`` is an integer
-    or an integer array broadcasting against the axes before ``axis``.
-    Each root is the product w^(b h s) w^(b l) of two roots whose integer
-    exponents are reduced mod N exactly, k = h s + l with s about
-    sqrt(length), so a b costs about 2 sqrt(length) complex exponentials.
-    """
-    q = x.shape[axis]
-    s = 1 << (q.bit_length() - 1) // 2
-    split = x.reshape(x.shape[:axis] + (q // s, s) + x.shape[axis + 1 :])
-    rest = (1,) * (x.ndim - axis - 1)
-    for k in (np.arange(0, q, s).reshape((-1, 1) + rest), np.arange(s).reshape((1, -1) + rest)):
-        split *= np.exp((2j * np.pi / N) * ((b * k) % N))
+        return a.reshape(_STEP, -1)[:, lo // _STEP : hi // _STEP] if self.cosets else a.reshape(-1)[lo:hi]
 
 
 def _along(a: np.ndarray, axes: tuple, ndim: int) -> np.ndarray:
@@ -594,14 +584,18 @@ def _window(grid, piece: list) -> tuple | None:
 def _inverse_rows(x: np.ndarray, axes: tuple) -> np.ndarray:
     """The inverse FFT along ``axes``, counted from the end, of each row of a stack of wide rows, in place.
 
-    Each row runs on a thread of its own; numpy's transforms release the
-    GIL, so the W rows run on W cores.
+    A long 1-D row goes through ``grid._four_step`` and is left in coset
+    order.  Each row runs on a thread of its own; numpy's transforms release
+    the GIL, so the W rows run on W cores.
     """
+
+    def inverse(row):
+        return _four_step(_ifftn, row.reshape(-1, _STEP), 0) if _is_long(row) else _ifftn(row, axes)
+
     with ThreadPoolExecutor(max(1, len(x) - 1)) as pool:  # starts no thread for one row
-        rest = [pool.submit(_ifftn, row, axes) for row in x[1:]]
-        _ifftn(x[0], axes)
-        for future in rest:
-            future.result()
+        rest = pool.map(inverse, x[1:])
+        inverse(x[0])
+        list(rest)  # raises a row's exception
     return x
 
 
@@ -618,15 +612,16 @@ def _synthesized(grid, keys, blocks):
     thread, when it is full, before a narrow piece and at the end, so the W
     transforms run on W cores; then each transformed row is a source of its
     own, a view of the stack (:class:`_Rows`, whose moduli carry the
-    1/dx^n), and the stack is zeroed after the last.  Sources give samples in natural order,
-    which no L_r sum depends on; a source is valid until the next is drawn.
+    1/dx^n), and the stack is zeroed after the last.  Samples come in natural
+    or coset order, which no L_r sum depends on (``at`` maps them); a source
+    is valid until the next is drawn.
     """
     rows, stacked = None, []
 
     def flush():
         samples = _inverse_rows(rows[: len(stacked)], axes=tuple(range(-grid.n, 0)))
         for key, row in zip(stacked, samples):
-            yield key, _Rows(row, 1.0 / grid.dx**grid.n)
+            yield key, _Rows(row, 1.0 / grid.dx**grid.n, _is_long(row))
         rows[: len(stacked)] = 0.0
         stacked.clear()
 

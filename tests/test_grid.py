@@ -1,5 +1,7 @@
 """Transform fidelity, dilations and translations against closed-form oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -161,15 +163,16 @@ class TestInverseFT:
 
     @pytest.mark.parametrize("shape", [(16,), (2**18,), (2**20,), (2**21,), (16, 16), (512, 512), (1024, 1024)])
     def test_is_the_shifted_transform_bit_for_bit(self, shape):
-        # both directions: the copy, the two checkerboard sign flips, the
-        # transform and the scaling, against the shifts of the definition
+        # both directions: the copy, the two checkerboard sign flips, the transform and the
+        # scaling, against the shifts of the definition; the transform is numpy's n-D one,
+        # or the four-step kernel on a 1-D grid of more than one tile
         grid = GridSpec(len(shape), shape[0], 10.0)
         rng = np.random.default_rng(0)
         a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         kept = a.copy()
-        want = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(a))) / grid.dx**grid.n
+        want = np.fft.fftshift(_plain(grid_module._ifftn, np.fft.ifftshift(a))) / grid.dx**grid.n
         assert inverse_ft(Spectrum(grid, a)).values.tobytes() == want.tobytes()
-        want = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(a))) * grid.dx**grid.n
+        want = np.fft.fftshift(_plain(grid_module._fftn, np.fft.ifftshift(a))) * grid.dx**grid.n
         assert forward_ft(Field(grid, a)).coeffs.tobytes() == want.tobytes()
         assert a.tobytes() == kept.tobytes()  # neither transform writes its input
 
@@ -187,10 +190,64 @@ class TestInverseFT:
             "subnormal": a * 1e-310,
             "real": a.real + 0j,
         }[kind]
-        want = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(a))) / grid.dx**grid.n
+        want = np.fft.fftshift(_plain(grid_module._ifftn, np.fft.ifftshift(a))) / grid.dx**grid.n
         assert np.array_equal(inverse_ft(Spectrum(grid, a)).values, want)
-        want = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(a))) * grid.dx**grid.n
+        want = np.fft.fftshift(_plain(grid_module._fftn, np.fft.ifftshift(a))) * grid.dx**grid.n
         assert np.array_equal(forward_ft(Field(grid, a)).coeffs, want)
+
+
+def _plain(transform, a):
+    """The unshifted transform ``grid._centered`` runs on ``a``, out of place, in natural order.
+
+    numpy's n-D one, or on a long 1-D ``a`` the four-step kernel run on a
+    (P, S) view of a plain copy, as on a wide row, whose coset order
+    (sample P a + b at index b S + a) is then read back in natural order.
+    """
+    if not grid_module._is_long(a):
+        return {grid_module._ifftn: np.fft.ifftn, grid_module._fftn: np.fft.fftn}[transform](a)
+    v = a.reshape(-1, grid_module._STEP).copy()
+    grid_module._four_step(transform, v, 0)
+    return v.T.reshape(-1)
+
+
+class TestFourStep:
+    # the long 1-D transform against numpy's on the long-double copy of its input
+
+    @pytest.mark.parametrize("N", [2**17, 2**20, 2**21])
+    @pytest.mark.parametrize("kind", ["random", "sparse", "real", "subnormal"])
+    def test_error_is_within_numpys(self, N, kind):
+        # the largest error is at most 2.5 times numpy's own double-precision transform's
+        rng = np.random.default_rng(2)
+        a = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        a = {"random": a, "sparse": a * (rng.random(N) < 0.01), "real": a.real + 0j, "subnormal": a * 1e-310}[kind]
+        for mine, numpys in ((grid_module._ifftn, np.fft.ifft), (grid_module._fftn, np.fft.fft)):
+            exact = numpys(a.astype(np.clongdouble))
+            assert np.abs(_plain(mine, a) - exact).max() <= 2.5 * np.abs(numpys(a) - exact).max()
+
+    def test_negative_exponents_give_the_conjugate_roots(self):
+        # the forward kernel's twiddles are the inverse's conjugates, not roots of angles near 2 pi
+        x = np.ones((2**14, grid_module._STEP), dtype=np.complex128)
+        y = x.copy()
+        grid_module._rotate(x, 0, 2**20, np.arange(grid_module._STEP))
+        grid_module._rotate(y, 0, 2**20, -np.arange(grid_module._STEP))
+        assert np.array_equal(y, np.conj(x))  # by value: conj(1 + 0j) is 1 - 0j
+
+    @pytest.mark.parametrize("transform", ["_ifftn", "_fftn"])
+    def test_zero_gives_exact_zeros(self, transform):
+        a = np.zeros(2**17, dtype=np.complex128)
+        assert not _plain(getattr(grid_module, transform), a).any()
+
+    def test_transforms_the_copy_transposed_in_one_array(self):
+        # inverse_ft of a 2^20-point spectrum holds one new array of 16 MB at its peak
+        grid = GridSpec(1, 2**20, 10.0)
+        spec = Spectrum(grid, np.random.default_rng(4).standard_normal(grid.N) + 0j)
+        tracemalloc.start()
+        try:
+            f = inverse_ft(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.values.flags.c_contiguous and 16 * grid.N <= peak < 17 * grid.N
 
 
 class TestMemoryLayout:

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import szaszlab.grid as grid_module
 import szaszlab.spaces as spaces_module
 import szaszlab.witnesses as witnesses_module
 from szaszlab import (
@@ -1294,14 +1295,37 @@ class TestNumpyTransforms:
 
     @pytest.mark.parametrize("shape", [(2**18,), (256, 256)])
     def test_wide_rows_are_numpys_bit_for_bit_at_every_width(self, shape):
+        # a 2-D row is numpy's transform, a long 1-D row the four-step kernel's on that row
+        # alone, in coset order, whatever the rows beside it
         rng = np.random.default_rng(8)
         stack = rng.standard_normal((3,) + shape) + 1j * rng.standard_normal((3,) + shape)
         axes = tuple(range(-len(shape), 0))
-        want = np.fft.ifftn(stack, axes=axes)
+        if len(shape) == 1:
+            want = stack.copy()
+            for row in want:
+                grid_module._four_step(grid_module._ifftn, row.reshape(-1, grid_module._STEP), 0)
+        else:
+            want = np.fft.ifftn(stack, axes=axes)
         for width in (1, 2, 3):
             rows = stack[:width].copy()
             assert spaces_module._inverse_rows(rows, axes) is rows
             assert rows.tobytes() == want[:width].tobytes()
+
+    @pytest.mark.parametrize("N", [2**17, 2**20])
+    def test_long_row_is_read_at_its_natural_positions(self, N):
+        # a wide piece on a long 1-D grid is a row in coset order: its moduli, put back at
+        # the positions ``at`` gives, are |ifft| / dx within 2.5 times numpy's own error
+        grid = GridSpec(1, N, 2.0**12 * 2.0 * np.pi)
+        rng = np.random.default_rng(9)
+        coeffs = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        whole = [((slice(0, N),), coeffs)]
+        for _, source in spaces_module._synthesized(grid, [0], lambda _: whole):  # valid until the next
+            assert isinstance(source, spaces_module._Rows) and source.cosets
+            got = _natural_moduli(source, grid)
+        natural = np.fft.ifftshift(coeffs)
+        exact = np.abs(np.fft.ifft(natural.astype(np.clongdouble))) / grid.dx
+        numpys = np.abs(np.fft.ifft(natural)) / grid.dx
+        assert np.abs(got - exact).max() <= 2.5 * np.abs(numpys - exact).max()
 
     @pytest.mark.parametrize(
         "n, N, params",
