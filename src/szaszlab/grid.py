@@ -24,8 +24,9 @@ they are the only dilations/translations that commute with the dyadic
 Littlewood-Paley ladder built on top of this module.
 
 Every transform is ``numpy.fft``'s n-D one in place (``_fftn``, ``_ifftn``),
-or on a 1-D grid of more than _CHUNK points a four-step of its batched short
-ones (:func:`_four_step`).  ``import numpy`` does not load ``numpy.fft``, so
+or of more than _CHUNK points in 1-D, on a grid or on one coset of the space
+norms' pruned syntheses, a four-step of its batched short ones
+(:func:`_four_step`).  ``import numpy`` does not load ``numpy.fft``, so
 classifying loads no FFT library; the first transform loads it.
 """
 

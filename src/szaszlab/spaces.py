@@ -44,14 +44,15 @@ a long 1-D row's from coset order: no result needs an ``fftshift`` copy.
 
 The rest is one pass over a piece's tiles on W threads
 (:func:`_chunk_pass`), the same for both kinds of source: 2^16 samples,
-or one coset when a window holds more bins, which the calling thread
-walks alone.  It alone cuts a source into tiles.  Each thread walks a
-contiguous group of tiles; each tile is synthesized, or read from the
-row, as moduli (times 1/dx^n for a row) in one reused per-thread buffer
-and handed to the consumer's reduction, whose results come back in tile
-order: the tile's power sum or maximum (:func:`_lr_norms`), its peak and
-boundary-shell maximum (:func:`_boundary_ratio`), its power sum and
-roundoff bound (:func:`_even_q_norm`), or nothing once its terms are
+or one coset when a window holds more bins, a long 1-D coset transformed
+by ``grid._four_step`` as a long row is.  It alone cuts a source into
+tiles.  Each thread walks a contiguous group of tiles; each tile is
+synthesized, or read from the row, as moduli (times 1/dx^n for a row) in
+one reused per-thread buffer and handed to the consumer's reduction,
+whose results come back in tile order: the tile's power sum or maximum
+(:func:`_lr_norms`), its peak and boundary-shell maximum
+(:func:`_boundary_ratio`), its power sum and roundoff bound
+(:func:`_even_q_norm`), or nothing once its terms are
 added into the F-norm's pointwise sum at the tile's positions
 (:func:`_accumulate`), whose final L_r sums its r/q-th powers.  A
 source's ``at`` maps a tile to its positions in any natural-order
@@ -108,7 +109,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from math import fsum, isfinite, isinf, prod, sqrt
+from math import frexp, fsum, isfinite, isinf, ldexp, prod, sqrt
 
 import numpy as np
 
@@ -219,17 +220,10 @@ def _chunk_pass(source, work) -> list:
     with over- and underflow ignored, so the threads allocate no
     tile-sized memory.  The threads are joined, and the first exception
     raised, before this returns.
-
-    Tiles longer than _CHUNK (one coset of a wide window) are walked by the
-    calling thread alone, W = 1: the inverse FFT of such a tile allocates
-    scratch of the tile's length in the thread that runs it, and a worker
-    thread's freed scratch stays resident in that thread's malloc arena
-    after the pass, or in a new arena when the previous worker had not yet
-    exited, so the peak RSS of the process would move from run to run.
     """
     size, tile = source.size, source.tile
     tiles = [(lo, min(lo + tile, size)) for lo in range(0, size, tile)]
-    width = max(1, min(_usable_cpus(), len(tiles))) if tile <= _CHUNK else 1
+    width = max(1, min(_usable_cpus(), len(tiles)))
     bufs = np.empty((width, min(size, tile)))
     tmps = np.empty(bufs.shape, dtype=np.complex128)
 
@@ -302,7 +296,15 @@ class _Cosets:
     a (Q_1, g_1, ..., Q_n, g_n) view, and ``at`` gives the same positions of
     a natural-order array, ``a.reshape(Q_1, P_1, ...)[:, b_1:b_1 + g_1, ...]``,
     as :class:`_Rows` does: ``tile``, ``size``, ``moduli`` and ``at`` are
-    all a tile pass reads.  No full-grid array is allocated.
+    all a tile pass reads.  No full-grid array is allocated.  A long 1-D
+    coset (Q > _CHUNK) goes through ``grid._four_step`` in the tile buffer,
+    left in coset order as a long row is: its moduli are the transposed
+    (S, Q / S) view, S = _STEP, and ``at`` the coset's natural view reshaped so.
+
+    The inverse FFT's sums, before its 1/Q^n, are at most sqrt(2) Q^n /
+    (P^n dx^n) times the window's largest part.  Only when that reaches
+    2^1020 is the window scaled by 2^-``shift`` and the moduli by
+    2^``shift``, exactly, so that no transform overflows.
     """
 
     def __init__(self, grid, piece: list, window: tuple):
@@ -313,8 +315,11 @@ class _Cosets:
         compact = np.zeros(self.Q, dtype=np.complex128)
         for box, values in piece:
             _put_window(compact, box, values, grid.N, tuple(k0 for k0, _ in window))
-        compact *= 1.0 / (prod(self.P) * grid.dx**n)
-        self.compact = compact
+        factor, parts = 1.0 / (prod(self.P) * grid.dx**n), compact.view(np.float64)
+        bound = frexp(max(parts.max(), -parts.min()))[1] + frexp(factor)[1] + prod(self.Q).bit_length() - 1
+        self.shift = max(0, bound - 1020)
+        compact *= ldexp(factor, -self.shift)
+        self.compact, self.long = compact, _is_long(compact)
         cosets, g = max(1, min(prod(self.P), _CHUNK // prod(self.Q))), []
         for p in reversed(self.P):
             g.insert(0, min(p, cosets))
@@ -349,15 +354,17 @@ class _Cosets:
             made = tuple(slice(None) if j < i else slice(0, 1) for j in range(n))
             new = tuple(slice(None) if j < i else slice(1, None) if j == i else slice(0, 1) for j in range(n))
             np.multiply(x[made], twiddle[new], out=x[new])
-        x = _ifftn(x, tuple(range(n, 2 * n)))
-        return np.abs(x, out=buf.reshape(x.shape)).transpose(self.order)
+        x = _four_step(_ifftn, first.reshape(-1, _STEP), 0) if self.long else _ifftn(x, tuple(range(n, 2 * n)))
+        a = np.abs(x, out=buf.reshape(x.shape)).transpose(self.order)
+        return np.ldexp(a, self.shift, out=a) if self.shift else a
 
     def at(self, a: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """The tile's positions in a full-grid array in natural order, shaped like its moduli."""
         view = a.reshape(tuple(size for q, p in zip(self.Q, self.P) for size in (q, p)))
-        return view[tuple(
+        view = view[tuple(
             part for b, size in zip(self._first_cosets(lo), self.g) for part in (slice(None), slice(b, b + size))
         )]
+        return view.reshape(_STEP, -1) if self.long else view
 
 
 def _lr_parts(source, r: float, divisor=None) -> np.ndarray:

@@ -354,16 +354,12 @@ def _with_cpus(monkeypatch, width):
 
 
 class _Tiles:
-    """A stand-in tile source of ``size`` samples in tiles of ``tile``, all of modulus 1.
-
-    ``seen`` maps each tile's lo to (thread, tile length, buffer lengths) of its ``moduli`` call.
-    """
+    """A stand-in tile source of ``size`` samples in tiles of ``tile``, all of modulus 1."""
 
     def __init__(self, size, tile):
-        self.size, self.tile, self.seen = size, tile, {}
+        self.size, self.tile = size, tile
 
     def moduli(self, lo, hi, buf, tmp):
-        self.seen[lo] = (threading.get_ident(), hi - lo, len(buf), len(tmp))
         buf[...] = 1.0
         return buf
 
@@ -437,38 +433,33 @@ class TestBatchedSynthesis:
         with pytest.raises(ValueError, match="chunk at"):
             spaces_module._chunk_pass(_Tiles(2 * spaces_module._CHUNK, spaces_module._CHUNK), work)
 
-    @pytest.mark.parametrize("chunks", [1, 2, 4])
-    def test_tiles_longer_than_a_chunk_stay_on_the_calling_thread(self, monkeypatch, chunks):
-        # a tile of one long coset makes tile-sized FFT scratch in the thread that runs it
-        _with_cpus(monkeypatch, 4)
-        tile = chunks * spaces_module._CHUNK
-        source = _Tiles(4 * spaces_module._CHUNK, tile)
-        spaces_module._chunk_pass(source, lambda a, lo, hi, tmp: None)
-        assert sorted(source.seen) == list(range(0, 4 * spaces_module._CHUNK, tile))
-        assert {v[1:] for v in source.seen.values()} == {(tile, tile, tile)}
-        threads = {v[0] for v in source.seen.values()}
-        if chunks > 1:
-            assert threads == {threading.get_ident()}
-        else:
-            assert len(threads) <= 4
-
     @pytest.mark.parametrize("width", [1, 2, 3])
     def test_chunk_pass_gives_results_in_tile_order(self, monkeypatch, width):
-        # six row tiles, the last one short, and eight coset tiles of a
-        # 16-bin window on 2^19 points: more tiles than threads, split unevenly
+        # six row tiles, the last one short, eight coset tiles of a 16-bin window on 2^19
+        # points, and giant tiles of one coset each: four of a 2^17-bin window on 2^19 points
+        # (the four-step) and two of a (256, 512)-bin window on 512^2 (numpy's 2-D transform);
+        # more tiles than threads, split unevenly, every pass on W threads, the same bits
         _with_cpus(monkeypatch, width)
         rows = spaces_module._Rows(np.random.default_rng(0).standard_normal(5 * spaces_module._CHUNK + 7))
-        grid = GridSpec(1, 2**19, 2.0**13 * np.pi)
-        whole = [((slice(0, grid.N),), _window_spectrum(grid, [-8], [16]).coeffs)]
-        cosets = spaces_module._Cosets(grid, whole, spaces_module._window(grid, whole))
-        for source, tiles in ((rows, 6), (cosets, 8)):
+        sources = [(rows, 6)]
+        for n, N, spans, tiles in ((1, 2**19, (16,), 8), (1, 2**19, (2**17,), 4), (2, 512, (256, 512), 2)):
+            grid = GridSpec(n, N, 2.0**13 * np.pi if n == 1 else 32.0)
+            whole = [((slice(0, N),) * n, _window_spectrum(grid, [-(span // 2) for span in spans], spans).coeffs)]
+            sources.append((spaces_module._Cosets(grid, whole, spaces_module._window(grid, whole)), tiles))
+        for source, tiles in sources:
             buf, tmp = np.empty(source.tile), np.empty(source.tile, dtype=np.complex128)
             want = []
             for lo in range(0, source.size, source.tile):
                 hi = min(lo + source.tile, source.size)
-                want.append((lo, hi, float(np.sum(source.moduli(lo, hi, buf[: hi - lo], tmp)))))
-            got = spaces_module._chunk_pass(source, lambda a, lo, hi, tmp: (lo, hi, float(np.sum(a))))
-            assert len(want) == tiles and got == want
+                want.append((lo, hi, hashlib.sha256(source.moduli(lo, hi, buf[: hi - lo], tmp).tobytes()).digest()))
+            threads = set()
+
+            def work(a, lo, hi, tmp):
+                threads.add(threading.get_ident())
+                return lo, hi, hashlib.sha256(a.tobytes()).digest()
+
+            got = spaces_module._chunk_pass(source, work)
+            assert len(want) == tiles and got == want and (len(threads) > 1) == (width > 1)
 
     def test_first_transform_on_two_threads_binds_one_library(self, monkeypatch, grid_wide, tmp_path):
         # in a fresh process the first transform is a narrow level's 4 tiles of cosets on
@@ -1175,6 +1166,23 @@ class TestNonFiniteInput:
             got = space_norm(Spectrum(grid_mid, spec.coeffs * 1e306), params)
             assert got == pytest.approx(space_norm(spec, params) * 1e306, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("family", ["B", "F"])
+    def test_coset_pieces_whose_transform_would_overflow_keep_their_norm(self, family):
+        # a 2^15-bin window on a 2^17-point grid of two tiles, read coset by coset: before its
+        # 1/Q the inverse FFT sums 2^15 coefficients times Q / L = 652, past the float range
+        # for norms within it
+        grid = GridSpec(1, 2**17, 16.0 * np.pi)
+        spec = _random_spectrum(grid, 1, 11, 11)
+        params = SpaceParams(0.3, 1.5, 2.0, family)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ModelFidelityWarning)
+            want = space_norm(spec, params)
+            # subnormal coefficients hold about 30 bits
+            for scale, rel in ((1e303, 1e-12), (1e306, 1e-12), (1e-300, 1e-12), (1e-315, 1e-8)):
+                scaled = Spectrum(grid, spec.coeffs * scale)
+                assert space_norm(scaled, params) == pytest.approx(want * scale, rel=rel, abs=0.0)
+                assert np.isfinite(spaces_module._boundary_ratio(scaled))
+
     @pytest.mark.parametrize(
         "call",
         [
@@ -1258,7 +1266,11 @@ class TestStridedInput:
 
 
 def _out_of_place_transforms(monkeypatch):
-    """spaces' in-place transforms replaced by numpy's out-of-place ones, copied back where spaces' callers need it."""
+    """spaces' in-place transforms replaced by numpy's out-of-place ones, copied back where spaces' callers need it.
+
+    grid's names are replaced by the same functions, so that the four-step
+    still tells its inverse transform by identity.
+    """
 
     def out_of_place(transform):
         def replaced(x, axes=None, norm=None):
@@ -1267,8 +1279,10 @@ def _out_of_place_transforms(monkeypatch):
 
         return replaced
 
-    monkeypatch.setattr(spaces_module, "_ifftn", out_of_place(np.fft.ifftn))
-    monkeypatch.setattr(spaces_module, "_fftn", out_of_place(np.fft.fftn))
+    for name, transform in (("_ifftn", np.fft.ifftn), ("_fftn", np.fft.fftn)):
+        replaced = out_of_place(transform)
+        monkeypatch.setattr(spaces_module, name, replaced)
+        monkeypatch.setattr(grid_module, name, replaced)
 
 
 def _coset_source(n, N, spans):
@@ -1283,15 +1297,40 @@ class TestNumpyTransforms:
 
     @pytest.mark.parametrize(
         "n, N, spans, tile",
-        [(1, 2**18, (16,), 2**16), (2, 512, (32, 64), 2**16), (1, 2**19, (2**17,), 2**17)],
-        ids=["1-D", "2-D", "giant tile"],
+        [(1, 2**18, (16,), 2**16), (2, 512, (32, 64), 2**16), (1, 2**19, (2**17,), 2**17),
+         (2, 512, (256, 512), 2**17)],
+        ids=["1-D", "2-D", "giant tile", "2-D giant tile"],
     )
     def test_coset_tiles_are_out_of_place_numpys_bit_for_bit(self, monkeypatch, n, N, spans, tile):
+        # a giant 1-D tile is the four-step of in-place batched transforms, a 2-D one numpy's
+        # n-D transform of the whole coset
         grid, source = _coset_source(n, N, spans)
         assert source.tile == tile
         got = _natural_moduli(source, grid)
         _out_of_place_transforms(monkeypatch)
         assert got.tobytes() == _natural_moduli(source, grid).tobytes()
+
+    def test_giant_tile_is_the_four_step_at_its_natural_positions(self):
+        # a coset of more than 2^16 samples is the four-step kernel's transform of its
+        # twiddled window, bit for bit; put back at the positions ``at`` gives, a view of the
+        # array, its moduli are |ifft| / dx within 2.5 times numpy's own error
+        grid, source = _coset_source(1, 2**19, (2**17,))
+        assert source.tile == 2**17 and source.long
+        buf, tmp = np.empty(source.tile), np.empty(source.tile, dtype=np.complex128)
+        out = np.zeros(grid.shape)
+        for b, lo in enumerate(range(0, source.size, source.tile)):
+            got = source.moduli(lo, lo + source.tile, buf, tmp)
+            x = source.compact.copy()
+            grid_module._rotate(x, 0, grid.N, b)
+            x = grid_module._four_step(grid_module._ifftn, x.reshape(-1, grid_module._STEP), 0)
+            assert got.tobytes() == np.abs(x).T.tobytes()
+            view = source.at(out, lo, lo + source.tile)
+            assert np.shares_memory(view, out)
+            view[...] = got
+        natural = np.fft.ifftshift(_window_spectrum(grid, [-(2**16)], [2**17], seed=7).coeffs)
+        exact = np.abs(np.fft.ifft(natural.astype(np.clongdouble))) / grid.dx
+        numpys = np.abs(np.fft.ifft(natural)) / grid.dx
+        assert np.abs(out - exact).max() <= 2.5 * np.abs(numpys - exact).max()
 
     @pytest.mark.parametrize("shape", [(2**18,), (256, 256)])
     def test_wide_rows_are_numpys_bit_for_bit_at_every_width(self, shape):
