@@ -70,14 +70,35 @@ adds its real pointwise sum, the boundary check of a spectrum whose
 window is the whole grid its field, and a 2-D coset check its shell mask
 of N^n bytes).
 
+A piece whose coefficients are even bit for bit, c(-k mod N) = c(k) with
+-k taken per axis and the Nyquist bin its own mirror, has even samples,
+|Q_j f(-x)| = |Q_j f(x)|: the coset rows b and P - b along its first axis
+hold the same moduli.  :func:`_synthesized` checks this once per piece
+from its blocks (:func:`_mirrored`) and marks the source ``mirrored``;
+such a source's L_r sum walks only the tiles of the blocks b <= B/2 and
+adds 2 sum_(b < B/2) S_b - S_0 + S_(B/2) by ``math.fsum``, its maximum
+the same tiles' (:func:`_lr_parts`).  The blocks are the cosets of
+:class:`_Cosets` (1-D, 2-D and giant tiles) and the P = N / 64 coset
+rows of a long 1-D :class:`_Rows`.  A source of one tile, a natural-order
+row, the pointwise F-sum, the boundary check (whose shell is not
+mirror-symmetric by one sample) and the even-q pass walk every tile.
+The witnesses built from radial profiles (``random_bandlimited``,
+``lowfreq_blowup``, ``dilated_low``) have even pieces; a ``forward_ft``
+spectrum is even only to roundoff, and a modulated witness's moved
+boxes not at all.
+
 At even q, |Q_j f|^q is a trigonometric polynomial of about q Q
 frequencies per axis for a window of Q bins, so the F-norm's pointwise sum
 is first built as one small spectrum and synthesized once, its pass
 bounding the roundoff from the FFT's forward-error bound
 (:func:`_even_q_norm`).  Only a norm certified to _SPECTRAL_TOL relative is
-kept; otherwise (a window too wide for its small grid, a value off the
-float range, a field decaying until roundoff swamps S^(r/q)) the pointwise
-path runs.
+kept.  Otherwise (a window too wide for its small grid, a value off the
+float range, a field decaying until roundoff swamps S^(r/q)), at q = r >= 1
+the F-norm is the B-norm, F^s_(r,r) = B^s_(r,r) by Fubini (Triebel,
+Theory of Function Spaces, 1983), from the same per-level L_r sums; at
+r < 1 a level's root of an in-range power sum can fall below the float
+range where the pointwise sum's does not, so there, and at q != r, the
+pointwise path runs.
 
 A spectrum is read only on its support, the boxes off which its
 coefficients are exactly zero (``grid.Spectrum``): the whole grid for
@@ -109,6 +130,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import product
 from math import frexp, fsum, isfinite, isinf, ldexp, prod, sqrt
 
 import numpy as np
@@ -208,13 +230,13 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _chunk_pass(source, work) -> list:
-    """``work(a, lo, hi, tmp)`` of every tile [lo, hi) of ``source``, in tile order, on W threads.
+def _chunk_pass(source, work, count: int | None = None) -> list:
+    """``work(a, lo, hi, tmp)`` of every tile [lo, hi) of ``source``, or of its first ``count``, in tile order, on W threads.
 
     ``a`` is the tile's moduli, ``source.moduli(lo, hi, buf, tmp)``; ``work``
     may overwrite it and the complex buffer ``tmp``.  Tiles hold
     ``source.tile`` of the ``source.size`` samples, and W = min(usable
-    CPUs, tiles), at least 1, so an empty source gives [].  Each thread
+    CPUs, tiles walked), at least 1, so an empty source gives [].  Each thread
     walks one contiguous group of tiles in order with one real buffer
     ``buf`` and one ``tmp`` of a tile's length, reused for every tile, and
     with over- and underflow ignored, so the threads allocate no
@@ -222,7 +244,7 @@ def _chunk_pass(source, work) -> list:
     raised, before this returns.
     """
     size, tile = source.size, source.tile
-    tiles = [(lo, min(lo + tile, size)) for lo in range(0, size, tile)]
+    tiles = [(lo, min(lo + tile, size)) for lo in range(0, size, tile)][:count]
     width = max(1, min(_usable_cpus(), len(tiles)))
     bufs = np.empty((width, min(size, tile)))
     tmps = np.empty(bufs.shape, dtype=np.complex128)
@@ -249,13 +271,17 @@ class _Rows:
     or with ``cosets`` a long 1-D row in ``grid._four_step``'s coset order,
     sample P a + b at index b S + a (S = _STEP): a tile's moduli are then an
     S by (hi - lo) / S view, and ``at`` its columns of an (S, P) natural view.
+    Such a row is ``mirrored`` when its samples are even, f(-x) = f(x): coset
+    b's moduli are then coset P - b's, and its ``blocks`` tiles of whole
+    cosets each start with the coset that :meth:`head` reads (:func:`_lr_parts`).
     """
 
     tile = _CHUNK
 
-    def __init__(self, row: np.ndarray, factor: float = 1.0, cosets: bool = False):
-        self.flat, self.factor, self.cosets = row.reshape(-1), factor, cosets
+    def __init__(self, row: np.ndarray, factor: float = 1.0, cosets: bool = False, mirrored: bool = False):
+        self.flat, self.factor, self.cosets, self.mirrored = row.reshape(-1), factor, cosets, mirrored
         self.size = self.flat.size
+        self.blocks = (-(-self.size // self.tile),)
 
     def moduli(self, lo: int, hi: int, buf: np.ndarray, tmp: np.ndarray) -> np.ndarray:
         """``factor`` |samples| of tile [lo, hi), in ``buf``."""
@@ -267,6 +293,11 @@ class _Rows:
     def at(self, a: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """The tile's positions in a full-grid array in natural order, shaped like its moduli."""
         return a.reshape(_STEP, -1)[:, lo // _STEP : hi // _STEP] if self.cosets else a.reshape(-1)[lo:hi]
+
+    @staticmethod
+    def head(a: np.ndarray) -> np.ndarray:
+        """The first coset of a coset-order tile's moduli."""
+        return a[:, 0]
 
 
 def _along(a: np.ndarray, axes: tuple, ndim: int) -> np.ndarray:
@@ -305,7 +336,14 @@ class _Cosets:
     (P^n dx^n) times the window's largest part.  Only when that reaches
     2^1020 is the window scaled by 2^-``shift`` and the moduli by
     2^``shift``, exactly, so that no transform overflows.
+
+    The source is ``mirrored`` when its window's coefficients are even,
+    c(-k) = c(k) (:func:`_mirrored`): coset b_1 of the first axis then holds
+    the moduli of coset P_1 - b_1, and the ``blocks`` of tiles along the
+    first axis each start with the coset row that :meth:`head` reads.
     """
+
+    mirrored = False
 
     def __init__(self, grid, piece: list, window: tuple):
         self.N, n = grid.N, grid.n
@@ -366,23 +404,80 @@ class _Cosets:
         )]
         return view.reshape(_STEP, -1) if self.long else view
 
+    def head(self, a: np.ndarray) -> np.ndarray:
+        """The first coset row along the first axis of a tile's moduli."""
+        return a if self.g[0] == 1 else a[:, 0]
+
+
+def _mirrored(piece: list, N: int) -> bool:
+    """Whether a piece's coefficients are even bit for bit, c(-k mod N) = c(k), from its (centered box, values) blocks.
+
+    Centered index i holds k = i - N/2, so -k is at (N - i) mod N: the
+    Nyquist index 0 is its own mirror, and a run [a, b) of indices a >= 1
+    mirrors to [N - b + 1, N - a + 1) reversed, per axis.  The piece is even
+    when the values of each block, reversed, are those on the mirrored box
+    of the one block holding it: a nonzero bin whose mirror is off the
+    blocks fails at its own block, and a bin off them whose mirror is
+    nonzero at its mirror's.  A mirrored box that no one block holds is
+    taken as not even.  The check reads each bin about twice, O(bins).
+    """
+    for box, values in piece:
+        runs = []
+        for s in box:
+            runs.append([(slice(0, 1), slice(0, 1))] if s.start == 0 else [])
+            if (a := max(s.start, 1)) < s.stop:
+                runs[-1].append((slice(a, s.stop), slice(N - s.stop + 1, N - a + 1)))
+        for split in product(*runs):
+            part = tuple(slice(run.start - s.start, run.stop - s.start) for (run, _), s in zip(split, box))
+            mirror = tuple(m for _, m in split)
+            held = [v[tuple(slice(m.start - t.start, m.stop - t.start) for m, t in zip(mirror, other))]
+                    for other, v in piece if all(t.start <= m.start and m.stop <= t.stop for m, t in zip(mirror, other))]
+            if not held or not np.array_equal(values[part][(slice(None, None, -1),) * len(box)], held[0]):
+                return False
+    return True
+
 
 def _lr_parts(source, r: float, divisor=None) -> np.ndarray:
-    """Sums of the r-th powers of |samples| / divisor (maxima at r = inf), tile by tile; no divisor is 1."""
+    """Terms whose sum is that of the r-th powers of |samples| / divisor, tile by tile; no divisor is 1.
+
+    At r = inf the terms are tile maxima, otherwise tile sums.  A
+    ``mirrored`` source, whose blocks b and B - b along the first axis
+    (cosets, or a long row's coset rows) hold the same moduli, and whose
+    tiles group those blocks into ``blocks[0]`` >= 2 runs of R tiles each,
+    walks only its first T/2 + R of T tiles, the blocks b <= B/2.  Its
+    terms are 2 S of each tile before T/2, -S_0 from the first block of
+    each of the first R tiles and +S_(B/2) from that of each of the R tiles
+    from T/2 (``source.head``), which ``math.fsum`` adds up to the full
+    pass's sum, 2 sum_(b < B/2) S_b - S_0 + S_(B/2).  Any other source, one
+    of one tile too, takes the full pass.
+    """
+    rows, half = prod(source.blocks[1:]), prod(source.blocks) // 2
+    halved = source.mirrored and source.blocks[0] >= 2
 
     def work(a, lo, hi, tmp):
         if divisor is not None:
             a /= divisor
-        return a.max() if isinf(r) else np.sum(np.power(a, r, out=a))
+        if isinf(r):
+            return (a.max(),)
+        np.power(a, r, out=a)
+        if not halved:
+            return (np.sum(a),)
+        t = lo // source.tile
+        if t >= half:
+            return (np.sum(source.head(a)),)
+        return (2.0 * np.sum(a), -np.sum(source.head(a))) if t < rows else (2.0 * np.sum(a),)
 
-    return np.array(_chunk_pass(source, work))
+    return np.array([x for terms in _chunk_pass(source, work, half + rows if halved else None) for x in terms])
 
 
 def _exact_sum(tile_sums: np.ndarray) -> float:
-    """``math.fsum`` of a piece's tile sums; inf when finite sums add up past the float range."""
+    """``math.fsum`` of a piece's tile sums; inf when finite sums add up past the float range.
+
+    A mirrored source's terms hold -S_0, so an overflowed S_0 is the ValueError of inf - inf.
+    """
     try:
         return fsum(tile_sums.tolist())
-    except OverflowError:  # fsum's "intermediate overflow": an overflowed sum, rescaled like one
+    except (OverflowError, ValueError):  # "intermediate overflow" or inf - inf: an overflowed sum, rescaled like one
         return np.inf
 
 
@@ -621,14 +716,16 @@ def _synthesized(grid, keys, blocks):
     own, a view of the stack (:class:`_Rows`, whose moduli carry the
     1/dx^n), and the stack is zeroed after the last.  Samples come in natural
     or coset order, which no L_r sum depends on (``at`` maps them); a source
-    is valid until the next is drawn.
+    is valid until the next is drawn.  The blocks of a narrow piece and of a
+    long 1-D row are checked once as they are written, and the source is
+    ``mirrored`` when they are even (:func:`_mirrored`).
     """
     rows, stacked = None, []
 
     def flush():
         samples = _inverse_rows(rows[: len(stacked)], axes=tuple(range(-grid.n, 0)))
-        for key, row in zip(stacked, samples):
-            yield key, _Rows(row, 1.0 / grid.dx**grid.n, _is_long(row))
+        for (key, mirrored), row in zip(stacked, samples):
+            yield key, _Rows(row, 1.0 / grid.dx**grid.n, _is_long(row), mirrored)
         rows[: len(stacked)] = 0.0
         stacked.clear()
 
@@ -638,12 +735,14 @@ def _synthesized(grid, keys, blocks):
         narrow = window is not None and prod(q for _, q in window) <= _CHUNK < grid.N**grid.n
         if narrow:
             source = _Cosets(grid, piece, window)
+            source.mirrored = _mirrored(piece, grid.N)
         elif window is not None:
             if rows is None:
                 rows = np.zeros((min(_usable_cpus(), len(keys) - i),) + grid.shape, dtype=np.complex128)
+            row = rows[len(stacked)]
             for box, values in piece:
-                _put_window(rows[len(stacked)], box, values, grid.N, (0,) * grid.n)
-            stacked.append(key)
+                _put_window(row, box, values, grid.N, (0,) * grid.n)
+            stacked.append((key, _is_long(row) and _mirrored(piece, grid.N)))
         piece = values = None  # a piece's blocks (16 MB on hi-band) must not outlive its write
         if narrow:
             if stacked:
@@ -724,7 +823,8 @@ def triebel_norm(f: Field | Spectrum, params: SpaceParams) -> float:
 
     The l_q sum over levels is taken pointwise on the grid before the L_r
     quadrature; at even q it is synthesized once from its spectrum when
-    that is certified to 1e-11 relative.  Requires r < inf.
+    that is certified to 1e-11 relative, and otherwise at q = r >= 1 the
+    norm is the Besov norm's per-level sums.  Requires r < inf.
 
     Raises:
         ParameterError: "invalid params" when params.family != "F",
@@ -808,11 +908,20 @@ def _even_q_norm(spec: Spectrum, keys: list, params: SpaceParams) -> float | Non
 
 
 def _triebel(spec: Spectrum, band: BandLimits, params: SpaceParams) -> float:
+    """The F-norm: by :func:`_even_q_norm` when it certifies one, else as :func:`_besov` at q = r >= 1, else pointwise.
+
+    The pointwise path adds each level's (2^(js) |Q_j f|)^q into one sum on
+    the grid (:func:`_accumulate`) and takes its L_r; an overflow, or an
+    underflow that can move the sum, redoes it scaled by the pointwise
+    maximum of the levels.
+    """
     g = spec.grid
     q, r = params.q, params.r
     keys = _norm_levels(params, band) + ([] if params.homogeneous else [None])
     if (norm := _even_q_norm(spec, keys, params)) is not None:
         return norm
+    if q == r >= 1.0:  # F^s_(r,r) = B^s_(r,r) by Fubini: the per-level L_r sums
+        return _besov(spec, band, params)
 
     def pointwise(exponent, acc, peak=None):
         for key, source in _synthesized(g, keys, _pieces_of(spec)):

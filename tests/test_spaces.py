@@ -217,11 +217,27 @@ class TestTriebelNorm:
         assert triebel_norm(Field(grid_mid, np.zeros(grid_mid.shape)), SpaceParams(0.3, 2, 2, "F")) == 0.0
 
     def test_equals_besov_when_q_is_r(self, grid_mid):
+        # F^s_(r,r) = B^s_(r,r): at r >= 1 the F-norm is the B-norm's per-level sums, which the
+        # pointwise reference must match too
         f = Field(grid_mid, plateau_field(grid_mid, 3).values + 0.6 * plateau_field(grid_mid, 6).values)
-        for s, r in [(0.0, 2.0), (0.8, 1.5), (-0.5, 3.0)]:
+        for s, r in [(0.0, 2.0), (0.8, 1.5), (-0.5, 3.0), (0.3, 1.0)]:
             b = besov_norm(f, SpaceParams(s, r, r, "B"))
             t = triebel_norm(f, SpaceParams(s, r, r, "F"))
             assert abs(t - b) < 1e-12 * b
+            assert t == pytest.approx(_synthesized_triebel(f, SpaceParams(s, r, r, "F")), rel=1e-12)
+
+    def test_q_equal_to_r_below_one_sums_pointwise(self, monkeypatch, grid_mid):
+        # at r < 1 a level's root may leave the float range where the pointwise sum's does not,
+        # so q = r = 0.5 keeps the pointwise path
+        f = Field(grid_mid, plateau_field(grid_mid, 3).values + 0.6 * plateau_field(grid_mid, 6).values)
+        params = SpaceParams(0.2, 0.5, 0.5, "F")
+        calls, accumulate = [], spaces_module._accumulate
+        monkeypatch.setattr(spaces_module, "_accumulate", lambda *args: calls.append(1) or accumulate(*args))
+        got = triebel_norm(f, params)
+        assert calls
+        assert got == pytest.approx(_synthesized_triebel(f, params), rel=1e-12)
+        calls.clear()
+        assert triebel_norm(f, SpaceParams(0.2, 1.5, 1.5, "F")) > 0.0 and not calls
 
     def test_single_band_value(self, grid_mid):
         f = plateau_field(grid_mid, 4)
@@ -344,7 +360,7 @@ _BATCHED_PARAMS = [
     for setting in ("homogeneous", "inhomogeneous")
 ] + [
     SpaceParams(0.2, 1.5, q, "F", setting)
-    for q in (1.5, np.inf)
+    for q in (1.5, 3.0, np.inf)
     for setting in ("homogeneous", "inhomogeneous")
 ]
 
@@ -808,6 +824,163 @@ class TestCosetSynthesis:
             assert spaces_module._lr_norms(source, 1.5, grid.dx**grid.n) == pytest.approx(
                 lr_quasinorm(field, 1.5), rel=1e-12
             )
+
+
+def _even(spec: Spectrum) -> Spectrum:
+    """``spec`` plus its mirror, c(k) + c(-k mod N): even bit for bit, the Nyquist bin -N/2 its own mirror."""
+    c = spec.coeffs
+    axes = tuple(range(c.ndim))
+    return Spectrum(spec.grid, c + np.roll(np.flip(c), (1,) * c.ndim, axis=axes))
+
+
+class _Walked:
+    """A tile source that lists the tiles a pass reads, ``mirrored`` as given."""
+
+    def __init__(self, source, mirrored):
+        self.source, self.mirrored, self.walked = source, mirrored, []
+
+    def __getattr__(self, name):
+        return getattr(self.source, name)
+
+    def moduli(self, lo, hi, buf, tmp):
+        self.walked.append(lo)
+        return self.source.moduli(lo, hi, buf, tmp)
+
+
+def _walk_both(source, grid, r):
+    """(norm, tiles walked) of a source's pass as it is and of the full pass with its flag off."""
+    runs = [_Walked(source, mirrored) for mirrored in (source.mirrored, False)]
+    return [(spaces_module._lr_norms(run, r, grid.dx**grid.n), len(run.walked)) for run in runs]
+
+
+#: (n, N, window starts, spans, kind of source): narrow 1-D cosets on 2^18 points, a giant
+#: tile of one coset of 2^17 samples on 2^19 (every 4th bin), a long row in coset order on
+#: 2^18 (every 4th bin of 2^17), 2-D cosets on 512^2, and narrow windows through the
+#: Nyquist bin -N/2, in 1-D and along both axes in 2-D; each made even by its mirror
+_MIRRORED_CASES = [
+    (1, 2**18, (-60,), (121,), "_Cosets"),
+    (1, 2**19, (-(2**16) + 4,), (2**17 - 7,), "giant"),
+    (1, 2**18, (-(2**16) + 4,), (2**17 - 7,), "_Rows"),
+    (2, 512, (-30, -25), (61, 51), "_Cosets"),
+    (1, 2**18, (2**17 - 40,), (81,), "_Cosets"),
+    (2, 512, (236, 246), (41, 21), "_Cosets"),
+]
+
+
+class TestMirroredPieces:
+    # a piece whose coefficients are even sums the tiles of half its cosets along the first axis
+
+    @staticmethod
+    def _source(n, N, starts, spans, kind, seed=6, nudge=False):
+        """Yields (grid, spectrum, source) once: a row source is valid only until the generator resumes."""
+        grid = GridSpec(n, N, 32.0)
+        spec = _even(_window_spectrum(grid, starts, spans, seed=seed))
+        if nudge:  # one bin one ulp up: its mirror no longer matches it
+            k = np.unravel_index(np.flatnonzero(spec.coeffs)[3], grid.shape)
+            spec.coeffs[k] = np.nextafter(spec.coeffs[k].real, np.inf) + 1j * spec.coeffs[k].imag
+        whole = [((slice(0, N),) * n, spec.coeffs)]
+        if kind == "giant":  # not narrow: only a boundary check reads a window this wide by cosets
+            source = spaces_module._Cosets(grid, whole, spaces_module._window(grid, whole))
+            source.mirrored = spaces_module._mirrored(whole, N)
+            yield grid, spec, source
+            return
+        [kinds] = [type(source).__name__ for _, source in spaces_module._synthesized(grid, ["f"], lambda _: whole)]
+        assert kinds == kind
+        for _, source in spaces_module._synthesized(grid, ["f"], lambda _: whole):
+            yield grid, spec, source
+
+    @pytest.mark.parametrize("n, N, starts, spans, kind", _MIRRORED_CASES)
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_half_pass_equals_the_full_pass(self, monkeypatch, n, N, starts, spans, kind, width):
+        _with_cpus(monkeypatch, width)
+        for grid, spec, source in self._source(n, N, starts, spans, kind):
+            if starts[0] > 0:  # the windows through Nyquist hold the bin -N/2
+                assert spec.coeffs[(0,) * n] != 0
+            tiles = int(np.prod(source.blocks))
+            assert source.mirrored and tiles == 4 and source.blocks[0] == 4
+            for r in (1.0, 1.5, np.inf):
+                (half, walked), (full, every) = _walk_both(source, grid, r)
+                assert walked <= tiles // 2 + 1 and every == tiles
+                assert half == pytest.approx(full, rel=1e-15, abs=0.0)
+                assert half == pytest.approx(lr_quasinorm(inverse_ft(spec), r), rel=1e-12)
+
+    @pytest.mark.parametrize("n, N, starts, spans, kind", _MIRRORED_CASES[:4])
+    def test_one_ulp_off_the_mirror_walks_every_tile(self, n, N, starts, spans, kind):
+        for grid, spec, source in self._source(n, N, starts, spans, kind, nudge=True):
+            assert not source.mirrored
+            (got, walked), (full, _) = _walk_both(source, grid, 1.5)
+            assert walked == np.prod(source.blocks) and got == full
+
+    def test_forward_transform_spectrum_walks_every_tile(self, grid_wide):
+        # the transform of an even field is even only to roundoff
+        spec = _even(_window_spectrum(grid_wide, [-60], [121], seed=6))
+        again = forward_ft(inverse_ft(spec))
+        whole = [((slice(0, grid_wide.N),), again.coeffs)]
+        for _, source in spaces_module._synthesized(grid_wide, ["f"], lambda _: whole):
+            assert not source.mirrored
+            (got, walked), _ = _walk_both(source, grid_wide, 1.5)
+            assert walked == 4 and got == pytest.approx(lr_quasinorm(inverse_ft(spec), 1.5), rel=1e-12)
+
+    def test_overflowed_half_sum_is_rescaled(self):
+        # the tile sums of 1e300-sized samples overflow, S_0's too: inf - inf is an overflow
+        grid = GridSpec(1, 2**18, 32.0)
+        big = _even(_window_spectrum(grid, [-60], [121], seed=6)).coeffs * 1e300
+        whole = [((slice(0, grid.N),), big)]
+        for _, source in spaces_module._synthesized(grid, ["f"], lambda _: whole):
+            assert source.mirrored
+            for r in (1.5, 2.0):
+                (half, walked), (full, _) = _walk_both(source, grid, r)
+                assert walked == 9 and half == pytest.approx(full, rel=1e-15, abs=0.0) and np.isfinite(half)
+
+    def test_radial_witness_pieces_are_mirrored(self, grid_wide):
+        # random_bandlimited and lowfreq_blowup are built from radial profiles, so each level
+        # piece and blowup term is even; a modulated witness's moved boxes are not
+        hi = GridSpec(1, 2**18, 16.0 * np.pi)
+        query = SzaszQuery(SpaceParams(0.0, 2.0, 4.0, "B"), 4.0, 1)
+        modulated = witnesses_module._modulated_spectrum(hi, WitnessSpec("modulated", 6, query))
+        cases = [
+            (grid_wide, _random_spectrum(grid_wide, 5, -6, 2), True),
+            (grid_wide, _blowup_spectrum(grid_wide, 3, 2.0, 1.5), True),
+            (hi, modulated, False),
+        ]
+        for grid, spec, even in cases:
+            keys = list(feasible_band(grid).levels())
+            flags = [source.mirrored for _, source in spaces_module._synthesized(grid, keys, spaces_module._pieces_of(spec))]
+            assert flags and flags == [even] * len(flags)
+
+    @pytest.mark.parametrize(
+        "piece, even",
+        [
+            # the bins 1..3 mirror to 13..15 reversed; a mirror split over two blocks is not taken as even
+            ([((slice(1, 4),), np.array([1.0, 2.0, 3.0])), ((slice(13, 16),), np.array([3.0, 2.0, 1.0]))], True),
+            ([((slice(1, 4),), np.array([1.0, 2.0, 3.0])), ((slice(13, 15),), np.array([3.0, 2.0])),
+              ((slice(15, 16),), np.array([1.0]))], False),
+            ([((slice(1, 4),), np.array([1.0, 2.0, 3.0])), ((slice(12, 16),), np.array([0.0, 3.0, 2.0, 1.0]))], False),
+            # the Nyquist bin alone, its own mirror, and with bins whose mirrors no block holds
+            ([((slice(0, 1),), np.array([5.0]))], True),
+            ([((slice(0, 3),), np.array([5.0, 0.0, 1.0]))], False),
+            # a block whose mirror is off the blocks, and one of zeros whose mirror is
+            ([((slice(3, 5),), np.array([1.0, 1.0]))], False),
+            ([((slice(3, 5),), np.zeros(2)), ((slice(12, 14),), np.array([0.0, 1.0]))], False),
+            ([((slice(8, 9),), np.array([2.0])), ((slice(5, 6),), np.array([1j])), ((slice(11, 12),), np.array([1j]))], True),
+            ([((slice(5, 6),), np.array([1j])), ((slice(11, 12),), np.array([-1j]))], False),
+        ],
+    )
+    def test_mirror_check_reads_the_blocks(self, piece, even):
+        # N = 16: centered index i holds k = i - 8, whose mirror -k is at 16 - i
+        assert spaces_module._mirrored(piece, 16) is even
+
+    def test_two_dimensional_mirror_is_the_point_reflection(self):
+        rng = np.random.default_rng(2)
+        c = np.zeros((16, 16), dtype=np.complex128)
+        c[3:9, 5:14] = rng.standard_normal((6, 9))
+        even = _even(Spectrum(GridSpec(2, 16, 8.0), c)).coeffs
+        assert spaces_module._mirrored([((slice(0, 16),) * 2, even)], 16)
+        # rows split symmetrically about the mirror, the Nyquist row with the first block
+        rows = [((slice(a, b), slice(0, 16)), even[a:b]) for a, b in ((0, 5), (5, 12), (12, 16))]
+        assert spaces_module._mirrored(rows, 16)
+        flipped = even[:, ::-1].copy()  # mirrored along the second axis only: not even
+        assert not spaces_module._mirrored([((slice(0, 16),) * 2, flipped)], 16)
 
 
 class TestChunkedRowPass:
