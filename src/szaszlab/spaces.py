@@ -273,7 +273,8 @@ class _Rows:
     S by (hi - lo) / S view, and ``at`` its columns of an (S, P) natural view.
     Such a row is ``mirrored`` when its samples are even, f(-x) = f(x): coset
     b's moduli are then coset P - b's, and its ``blocks`` tiles of whole
-    cosets each start with the coset that :meth:`head` reads (:func:`_lr_parts`).
+    cosets each start with the coset that :meth:`head` reads and :meth:`tail`
+    leaves out (:func:`_lr_parts`).
     """
 
     tile = _CHUNK
@@ -298,6 +299,11 @@ class _Rows:
     def head(a: np.ndarray) -> np.ndarray:
         """The first coset of a coset-order tile's moduli."""
         return a[:, 0]
+
+    @staticmethod
+    def tail(a: np.ndarray) -> np.ndarray:
+        """A coset-order tile's moduli without its first coset."""
+        return a[:, 1:]
 
 
 def _along(a: np.ndarray, axes: tuple, ndim: int) -> np.ndarray:
@@ -340,7 +346,8 @@ class _Cosets:
     The source is ``mirrored`` when its window's coefficients are even,
     c(-k) = c(k) (:func:`_mirrored`): coset b_1 of the first axis then holds
     the moduli of coset P_1 - b_1, and the ``blocks`` of tiles along the
-    first axis each start with the coset row that :meth:`head` reads.
+    first axis each start with the coset row that :meth:`head` reads and
+    :meth:`tail` leaves out.
     """
 
     mirrored = False
@@ -408,6 +415,10 @@ class _Cosets:
         """The first coset row along the first axis of a tile's moduli."""
         return a if self.g[0] == 1 else a[:, 0]
 
+    def tail(self, a: np.ndarray) -> np.ndarray:
+        """A tile's moduli without the coset row that :meth:`head` reads."""
+        return a[:0] if self.g[0] == 1 else a[:, 1:]
+
 
 def _mirrored(piece: list, N: int) -> bool:
     """Whether a piece's coefficients are even bit for bit, c(-k mod N) = c(k), from its (centered box, values) blocks.
@@ -445,11 +456,12 @@ def _lr_parts(source, r: float, divisor=None) -> np.ndarray:
     (cosets, or a long row's coset rows) hold the same moduli, and whose
     tiles group those blocks into ``blocks[0]`` >= 2 runs of R tiles each,
     walks only its first T/2 + R of T tiles, the blocks b <= B/2.  Its
-    terms are 2 S of each tile before T/2, -S_0 from the first block of
-    each of the first R tiles and +S_(B/2) from that of each of the R tiles
-    from T/2 (``source.head``), which ``math.fsum`` adds up to the full
-    pass's sum, 2 sum_(b < B/2) S_b - S_0 + S_(B/2).  Any other source, one
-    of one tile too, takes the full pass.
+    terms are S and S less its first block (``source.tail``) of each of
+    the first R tiles, 2 S of each further tile before T/2, and the first
+    block's S_(B/2) of each of the R tiles from T/2 (``source.head``),
+    which ``math.fsum`` adds up to the full pass's sum,
+    2 sum_(b < B/2) S_b - S_0 + S_(B/2).  Any other source, one of one
+    tile too, takes the full pass.
     """
     rows, half = prod(source.blocks[1:]), prod(source.blocks) // 2
     halved = source.mirrored and source.blocks[0] >= 2
@@ -465,19 +477,16 @@ def _lr_parts(source, r: float, divisor=None) -> np.ndarray:
         t = lo // source.tile
         if t >= half:
             return (np.sum(source.head(a)),)
-        return (2.0 * np.sum(a), -np.sum(source.head(a))) if t < rows else (2.0 * np.sum(a),)
+        return (np.sum(a), np.sum(source.tail(a))) if t < rows else (2.0 * np.sum(a),)
 
     return np.array([x for terms in _chunk_pass(source, work, half + rows if halved else None) for x in terms])
 
 
 def _exact_sum(tile_sums: np.ndarray) -> float:
-    """``math.fsum`` of a piece's tile sums; inf when finite sums add up past the float range.
-
-    A mirrored source's terms hold -S_0, so an overflowed S_0 is the ValueError of inf - inf.
-    """
+    """``math.fsum`` of a piece's tile sums; inf when finite sums add up past the float range."""
     try:
         return fsum(tile_sums.tolist())
-    except (OverflowError, ValueError):  # "intermediate overflow" or inf - inf: an overflowed sum, rescaled like one
+    except OverflowError:  # fsum's "intermediate overflow": an overflowed sum, rescaled like one
         return np.inf
 
 
@@ -908,20 +917,26 @@ def _even_q_norm(spec: Spectrum, keys: list, params: SpaceParams) -> float | Non
 
 
 def _triebel(spec: Spectrum, band: BandLimits, params: SpaceParams) -> float:
-    """The F-norm: by :func:`_even_q_norm` when it certifies one, else as :func:`_besov` at q = r >= 1, else pointwise.
+    """The F-norm: by :func:`_even_q_norm` when it certifies one, else as :func:`_besov` at q = r >= 1, else pointwise."""
+    keys = _norm_levels(params, band) + ([] if params.homogeneous else [None])
+    if (norm := _even_q_norm(spec, keys, params)) is not None:
+        return norm
+    if params.q == params.r >= 1.0:  # F^s_(r,r) = B^s_(r,r) by Fubini: the per-level L_r sums
+        return _besov(spec, band, params)
+    return _pointwise_triebel(spec, band, params)
 
-    The pointwise path adds each level's (2^(js) |Q_j f|)^q into one sum on
-    the grid (:func:`_accumulate`) and takes its L_r; an overflow, or an
-    underflow that can move the sum, redoes it scaled by the pointwise
-    maximum of the levels.
+
+def _pointwise_triebel(spec: Spectrum, band: BandLimits, params: SpaceParams) -> float:
+    """The F-norm by its pointwise sum over levels, for any q and r.
+
+    Each level's (2^(js) |Q_j f|)^q is added into one sum on the grid
+    (:func:`_accumulate`), whose L_r is taken; an overflow, or an underflow
+    that can move the sum, redoes it scaled by the pointwise maximum of the
+    levels.
     """
     g = spec.grid
     q, r = params.q, params.r
     keys = _norm_levels(params, band) + ([] if params.homogeneous else [None])
-    if (norm := _even_q_norm(spec, keys, params)) is not None:
-        return norm
-    if q == r >= 1.0:  # F^s_(r,r) = B^s_(r,r) by Fubini: the per-level L_r sums
-        return _besov(spec, band, params)
 
     def pointwise(exponent, acc, peak=None):
         for key, source in _synthesized(g, keys, _pieces_of(spec)):

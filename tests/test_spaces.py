@@ -1177,11 +1177,9 @@ def _borderline(grid, size: int, params: SpaceParams) -> Spectrum:
     return witnesses_module._modulated_spectrum(grid, WitnessSpec("modulated_borderline", size, query))
 
 
-def _pointwise(monkeypatch, spec, params) -> float:
+def _pointwise(spec, params) -> float:
     """The F-norm by the level-by-level pointwise path alone."""
-    with monkeypatch.context() as m:
-        m.setattr(spaces_module, "_even_q_norm", lambda *args: None)
-        return triebel_norm(spec, params)
+    return spaces_module._pointwise_triebel(spec, feasible_band(spec.grid), params)
 
 
 def _route(spec, params):
@@ -1197,21 +1195,21 @@ class TestEvenQSpectralSum:
     @pytest.mark.parametrize("setting", ["homogeneous", "inhomogeneous"])
     @pytest.mark.parametrize("s, r, q", [(0.0, 2.0, 4.0), (0.3, 1.5, 2.0), (0.5, 3.0, 2.0)])
     @pytest.mark.parametrize("size", range(2, 9))
-    def test_matches_the_pointwise_path(self, monkeypatch, grid_mid, size, s, r, q, setting):
+    def test_matches_the_pointwise_path(self, grid_mid, size, s, r, q, setting):
         params = SpaceParams(s, r, q, "F", setting)
         spec = _borderline(grid_mid, size, params)
         got = _route(spec, params)
         assert got is not None and triebel_norm(spec, params) == got
-        assert got == pytest.approx(_pointwise(monkeypatch, spec, params), rel=1e-12, abs=0.0)
+        assert got == pytest.approx(_pointwise(spec, params), rel=1e-12, abs=0.0)
 
-    def test_two_dimensional_grid(self, monkeypatch):
+    def test_two_dimensional_grid(self):
         # 512^2 points: the sum's window is read coset by coset along both axes
         grid = GridSpec(2, 512, 16.0 * np.pi)
         params = SpaceParams(0.3, 1.5, 2.0, "F")
         spec = _borderline(grid, 3, params)
         got = _route(spec, params)
         assert got is not None
-        assert got == pytest.approx(_pointwise(monkeypatch, spec, params), rel=1e-12, abs=0.0)
+        assert got == pytest.approx(_pointwise(spec, params), rel=1e-12, abs=0.0)
 
     def test_one_synthesis_per_accepted_norm(self, monkeypatch):
         # hi-band's two borderline records: one source for the sum, not one per level
@@ -1239,40 +1237,42 @@ class TestEvenQSpectralSum:
         ],
         ids=["borderline-q6", "blowup"],
     )
-    def test_refused_input_gives_the_pointwise_value(self, monkeypatch, grid_mid, spec, params):
+    def test_refused_input_gives_the_pointwise_value(self, grid_mid, spec, params):
         spec = spec(grid_mid)
         assert _route(spec, params) is None
-        assert triebel_norm(spec, params) == _pointwise(monkeypatch, spec, params)
+        assert triebel_norm(spec, params) == _pointwise(spec, params)
 
     @pytest.mark.parametrize(
         "scale, size, params",
         [(1e100, 2, SpaceParams(0.0, 2.0, 4.0, "F")), (1e-100, 2, SpaceParams(0.0, 2.0, 4.0, "F"))]
-        + [(1.0, 4, SpaceParams(s, 2.0, 2.0, "F")) for s in (150.0, 175.0, 200.0)]
+        + [(1.0, 4, SpaceParams(s, 3.0, 2.0, "F")) for s in (150.0, 175.0, 200.0)]
         + [(1.0, 2, SpaceParams(0.0, 2.0, 400.0, "F"))],
         ids=str,
     )
-    def test_values_off_the_float_range_fall_back(self, monkeypatch, grid_mid, scale, size, params):
+    def test_values_off_the_float_range_fall_back(self, grid_mid, scale, size, params):
         # the sum's coefficients over- or underflow a float: level 4's weight (2^(4s))^2 at
-        # s >= 150, (1 / L)^400 at q = 400; at unit scale and s = 0 the route takes q = 2 and 4
+        # s >= 150, (1 / L)^400 at q = 400; at unit scale and s = 0 the route takes q = 2 and 4.
+        # r = 3 != q keeps the fallback on the pointwise path, which q = r would leave for B's sums
         unit = SpaceParams(0.0, params.r, params.q, "F")
         spec = _borderline(grid_mid, size, unit)
         scaled = Spectrum(grid_mid, spec.coeffs * scale)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert _route(scaled, params) is None
-            assert triebel_norm(scaled, params) == _pointwise(monkeypatch, scaled, params)
+            assert triebel_norm(scaled, params) == _pointwise(scaled, params)
         assert (_route(spec, unit) is None) == (params.q == 400.0)
 
-    def test_level_weight_off_the_float_range_raises_as_pointwise(self, monkeypatch, grid_mid):
-        # size 4 reaches level 5, whose weight 2^(5 * 250) leaves the float range
+    def test_level_weight_off_the_float_range_raises_as_pointwise(self, grid_mid):
+        # size 4 reaches level 5, whose weight 2^(5 * 250) leaves the float range; at q = r
+        # the F-norm raises from B's per-level sums, and the pointwise path raises the same
         spec = _borderline(grid_mid, 4, SpaceParams(0.0, 2.0, 2.0, "F"))
         params = SpaceParams(250.0, 2.0, 2.0, "F")
         with pytest.raises(OverflowError, match=re.escape("level weight 2^(5 * 250.0)")):
             triebel_norm(spec, params)
         with pytest.raises(OverflowError, match=re.escape("level weight 2^(5 * 250.0)")):
-            _pointwise(monkeypatch, spec, params)
+            _pointwise(spec, params)
 
-    def test_huge_even_q_allocates_nothing(self, monkeypatch, grid_mid):
+    def test_huge_even_q_allocates_nothing(self, grid_mid):
         params = SpaceParams(0.0, 2.0, 1e300, "F")
         spec = _borderline(grid_mid, 4, params)
         tracemalloc.start()
@@ -1281,7 +1281,7 @@ class TestEvenQSpectralSum:
             assert tracemalloc.get_traced_memory()[1] < 2**16
         finally:
             tracemalloc.stop()
-        assert triebel_norm(spec, params) == _pointwise(monkeypatch, spec, params)
+        assert triebel_norm(spec, params) == _pointwise(spec, params)
 
     def test_bitwise_independent_of_cpus(self, monkeypatch):
         # four tiles of cosets on 1 to 3 threads
