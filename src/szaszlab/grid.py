@@ -24,9 +24,8 @@ they are the only dilations/translations that commute with the dyadic
 Littlewood-Paley ladder built on top of this module.
 
 Every transform is ``numpy.fft``'s n-D one in place (``_fftn``, ``_ifftn``),
-or of more than _CHUNK points in 1-D, on a grid or on one coset of the space
-norms' pruned syntheses, a four-step of its batched short ones
-(:func:`_four_step`).  ``import numpy`` does not load ``numpy.fft``, so
+or of more than _CHUNK points in 1-D, on a grid or on a space norm's row,
+a four-step of its batched short ones (:func:`_four_step`).  ``import numpy`` does not load ``numpy.fft``, so
 classifying loads no FFT library; the first transform loads it.
 """
 
@@ -61,8 +60,7 @@ BOUNDARY_TOL = 1e-12
 BOUNDARY_MARGIN = 0.05
 
 #: samples per block of a pass over a full-grid array (a chunk of a row, a
-#: tile of cosets in the space norms unless one coset is longer): 1 MiB of
-#: complex samples, which stays in L2
+#: tile of cosets in the space norms): 1 MiB of complex samples, which stays in L2
 _CHUNK = 2**16
 
 #: points of the short transforms that make up a long 1-D one (:func:`_four_step`)
