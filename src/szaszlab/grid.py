@@ -25,7 +25,10 @@ Littlewood-Paley ladder built on top of this module.
 
 Every transform is ``numpy.fft``'s n-D one in place (``_fftn``, ``_ifftn``),
 or of more than _CHUNK points in 1-D, on a grid or on a space norm's row,
-a four-step of its batched short ones (:func:`_four_step`).  ``import numpy`` does not load ``numpy.fft``, so
+a four-step of its batched short ones (:func:`_four_step`), which for a
+space norm's even row transforms half of it (:func:`_four_step_even`).
+A synthesis whose sums would overflow runs scaled by a power of two
+(:func:`_shift`).  ``import numpy`` does not load ``numpy.fft``, so
 classifying loads no FFT library; the first transform loads it.
 """
 
@@ -249,9 +252,34 @@ def _finite(result, inputs: np.ndarray, what: str):
 
 
 def inverse_ft(s: Spectrum) -> Field:
-    """Exact discrete inverse of :func:`forward_ft` (identity up to roundoff)."""
+    """Exact discrete inverse of :func:`forward_ft` (identity up to roundoff).
+
+    The copy is transformed times 2^-s and the samples scaled by 2^s, s
+    from :func:`_shift` of the support blocks: 0 unless a sum would overflow.
+
+    Raises:
+        ArithmeticError: when the coefficients are finite and a sample is
+            not; coefficients holding a nan or an infinity transform as they are.
+    """
     g = s.grid
-    return Field(g, _centered(_ifftn, s.coeffs, 1.0 / g.dx**g.n))
+    shift = _shift([s.coeffs[box] for box in s._support], 1.0, s.coeffs.size)
+    values = _centered(_ifftn, s.coeffs, 1.0 / g.dx**g.n, shift)
+    if shift and not np.isfinite(values.view(np.float64)).all() and np.isfinite(s.coeffs).all():
+        _finite(values, s.coeffs, "coefficients")  # finite coefficients: raises ArithmeticError
+    return Field(g, values)
+
+
+def _shift(blocks: list, factor: float, count: int) -> int:
+    """The s >= 0 by which value ``blocks`` times ``factor`` are scaled, 2^-s, for their inverse FFT of ``count`` points.
+
+    The blocks are a space norm's piece or a spectrum's support.  The
+    transform's sums, before its 1/count, are at most sqrt(2) count times
+    ``factor`` times the largest real or imaginary part.  s is 0 unless that
+    reaches 2^1020, so every in-range transform keeps every bit; a scaled
+    one's results are multiplied back by 2^s.
+    """
+    top = max((max(p.max(), -p.min()) for p in (v.view(np.float64) for v in blocks)), default=0.0)
+    return max(0, math.frexp(top)[1] + math.frexp(factor)[1] + count.bit_length() - 1 - 1020)
 
 
 def _fftn(x: np.ndarray, axes=None, norm=None) -> np.ndarray:
@@ -266,7 +294,7 @@ def _ifftn(x: np.ndarray, axes=None, norm=None) -> np.ndarray:
         return np.fft.ifftn(x, axes=axes, norm=norm, out=x)
 
 
-def _centered(transform, a: np.ndarray, factor: float) -> np.ndarray:
+def _centered(transform, a: np.ndarray, factor: float, shift: int = 0) -> np.ndarray:
     """``fftshift(transform(ifftshift(a))) * factor`` of a C-contiguous complex ``a``: both transforms.
 
     A shift by N/2 on one side of a DFT is the sign (-1)^k on the other, and
@@ -277,17 +305,23 @@ def _centered(transform, a: np.ndarray, factor: float) -> np.ndarray:
     long 1-D ``a`` goes through :func:`_four_step` on a copy written
     transposed, (S, N / S) with S = _STEP, so the samples come out in natural
     order; index S k2 + k1 of ``a`` is in row k1: its odd entries, odd rows.
+    A ``shift`` s transforms the copy times 2^-s and scales the result by
+    2^s, which may overflow to inf.
     """
     if _is_long(a):
         v = a.reshape(-1, _STEP).T.copy()
         np.negative(v[1::2], out=v[1::2])
-        v = _four_step(transform, v, 1).reshape(-1)
     else:
         v = a.copy()
         _flip_odd(v)
-        transform(v)
+    if shift:
+        _scale(v, math.ldexp(1.0, -shift))
+    v = _four_step(transform, v, 1).reshape(-1) if _is_long(a) else transform(v)
     _flip_odd(v)
     _scale(v, factor)
+    if shift:
+        with np.errstate(over="ignore"):
+            np.ldexp(v.view(np.float64), shift, out=v.view(np.float64))
     return v
 
 
@@ -310,6 +344,34 @@ def _four_step(transform, x: np.ndarray, axis: int) -> np.ndarray:
     with np.errstate(all="ignore"):
         _rotate(x, axis, x.size, k1 if transform is _ifftn else -k1)
     return transform(x, axes=(1 - axis,))
+
+
+def _four_step_even(x: np.ndarray) -> np.ndarray:
+    """:func:`_four_step`'s inverse DFT of an even row, c(-k mod N) = c(k), in place in its (P, S) view, S = _STEP.
+
+    Column S - k1 is column k1 reversed and shifted by one row, so its
+    P-point transform is X_(S-k1)[b] = e^(-2 pi i b / P) X_k1[(P - b) mod P]
+    (Swarztrauber, Math. Comp. 47, 1986): only columns 0..S/2 are
+    transformed along P, the others copied from them on rows b <= P/2, a
+    column c > S/2 taking the phase into its twiddle, w^(c b) e^(-2 pi i b
+    / P) = w^((c - S) b), and only those rows twiddled and transformed along S.
+    The samples are even, so row b > P/2 is row P - b reversed,
+    x[b, a] = x[P - b, S - 1 - a], with the same moduli bit for bit.  The
+    result is the four-step's to roundoff; no warning is raised.
+    """
+    P, S = x.shape
+    h, top = S // 2, x[: P // 2 + 1]
+    _ifftn(x[:, : h + 1], axes=(0,))
+    top[1:-1, h + 1 :] = x[P - 1 : P // 2 : -1, h - 1 : 0 : -1]  # row b reads row P - b, no overlap
+    top[:: P // 2, h + 1 :] = top[:: P // 2, h - 1 : 0 : -1]  # rows 0 and P/2 read themselves
+    k1 = np.arange(S)
+    k1[h + 1 :] -= S
+    with np.errstate(all="ignore"):
+        _rotate(x[: P // 2], 0, x.size, k1)
+        top[-1] *= np.exp((1j * np.pi / S) * k1)  # w^(k1 P/2)
+    _ifftn(top, axes=(1,))
+    x[P // 2 + 1 :] = x[P // 2 - 1 : 0 : -1, ::-1]
+    return x
 
 
 def _rotate(x: np.ndarray, axis: int, N: int, b) -> None:

@@ -66,7 +66,7 @@ view, is all the full-grid memory a Besov norm's pieces add (the F-norm
 adds its real pointwise sum, the boundary check of a wide spectrum its
 one row, and a 2-D check its shell mask of N^n bytes).  A row whose
 inverse FFT would overflow is written scaled by a power of two, as a
-narrow piece's window is (:func:`_shift`).
+narrow piece's window is (``grid._shift``).
 
 A piece whose coefficients are even bit for bit, c(-k mod N) = c(k) with
 -k taken per axis and the Nyquist bin its own mirror, has even samples,
@@ -77,8 +77,10 @@ such a source's L_r sum walks only the tiles of the blocks b <= B/2 and
 adds 2 sum_(b < B/2) S_b - S_0 + S_(B/2) by ``math.fsum``, its maximum
 the same tiles' (:func:`_lr_parts`).  The blocks are the cosets of
 :class:`_Cosets` and the P = N / 64 coset rows of a long 1-D
-:class:`_Rows`.  A source of one tile, a natural-order
-row, the pointwise F-sum, the boundary check (whose shell is not
+:class:`_Rows`.  An even long row is also transformed in half, by
+``grid._four_step_even``, into the four-step's coset-order row to
+roundoff, which every consumer reads unchanged.  A source of one tile, a
+natural-order row, the pointwise F-sum, the boundary check (whose shell is not
 mirror-symmetric by one sample) and the even-q pass walk every tile.
 The witnesses built from radial profiles (``random_bandlimited``,
 ``lowfreq_blowup``, ``dilated_low``) have even pieces; a ``forward_ft``
@@ -129,7 +131,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
-from math import frexp, fsum, isfinite, isinf, ldexp, prod, sqrt
+from math import fsum, isfinite, isinf, ldexp, prod, sqrt
 
 import numpy as np
 
@@ -144,11 +146,13 @@ from .grid import (
     _finite,
     _flip_odd,
     _four_step,
+    _four_step_even,
     _ifftn,
     _is_long,
     _rotate,
     _scale,
     _shell,
+    _shift,
     boundary_decay_ratio,
     forward_ft,
     inverse_ft,
@@ -313,18 +317,6 @@ def _along(a: np.ndarray, axes: tuple, ndim: int) -> np.ndarray:
     return a.reshape(shape)
 
 
-def _shift(blocks: list, factor: float, count: int) -> int:
-    """The s >= 0 by which a piece's value ``blocks`` times ``factor`` are scaled, 2^-s, for its inverse FFT of ``count`` points.
-
-    The transform's sums, before its 1/count, are at most sqrt(2) count
-    times ``factor`` times the largest real or imaginary part.  s is 0
-    unless that reaches 2^1020, so every in-range piece keeps every bit;
-    the moduli of a scaled piece carry 2^s, exactly.
-    """
-    top = max(max(p.max(), -p.min()) for p in (v.view(np.float64) for v in blocks))
-    return max(0, frexp(top)[1] + frexp(factor)[1] + count.bit_length() - 1 - 1020)
-
-
 class _Cosets:
     """A piece's samples, one tile of cosets at a time, by FFT pruning.
 
@@ -347,7 +339,7 @@ class _Cosets:
     all a tile pass reads.  No full-grid array is allocated.
 
     The window times 1/(P^n dx^n) is scaled by 2^-``shift`` and the moduli
-    by 2^``shift`` (:func:`_shift`), so that no transform overflows.
+    by 2^``shift`` (``grid._shift``), so that no transform overflows.
 
     The source is ``mirrored`` when its window's coefficients are even,
     c(-k) = c(k) (:func:`_mirrored`): coset b_1 of the first axis then holds
@@ -686,20 +678,24 @@ def _window(grid, piece: list) -> tuple | None:
     return tuple(window)
 
 
-def _inverse_rows(x: np.ndarray, axes: tuple) -> np.ndarray:
+def _inverse_rows(x: np.ndarray, axes: tuple, mirrored) -> np.ndarray:
     """The inverse FFT along ``axes``, counted from the end, of each row of a stack of wide rows, in place.
 
     A long 1-D row goes through ``grid._four_step`` and is left in coset
-    order.  Each row runs on a thread of its own; numpy's transforms release
-    the GIL, so the W rows run on W cores.
+    order, or through ``grid._four_step_even`` where its flag in
+    ``mirrored`` says its coefficients are even (:func:`_mirrored`); both
+    give the same coset-order row.  Each row runs on a thread of its own;
+    numpy's transforms release the GIL, so the W rows run on W cores.
     """
 
-    def inverse(row):
-        return _four_step(_ifftn, row.reshape(-1, _STEP), 0) if _is_long(row) else _ifftn(row, axes)
+    def inverse(row, even):
+        if not _is_long(row):
+            return _ifftn(row, axes)
+        return _four_step_even(row.reshape(-1, _STEP)) if even else _four_step(_ifftn, row.reshape(-1, _STEP), 0)
 
     with ThreadPoolExecutor(max(1, len(x) - 1)) as pool:  # starts no thread for one row
-        rest = pool.map(inverse, x[1:])
-        inverse(x[0])
+        rest = pool.map(inverse, x[1:], mirrored[1:])
+        inverse(x[0], mirrored[0])
         list(rest)  # raises a row's exception
     return x
 
@@ -719,16 +715,17 @@ def _synthesized(grid, keys, blocks):
     own, a view of the stack (:class:`_Rows`, whose moduli carry the
     1/dx^n), and the stack is zeroed after the last.  A row and a window
     are written scaled by 2^-s and their moduli carry 2^s, where s is
-    :func:`_shift`'s, 0 unless a transform would overflow.  Samples come in natural
+    ``grid._shift``'s, 0 unless a transform would overflow.  Samples come in natural
     or coset order, which no L_r sum depends on (``at`` maps them); a source
     is valid until the next is drawn.  The blocks of a narrow piece and of a
     long 1-D row are checked once as they are written, and the source is
-    ``mirrored`` when they are even (:func:`_mirrored`).
+    ``mirrored`` when they are even (:func:`_mirrored`); an even long row is
+    transformed by ``grid._four_step_even`` (:func:`_inverse_rows`).
     """
     rows, stacked = None, []
 
     def flush():
-        samples = _inverse_rows(rows[: len(stacked)], axes=tuple(range(-grid.n, 0)))
+        samples = _inverse_rows(rows[: len(stacked)], tuple(range(-grid.n, 0)), [m for _, _, m in stacked])
         for (key, shift, mirrored), row in zip(stacked, samples):
             yield key, _Rows(row, ldexp(1.0 / grid.dx**grid.n, shift), _is_long(row), mirrored)
         rows[: len(stacked)] = 0.0

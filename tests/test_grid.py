@@ -195,6 +195,26 @@ class TestInverseFT:
         want = np.fft.fftshift(_plain(grid_module._fftn, np.fft.ifftshift(a))) * grid.dx**grid.n
         assert np.array_equal(forward_ft(Field(grid, a)).coeffs, want)
 
+    @pytest.mark.parametrize("grid_name, levels", [("grid_mid", (8, 9)), ("grid_wide", (3, 4))])
+    @pytest.mark.parametrize("e", [1017, 1020])
+    def test_samples_whose_transform_sums_would_overflow_stay_finite(self, request, grid_name, levels, e):
+        # a band's two top levels times 2^e: samples up to about 5e307 are in range, while the
+        # unnormalized sums of N coefficients are not; the copy is transformed scaled by a power
+        # of two, on one tile and through the four-step
+        grid = request.getfixturevalue(grid_name)
+        spec = _random_spectrum(grid, 1, *levels)
+        want = inverse_ft(spec).values * 2.0**e
+        got = inverse_ft(Spectrum(grid, spec.coeffs * 2.0**e)).values
+        assert np.isfinite(want).all() and np.isfinite(got).all()
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_finite_spectrum_whose_samples_leave_the_range_raises(self, grid_mid):
+        spec = _random_spectrum(grid_mid, 1, 8, 9)
+        big = Spectrum(grid_mid, spec.coeffs * 2.0**1023)
+        assert np.isfinite(big.coeffs).all()
+        with pytest.raises(ArithmeticError, match="float range: a transform or sum of finite coefficients"):
+            inverse_ft(big)
+
 
 def _plain(transform, a):
     """The unshifted transform ``grid._centered`` runs on ``a``, out of place, in natural order.
@@ -223,6 +243,23 @@ class TestFourStep:
         for mine, numpys in ((grid_module._ifftn, np.fft.ifft), (grid_module._fftn, np.fft.fft)):
             exact = numpys(a.astype(np.clongdouble))
             assert np.abs(_plain(mine, a) - exact).max() <= 2.5 * np.abs(numpys(a) - exact).max()
+
+    @pytest.mark.parametrize("N", [2**17, 2**20, 2**21])
+    @pytest.mark.parametrize("kind", ["random", "sparse", "real"])
+    def test_even_kernel_is_the_four_step_on_even_rows(self, N, kind):
+        # a row even in natural order, c(-k mod N) = c(k): the kernel that transforms half the
+        # columns gives the four-step's coset-order row within 1e-15 of its peak, and the
+        # coset rows b and P - b (b != 0, P/2) the same moduli bit for bit, reversed
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        a = {"random": a, "sparse": a * (rng.random(N) < 0.01), "real": a.real + 0j}[kind]
+        a += np.roll(a[::-1], 1)
+        assert np.array_equal(a[1:], a[:0:-1])
+        want = grid_module._four_step(grid_module._ifftn, a.reshape(-1, grid_module._STEP).copy(), 0)
+        got = grid_module._four_step_even(a.reshape(-1, grid_module._STEP).copy())
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+        P, moduli = N // grid_module._STEP, np.abs(got)
+        assert moduli[1 : P // 2].tobytes() == moduli[P - 1 : P // 2 : -1, ::-1].tobytes()
 
     def test_negative_exponents_give_the_conjugate_roots(self):
         # the forward kernel's twiddles are the inverse's conjugates, not roots of angles near 2 pi

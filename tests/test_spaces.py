@@ -506,9 +506,9 @@ print(value.hex())
         widths = []
         real = spaces_module._inverse_rows
 
-        def counting(rows, axes):
+        def counting(rows, axes, mirrored):
             widths.append(rows.shape[0])
-            return real(rows, axes=axes)
+            return real(rows, axes, mirrored)
 
         monkeypatch.setattr(spaces_module, "_inverse_rows", counting)
         spec = _random_spectrum(grid_wide, 3, 4, 4)
@@ -528,9 +528,9 @@ print(value.hex())
         blocks = lambda key: spaces_module._pieces_of(specs[key[0]])(key[1])
         real, flushed, got = spaces_module._inverse_rows, [], {}
 
-        def counting(rows, axes):
+        def counting(rows, axes, mirrored):
             flushed.append(rows.shape[0])
-            return real(rows, axes=axes)
+            return real(rows, axes, mirrored)
 
         monkeypatch.setattr(spaces_module, "_inverse_rows", counting)
         for width in (1, 2, 3):
@@ -564,7 +564,7 @@ print(value.hex())
         _with_cpus(monkeypatch, 1)
         filled = []
 
-        def keep(rows, axes):
+        def keep(rows, axes, mirrored):
             filled.append(rows[0].copy())
             return rows
 
@@ -1389,8 +1389,8 @@ class TestNonFiniteInput:
     def test_row_pieces_whose_transform_would_overflow_keep_their_norm(self, grid, levels, scale):
         # the two top levels of each band, wide rows on the full grid: their inverse FFT sums
         # N^n coefficients of about 1e306 past the float range for norms within it; a
-        # power-of-two scale leaves every coefficient's bits, so the boundary check of a grid of
-        # more than one tile gives the unscaled ratio, its roundoff in the shell included
+        # power-of-two scale leaves every coefficient's bits, so the boundary check gives the
+        # unscaled ratio, its roundoff in the shell included, on a grid of one tile too
         spec = _random_spectrum(grid, 1, *levels)
         scaled = Spectrum(grid, spec.coeffs * scale)
         with warnings.catch_warnings():
@@ -1398,10 +1398,9 @@ class TestNonFiniteInput:
             for params in (SpaceParams(0.0, 1.5, 2.0, "B"), SpaceParams(0.0, 1.5, 3.0, "F")):
                 want = space_norm(spec, params) * scale
                 assert space_norm(scaled, params) == pytest.approx(want, rel=1e-12, abs=0.0)
-        if grid.N**grid.n > spaces_module._CHUNK:  # a grid of one tile checks inverse_ft's field
-            ratio = spaces_module._boundary_ratio(scaled)
-            assert np.isfinite(ratio)
-            assert ratio == pytest.approx(spaces_module._boundary_ratio(spec), rel=1e-12, abs=0.0)
+        ratio = spaces_module._boundary_ratio(scaled)
+        assert np.isfinite(ratio)
+        assert ratio == pytest.approx(spaces_module._boundary_ratio(spec), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("shape", [(2**18,), (512, 512)])
     def test_row_scaling_is_exact_across_its_threshold(self, shape):
@@ -1556,8 +1555,53 @@ class TestNumpyTransforms:
             want = np.fft.ifftn(stack, axes=axes)
         for width in (1, 2, 3):
             rows = stack[:width].copy()
-            assert spaces_module._inverse_rows(rows, axes) is rows
+            assert spaces_module._inverse_rows(rows, axes, [False] * width) is rows
             assert rows.tobytes() == want[:width].tobytes()
+
+    def test_even_rows_are_the_kernels_bit_for_bit_at_every_width(self):
+        # long rows flagged even take the half-column kernel, the others the four-step, each
+        # on its row alone, whatever the rows beside it
+        rng = np.random.default_rng(8)
+        stack = rng.standard_normal((3, 2**18)) + 1j * rng.standard_normal((3, 2**18))
+        stack += np.roll(stack[:, ::-1], 1, axis=1)
+        flags, want = [True, False, True], stack.copy()
+        for row, even in zip(want, flags):
+            view = row.reshape(-1, grid_module._STEP)
+            if even:
+                grid_module._four_step_even(view)
+            else:
+                grid_module._four_step(grid_module._ifftn, view, 0)
+        four_step = grid_module._four_step(grid_module._ifftn, stack[0].reshape(-1, grid_module._STEP).copy(), 0)
+        assert want[0].tobytes() != four_step.tobytes()  # the two kernels differ in the last bits
+        for width in (1, 2, 3):
+            rows = stack[:width].copy()
+            assert spaces_module._inverse_rows(rows, (-1,), flags[:width]) is rows
+            assert rows.tobytes() == want[:width].tobytes()
+
+    def test_only_mirrored_long_rows_take_the_even_kernel(self, monkeypatch):
+        # an even wide piece on 2^18 points takes the kernel; the same piece one ulp off its
+        # mirror, a forward_ft spectrum (even only to roundoff) and hi-band's size-16 modulated
+        # boundary check, a 2^21-point row, take the four-step
+        taken = []
+        even, plain = grid_module._four_step_even, grid_module._four_step
+        monkeypatch.setattr(spaces_module, "_four_step_even", lambda x: taken.append("even") or even(x))
+        monkeypatch.setattr(spaces_module, "_four_step", lambda t, x, axis: taken.append("plain") or plain(t, x, axis))
+        grid = GridSpec(1, 2**18, 32.0)
+        spec = _even(_window_spectrum(grid, [-(2**16) + 4], [2**17 - 7], seed=6))
+        nudged = spec.coeffs.copy()
+        k = np.flatnonzero(nudged)[3]
+        nudged[k] = np.nextafter(nudged[k].real, np.inf) + 1j * nudged[k].imag
+        hi = GridSpec(1, 2**21, 16.0 * np.pi)
+        query = SzaszQuery(SpaceParams(0.0, 2.0, 4.0, "B"), 4.0, 1)
+        modulated = witnesses_module._modulated_spectrum(hi, WitnessSpec("modulated", 16, query))
+        for coeffs, want in ((spec.coeffs, "even"), (nudged, "plain"), (forward_ft(inverse_ft(spec)).coeffs, "plain")):
+            taken.clear()
+            for _, source in spaces_module._synthesized(grid, ["f"], lambda _: [((slice(0, grid.N),), coeffs)]):
+                assert source.cosets and source.mirrored is (want == "even")
+            assert taken == [want]
+        taken.clear()
+        spaces_module._boundary_ratio(modulated)
+        assert taken == ["plain"]
 
     @pytest.mark.parametrize("N", [2**17, 2**20])
     def test_long_row_is_read_at_its_natural_positions(self, N):
