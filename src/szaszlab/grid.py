@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -201,17 +201,14 @@ def _on_grid(grid: GridSpec, a, what: str) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _radial_xi_cached(grid: GridSpec) -> np.ndarray:
-    ax = grid.xi_axis()
-    if grid.n == 1:
-        r = np.abs(ax)
-    else:
-        r = np.sqrt(ax[:, None] ** 2 + ax[None, :] ** 2)
+    r = reduce(np.add.outer, [np.square(grid.xi_axis())] * grid.n)
+    np.sqrt(r, out=r)
     r.setflags(write=False)
     return r
 
 
 def radial_xi(grid: GridSpec) -> np.ndarray:
-    """|xi| at every spectral bin (Euclidean norm in n = 2). Read-only array."""
+    """|xi| at every spectral bin: the root of its axes' squares summed in axis order, |xi| bit for bit in 1-D. Read-only array."""
     return _radial_xi_cached(grid)
 
 
@@ -417,7 +414,11 @@ def boundary_decay_ratio(f: Field) -> float:
     The periodic model represents a function on R^n faithfully only when
     this ratio is tiny (below ``BOUNDARY_TOL`` by convention).  Returns 0.0
     for the zero field.
+
+    Raises:
+        ParameterError: "non-finite input" when f holds a nan or an infinity.
     """
+    _finite(f.values, f.values, "samples")
     return _leak_ratio(f.values, np.roll(_shell(f.grid), f.grid.center))
 
 
@@ -436,14 +437,20 @@ def _shell(grid: GridSpec) -> np.ndarray:
     return shell
 
 
-def _leak_ratio(values: np.ndarray, outside_1d: np.ndarray) -> float:
-    """Largest |values| where ``outside_1d`` holds along some axis, over the peak; 0.0 if none.
+def _union(mask: np.ndarray, n: int) -> np.ndarray:
+    """The points of the n-D grid where the 1-D ``mask`` holds along some axis: ``mask`` itself in 1-D, no copy."""
+    return reduce(np.logical_or.outer, [mask] * n)
 
-    The peak is taken a block of rows at a time, with no full-grid modulus.
+
+def _leak_ratio(values: np.ndarray, outside_1d: np.ndarray) -> float:
+    """Largest |values| where ``outside_1d`` holds along some axis (:func:`_union`), over the peak; 0.0 if none.
+
+    The values are finite, as its callers check.  The peak is taken a block
+    of rows at a time, with no full-grid modulus.
     """
     rows = max(1, _CHUNK * len(values) // values.size)
     peak = max(float(np.abs(values[i : i + rows]).max()) for i in range(0, len(values), rows))
-    outside = outside_1d if values.ndim == 1 else outside_1d[:, None] | outside_1d[None, :]
+    outside = _union(outside_1d, values.ndim)
     if peak == 0.0 or not outside.any():
         return 0.0
     return float(np.max(np.abs(values[outside]))) / peak
@@ -467,13 +474,15 @@ def dyadic_dilate(f: Field, m: int) -> Field:
     represent f, and only the zero field (whose dilation is zero) passes.
 
     Raises:
-        ParameterError: when m is not an integer.
+        ParameterError: when m is not an integer, or "non-finite input"
+            when f holds a nan or an infinity, before any transform.
         BandError: when the dilated spectrum would cross the Nyquist limit
             (m < 0) or the dilated support would reach the box boundary
             (m > 0), or when m > 0 leaves no sample but x = 0 in the box.
     """
     g = f.grid
     m = _integer(m, "m", None)
+    _finite(f.values, f.values, "samples")
     if m == 0:
         return Field(g, f.values.copy())
     if m < 0 and -m >= g.N.bit_length() - 1:
@@ -503,13 +512,11 @@ def dyadic_dilate(f: Field, m: int) -> Field:
 
 
 def _stride_read(a: np.ndarray, g: GridSpec, step: int) -> np.ndarray:
-    """The centered entries ``a[step k]`` at every centered index k; 0 where step k is not in (-N/2, N/2)."""
+    """The centered entries ``a[step k]`` at every centered index k; exactly 0 where step k is not in (-N/2, N/2) on an axis."""
     t = step * _axis_indices(g)
     inside = np.abs(t) < g.N // 2
     idx = np.where(inside, t + g.center, 0)
-    if g.n == 1:
-        return np.where(inside, a[idx], 0.0)
-    return a[np.ix_(idx, idx)] * (inside[:, None] & inside[None, :])
+    return np.where(_union(~inside, g.n), 0.0, a[np.ix_(*[idx] * g.n)])
 
 
 def _check_headroom(values: np.ndarray, outside_1d: np.ndarray, message: str) -> None:

@@ -153,6 +153,7 @@ from .grid import (
     _scale,
     _shell,
     _shift,
+    _union,
     boundary_decay_ratio,
     forward_ft,
     inverse_ft,
@@ -595,13 +596,13 @@ def _boundary_ratio(spec: Spectrum) -> float:
     The spectrum's support blocks are one piece: on a grid of more than one
     tile its cosets, or one row, give each tile's peak and its largest
     modulus in the boundary shell, read at the tile's positions (``at``) of
-    the natural-order shell mask: the vector ``grid._shell`` in 1-D, the
-    union of its two axes' in 2-D.  The zero spectrum gives 0.0.
+    the natural-order shell mask, ``grid._union`` of the vector ``grid._shell``
+    over the axes: the vector itself in 1-D.  The zero spectrum gives 0.0.
     """
     g = spec.grid
     if g.N**g.n <= _CHUNK:  # the benchmark's smoke test counts inverse_ft's spans under a norm on one-tile grids
         return boundary_decay_ratio(inverse_ft(spec))
-    shell = _shell(g) if g.n == 1 else _shell(g)[:, None] | _shell(g)[None, :]
+    shell = _union(_shell(g), g.n)
     blocks = [(box, spec.coeffs[box]) for box in spec._support]
     peak = edge = 0.0
     for _, source in _synthesized(g, [None], lambda _: blocks):
@@ -645,30 +646,29 @@ def _piece_l2(spec: Spectrum, j: int | None) -> float:
 def _window(grid, piece: list) -> tuple | None:
     """Per axis (k0, Q): a circular window k0 <= k < k0 + Q holding the piece's nonzero bins; None if empty.
 
-    Q is the least power of two holding the axis's nonzero frequencies
-    (those of any bin of the piece) after its largest circular gap.  An
-    axis with more than _CHUNK nonzero frequencies gets the whole axis,
-    (0, N), without its gaps being sought.
+    Q is the least power of two holding the axis's nonzero frequencies after
+    their largest circular gap; past _CHUNK of them the window is the whole
+    axis, (0, N), with no gap sought.  They are any block's (``any`` over
+    the other axes), ORed over the blocks of one run [start, stop) on the
+    axis: off the first axis a piece's blocks share one run (a level box met
+    with whole-row support boxes), and a shared frequency counts once.
     """
-    n, N = grid.n, grid.N
-    # in 2-D two blocks may share an axis's frequencies, so each axis's are marked in one array
-    found: list = [[] if n == 1 else [(-grid.center, np.zeros(N, dtype=bool))] for _ in range(n)]
+    N, runs = grid.N, [{} for _ in range(grid.n)]
     for box, values in piece:
         nonzero = values != 0
-        if n == 1:
-            found[0].append((box[0].start - grid.center, nonzero))
-        else:
-            for i, s in enumerate(box):
-                found[i][0][1][s] |= nonzero.any(axis=1 - i)
+        for i, s in enumerate(box):
+            hit = nonzero.any(axis=tuple(j for j in range(grid.n) if j != i))
+            run = (s.start, s.stop)
+            runs[i][run] = runs[i][run] | hit if run in runs[i] else hit
     window = []
-    for axis in found:
-        count = sum(int(np.count_nonzero(hit)) for _, hit in axis)
+    for axis in runs:
+        count = sum(int(np.count_nonzero(hit)) for hit in axis.values())
         if count == 0:
             return None
         if count > _CHUNK:
             window.append((0, N))
             continue
-        k = np.concatenate([first + np.flatnonzero(hit) for first, hit in axis])
+        k = np.concatenate([start - grid.center + np.flatnonzero(hit) for (start, _), hit in axis.items()])
         if len(axis) > 1:
             k.sort()
         gaps = np.diff(k, append=k[0] + N)

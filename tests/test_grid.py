@@ -19,13 +19,14 @@ from szaszlab import (
     grid_translate,
     inverse_ft,
     lp_project,
+    radial_xi,
     random_bandlimited,
     triebel_norm,
 )
 import szaszlab.grid as grid_module
 from szaszlab.realization import sigma0_partial
 from szaszlab.grid import BOUNDARY_MARGIN
-from szaszlab.witnesses import _random_spectrum
+from szaszlab.witnesses import GRID_PRESETS, _random_spectrum
 
 from conftest import wave_packet
 
@@ -287,6 +288,38 @@ class TestFourStep:
         assert f.values.flags.c_contiguous and 16 * grid.N <= peak < 17 * grid.N
 
 
+class TestOneCodePathPerDimension:
+    @pytest.mark.parametrize("preset", sorted(GRID_PRESETS))
+    def test_radial_xi_is_the_modulus_in_1d(self, preset):
+        # the root of a rounded square is exact
+        grid = GRID_PRESETS[preset]
+        assert radial_xi(grid).tobytes() == np.abs(grid.xi_axis()).tobytes()
+
+    @pytest.mark.parametrize("N, L", [(256, 32.0), (512, 56.0), (512, 64.0 * np.pi)])
+    def test_radial_xi_is_the_root_of_the_summed_squares_in_2d(self, N, L):
+        grid = GridSpec(2, N, L)
+        x = grid.xi_axis()
+        assert radial_xi(grid).tobytes() == np.sqrt(x[:, None] ** 2 + x[None, :] ** 2).tobytes()
+
+    def test_union_is_the_mask_itself_in_1d(self):
+        mask = np.arange(16) % 3 == 0
+        assert grid_module._union(mask, 1) is mask
+        assert np.array_equal(grid_module._union(mask, 2), mask[:, None] | mask[None, :])
+
+    def test_stride_read_off_the_grid_is_exactly_zero_in_2d(self):
+        # a point whose source leaves the grid along some axis reads the Nyquist row or
+        # column and is then set to 0, not multiplied by it: an inf there gives 0, not nan
+        g = GridSpec(2, 16, 8.0)
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        a[0, :] = a[:, 0] = np.inf
+        k = 2 * (np.arange(g.N) - g.center)
+        inside = np.abs(k) < g.N // 2
+        want = np.zeros(g.shape, dtype=complex)
+        want[np.ix_(inside, inside)] = a[np.ix_(k[inside] + g.center, k[inside] + g.center)]
+        _assert_same_bits(grid_module._stride_read(a, g, 2), want)
+
+
 class TestMemoryLayout:
     @pytest.mark.parametrize("layout", ["transposed", "fortran"])
     def test_fields_and_spectra_are_c_contiguous(self, layout):
@@ -476,6 +509,20 @@ class TestDyadicDilate:
         assert abs(row[g.center - edge]) <= 1e-15 * peak and abs(row[g.center + edge]) <= 1e-15 * peak
         assert abs(row[g.center + edge - 1]) == pytest.approx(peak, rel=1e-13)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("m", [-1, 0, 1])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_non_finite_samples_raise_before_any_transform(self, transforms, n, m, bad):
+        # the headroom check's comparisons with a nan are false, so a nan outside
+        # the shrunk box would pass it, and an inf at the corner is read by the
+        # m = -1 stride: the samples are checked first
+        g = GridSpec(n, 64, 20.0)
+        values = wave_packet(g, 0.0, 1.0).values.copy()
+        values[(0,) * n] = bad
+        with pytest.raises(ParameterError, match=f"non-finite input: 1 of {g.N**n} samples are nan or inf"):
+            dyadic_dilate(Field(g, values), m)
+        assert transforms == []
+
     @pytest.mark.parametrize("m", [1.5, -0.5, "1", None])
     def test_m_must_be_an_integer(self, grid_1d, m):
         x = grid_1d.x_axis()
@@ -616,6 +663,17 @@ class TestBoundaryDecay:
             point[axis] = index
             values[tuple(point)] = 0.5
             assert boundary_decay_ratio(Field(grid, values)) == ratio, index
+
+    @pytest.mark.parametrize("bad, where", [(np.nan, "center"), (np.inf, "inside"), (np.nan, "shell")])
+    @pytest.mark.parametrize("n, N, L", [(1, 2**18, 100.0), (2, 256, 32.0)])
+    def test_non_finite_samples_raise(self, n, N, L, bad, where):
+        # Python's max over the per-block peaks drops a nan past the first block,
+        # so a Gaussian holding one would read as a perfect decay, 0.0
+        grid = GridSpec(n, N, L)
+        values = wave_packet(grid, 0.0, 1.0).values.copy()
+        values[{"center": (grid.center,) * n, "inside": (grid.center + 5,) * n, "shell": (0,) * n}[where]] = bad
+        with pytest.raises(ParameterError, match=f"non-finite input: 1 of {N**n} samples are nan or inf"):
+            boundary_decay_ratio(Field(grid, values))
 
     @pytest.mark.parametrize("shape, peak", [((2**18,), (3 * 2**16 + 5,)), ((512, 512), (400, 256))])
     def test_peak_in_the_last_block(self, shape, peak):

@@ -1462,6 +1462,57 @@ _STRAINED_GRID = GridSpec(1, 256, 72.0)
 _STRAINED_QUERY = SzaszQuery(SpaceParams(0.5, 1.0, 2.0), 1.0, 1)
 
 
+class TestExactScaling:
+    """A spectrum times an exact 2^e gives every result times 2^(e d), d its degree.
+
+    A power of two changes no bit of a coefficient, so each result is the
+    unscaled one times 2^(e d) to roundoff, d = 1 for the transform, the
+    norms and the weighted functional and 0 for the boundary ratio, as long
+    as it is in the float range: at e = 1016 the syntheses' sums are not.
+    """
+
+    PARAMS = (
+        SpaceParams(0.0, 1.5, 2.0),
+        SpaceParams(0.0, 1.5, 3.0, "F"),
+        SpaceParams(0.0, 2.0, 2.0),
+        SpaceParams(0.0, 0.8, 1.0),
+        SpaceParams(0.0, 2.0, 4.0, "F"),
+        SpaceParams(0.3, np.inf, 2.0),
+        SpaceParams(0.0, 1.5, 1.5, "F", "inhomogeneous"),
+    )
+
+    @pytest.mark.parametrize(
+        "turn, grid",
+        enumerate([
+            GridSpec(1, 2**14, 16.0 * np.pi),
+            GridSpec(1, 2**18, 2.0**12 * 2.0 * np.pi),
+            GridSpec(2, 256, 32.0),
+            GridSpec(2, 512, 56.0),
+        ]),
+        ids=["mid-band", "grid_wide", "256^2", "512^2"],
+    )
+    def test_results_scale_with_the_spectrum(self, turn, grid):
+        # the band's two top levels: full-grid rows on every grid, long rows and cosets on the
+        # grids of 2^18 points.  Every result meets e = -900 and e = 1016, the ends of the
+        # range, and one of -500, 500 and 1000 in turn, so that each meets all on some grid
+        band = feasible_band(grid)
+        spec = _random_spectrum(grid, 1, band.j_max - 1, band.j_max)
+        results = [(lambda f: inverse_ft(f).values, 1)]
+        results += [(lambda f, params=params: space_norm(f, params), 1) for params in self.PARAMS]
+        results += [
+            (lambda f: weighted_lhs(f, -0.25, 1.5), 1),
+            (lambda f: lr_quasinorm(inverse_ft(f), 1.5), 1),
+            (spaces_module._boundary_ratio, 0),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ModelFidelityWarning)
+            for i, (result, degree) in enumerate(results):
+                want = result(spec)
+                for e in (-900, (-500, 500, 1000)[(i + turn) % 3], 1016):
+                    got = result(Spectrum(grid, spec.coeffs * 2.0**e)) * 2.0 ** (-e * degree)
+                    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (i, e)
+
+
 class TestFidelityWarningAttribution:
     @pytest.mark.parametrize(
         "call",
