@@ -156,11 +156,18 @@ class Spectrum:
     is the union of their terms' rows (:func:`_supported`); the norms,
     the weighted functional and the fidelity checks read only the support
     and sum over its boxes' values packed flat.
+
+    A modulated witness's spectrum also carries a private boundary ratio,
+    certified from its construction (``witnesses._modulated_spectrum``),
+    which the norms' boundary check reads in place of synthesizing the
+    field; its coeffs are read-only, so the ratio cannot go stale.  Every
+    other spectrum, ``Spectrum(grid, coeffs)`` included, carries None.
     """
 
     grid: GridSpec
     coeffs: np.ndarray
     _support: tuple = field(init=False, repr=False, compare=False)
+    _boundary: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _on_grid(self.grid, self.coeffs, "spectrum"))
@@ -446,13 +453,17 @@ def _leak_ratio(values: np.ndarray, outside_1d: np.ndarray) -> float:
     """Largest |values| where ``outside_1d`` holds along some axis (:func:`_union`), over the peak; 0.0 if none.
 
     The values are finite, as its callers check.  The peak is taken a block
-    of rows at a time, with no full-grid modulus.
+    of rows at a time, with no full-grid modulus.  A peak modulus past the
+    float range (|1.7e308 (1 + i)| is inf) takes both maxima of the values
+    times 2^-1, which is exact and leaves the ratio.
     """
     rows = max(1, _CHUNK * len(values) // values.size)
     peak = max(float(np.abs(values[i : i + rows]).max()) for i in range(0, len(values), rows))
     outside = _union(outside_1d, values.ndim)
     if peak == 0.0 or not outside.any():
         return 0.0
+    if math.isinf(peak):
+        return _leak_ratio(values * 0.5, outside_1d)
     return float(np.max(np.abs(values[outside]))) / peak
 
 

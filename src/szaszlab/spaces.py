@@ -49,16 +49,19 @@ tile is synthesized, or read from the row, as moduli (times 1/dx^n for a
 row) in one reused per-thread buffer and handed to the consumer's
 reduction, whose results come back in tile order: the tile's power sum or
 maximum (:func:`_lr_norms`), its peak and boundary-shell maximum
-(:func:`_boundary_ratio`), its power sum and roundoff bound
+(:func:`_synthesized_ratio`), its power sum and roundoff bound
 (:func:`_even_q_norm`), or nothing once its terms are
 added into the F-norm's pointwise sum at the tile's positions
 (:func:`_accumulate`), whose final L_r sums its r/q-th powers.  A
 source's ``at`` maps a tile to its positions in any natural-order
 full-grid array, which both the pointwise sum and the boundary shell
-(``grid._shell``) are read through.  The boundary check takes a
-spectrum's support blocks as one piece through :func:`_synthesized`, so
-a hi-band witness's narrow check synthesizes no full-grid field; only on
-a grid of one tile is it :func:`inverse_ft`'s.  A piece's
+(``grid._shell``) are read through.  The boundary check
+(:func:`_boundary_ratio`) takes a spectrum's support blocks as one piece
+through :func:`_synthesized`, so a narrow check synthesizes no full-grid
+field; only on a grid of one tile is it :func:`inverse_ft`'s.  On any
+other grid a spectrum that carries a certified ratio, a modulated
+witness's (``grid.Spectrum``), gives it unsynthesized, so no hi-band
+modulated record synthesizes its check.  A piece's
 tile sums are added exactly rounded by ``math.fsum``, and each
 point of the F-sum sees its levels in level order, so no result depends
 on W.  The stack of W rows of 16 N^n bytes, which its row sources only
@@ -546,8 +549,9 @@ def _prepared_spectrum(
 
     A Field's spectrum is ``forward_ft(f)``, unless it is passed as ``spec``.
     A Spectrum is used as given, and its boundary check
-    (:func:`_boundary_ratio`) reads its field through :func:`_synthesized`,
-    a narrow spectrum's tile by tile with no full-grid array.
+    (:func:`_boundary_ratio`) is the ratio it carries, if any (a modulated
+    witness's), or reads its field through :func:`_synthesized`, a narrow
+    spectrum's tile by tile with no full-grid array.
     Neither path copies the spectrum: the k = 0 bin that the homogeneous
     norms discard lies outside every level mask, so it needs no zeroing.
     The total and out-of-band spectral mass are sums over the spectrum's
@@ -591,21 +595,34 @@ def _prepared_spectrum(
 
 
 def _boundary_ratio(spec: Spectrum) -> float:
-    """``boundary_decay_ratio(inverse_ft(spec))``, read from the source :func:`_synthesized` makes of the spectrum.
+    """``boundary_decay_ratio(inverse_ft(spec))``, with no full-grid field on a grid of more than one tile.
 
-    The spectrum's support blocks are one piece: on a grid of more than one
-    tile its cosets, or one row, give each tile's peak and its largest
-    modulus in the boundary shell, read at the tile's positions (``at``) of
-    the natural-order shell mask, ``grid._union`` of the vector ``grid._shell``
-    over the axes: the vector itself in 1-D.  The zero spectrum gives 0.0.
+    On a grid of one tile it is that.  On any other, a spectrum that
+    carries a certified boundary ratio (``grid.Spectrum``, a modulated
+    witness's) gives it with no synthesis, and any other spectrum's is read
+    from its support blocks by :func:`_synthesized_ratio`.  The zero
+    spectrum gives 0.0.
     """
     g = spec.grid
     if g.N**g.n <= _CHUNK:  # the benchmark's smoke test counts inverse_ft's spans under a norm on one-tile grids
         return boundary_decay_ratio(inverse_ft(spec))
-    shell = _union(_shell(g), g.n)
-    blocks = [(box, spec.coeffs[box]) for box in spec._support]
+    if spec._boundary is not None:
+        return spec._boundary
+    return _synthesized_ratio(g, [(box, spec.coeffs[box]) for box in spec._support])
+
+
+def _synthesized_ratio(grid, blocks) -> float:
+    """The boundary ratio of the field whose spectrum is the (centered box, values) ``blocks``, zero off them.
+
+    The blocks are one piece of :func:`_synthesized`: its cosets, or one
+    row, give each tile's peak and its largest modulus in the boundary
+    shell, read at the tile's positions (``at``) of the natural-order shell
+    mask, ``grid._union`` of the vector ``grid._shell`` over the axes: the
+    vector itself in 1-D.  No blocks, or zero ones, give 0.0.
+    """
+    shell = _union(_shell(grid), grid.n)
     peak = edge = 0.0
-    for _, source in _synthesized(g, [None], lambda _: blocks):
+    for _, source in _synthesized(grid, [None], lambda _: blocks):
 
         def work(a, lo, hi, tmp):
             return a.max(), np.max(a, where=source.at(shell, lo, hi), initial=0.0)

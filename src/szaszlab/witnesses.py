@@ -57,9 +57,12 @@ the transition of level k + 1 (4.7e-3 at K = 2), not from the box.
 
 Experiment records are spectrum-native: ``divergence_experiment`` hands the
 witness's exact spectrum to the space norm and to ``weighted_lhs``, so a
-record costs one synthesis (the norm's boundary check), levels the
+record costs at most one synthesis, the norm's boundary check, levels the
 witness does not reach are skipped as exactly empty, and at r = 2 no level
-is synthesized at all.  Every term is evaluated only on the box holding its
+is synthesized at all.  A modulated spectrum carries phi's boundary ratio,
+computed once per grid (:func:`_phi_boundary`), which the check reads on a
+grid of more than one tile, so a hi-band record synthesizes no check.
+Every term is evaluated only on the box holding its
 support (``littlewood_paley._box``): phi on |xi| <= 1/2, psi's dilation into
 C_(-k) on |xi| <= 5/4 * 2^-k, and a random plateau on its two one-sided
 runs 3/4 * 2^j < |xi| < 2^j in 1-D (``littlewood_paley._one_sided``) and on
@@ -99,7 +102,7 @@ from .littlewood_paley import (
     feasible_band,
     lowpass_profile,
 )
-from .spaces import SpaceParams, _packed, _parseval_l2, _pieces_lr, space_norm
+from .spaces import SpaceParams, _packed, _parseval_l2, _pieces_lr, _synthesized_ratio, space_norm
 from .szasz import SzaszQuery, _require_grid_dimension, weighted_lhs
 
 __all__ = [
@@ -284,7 +287,10 @@ def _modulated_spectrum(grid, spec: WitnessSpec) -> Spectrum:
 
     Term k adds a_k times phi on its box, moved up by nu_k along the first
     axis; below the Nyquist margin that K is checked against, the moved box
-    stays on the grid and overlaps no other term's.
+    stays on the grid and overlaps no other term's.  For K >= 1 the
+    spectrum carries phi's boundary ratio (:func:`_phi_boundary`), and its
+    coeffs are read-only, so the ratio cannot go stale; at K = 0 it is the
+    zero spectrum and carries none.
     """
     grid = resolve_grid(grid)
     K = spec.K
@@ -297,10 +303,27 @@ def _modulated_spectrum(grid, spec: WitnessSpec) -> Spectrum:
         return _spectrum(grid, [])
     box, phi = _phi_hat_window(grid)
     shifts = [int(round(2.0**k / grid.dxi)) for k in range(1, K + 1)]
-    return _spectrum(grid, (
+    modulated = _spectrum(grid, (
         ((slice(box[0].start + shift, box[0].stop + shift),) + box[1:], amp * phi)
         for amp, shift in zip(amps, shifts)
     ))
+    modulated.coeffs.setflags(write=False)
+    object.__setattr__(modulated, "_boundary", _phi_boundary(grid))
+    return modulated
+
+
+@lru_cache(maxsize=8)
+def _phi_boundary(grid: GridSpec) -> float:
+    """max_shell |phi| / phi(0), the boundary ratio of phi's one block, which bounds every modulated spectrum's.
+
+    The samples of sum_k a_k phi moved up by nu_k are phi(x) T(x), with
+    T(x) = sum_k a_k e^(i nu_k x_1) (the DFT shift theorem).  Every a_k > 0
+    (:func:`_modulation_weights`) and phi's spectrum is >= 0, so |T| <= T(0)
+    and |phi| <= phi(0): the peak is phi(0) T(0), and the shell maximum is
+    at most T(0) max_shell |phi|.  That holds in 2-D too, the modulation
+    being along the first axis only.
+    """
+    return _synthesized_ratio(grid, [_phi_hat_window(grid)])
 
 
 def dilated_witness(grid, spec: WitnessSpec) -> Field:
@@ -514,9 +537,10 @@ def _witness(kind: str) -> tuple:
 def _record(spec: Spectrum, query: SzaszQuery, size: int) -> ExperimentRecord:
     """One record from the witness's exact spectrum, with no forward transform.
 
-    The spectrum is the only full-grid array kept; the norm's boundary
-    check synthesizes the field once and keeps only its peak and shell
-    maximum.
+    The spectrum is the only full-grid array kept.  The norm's boundary
+    check reads the ratio a modulated spectrum carries; otherwise, and on a
+    grid of one tile, it synthesizes the field once and keeps only its peak
+    and shell maximum.
     """
     norm = space_norm(spec, query.space)
     lhs = weighted_lhs(spec, query.theta, query.p, query.space.setting)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from szaszlab import Field, GridSpec, Spectrum, inverse_ft
+from szaszlab.grid import _supported
 from szaszlab.littlewood_paley import _mollifier_step
 
 
@@ -32,6 +33,11 @@ def grid_wide() -> GridSpec:
 @pytest.fixture(scope="session")
 def grid_2d() -> GridSpec:
     return GridSpec(2, 256, 32.0)
+
+
+def bound_free(spec: Spectrum) -> Spectrum:
+    """The same coefficients and support with no certified boundary ratio, so the boundary check synthesizes them."""
+    return _supported(Spectrum(spec.grid, spec.coeffs), spec._support)
 
 
 def plateau_field(grid: GridSpec, j: int, center_shift: float = 0.0) -> Field:

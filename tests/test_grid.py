@@ -683,3 +683,18 @@ class TestBoundaryDecay:
         values[peak] = 2.0
         values[(0,) * grid.n] = 0.5
         assert boundary_decay_ratio(Field(grid, values)) == 0.25
+
+    @pytest.mark.parametrize(
+        "n, N, edge, want",
+        [(1, 64, 1e300, 0.5e300 / abs(0.85e308 * (1 + 1j))), (1, 64, 1.7e308 * (1 + 1j), 1.0),
+         (2, 16, 1e300, 0.5e300 / abs(0.85e308 * (1 + 1j)))],
+        ids=["1d-lesser-edge", "1d-equal-edge", "2d-lesser-edge"],
+    )
+    def test_peak_modulus_past_the_float_range(self, n, N, edge, want):
+        # |1.7e308 (1 + i)| is inf: a shell sample of 1e300 read 0.0 against it, one of the
+        # same modulus nan; both maxima of the halved samples give the ratio, about 4e-9 and 1
+        grid = GridSpec(n, N, 20.0)
+        values = np.zeros(grid.shape, dtype=np.complex128)
+        values[(grid.center,) * n] = 1.7e308 * (1 + 1j)
+        values[(0,) * n] = edge
+        assert boundary_decay_ratio(Field(grid, values)) == pytest.approx(want, rel=1e-15)

@@ -53,7 +53,7 @@ from szaszlab.grid import BOUNDARY_MARGIN, BOUNDARY_TOL, _scale, _shell, boundar
 from szaszlab.littlewood_paley import apply_level_mask
 from szaszlab.witnesses import _blowup_spectrum, _random_spectrum
 
-from conftest import plateau_field, wave_packet
+from conftest import bound_free, plateau_field, wave_packet
 
 
 class TestSpaceParams:
@@ -193,14 +193,16 @@ class TestBesovNorm:
         assert inhom == pytest.approx(hom, rel=1e-12)
 
     def test_empty_parseval_pieces_make_no_pass(self, monkeypatch):
-        # hi-band's modulated witness fills few of its 17 levels: of the 116
+        # hi-band's modulated witness fills few of its 17 levels: of the 112
         # row passes its r = 2 Besov records made when every piece was
-        # walked, 62 were the plain and peak walks of empty pieces
+        # walked, 62 were the plain and peak walks of empty pieces; no record
+        # runs a boundary check, and phi's, run once per grid, is one pass
         passes, chunk_pass = [], spaces_module._chunk_pass
         monkeypatch.setattr(spaces_module, "_chunk_pass", lambda *args: passes.append(1) or chunk_pass(*args))
         query = SzaszQuery(SpaceParams(0.0, 2.0, 4.0, "B"), 4.0, 1)
+        witnesses_module._phi_boundary.cache_clear()
         records = divergence_experiment("modulated", query, [2, 4, 8, 16], grid="hi-band")
-        assert len(passes) == 54
+        assert len(passes) == 1 + 50
 
         def walked(spec, j):  # every piece walked, an empty one too
             g = spec.grid
@@ -209,7 +211,7 @@ class TestBesovNorm:
 
         monkeypatch.setattr(spaces_module, "_piece_l2", walked)
         assert divergence_experiment("modulated", query, [2, 4, 8, 16], grid="hi-band") == records
-        assert len(passes) == 54 + 116
+        assert len(passes) == 1 + 50 + 112
 
 
 class TestTriebelNorm:
@@ -751,9 +753,9 @@ class TestCosetSynthesis:
     @pytest.mark.filterwarnings("ignore::szaszlab.ModelFidelityWarning")
     def test_no_norm_or_check_builds_a_tile_over_a_chunk(self, monkeypatch, request, name):
         # every coset source the norms and the boundary check build holds tiles of at most
-        # 2^16 samples; hi-band's size-16 modulated record (a 2^19-bin window, four cosets)
-        # and a lo-band record over the whole band (a window of the whole grid) read their
-        # check from one row, the same ratio as the field's
+        # 2^16 samples; hi-band's size-16 modulated record (a 2^19-bin window, four cosets),
+        # checked on a bound-free copy, and a lo-band record over the whole band (a window of
+        # the whole grid) read their check from one row, the same ratio as the field's
         query = SzaszQuery(SpaceParams(0.0, 2.0, 4.0, "B"), 4.0, 1)
         spec = {
             "mid-band": lambda: _random_spectrum(request.getfixturevalue("grid_mid"), 2, 0, 9),
@@ -773,7 +775,7 @@ class TestCosetSynthesis:
         monkeypatch.setattr(spaces_module._Cosets, "__init__", counted)
         for params in (SpaceParams(0.0, 1.5, 2.0, "B"), SpaceParams(0.0, 1.5, 3.0, "F")):
             space_norm(spec, params)
-        ratio = spaces_module._boundary_ratio(spec)
+        ratio = spaces_module._boundary_ratio(bound_free(spec))
         assert all(tile <= spaces_module._CHUNK for tile in tiles)
         assert bool(tiles) == (name != "mid-band")
         if name in ("hi-band modulated", "lo-band random"):
@@ -1231,8 +1233,8 @@ class TestEvenQSpectralSum:
         assert got == pytest.approx(_pointwise(spec, params), rel=1e-12, abs=0.0)
 
     def test_one_synthesis_per_accepted_norm(self, monkeypatch):
-        # hi-band's two borderline records: the boundary check's source, then one for the sum,
-        # not one per level
+        # hi-band's two borderline records: one source for the sum, not one per level, after
+        # the boundary check's on a bound-free copy of the same coefficients
         keys, synthesized = [], spaces_module._synthesized
 
         def counted(*args):
@@ -1244,9 +1246,10 @@ class TestEvenQSpectralSum:
         params = SpaceParams(0.0, 2.0, 4.0, "F")
         for size in (4, 16):
             spec = _borderline(GridSpec(1, 2**21, 16.0 * np.pi), size, params)
-            keys.clear()
-            triebel_norm(spec, params)
-            assert keys == [None, None]
+            for x, want in ((spec, [None]), (bound_free(spec), [None, None])):
+                keys.clear()
+                triebel_norm(x, params)
+                assert keys == want
 
     @pytest.mark.parametrize(
         "spec, params",
@@ -1632,7 +1635,7 @@ class TestNumpyTransforms:
     def test_only_mirrored_long_rows_take_the_even_kernel(self, monkeypatch):
         # an even wide piece on 2^18 points takes the kernel; the same piece one ulp off its
         # mirror, a forward_ft spectrum (even only to roundoff) and hi-band's size-16 modulated
-        # boundary check, a 2^21-point row, take the four-step
+        # boundary check of a bound-free copy, a 2^21-point row, take the four-step
         taken = []
         even, plain = grid_module._four_step_even, grid_module._four_step
         monkeypatch.setattr(spaces_module, "_four_step_even", lambda x: taken.append("even") or even(x))
@@ -1651,7 +1654,7 @@ class TestNumpyTransforms:
                 assert source.cosets and source.mirrored is (want == "even")
             assert taken == [want]
         taken.clear()
-        spaces_module._boundary_ratio(modulated)
+        spaces_module._boundary_ratio(bound_free(modulated))
         assert taken == ["plain"]
 
     @pytest.mark.parametrize("N", [2**17, 2**20])

@@ -23,7 +23,9 @@ from szaszlab import (
 )
 from szaszlab.grid import _supported
 from szaszlab.littlewood_paley import _piece_blocks
-from szaszlab.witnesses import _WITNESSES
+from szaszlab.witnesses import _WITNESSES, _modulated_spectrum, _record
+
+from conftest import bound_free
 
 class TestSupportedSpectrum:
     def test_default_support_is_the_grid(self, grid_2d):
@@ -203,7 +205,7 @@ class TestSupportPathsMatchTheDenseOnes:
             lambda x: weighted_lhs(x, query.theta, query.p, "homogeneous"),
             lambda x: weighted_lhs(x, -0.7, 1.5, "inhomogeneous"),
             lambda x: weighted_lhs(x, query.theta, np.inf),
-            spaces_module._boundary_ratio,
+            lambda x: spaces_module._boundary_ratio(bound_free(x)),  # a modulated spectrum's check, synthesized
         ]
         for call in calls:
             assert _matches(call, spec, dense)
@@ -245,14 +247,21 @@ def test_narrow_r2_record_makes_no_full_grid_array(monkeypatch):
     each stretch's start; the boundary check's coset synthesis
     (``_Cosets`` and ``_chunk_pass``) works in tiles of _CHUNK samples
     whatever the grid, and is left out, as are the power sums' tile passes
-    over arrays of at most a level's bins.
+    over arrays of at most a level's bins.  The record as built reads phi's
+    certified boundary ratio, cached at its first call, and makes no coset
+    source; the record of a bound-free copy of the same coefficients runs
+    the boundary check, narrow, once.
     """
     grid = GridSpec(1, 2**18, 16.0 * np.pi)
     query = SzaszQuery(SpaceParams(0.0, 2.0, 4.0), 4.0, 1)
-    record = lambda: divergence_experiment("modulated", query, [4], grid=grid)
+    records = {  # coset sources built -> the record
+        0: lambda: divergence_experiment("modulated", query, [4], grid=grid),
+        1: lambda: _record(bound_free(_modulated_spectrum(grid, WitnessSpec("modulated", 4, query))), query, 4),
+    }
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ModelFidelityWarning)
-        record()  # caches: the level blocks
+        for record in records.values():
+            record()  # caches: the level blocks, phi's boundary ratio
         growth, start, builds = [], [0], []
 
         def close():
@@ -276,13 +285,17 @@ def test_narrow_r2_record_makes_no_full_grid_array(monkeypatch):
         cosets = spaces_module._Cosets
         monkeypatch.setattr(spaces_module, "_chunk_pass", left_out(spaces_module._chunk_pass))
         monkeypatch.setattr(spaces_module, "_Cosets", left_out(counted))
-        tracemalloc.start()
-        try:
-            record()
-            close()
-        finally:
-            tracemalloc.stop()
-    assert len(builds) == 1  # the boundary check was narrow
-    spectrum = 16 * grid.N
-    assert growth[0] >= spectrum
-    assert max(growth[0] - spectrum, *growth[1:]) < grid.N // 4
+        for checks, record in records.items():
+            growth.clear()
+            builds.clear()
+            start[0] = 0
+            tracemalloc.start()
+            try:
+                record()
+                close()
+            finally:
+                tracemalloc.stop()
+            assert len(builds) == checks  # a boundary check that runs is narrow
+            spectrum = 16 * grid.N
+            assert growth[0] >= spectrum
+            assert max(growth[0] - spectrum, *growth[1:]) < grid.N // 4

@@ -47,6 +47,8 @@ from szaszlab.witnesses import (
     _term_norm,
 )
 
+from conftest import bound_free
+
 
 @pytest.fixture(scope="module")
 def grid_hi_small() -> GridSpec:
@@ -154,6 +156,103 @@ class TestModulatedWitness:
         q = make_query("B", 0.0, 2.0, 4.0, 4.0)
         with pytest.raises(BandError, match="K exceeds band"):
             modulated_witness(grid_hi_small, WitnessSpec("modulated", 12, q))
+
+
+#: the modulated kinds' bound is exact in real arithmetic and meets the synthesized check to
+#: roundoff, relative; on a box where phi decays to roundoff both sit at that floor, so the
+#: absolute term
+def _agrees(bound: float, check: float) -> bool:
+    return abs(bound - check) <= 1e-12 * check + 4 * np.finfo(float).eps
+
+
+_MODULATED = ("modulated", "modulated_borderline")
+
+
+def _modulated(grid, kind, K):
+    return _modulated_spectrum(grid, WitnessSpec(kind, K, make_query("B", 0.0, 2.0, 4.0, 4.0, n=grid.n)))
+
+
+class TestModulatedBoundaryBound:
+    """A modulated spectrum carries phi's boundary ratio, max_shell |phi| / phi(0), in place of its check."""
+
+    @pytest.mark.parametrize("kind", _MODULATED)
+    def test_mid_band_bound_is_the_fields_ratio(self, grid_mid, kind):
+        for K in (1, 2, 4, 8):
+            spec = _modulated(grid_mid, kind, K)
+            assert _agrees(spec._boundary, boundary_decay_ratio(inverse_ft(spec)))
+
+    @pytest.mark.parametrize(
+        "grid, sizes",
+        [(GridSpec(1, 2**18, 2.0**12 * 2.0 * np.pi), (1, 2, 3)), (GridSpec(2, 512, 16.0 * np.pi), (1, 2, 4))],
+        ids=["grid_wide", "512^2"],
+    )
+    @pytest.mark.parametrize("kind", _MODULATED)
+    def test_bound_is_the_synthesized_check(self, grid, sizes, kind):
+        # grid_wide's box holds phi's decay down to roundoff; the 2-D modulation is along axis 1 only
+        for K in sizes:
+            spec = _modulated(grid, kind, K)
+            assert _agrees(spec._boundary, spaces_module._boundary_ratio(bound_free(spec)))
+
+    @pytest.mark.parametrize("K", [1, 2, 4, 8, 16])
+    @pytest.mark.parametrize("kind", _MODULATED)
+    def test_hi_band_bound_is_the_synthesized_check(self, kind, K):
+        spec = _modulated(witnesses_module.GRID_PRESETS["hi-band"], kind, K)
+        assert _agrees(spec._boundary, spaces_module._boundary_ratio(bound_free(spec)))
+
+    def test_phi_check_runs_once_per_grid(self, monkeypatch):
+        checks, synthesized = [], spaces_module._synthesized
+
+        def counted(grid, keys, blocks):
+            checks.append(grid)
+            return synthesized(grid, keys, blocks)
+
+        monkeypatch.setattr(spaces_module, "_synthesized", counted)
+        witnesses_module._phi_boundary.cache_clear()
+        grids = [GridSpec(1, 2**18, 16.0 * np.pi), GridSpec(2, 256, 16.0 * np.pi)]
+        bounds = {_modulated(grid, kind, K)._boundary for grid in grids * 2 for kind in _MODULATED for K in (1, 3)}
+        assert checks == grids and len(bounds) == 2
+
+    def test_hi_band_record_synthesizes_nothing(self, monkeypatch):
+        # a B r = 2 norm of a modulated witness is Parseval sums and the carried ratio, which
+        # still raises the one boundary warning
+        spec = _modulated(witnesses_module.GRID_PRESETS["hi-band"], "modulated", 4)
+
+        def refused(*args):
+            raise AssertionError("a modulated spectrum's boundary check synthesized its field")
+
+        monkeypatch.setattr(spaces_module, "_synthesized", refused)
+        monkeypatch.setattr(spaces_module, "_Cosets", refused)
+        assert spaces_module._boundary_ratio(spec) == spec._boundary
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ModelFidelityWarning)
+            besov_norm(spec, SpaceParams(0.0, 2.0, 4.0, "B"))
+        assert len(caught) == 1 and "field is 1.27e-01 of its peak near the box boundary" in str(caught[0].message)
+
+    def test_one_tile_grids_still_call_inverse_ft(self, monkeypatch, grid_mid):
+        calls = []
+        monkeypatch.setattr(spaces_module, "inverse_ft", lambda s: calls.append(s) or inverse_ft(s))
+        spec = _modulated(grid_mid, "modulated", 3)
+        assert spaces_module._boundary_ratio(spec) == boundary_decay_ratio(inverse_ft(spec))
+        assert len(calls) == 1 and calls[0] is spec
+
+    def test_bound_carrying_coeffs_are_read_only(self, grid_hi_small):
+        spec = _modulated(grid_hi_small, "modulated_borderline", 3)
+        assert spec._boundary is not None and not spec.coeffs.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            spec.coeffs[0] = 1.0
+
+    def test_copies_other_kinds_and_no_terms_carry_none(self, grid_hi_small, grid_wide):
+        spec = _modulated(grid_hi_small, "modulated", 3)
+        copies = [Spectrum(grid_hi_small, spec.coeffs), bound_free(spec), forward_ft(inverse_ft(spec))]
+        query = make_query("B", 2.0, 1.5, 3.0, 2.0)
+        others = [
+            witnesses_module._witness(kind)[1](grid_wide, WitnessSpec(kind, 2, query))
+            for kind in witnesses_module.WITNESS_KINDS if kind not in _MODULATED
+        ]
+        empty = [_modulated(grid_hi_small, kind, 0) for kind in _MODULATED]
+        assert len(others) == 3
+        assert all(x._boundary is None for x in copies + others + empty)
+        assert forward_ft(modulated_witness(grid_hi_small, WitnessSpec("modulated", 3, query)))._boundary is not None
 
 
 class TestDilatedWitness:
