@@ -76,32 +76,35 @@ A piece whose coefficients are even bit for bit, c(-k mod N) = c(k) with
 |Q_j f(-x)| = |Q_j f(x)|: the coset rows b and P - b along its first axis
 hold the same moduli.  :func:`_synthesized` checks this once per piece
 from its blocks (:func:`_mirrored`) and marks the source ``mirrored``;
-such a source's L_r sum walks only the tiles of the blocks b <= B/2 and
-adds 2 sum_(b < B/2) S_b - S_0 + S_(B/2) by ``math.fsum``, its maximum
-the same tiles' (:func:`_lr_parts`).  The blocks are the cosets of
-:class:`_Cosets` and the P = N / 64 coset rows of a long 1-D
-:class:`_Rows`.  An even long row is also transformed in half, by
-``grid._four_step_even``, into the four-step's coset-order row to
-roundoff, which every consumer reads unchanged.  A source of one tile, a
-natural-order row, the pointwise F-sum, the boundary check (whose shell is not
-mirror-symmetric by one sample) and the even-q pass walk every tile.
+such a source's L_r sum, and the even-q pass's sums, walk only the
+blocks b <= B/2, the tiles before T/2 whole and tile T/2 cut to its
+first block, and add 2 sum_(b < B/2) S_b - S_0 + S_(B/2) by
+``math.fsum``, its maximum the same blocks' (:func:`_pass_parts`).  The
+blocks are the cosets of :class:`_Cosets` and the P = N / 64 coset rows
+of a long 1-D :class:`_Rows`.  An even long row is also transformed in
+half, by ``grid._four_step_even``, into the four-step's coset-order row
+to roundoff, which every consumer reads unchanged.  A source of one
+tile, a natural-order row, the pointwise F-sum and the boundary check
+(whose shell is not mirror-symmetric by one sample) walk every tile.
 The witnesses built from radial profiles (``random_bandlimited``,
 ``lowfreq_blowup``, ``dilated_low``) have even pieces; a ``forward_ft``
 spectrum is even only to roundoff, and a modulated witness's moved
-boxes not at all.
+boxes not at all, but its coefficients are real, so its |Q_j f| are
+even, and the even-q pass makes its sum's spectrum even bit for bit.
 
 At even q, |Q_j f|^q is a trigonometric polynomial of about q Q
 frequencies per axis for a window of Q bins, so the F-norm's pointwise sum
 is first built as one small spectrum and synthesized once, its pass
 bounding the roundoff from the FFT's forward-error bound
-(:func:`_even_q_norm`).  Only a norm certified to _SPECTRAL_TOL relative is
-kept.  Otherwise (a window too wide for its small grid, a value off the
-float range, a field decaying until roundoff swamps S^(r/q)), at q = r >= 1
-the F-norm is the B-norm, F^s_(r,r) = B^s_(r,r) by Fubini (Triebel,
-Theory of Function Spaces, 1983), from the same per-level L_r sums; at
-r < 1 a level's root of an in-range power sum can fall below the float
-range where the pointwise sum's does not, so there, and at q != r, the
-pointwise path runs.
+(:func:`_even_q_norm`); when every piece is real or even, that spectrum
+is made even and its synthesis walked in half.  Only a norm certified to
+_SPECTRAL_TOL relative is kept.  Otherwise (a window too wide for its
+small grid, a value off the float range, a field decaying until roundoff
+swamps S^(r/q)), at q = r >= 1 the F-norm is the B-norm, F^s_(r,r) =
+B^s_(r,r) by Fubini (Triebel, Theory of Function Spaces, 1983), from the
+same per-level L_r sums; at r < 1 a level's root of an in-range power sum
+can fall below the float range where the pointwise sum's does not, so
+there, and at q != r, the pointwise path runs.
 
 A spectrum is read only on its support, the boxes off which its
 coefficients are exactly zero (``grid.Spectrum``): the whole grid for
@@ -113,13 +116,14 @@ their values packed flat (:func:`_packed`).  It differs from the sum over
 the whole zero-padded array only in how the terms are grouped, so at most
 in the last bits.
 
-Every power sum goes through :func:`_lr_norms`: a piece's, the F-norm's
-final L_r, and through :func:`_lr_norm` the in-memory ones (the Parseval
-sums at r = 2, the l_q sum over levels, ``lr_quasinorm`` and the weighted
-functional).  It rescales a sum by its maximum only when the plain sum
-overflows or underflows, and takes every root, raising ArithmeticError
-when a root leaves the float range, so no quasi-norm silently returns inf
-or 0.  The witness builders' own L_2 sums of their bounded profiles
+Every power of a sample goes through :func:`_power`, which takes the
+square root by ``np.sqrt``.  Every power sum goes through
+:func:`_lr_norms`: a piece's, the F-norm's final L_r, and through
+:func:`_lr_norm` the in-memory ones (the Parseval sums at r = 2, the l_q
+sum over levels, ``lr_quasinorm`` and the weighted functional).  It
+rescales a sum by its maximum only when the plain sum overflows or
+underflows, and takes every root, raising ArithmeticError when a root
+leaves the float range, so no quasi-norm silently returns inf or 0.  The witness builders' own L_2 sums of their bounded profiles
 (``witnesses._l2_norm`` and the per-level mass of ``_random_spectrum``)
 are the exception: they are plain ``np.sum(np.abs(.)**2)``, whose terms
 cannot leave the float range.
@@ -237,13 +241,14 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _chunk_pass(source, work, count: int | None = None) -> list:
-    """``work(a, lo, hi, tmp)`` of every tile [lo, hi) of ``source``, or of its first ``count``, in tile order, on W threads.
+def _chunk_pass(source, work, tiles: list | None = None) -> list:
+    """``work(a, lo, hi, tmp)`` of every tile [lo, hi) of ``source``, or of the list ``tiles``, in order, on W threads.
 
     ``a`` is the tile's moduli, ``source.moduli(lo, hi, buf, tmp)``; ``work``
     may overwrite it and the complex buffer ``tmp``.  Tiles hold
-    ``source.tile`` of the ``source.size`` samples, and W = min(usable
-    CPUs, tiles walked), at least 1, so an empty source gives [].  Each thread
+    ``source.tile`` of the ``source.size`` samples, a listed one at most
+    that, and W = min(usable CPUs, tiles walked), at least 1, so an empty
+    source gives [].  Each thread
     walks one contiguous group of tiles in order with one real buffer
     ``buf`` and one ``tmp`` of a tile's length, reused for every tile, and
     with over- and underflow ignored, so the threads allocate no
@@ -251,7 +256,8 @@ def _chunk_pass(source, work, count: int | None = None) -> list:
     raised, before this returns.
     """
     size, tile = source.size, source.tile
-    tiles = [(lo, min(lo + tile, size)) for lo in range(0, size, tile)][:count]
+    if tiles is None:
+        tiles = [(lo, min(lo + tile, size)) for lo in range(0, size, tile)]
     width = max(1, min(_usable_cpus(), len(tiles)))
     bufs = np.empty((width, min(size, tile)))
     tmps = np.empty(bufs.shape, dtype=np.complex128)
@@ -280,11 +286,11 @@ class _Rows:
     S by (hi - lo) / S view, and ``at`` its columns of an (S, P) natural view.
     Such a row is ``mirrored`` when its samples are even, f(-x) = f(x): coset
     b's moduli are then coset P - b's, and its ``blocks`` tiles of whole
-    cosets each start with the coset that :meth:`head` reads and :meth:`tail`
-    leaves out (:func:`_lr_parts`).
+    cosets each start with the coset of ``lead`` samples that :meth:`tail`
+    leaves out (:func:`_pass_parts`).
     """
 
-    tile = _CHUNK
+    tile, lead = _CHUNK, _STEP
 
     def __init__(self, row: np.ndarray, factor: float = 1.0, cosets: bool = False, mirrored: bool = False):
         self.flat, self.factor, self.cosets, self.mirrored = row.reshape(-1), factor, cosets, mirrored
@@ -301,11 +307,6 @@ class _Rows:
     def at(self, a: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """The tile's positions in a full-grid array in natural order, shaped like its moduli."""
         return a.reshape(_STEP, -1)[:, lo // _STEP : hi // _STEP] if self.cosets else a.reshape(-1)[lo:hi]
-
-    @staticmethod
-    def head(a: np.ndarray) -> np.ndarray:
-        """The first coset of a coset-order tile's moduli."""
-        return a[:, 0]
 
     @staticmethod
     def tail(a: np.ndarray) -> np.ndarray:
@@ -348,8 +349,10 @@ class _Cosets:
     The source is ``mirrored`` when its window's coefficients are even,
     c(-k) = c(k) (:func:`_mirrored`): coset b_1 of the first axis then holds
     the moduli of coset P_1 - b_1, and the ``blocks`` of tiles along the
-    first axis each start with the coset row that :meth:`head` reads and
-    :meth:`tail` leaves out.
+    first axis each start with the coset row of ``lead`` samples that
+    :meth:`tail` leaves out.  A tile [lo, lo + lead) of a tile's start is
+    that row alone, g = (1, g_2, ..., g_n), synthesized and placed by
+    ``moduli`` and ``at`` as a whole tile is.
     """
 
     tile, mirrored = _CHUNK, False
@@ -369,7 +372,7 @@ class _Cosets:
         for p in reversed(self.P):
             g.insert(0, min(p, cosets))
             cosets //= g[0]
-        self.g = tuple(g)
+        self.g, self.lead = tuple(g), _CHUNK // g[0]
         self.blocks = tuple(p // size for p, size in zip(self.P, g))
         # (i, w^(k' beta)) for the beta-th coset of a tile, on axes (i, n + i) of its (g, Q)
         # layout, for each axis i along which a tile holds more than its first coset; the
@@ -386,15 +389,21 @@ class _Cosets:
     def _first_cosets(self, lo: int) -> tuple:
         return tuple(b * size for b, size in zip(np.unravel_index(lo // self.tile, self.blocks), self.g))
 
+    def _cosets(self, lo: int, hi: int) -> tuple:
+        """Cosets per axis of tile [lo, hi): ``g``, or (1, g_2, ...) for its first coset row alone."""
+        return self.g if hi - lo == self.tile else (1,) + self.g[1:]
+
     def moduli(self, lo: int, hi: int, buf: np.ndarray, tmp: np.ndarray) -> np.ndarray:
         """|samples| of tile [lo, hi), in ``buf``, synthesized in ``tmp`` with no tile-sized allocation."""
-        n = len(self.Q)
-        x = tmp.reshape(self.g + self.Q)
+        n, g = len(self.Q), self._cosets(lo, hi)
+        x = tmp[: hi - lo].reshape(g + self.Q)
         first = x[(0,) * n]  # the tile's first coset b, whose tile twiddles are all 1
         first[...] = self.compact
         for axis, b in enumerate(self._first_cosets(lo)):
             _rotate(first, axis, self.N, b)
         for i, twiddle in self.twiddles:  # the cosets made so far, times beta_i = 1, 2, ...
+            if g[i] == 1:  # a first coset row alone
+                continue
             made = tuple(slice(None) if j < i else slice(0, 1) for j in range(n))
             new = tuple(slice(None) if j < i else slice(1, None) if j == i else slice(0, 1) for j in range(n))
             np.multiply(x[made], twiddle[new], out=x[new])
@@ -405,15 +414,11 @@ class _Cosets:
         """The tile's positions in a full-grid array in natural order, shaped like its moduli."""
         view = a.reshape(tuple(size for q, p in zip(self.Q, self.P) for size in (q, p)))
         return view[tuple(
-            part for b, size in zip(self._first_cosets(lo), self.g) for part in (slice(None), slice(b, b + size))
+            part for b, size in zip(self._first_cosets(lo), self._cosets(lo, hi)) for part in (slice(None), slice(b, b + size))
         )]
 
-    def head(self, a: np.ndarray) -> np.ndarray:
-        """The first coset row along the first axis of a tile's moduli."""
-        return a if self.g[0] == 1 else a[:, 0]
-
     def tail(self, a: np.ndarray) -> np.ndarray:
-        """A tile's moduli without the coset row that :meth:`head` reads."""
+        """A tile's moduli without its first coset row along the first axis."""
         return a[:0] if self.g[0] == 1 else a[:, 1:]
 
 
@@ -445,38 +450,58 @@ def _mirrored(piece: list, N: int) -> bool:
     return True
 
 
-def _lr_parts(source, r: float, divisor=None) -> np.ndarray:
-    """Terms whose sum is that of the r-th powers of |samples| / divisor, tile by tile; no divisor is 1.
+def _power(a: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.power(a, p, out=out)``, by ``np.sqrt`` at p = 1/2: the same bits, from a correctly rounded root, in about half the time."""
+    return np.sqrt(a, out=out) if p == 0.5 else np.power(a, p, out=out)
 
-    At r = inf the terms are tile maxima, otherwise tile sums.  A
-    ``mirrored`` source, whose blocks b and B - b along the first axis
-    (cosets, or a long row's coset rows) hold the same moduli, and whose
-    tiles group those blocks into ``blocks[0]`` >= 2 runs of R tiles each,
-    walks only its first T/2 + R of T tiles, the blocks b <= B/2.  Its
-    terms are S and S less its first block (``source.tail``) of each of
-    the first R tiles, 2 S of each further tile before T/2, and the first
-    block's S_(B/2) of each of the R tiles from T/2 (``source.head``),
-    which ``math.fsum`` adds up to the full pass's sum,
-    2 sum_(b < B/2) S_b - S_0 + S_(B/2).  Any other source, one of one
-    tile too, takes the full pass.
+
+def _pass_parts(source, terms, reduce=np.sum) -> np.ndarray:
+    """Rows of parts, one column per array of ``terms``, whose fsum (``reduce`` np.sum) or maximum is that array's over all of ``source``.
+
+    ``terms(a, lo, hi, tmp)`` gives arrays shaped like a tile's moduli
+    ``a``, and a part is ``reduce`` of them over some samples: np.sum, or a
+    maximum with initial 0.  A ``mirrored`` source, whose blocks b and
+    B - b along the first axis (cosets, or a long row's coset rows) hold the
+    same moduli, and whose tiles group those blocks into ``blocks[0]`` >= 2
+    runs of R tiles each, walks only the blocks b <= B/2: the first T/2 of
+    its T tiles whole and the next R cut to their first block, the
+    ``source.lead`` samples that ``_chunk_pass`` synthesizes alone.  Each of
+    the first R tiles gives the rows of its S and of S less its first block
+    (``source.tail``), each further tile before T/2 its S twice, and each
+    cut tile its S_(B/2) once: per column, ``math.fsum`` adds them up to the
+    full pass's sum, 2 sum_(b < B/2) S_b - S_0 + S_(B/2), and their maximum
+    is its maximum.  Any other source, one of one tile too, walks every
+    tile, one row each.
     """
-    rows, half = prod(source.blocks[1:]), prod(source.blocks) // 2
-    halved = source.mirrored and source.blocks[0] >= 2
+    tile, rows, half = source.tile, prod(source.blocks[1:]), prod(source.blocks) // 2
+    tiles = None
+    if source.mirrored and source.blocks[0] >= 2:
+        tiles = [(lo, lo + tile) for lo in range(0, half * tile, tile)]
+        tiles += [(lo, lo + source.lead) for lo in range(half * tile, (half + rows) * tile, tile)]
 
     def work(a, lo, hi, tmp):
+        arrays = terms(a, lo, hi, tmp)
+        whole, t = tuple(map(reduce, arrays)), lo // tile
+        if tiles is None or t >= half:
+            return [whole]
+        return [whole, tuple(reduce(source.tail(x)) for x in arrays)] if t < rows else [whole, whole]
+
+    return np.array([part for parts in _chunk_pass(source, work, tiles) for part in parts])
+
+
+def _lr_parts(source, r: float, divisor=None) -> np.ndarray:
+    """Terms whose sum is that of the r-th powers of |samples| / divisor, half a mirrored source's walk; no divisor is 1.
+
+    At r = inf the terms are maxima, whose maximum is the samples', otherwise
+    sums (:func:`_pass_parts`).
+    """
+
+    def terms(a, lo, hi, tmp):
         if divisor is not None:
             a /= divisor
-        if isinf(r):
-            return (a.max(),)
-        np.power(a, r, out=a)
-        if not halved:
-            return (np.sum(a),)
-        t = lo // source.tile
-        if t >= half:
-            return (np.sum(source.head(a)),)
-        return (np.sum(a), np.sum(source.tail(a))) if t < rows else (2.0 * np.sum(a),)
+        return (a if isinf(r) else _power(a, r, out=a),)
 
-    return np.array([x for terms in _chunk_pass(source, work, half + rows if halved else None) for x in terms])
+    return _pass_parts(source, terms, partial(np.max, initial=0.0) if isinf(r) else np.sum).reshape(-1)
 
 
 def _exact_sum(tile_sums: np.ndarray) -> float:
@@ -804,7 +829,7 @@ def _accumulate(source, key, s: float, q: float, acc, peak=None) -> None:
         if isinf(q):
             np.maximum(out, a, out=out)
         else:
-            out += np.power(a, q, out=a)
+            out += _power(a, q, out=a)
 
     _chunk_pass(source, work)
 
@@ -883,17 +908,30 @@ def _even_q_norm(spec: Spectrum, keys: list, params: SpaceParams) -> float | Non
     Only M <= N with M^n <= 2^16 is taken, and the norm only if nothing left
     the float range and its relative error bound, with (130 + log2 tile) u
     for the powers and tile sums, is at most _SPECTRAL_TOL.
+
+    When every piece is real (imaginary parts exactly 0) or even
+    (:func:`_mirrored`), each |Q_j f| is even, so S is real and even and so
+    are its exact coefficients.  T then leaves out its edge k = -t/2 along
+    each even axis, exactly 0 in S since q (Q - 1) / 2 < M / 2, and is
+    replaced by Re(T(k) + T(-k)) / 2 in long double: even bit for bit, so
+    :func:`_synthesized` marks its source mirrored, and its pass walks the
+    blocks b <= B/2 (:func:`_pass_parts`).  The average errs no more against
+    the exact T, summed over k, than T did, and its rounding adds u_L
+    sum |T_l| to d.  d bounds |S~ - S| at every walked sample and S(-x) =
+    S(x), so the walked half's one-signed bound terms, added as its powers
+    are, bound the full sum's error as the full walk's do.
     """
     g, q, r = spec.grid, params.q, params.r
     side = min(g.N, 1 << (_CHUNK.bit_length() - 1) // g.n)  # the most M per axis: side^n <= 2^16
     if q % 2 or q > side:  # q inf too
         return None
-    parts, volume, slack = [], np.longdouble(g.N * g.dx) ** g.n, 0.0
+    parts, volume, slack, even = [], np.longdouble(g.N * g.dx) ** g.n, 0.0, True
     with np.errstate(all="ignore"):
         for key in keys:
             piece = _pieces_of(spec)(key)
             if (window := _window(g, piece)) is None:  # an empty level, unweighted
                 continue
+            even = even and (not any(values.imag.any() for _, values in piece) or _mirrored(piece, g.N))
             M = tuple(1 << (int(q) * (Q - 1)).bit_length() for _, Q in window)
             if max(M) > side:
                 return None
@@ -908,22 +946,26 @@ def _even_q_norm(spec: Spectrum, keys: list, params: SpaceParams) -> float | Non
         T = np.zeros(tuple(map(max, zip(*(M for M, _ in parts)))), dtype=np.clongdouble)
         for M, a in parts:
             T[tuple(slice(t // 2 - m // 2, t // 2 - m // 2 + m) for t, m in zip(T.shape, M))] += a
+        if even:  # S is real and even: so is T, from k = -t/2 + 1 (its exact 0 at -t/2 left out) up
+            T = T[tuple(slice(1 - t % 2, None) for t in T.shape)].real
+            T = (T + T[(slice(None, None, -1),) * T.ndim]) / 2
+            slack += _EPS_L * float(np.sum(np.abs(T)))
         T = (T * volume).astype(np.complex128)  # the centred coefficients of S (N dx)^n
         spread = float((7 * np.log2(g.N**g.n) + 80 * g.n) * _EPS * np.sum(np.abs(T)) / volume)
         if not _TINY <= spread <= (delta := float(spread + slack)) < np.inf:
             return None
         box = tuple(slice(g.center - t // 2, g.center - t // 2 + t) for t in T.shape)
 
-        def work(a, lo, hi, tmp):  # a is S~
+        def terms(a, lo, hi, tmp):  # a is S~: its powers, and their one-signed differences from the ends' powers
             end = np.add(a, delta if r > q else -delta, out=tmp.view(np.float64)[: hi - lo].reshape(a.shape))
-            np.power(np.maximum(end, 0.0, out=end), r / q, out=end)
-            np.power(a, r / q, out=a)
-            return np.sum(a), abs(np.sum(np.subtract(a, end, out=a)))
+            _power(np.maximum(end, 0.0, out=end), r / q, out=end)
+            _power(a, r / q, out=a)
+            return a, np.subtract(a, end, out=end)
 
         for _, source in _synthesized(g, [None], lambda _: [(box, T)]):
-            sums, bounds = np.array(_chunk_pass(source, work)).T
+            sums, bounds = _pass_parts(source, terms).T
         total = _exact_sum(sums) * g.dx**g.n
-        e = min(1.0, np.float64(_exact_sum(bounds)) * g.dx**g.n / total + (130 + np.log2(source.tile)) * _EPS)
+        e = min(1.0, abs(np.float64(_exact_sum(bounds))) * g.dx**g.n / total + (130 + np.log2(source.tile)) * _EPS)
         norm = np.float64(total) ** (1.0 / r)
         certified = max((1.0 + e) ** (1.0 / r) - 1.0, 1.0 - (1.0 - e) ** (1.0 / r)) <= _SPECTRAL_TOL
     return float(norm) if certified and _TINY <= total < np.inf and 0.0 < norm < np.inf else None
@@ -973,7 +1015,7 @@ def _pointwise_triebel(spec: Spectrum, band: BandLimits, params: SpaceParams) ->
     peak = pointwise(np.inf, np.zeros(g.shape))
     acc[...] = 0.0
     pointwise(q, acc, peak)
-    np.power(acc, 1.0 / q, out=acc)
+    _power(acc, 1.0 / q, out=acc)
     acc *= peak
     return _lr_norm(acc, r, weight)
 

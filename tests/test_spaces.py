@@ -862,7 +862,7 @@ def _even(spec: Spectrum) -> Spectrum:
 
 
 class _Walked:
-    """A tile source that lists the tiles a pass reads, ``mirrored`` as given."""
+    """A tile source that lists the tiles [lo, hi) a pass reads, ``mirrored`` as given."""
 
     def __init__(self, source, mirrored):
         self.source, self.mirrored, self.walked = source, mirrored, []
@@ -871,8 +871,14 @@ class _Walked:
         return getattr(self.source, name)
 
     def moduli(self, lo, hi, buf, tmp):
-        self.walked.append(lo)
+        self.walked.append((lo, hi))
         return self.source.moduli(lo, hi, buf, tmp)
+
+
+def _half_walk(source) -> list:
+    """Sample counts of the tiles a mirrored source's half pass reads, in tile order: T/2 whole tiles, then R cut to their first block."""
+    rows = int(np.prod(source.blocks[1:]))
+    return [source.tile] * (int(np.prod(source.blocks)) // 2) + [source.lead] * rows
 
 
 def _walk_both(source, grid, r):
@@ -921,9 +927,27 @@ class TestMirroredPieces:
             assert source.mirrored and tiles == 4 and source.blocks[0] == 4
             for r in (1.0, 1.5, np.inf):
                 (half, walked), (full, every) = _walk_both(source, grid, r)
-                assert walked <= tiles // 2 + 1 and every == tiles
+                assert walked == tiles // 2 + 1 and every == tiles
                 assert half == pytest.approx(full, rel=1e-15, abs=0.0)
                 assert half == pytest.approx(lr_quasinorm(inverse_ft(spec), r), rel=1e-12)
+            run = _Walked(source, True)
+            spaces_module._lr_norms(run, 1.5, grid.dx**grid.n)
+            assert [hi - lo for lo, hi in sorted(run.walked)] == _half_walk(source)
+
+    @pytest.mark.parametrize("n, N, starts, spans, kind", _MIRRORED_CASES)
+    def test_a_cut_tile_is_its_first_block(self, n, N, starts, spans, kind):
+        # tile T/2 cut to its first coset (row) holds that block's moduli at that block's
+        # positions, bit for bit, with no sample of the tile's other blocks
+        for grid, spec, source in self._source(n, N, starts, spans, kind):
+            lo = int(np.prod(source.blocks)) // 2 * source.tile
+            assert source.lead < source.tile
+            buf, tmp = np.empty(source.tile), np.empty(source.tile, dtype=np.complex128)
+            whole = source.moduli(lo, lo + source.tile, buf, tmp).copy()
+            head = source.moduli(lo, lo + source.lead, buf[: source.lead], tmp)
+            assert head.shape == whole[:, :1].shape and head.tobytes() == np.ascontiguousarray(whole[:, :1]).tobytes()
+            marks = np.arange(float(grid.N**n)).reshape(grid.shape)
+            spots = source.at(marks, lo, lo + source.tile)[:, :1]
+            assert np.array_equal(source.at(marks, lo, lo + source.lead), spots)
 
     @pytest.mark.parametrize("n, N, starts, spans, kind", _MIRRORED_CASES[:3])
     def test_one_ulp_off_the_mirror_walks_every_tile(self, n, N, starts, spans, kind):
@@ -1210,6 +1234,37 @@ def _route(spec, params):
     return spaces_module._even_q_norm(spec, keys, params)
 
 
+def _even_q_walk(monkeypatch, spec, params, mirrored=True):
+    """(the even-q route's norm, the sources its passes read) with each source's ``mirrored`` flag as it is, or off."""
+    runs, pass_parts = [], spaces_module._pass_parts
+
+    def walked(source, terms, reduce=np.sum):
+        runs.append(_Walked(source, source.mirrored and mirrored))
+        return pass_parts(runs[-1], terms, reduce)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(spaces_module, "_pass_parts", walked)
+        return _route(spec, params), runs
+
+
+def _grid_wide_even():
+    """An even spectrum on grid_wide's 2^18 points, complex, on the 121 bins -60 <= k <= 60."""
+    return _even(_window_spectrum(GridSpec(1, 2**18, 2.0**12 * 2.0 * np.pi), [-60], [121], seed=6))
+
+
+_INHOMOGENEOUS, _HI = SpaceParams(0.3, 3.0, 2.0, "F", "inhomogeneous"), SpaceParams(0.0, 2.0, 4.0, "F")
+
+#: (spectrum, F params, whether the pointwise path is affordable): an even complex spectrum
+#: on grid_wide, the real borderline witness on 512^2 and hi-band's two borderline records
+_HALVED_CASES = {
+    "grid_wide-even-q2": (_grid_wide_even, SpaceParams(0.3, 1.5, 2.0, "F"), True),
+    "grid_wide-even-q4": (_grid_wide_even, _HI, True),
+    "512^2-real": (lambda: _borderline(GridSpec(2, 512, 16.0 * np.pi), 3, _INHOMOGENEOUS), _INHOMOGENEOUS, True),
+    "hi-band-4": (lambda: _borderline(GridSpec(1, 2**21, 16.0 * np.pi), 4, _HI), _HI, False),
+    "hi-band-16": (lambda: _borderline(GridSpec(1, 2**21, 16.0 * np.pi), 16, _HI), _HI, False),
+}
+
+
 class TestEvenQSpectralSum:
     # the pointwise sum at even q as one spectrum, synthesized once under a roundoff certificate
 
@@ -1316,6 +1371,49 @@ class TestEvenQSpectralSum:
             _with_cpus(monkeypatch, width)
             got.append(_route(spec, params))
         assert got[0] is not None and got[1] == got[0] and got[2] == got[0]
+
+    @pytest.mark.parametrize("case", _HALVED_CASES)
+    def test_real_or_even_pieces_walk_half_the_sum(self, monkeypatch, case):
+        # |Q_j f| is even for real or even pieces, so S and its spectrum are: the sum made
+        # even bit for bit is mirrored, and its pass reads T/2 tiles and the cut tile T/2
+        make, params, affordable = _HALVED_CASES[case]
+        spec = make()
+        (half, [run]), (full, [every]) = (_even_q_walk(monkeypatch, spec, params, flag) for flag in (True, False))
+        assert run.source.mirrored and run.blocks[0] >= 2
+        assert [hi - lo for lo, hi in sorted(run.walked)] == _half_walk(run)
+        assert len(every.walked) == np.prod(run.blocks)
+        assert half is not None and half == pytest.approx(full, rel=1e-12, abs=0.0)
+        if affordable:
+            assert half == pytest.approx(_pointwise(spec, params), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("params", [SpaceParams(0.3, 1.5, 2.0, "F"), SpaceParams(0.0, 2.0, 4.0, "F")], ids=str)
+    def test_neither_real_nor_even_pieces_walk_every_tile(self, monkeypatch, grid_wide, params):
+        spec = _window_spectrum(grid_wide, [-60], [121], seed=6)
+        got, [run] = _even_q_walk(monkeypatch, spec, params)
+        assert not run.source.mirrored and len(run.walked) == np.prod(run.blocks) == 4
+        assert got is not None and got == pytest.approx(_pointwise(spec, params), rel=1e-12, abs=0.0)
+
+    def test_one_tile_grid_walks_its_one_row(self, monkeypatch, grid_mid):
+        # mid-band's sum is read as one natural-order row: nothing to halve
+        params = SpaceParams(0.0, 2.0, 4.0, "F")
+        got, [run] = _even_q_walk(monkeypatch, _borderline(grid_mid, 4, params), params)
+        assert got is not None and run.blocks == (1,) and len(run.walked) == 1
+
+
+class TestPowers:
+    def test_square_root_is_the_half_power_bit_for_bit(self):
+        # every binade from the subnormals up to 2^1023, random bit patterns of the finite
+        # non-negative floats, 0, -0 and inf, read contiguous and strided, in place and not
+        rng = np.random.default_rng(3)
+        exponents = np.arange(2047, dtype=np.uint64)[:, None] << np.uint64(52)
+        binades = (exponents | rng.integers(0, 2**52, size=(2047, 64), dtype=np.uint64)).view(np.float64).ravel()
+        patterns = rng.integers(0, 0x7FF0000000000000, size=2**20, dtype=np.uint64).view(np.float64)
+        x = np.concatenate([binades, patterns, [0.0, -0.0, np.inf, 5e-324, np.finfo(float).max]])
+        for step in (1, 3):
+            want = np.power(x[::step], 0.5).tobytes()
+            assert spaces_module._power(x[::step], 0.5).tobytes() == want
+            b = x.copy()[::step]
+            assert spaces_module._power(b, 0.5, out=b) is b and b.tobytes() == want
 
 
 def _with_inf(spec: Spectrum) -> Spectrum:
